@@ -16,6 +16,7 @@ spectral scale, the compact convex body the rest of the package studies.
 from __future__ import annotations
 
 import json
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -401,6 +402,22 @@ class Compression:
 # ---------------------------------------------------------------------------
 
 
+def _is_number(x):
+    # bool is a subclass of int, but JSON true/false is not a number
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _finite(x, message, path):
+    """``float(x)``, or IngestError when it is NaN, infinite or overflows."""
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise IngestError(message, path)
+    return value
+
+
 def _matrix_from_json(node, dim, path):
     if not isinstance(node, list) or len(node) != dim:
         raise IngestError(f"expected {dim} matrix rows", path)
@@ -409,15 +426,17 @@ def _matrix_from_json(node, dim, path):
         if not isinstance(row, list) or len(row) != dim:
             raise IngestError(f"expected {dim} entries", f"{path}[{i}]")
         for k, entry in enumerate(row):
+            entry_path = f"{path}[{i}][{k}]"
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(x, (int, float)) for x in entry)
+                or not all(_is_number(x) for x in entry)
             ):
-                raise IngestError(
-                    "matrix entry must be a [re, im] pair", f"{path}[{i}][{k}]"
-                )
-            out[i, k] = complex(entry[0], entry[1])
+                raise IngestError("matrix entry must be a [re, im] pair", entry_path)
+            re, im = (
+                _finite(x, "matrix entry must be finite", entry_path) for x in entry
+            )
+            out[i, k] = complex(re, im)
     return out
 
 
@@ -451,11 +470,12 @@ def tuple_from_json(source):
             if key not in node:
                 raise IngestError(f"missing field '{key}'", path)
         dim = node["dim"]
-        if not isinstance(dim, int) or dim < 1:
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise IngestError("dim must be a positive integer", f"{path}.dim")
         weight = node["weight"]
-        if not isinstance(weight, (int, float)) or weight <= 0:
+        if not _is_number(weight) or weight <= 0:
             raise IngestError("weight must be a positive number", f"{path}.weight")
+        weight = _finite(weight, "weight must be finite", f"{path}.weight")
         ops = node["operators"]
         if not isinstance(ops, list) or not ops:
             raise IngestError(
@@ -472,7 +492,7 @@ def tuple_from_json(source):
             _matrix_from_json(m, dim, f"{path}.operators[{i}]")
             for i, m in enumerate(ops)
         ]
-        specs.append(Block(dim, float(weight)))
+        specs.append(Block(dim, weight))
         per_block_ops.append(mats)
 
     try:

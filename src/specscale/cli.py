@@ -16,14 +16,13 @@ import os
 import sys
 import tempfile
 
-from . import algebra, faces, sampling, scale, spectral, structure
+from . import algebra, faces, scale, structure
 from .errors import (
     HermitianError,
     IngestError,
     InvariantViolation,
     SpecScaleError,
 )
-from .spectral import SpectralPair
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -86,14 +85,6 @@ def _emit(args, name, text):
         sys.stdout.write(text)
 
 
-def _sweep_pairs(optuple, samples, cluster_tol):
-    """Direction parts with their full eigenvalue sweep levels."""
-    for t in scale._cloud_t_directions(optuple.n, samples):
-        b_t = algebra.linear_combination(optuple, t)
-        info = spectral.decompose(optuple.algebra, b_t, cluster_tol=cluster_tol)
-        yield t, sampling.eigenvalue_sweep(info.values)
-
-
 def cmd_support(optuple, args):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -104,25 +95,19 @@ def cmd_support(optuple, args):
         + ["alpha", "trace_p_minus", "trace_p_plus", "face_dim"]
     )
     alg = optuple.algebra
-    for t, levels in _sweep_pairs(optuple, args.samples, args.cluster_tol):
-        for s in levels:
-            pair = SpectralPair(s=s, t=t)
-            face = scale.exposed_face(
-                optuple,
-                pair,
-                cluster_tol=args.cluster_tol,
-                eig_eq_tol=args.eig_eq_tol,
-            )
-            writer.writerow(
-                [_f17(s)]
-                + [_f17(x) for x in t]
-                + [
-                    _f17(face.alpha),
-                    _f17(alg.trace(face.interval.lower)),
-                    _f17(alg.trace(face.interval.upper)),
-                    face.dimension,
-                ]
-            )
+    for face in scale.sweep_faces(
+        optuple, args.samples, args.cluster_tol, args.eig_eq_tol
+    ):
+        writer.writerow(
+            [_f17(face.pair.s)]
+            + [_f17(x) for x in face.pair.t]
+            + [
+                _f17(face.alpha),
+                _f17(alg.trace(face.interval.lower)),
+                _f17(alg.trace(face.interval.upper)),
+                face.dimension,
+            ]
+        )
     _emit(args, "support.csv", buf.getvalue())
 
 
@@ -147,29 +132,13 @@ def cmd_extremes(optuple, args):
     print(json.dumps(stats), file=sys.stderr)
 
 
-def _distinct_faces(optuple, args, vertices_only=False):
-    """Deduplicated exposed faces from the sweep, as (pair, face) rows."""
-    seen = []
+def _distinct_faces(optuple, args):
+    """Deduplicated exposed faces from the sweep."""
     out = []
-    alg = optuple.algebra
-    for t, levels in _sweep_pairs(optuple, args.samples, args.cluster_tol):
-        for s in levels:
-            face = scale.exposed_face(
-                optuple,
-                SpectralPair(s=s, t=t),
-                cluster_tol=args.cluster_tol,
-                eig_eq_tol=args.eig_eq_tol,
-            )
-            if vertices_only and not face.interval.is_point():
-                continue
-            key = (face.interval.lower, face.interval.upper)
-            if any(
-                algebra.max_norm(key[0] - a) <= 1e-8
-                and algebra.max_norm(key[1] - b) <= 1e-8
-                for a, b in seen
-            ):
-                continue
-            seen.append(key)
+    for face in scale.sweep_faces(
+        optuple, args.samples, args.cluster_tol, args.eig_eq_tol
+    ):
+        if not any(faces.intervals_equal(face.interval, f.interval) for f in out):
             out.append(face)
     return out
 
@@ -217,6 +186,7 @@ def cmd_slice(optuple, args):
 
 
 def cmd_corners(optuple, args):
+    alg = optuple.algebra
     sharp_list = []
     gap_reports = []
     for face in _distinct_faces(optuple, args):
@@ -227,12 +197,8 @@ def cmd_corners(optuple, args):
         if cone.degree >= 2:
             sharp_list.append(
                 {
-                    "trace_lower": float(
-                        _f17(optuple.algebra.trace(face.interval.lower))
-                    ),
-                    "trace_upper": float(
-                        _f17(optuple.algebra.trace(face.interval.upper))
-                    ),
+                    "trace_lower": structure._f17(alg.trace(face.interval.lower)),
+                    "trace_upper": structure._f17(alg.trace(face.interval.upper)),
                     "dimension": face.dimension,
                     "degree": cone.degree,
                 }
@@ -262,7 +228,7 @@ def cmd_center(optuple, args):
     )
     payload["isolated_extreme_points"] = [
         {
-            "point": [float(_f17(x)) for x in rep.point],
+            "point": [structure._f17(x) for x in rep.point],
             "central": rep.is_central,
         }
         for rep in isolated

@@ -271,6 +271,11 @@ def _commutant_directions(optuple, interval, tol=1e-9):
     Commutation with both endpoints is necessary for ``(-s, t)`` to
     support the face, so restricting candidate directions to this
     subspace loses no members and finds one-ray cones exactly.
+
+    The basis does not depend on last-bit noise in the endpoints: the
+    whole space is returned as the coordinate axes, and every other row
+    is signed so that its largest entry (the first, on a near tie) is
+    positive.
     """
     cols = []
     for b in optuple.operators:
@@ -286,7 +291,12 @@ def _commutant_directions(optuple, interval, tol=1e-9):
     scale_ref = max(1.0, float(svals[0]) if len(svals) else 1.0)
     null_mask = np.ones(optuple.n, dtype=bool)
     null_mask[: len(svals)] = svals <= tol * scale_ref
-    return vt[null_mask]
+    if null_mask.all():
+        return np.eye(optuple.n)
+    basis = vt[null_mask]
+    mags = np.abs(basis)
+    lead = np.argmax(mags >= mags.max(axis=1, keepdims=True) - tol, axis=1)
+    return basis * np.sign(basis[np.arange(len(basis)), lead])[:, None]
 
 
 def _candidate_directions(optuple, interval, directions):
@@ -328,22 +338,22 @@ def normal_cone(
     alg = optuple.algebra
     members = []
     pairs = []
-    for t in _candidate_directions(optuple, interval, directions):
-        b_t = algebra.linear_combination(optuple, t)
-        info = spectral.decompose(alg, b_t, cluster_tol=cluster_tol)
-        eff_tol = (
-            spectral.EIG_EQ_TOL if eig_eq_tol is None else eig_eq_tol
-        ) * max(1.0, max_norm(b_t))
-        for s in sampling.eigenvalue_sweep(info.values):
-            cand = spectral.interval_from_spectrum(alg, info, s, eff_tol)
+    for frame in spectral.sweep(
+        optuple,
+        _candidate_directions(optuple, interval, directions),
+        cluster_tol,
+        eig_eq_tol,
+    ):
+        for s in frame.levels:
+            cand = spectral.interval_from_spectrum(alg, frame.info, s, frame.eff_tol)
             if spectral.projection_leq(
                 cand.lower, interval.lower, PROJ_ORDER_TOL
             ) and spectral.projection_leq(
                 interval.upper, cand.upper, PROJ_ORDER_TOL
             ):
-                normal = np.concatenate(([-s], t))
+                normal = np.concatenate(([-s], frame.t))
                 members.append(normal / np.linalg.norm(normal))
-                pairs.append(SpectralPair(s=s, t=t))
+                pairs.append(SpectralPair(s=s, t=frame.t))
     members = np.array(members) if members else np.empty((0, optuple.n + 1))
     degree = int(np.linalg.matrix_rank(members, tol=1e-8)) if len(members) else 0
     exact = False

@@ -9,7 +9,9 @@ supports the scale from below, touching it exactly on the image of the
 order interval ``[p_minus, p_plus]`` of the interval projections of
 ``b_t`` at ``s``.  Sweeping ``s`` across the spectrum of ``b_t`` for a
 direction sample therefore enumerates extreme points and exposed faces
-without ever building the body itself.
+without ever building the body itself.  Each sampled direction is
+decomposed once (``spectral.sweep``) and all of its cut levels are read
+off that one eigenframe.
 """
 
 from __future__ import annotations
@@ -70,22 +72,18 @@ class IsotraceSlice:
     points: np.ndarray  # (m, n) cross-section coordinates
 
 
-def _support_data(optuple, pair, cluster_tol=None, eig_eq_tol=None):
-    b_t = algebra.linear_combination(optuple, pair.t)
-    interval = spectral.interval_projections_of(
-        optuple.algebra, b_t, pair.s, cluster_tol=cluster_tol, eig_eq_tol=eig_eq_tol
-    )
+def _support_in_frame(optuple, frame, s):
+    """Interval projections and support value at level ``s`` of a decomposed
+    direction (a ``spectral.DirectionFrame``)."""
     alg = optuple.algebra
-    shifted = b_t - pair.s * alg.identity()
+    interval = spectral.interval_from_spectrum(alg, frame.info, s, frame.eff_tol)
+    shifted = frame.b_t - s * alg.identity()
     alpha_plus = alg.trace(_herm_product(shifted, interval.upper))
     alpha_minus = alg.trace(_herm_product(shifted, interval.lower))
     gap_weight = alg.trace(interval.upper) - alg.trace(interval.lower)
-    eff_tol = (spectral.EIG_EQ_TOL if eig_eq_tol is None else eig_eq_tol) * max(
-        1.0, max_norm(b_t)
-    )
     # The two traces agree exactly in exact arithmetic; with s inside the
     # eigenvalue-equality band they can differ by at most band * gap weight.
-    if abs(alpha_plus - alpha_minus) > 1e-9 + eff_tol * max(gap_weight, 0.0):
+    if abs(alpha_plus - alpha_minus) > 1e-9 + frame.eff_tol * max(gap_weight, 0.0):
         raise InvariantViolation(
             "support value differs between the two interval projections: "
             f"{alpha_plus!r} vs {alpha_minus!r}"
@@ -101,7 +99,8 @@ def _herm_product(a, b):
 
 def support_value(optuple, pair, cluster_tol=None, eig_eq_tol=None):
     """``tr((b_t - s) p_plus)``: the minimum of ``<(-s,t), x>`` over the scale."""
-    _, alpha = _support_data(optuple, pair, cluster_tol, eig_eq_tol)
+    frame = spectral.direction_frame(optuple, pair.t, cluster_tol, eig_eq_tol)
+    _, alpha = _support_in_frame(optuple, frame, pair.s)
     return alpha
 
 
@@ -118,6 +117,19 @@ def face_dimension_of_interval(optuple, interval):
     return scale_dimension(comp.tuple).dimension
 
 
+def _face_in_frame(optuple, frame, pair):
+    interval, alpha = _support_in_frame(optuple, frame, pair.s)
+    vertices = np.vstack(
+        [psi(optuple, interval.lower), psi(optuple, interval.upper)]
+    )
+    return ExposedFace(
+        hyperplane=SupportHyperplane(pair=pair, alpha=alpha),
+        interval=interval,
+        vertices=vertices,
+        dimension=face_dimension_of_interval(optuple, interval),
+    )
+
+
 def exposed_face(optuple, pair, cluster_tol=None, eig_eq_tol=None):
     """The face cut out by the supporting hyperplane of ``(s, t)``.
 
@@ -125,17 +137,23 @@ def exposed_face(optuple, pair, cluster_tol=None, eig_eq_tol=None):
     projections; it is a single exposed point exactly when the two
     projections coincide.
     """
-    interval, alpha = _support_data(optuple, pair, cluster_tol, eig_eq_tol)
-    vertices = np.vstack(
-        [psi(optuple, interval.lower), psi(optuple, interval.upper)]
-    )
-    dim = face_dimension_of_interval(optuple, interval)
-    return ExposedFace(
-        hyperplane=SupportHyperplane(pair=pair, alpha=alpha),
-        interval=interval,
-        vertices=vertices,
-        dimension=dim,
-    )
+    frame = spectral.direction_frame(optuple, pair.t, cluster_tol, eig_eq_tol)
+    return _face_in_frame(optuple, frame, pair)
+
+
+def sweep_faces(
+    optuple, directions=sampling.DEFAULT_DIRECTIONS, cluster_tol=None, eig_eq_tol=None
+):
+    """Exposed faces of every sweep level of every sampled direction part.
+
+    ``directions`` is a sphere sample as for ``extreme_point_cloud``; each
+    direction is decomposed once for all of its levels.
+    """
+    for frame in spectral.sweep(
+        optuple, _cloud_t_directions(optuple.n, directions), cluster_tol, eig_eq_tol
+    ):
+        for s in frame.levels:
+            yield _face_in_frame(optuple, frame, SpectralPair(s=s, t=frame.t))
 
 
 def scale_dimension(optuple, tol=RELATION_TOL):
@@ -229,14 +247,13 @@ def extreme_point_cloud(
     """
     alg = optuple.algebra
     cloud = ExtremePointCloud(optuple.n)
-    for t in _cloud_t_directions(optuple.n, directions):
-        b_t = algebra.linear_combination(optuple, t)
-        info = spectral.decompose(alg, b_t, cluster_tol=cluster_tol)
-        eff_tol = (
-            spectral.EIG_EQ_TOL if eig_eq_tol is None else eig_eq_tol
-        ) * max(1.0, max_norm(b_t))
-        for s in sampling.eigenvalue_sweep(info.values):
-            interval = spectral.interval_from_spectrum(alg, info, s, eff_tol)
+    for frame in spectral.sweep(
+        optuple, _cloud_t_directions(optuple.n, directions), cluster_tol, eig_eq_tol
+    ):
+        for s in frame.levels:
+            interval = spectral.interval_from_spectrum(
+                alg, frame.info, s, frame.eff_tol
+            )
             for p in (interval.lower, interval.upper):
                 cloud.add(psi(optuple, p), p)
     return cloud
@@ -251,20 +268,17 @@ def waterfill(optuple, direction, level, cluster_tol=None):
     """
     if not 0.0 <= level <= 1.0:
         raise ValueError(f"trace level must be in [0, 1], got {level}")
-    alg = optuple.algebra
     b_u = algebra.linear_combination(optuple, direction)
-    info = spectral.decompose(alg, b_u, cluster_tol=cluster_tol)
-    order = np.argsort(-info.values)
-    a = alg.zero()
+    info = spectral.decompose(optuple.algebra, b_u, cluster_tol=cluster_tol)
+    takes = np.zeros(len(info.clusters))
     budget = level
-    for idx in order:
+    for idx in np.argsort(-info.values):
         if budget <= 0.0:
             break
         c = info.clusters[idx]
-        take = min(1.0, budget / c.trace_weight)
-        a = a + take * c.projection
-        budget -= take * c.trace_weight
-    return a
+        takes[idx] = min(1.0, budget / c.trace_weight)
+        budget -= takes[idx] * c.trace_weight
+    return info.frame.combination(takes)
 
 
 def isotrace_slice(optuple, level, resolution=720, cluster_tol=None):
@@ -319,8 +333,11 @@ def export_hull_obj(optuple, fh, samples=4096, seed=0):
     hull = oracle.PointCloudHull(points)
     if hull.simplices is None:
         raise ValueError("hull triangulation unavailable for this point cloud")
-    verts = hull.hull_points
-    for v in verts:
+    # qhull's simplices index the whole sampled cloud; renumber them to
+    # the written vertex list (OBJ indices are 1-based)
+    position = np.zeros(len(points), dtype=int)
+    position[hull.vertex_indices] = np.arange(1, len(hull.vertex_indices) + 1)
+    for v in hull.hull_points:
         fh.write("v " + " ".join(format(x, ".17g") for x in v) + "\n")
-    for tri in hull.simplices:
-        fh.write("f " + " ".join(str(i + 1) for i in tri) + "\n")
+    for tri in position[hull.simplices]:
+        fh.write("f " + " ".join(str(i) for i in tri) + "\n")

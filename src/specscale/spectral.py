@@ -6,15 +6,25 @@ whether a cut level ``s`` counts as an eigenvalue, which is what
 separates the closed-interval projection ``p_plus`` (spectrum in
 ``(-inf, s]``) from the open-interval projection ``p_minus`` (spectrum in
 ``(-inf, s)``).  Both scale with ``max(1, |a|)``.
+
+``decompose`` keeps its eigenframe: every block's ``eigh`` output and,
+per cluster, the range of eigenvector columns it owns.  Clusters take
+consecutive columns of every block, so any spectral projection of the
+operator is one ``V Vᴴ`` product per block over a column range, and is
+built only when asked for.  ``sweep`` yields one decomposed direction at
+a time with all its cut levels, so every level of a direction reads the
+same frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from . import algebra
+from . import algebra, sampling
 from .algebra import HermitianOperator, _raw, max_norm
 from .errors import NumericalError, ShapeError
 
@@ -41,27 +51,60 @@ class SpectralPair:
         return np.concatenate(([-self.s], self.t))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class SpectralFrame:
+    """Blockwise eigenvectors with the cluster boundaries among their columns.
+
+    ``vectors[j]`` is block ``j``'s eigenvector matrix from ``eigh``, its
+    columns in ascending eigenvalue order; ``bounds[k, j]`` counts the
+    columns of block ``j`` that belong to clusters ``0 .. k-1``.
+    """
+
+    vectors: tuple
+    bounds: np.ndarray  # (clusters + 1, blocks)
+
+    def projection(self, first, stop):
+        """Projection onto clusters ``first .. stop-1``: ``V Vᴴ`` per block."""
+        blocks = []
+        for v, lo, hi in zip(self.vectors, self.bounds[first], self.bounds[stop]):
+            cols = v[:, lo:hi]
+            blocks.append(cols @ cols.conj().T)
+        return _raw(blocks)
+
+    def combination(self, coeffs):
+        """``sum_k coeffs[k] * P_k`` over the cluster projections ``P_k``."""
+        blocks = []
+        for j, v in enumerate(self.vectors):
+            x = np.repeat(coeffs, np.diff(self.bounds[:, j]))
+            blocks.append((v * x) @ v.conj().T)
+        return _raw(blocks)
+
+
+@dataclass(frozen=True, eq=False)
 class EigenCluster:
     value: float
     multiplicity: int
     trace_weight: float
-    projection: HermitianOperator
+    frame: SpectralFrame
+    index: int  # position in the ascending cluster list
+
+    @cached_property
+    def projection(self):
+        return self.frame.projection(self.index, self.index + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumInfo:
     """Clustered spectrum of a self-adjoint operator.
 
     The cluster projections are mutually orthogonal, sum to the identity
     and reconstruct the operator as ``sum(value * projection)``.
+    ``values`` ascend strictly.
     """
 
     clusters: tuple
-
-    @property
-    def values(self):
-        return np.array([c.value for c in self.clusters])
+    values: np.ndarray
+    frame: SpectralFrame
 
     @property
     def projections(self):
@@ -71,51 +114,99 @@ class SpectrumInfo:
 def decompose(alg, a, cluster_tol=None):
     """Eigendecompose ``a`` blockwise and merge eigenvalues across blocks.
 
-    Eigenvalues closer than the (scaled) cluster tolerance are chained
-    into a single cluster whose projection sums the corresponding rank-one
-    projectors.
+    Eigenvalues of all blocks are sorted together (stably) and chained
+    into one cluster while consecutive ones differ by at most the scaled
+    cluster tolerance.  The cluster value is the mean of its eigenvalues
+    and its trace weight comes from its eigenvector column norms.
     """
     alg.require(a)
     tol = (CLUSTER_TOL if cluster_tol is None else cluster_tol) * max(
         1.0, max_norm(a)
     )
-    entries = []  # (eigenvalue, block index, eigenvector)
-    for j, b in enumerate(a.blocks):
+    vectors, eigenvalues, weights = [], [], []
+    for j, (b, (_, c)) in enumerate(zip(a.blocks, alg.blocks)):
         try:
             w, v = np.linalg.eigh(b)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigensolver failed: {exc}", block=j) from exc
-        for k in range(len(w)):
-            entries.append((float(w[k]), j, v[:, k]))
-    entries.sort(key=lambda e: e[0])
+        vectors.append(v)
+        eigenvalues.append(w)
+        weights.append(c * np.sum(np.abs(v) ** 2, axis=0))
+    eigenvalues = np.concatenate(eigenvalues)
+    order = np.argsort(eigenvalues, kind="stable")
+    ordered = eigenvalues[order]
+    # a cluster ends where the step to the next eigenvalue is not <= tol
+    starts = np.concatenate(([0], np.flatnonzero(~(np.diff(ordered) <= tol)) + 1))
+    stops = np.append(starts[1:], len(ordered))
 
-    clusters = []
-    group = [entries[0]]
-    for e in entries[1:]:
-        if e[0] - group[-1][0] <= tol:
-            group.append(e)
-        else:
-            clusters.append(group)
-            group = [e]
-    clusters.append(group)
+    # A block's columns leave the stable sort in column order (eigh sorts
+    # them ascending), so every cluster owns a consecutive column range of
+    # every block: bounds[k, j] counts block j's columns ranked below the
+    # start of cluster k.
+    rank = np.empty(len(order), dtype=int)
+    rank[order] = np.arange(len(order))
+    cuts = np.concatenate(([0], stops))
+    offsets = np.cumsum((0,) + alg.dims)
+    bounds = np.column_stack(
+        [np.searchsorted(rank[o:e], cuts) for o, e in zip(offsets, offsets[1:])]
+    )
+    frame = SpectralFrame(vectors=tuple(vectors), bounds=bounds)
+    cluster_weights = np.add.reduceat(np.concatenate(weights)[order], starts)
 
-    dims = alg.dims
-    out = []
-    for group in clusters:
-        blocks = [np.zeros((d, d), dtype=complex) for d in dims]
-        for _, j, vec in group:
-            blocks[j] += np.outer(vec, vec.conj())
-        proj = _raw([(m + m.conj().T) / 2.0 for m in blocks])
-        value = float(np.mean([e[0] for e in group]))
-        out.append(
-            EigenCluster(
-                value=value,
-                multiplicity=len(group),
-                trace_weight=alg.trace(proj),
-                projection=proj,
-            )
+    clusters = tuple(
+        EigenCluster(
+            value=float(np.mean(ordered[lo:hi])),
+            multiplicity=int(hi - lo),
+            trace_weight=float(weight),
+            frame=frame,
+            index=k,
         )
-    return SpectrumInfo(tuple(out))
+        for k, (lo, hi, weight) in enumerate(zip(starts, stops, cluster_weights))
+    )
+    return SpectrumInfo(
+        clusters=clusters,
+        values=np.array([c.value for c in clusters]),
+        frame=frame,
+    )
+
+
+def equality_band(op, eig_eq_tol=None):
+    """The scaled band within which a cut level counts as an eigenvalue of ``op``."""
+    return (EIG_EQ_TOL if eig_eq_tol is None else eig_eq_tol) * max(
+        1.0, max_norm(op)
+    )
+
+
+class DirectionFrame(NamedTuple):
+    """One decomposed direction: ``b_t``, its spectrum and equality band."""
+
+    t: np.ndarray
+    b_t: HermitianOperator
+    info: SpectrumInfo
+    eff_tol: float
+
+    @property
+    def levels(self):
+        """Cut levels reaching every interval projection of ``b_t``."""
+        return sampling.eigenvalue_sweep(self.info.values)
+
+
+def direction_frame(optuple, t, cluster_tol=None, eig_eq_tol=None):
+    """Build ``b_t`` and decompose it once."""
+    b_t = algebra.linear_combination(optuple, t)
+    info = decompose(optuple.algebra, b_t, cluster_tol=cluster_tol)
+    return DirectionFrame(t, b_t, info, equality_band(b_t, eig_eq_tol))
+
+
+def sweep(optuple, directions, cluster_tol=None, eig_eq_tol=None):
+    """Yield one ``DirectionFrame`` per direction part ``t``.
+
+    Each direction is decomposed once; its ``levels`` hit every interval
+    projection of ``b_t``, all read off the same frame by
+    ``interval_from_spectrum``.
+    """
+    for t in directions:
+        yield direction_frame(optuple, t, cluster_tol, eig_eq_tol)
 
 
 @dataclass(frozen=True)
@@ -162,26 +253,22 @@ def interval_from_spectrum(alg, info, s, eff_tol):
 
     ``eff_tol`` is the already-scaled equality band deciding whether a
     cluster sitting at ``s`` belongs to the closed-interval projection.
+    Both endpoints are spans of leading clusters, so each is one ``V Vᴴ``
+    product per block over a leading column range of ``info``'s frame.
     """
-    lower_blocks = [np.zeros((d, d), dtype=complex) for d in alg.dims]
-    upper_blocks = [np.zeros((d, d), dtype=complex) for d in alg.dims]
-    for c in info.clusters:
-        if c.value <= s + eff_tol:
-            for acc, b in zip(upper_blocks, c.projection.blocks):
-                acc += b
-        if c.value < s - eff_tol:
-            for acc, b in zip(lower_blocks, c.projection.blocks):
-                acc += b
-    return OrderInterval(_raw(lower_blocks), _raw(upper_blocks))
+    if len(info.frame.vectors) != len(alg.dims):
+        raise ShapeError("spectrum was decomposed in a different algebra")
+    upper = int(np.count_nonzero(info.values <= s + eff_tol))
+    lower = int(np.count_nonzero(info.values < s - eff_tol))
+    p_plus = info.frame.projection(0, upper)
+    p_minus = p_plus if lower == upper else info.frame.projection(0, lower)
+    return OrderInterval(p_minus, p_plus)
 
 
 def interval_projections_of(alg, b_op, s, cluster_tol=None, eig_eq_tol=None):
     """Interval projections of a single self-adjoint operator at level s."""
     info = decompose(alg, b_op, cluster_tol=cluster_tol)
-    tol = (EIG_EQ_TOL if eig_eq_tol is None else eig_eq_tol) * max(
-        1.0, max_norm(b_op)
-    )
-    return interval_from_spectrum(alg, info, s, tol)
+    return interval_from_spectrum(alg, info, s, equality_band(b_op, eig_eq_tol))
 
 
 def interval_projections(optuple, pair, cluster_tol=None, eig_eq_tol=None):

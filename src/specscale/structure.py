@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, sampling, scale, spectral
-from .algebra import commutator_norm, generated_algebra_basis, max_norm
+from .algebra import commutator_norm, generated_algebra_basis
 from .errors import InvariantViolation
 from .faces import FaceHandle, _require_proper, face_dimension
 
@@ -136,7 +136,7 @@ def detect_gap(optuple, face, cone, eig_eq_tol=None):
         b_t = algebra.linear_combination(optuple, t)
         # the spread's endpoints may themselves be eigenvalues; only the
         # interior beyond the equality band must be spectrum-free
-        band = tol * max(1.0, max_norm(b_t))
+        band = spectral.equality_band(b_t, eig_eq_tol)
         if not spectral.eigengap_of(optuple.algebra, b_t, s1 + band, s2 - band):
             raise InvariantViolation(
                 f"support levels spread over ({s1}, {s2}) but the spectrum "
@@ -228,7 +228,8 @@ def abelian_verdict(
 
 
 def _f17(x):
-    return float(format(float(x), ".17g"))
+    """``x`` rounded to 17 significant digits, with ``-0.0`` written as ``0.0``."""
+    return float(format(float(x), ".17g")) + 0.0
 
 
 def report_json(verdict=None, central_reports=(), gap_reports=()):

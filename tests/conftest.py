@@ -46,31 +46,20 @@ def lower_tail_points(d=8):
 
 def sampled_face_inventory(optuple, directions=24, include_whole=False):
     """Deduplicated exposed-face intervals from a direction sweep."""
-    from specscale import sampling, spectral
-    from specscale.algebra import linear_combination, max_norm
-    from specscale.scale import _cloud_t_directions, exposed_face
-    from specscale.spectral import SpectralPair
+    from specscale.algebra import max_norm
+    from specscale.faces import intervals_equal
+    from specscale.scale import sweep_faces
 
-    seen, out = [], []
+    out = []
     one = optuple.algebra.identity()
-    for t in _cloud_t_directions(optuple.n, directions):
-        b_t = linear_combination(optuple, t)
-        info = spectral.decompose(optuple.algebra, b_t)
-        for s in sampling.eigenvalue_sweep(info.values):
-            face = exposed_face(optuple, SpectralPair(s, t))
-            whole = (
-                max_norm(face.interval.lower) <= 1e-10
-                and max_norm(face.interval.upper - one) <= 1e-10
-            )
-            if whole and not include_whole:
-                continue
-            key = (face.interval.lower, face.interval.upper)
-            if any(
-                max_norm(key[0] - a) <= 1e-8 and max_norm(key[1] - b) <= 1e-8
-                for a, b in seen
-            ):
-                continue
-            seen.append(key)
+    for face in sweep_faces(optuple, directions):
+        whole = (
+            max_norm(face.interval.lower) <= 1e-10
+            and max_norm(face.interval.upper - one) <= 1e-10
+        )
+        if whole and not include_whole:
+            continue
+        if not any(intervals_equal(face.interval, seen) for seen in out):
             out.append(face.interval)
     return out
 

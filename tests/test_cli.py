@@ -275,3 +275,65 @@ def test_runs_are_deterministic(inputs, capsys):
     _, first, _ = run(argv, capsys)
     _, second, _ = run(argv, capsys)
     assert first == second
+
+
+@pytest.mark.parametrize("name", ["pauli", "commuting", "blockpair"])
+def test_obj_faces_index_written_vertices(inputs, capsys, name):
+    code, out, _ = run(
+        ["extremes", "--input", inputs[name], "--format", "obj", "--samples", "8"],
+        capsys,
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    n_vertices = sum(line.startswith("v ") for line in lines)
+    indices = [
+        int(i) for line in lines if line.startswith("f ") for i in line.split()[1:]
+    ]
+    assert indices and n_vertices
+    assert 1 <= min(indices) and max(indices) <= n_vertices
+
+
+def _one_block_json(weight=0.5, dim=2, entry=(1, 0)):
+    """A 2x2 tuple in the ingestion schema with one configurable entry."""
+    zero = [0, 0]
+    matrix = [[list(entry), zero], [zero, [1, 0]]]
+    return {"blocks": [{"weight": weight, "dim": dim, "operators": [matrix]}]}
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        (
+            json.dumps(_one_block_json(entry=(float("nan"), 0))),
+            "blocks[0].operators[0][0][0]",
+        ),
+        (
+            json.dumps(_one_block_json(entry=(0, float("inf")))),
+            "blocks[0].operators[0][0][0]",
+        ),
+        (json.dumps(_one_block_json(entry=(10**400, 0))), "blocks[0].operators[0][0][0]"),
+        (json.dumps(_one_block_json(entry=(True, 0))), "blocks[0].operators[0][0][0]"),
+        (json.dumps(_one_block_json(weight=float("nan"))), "blocks[0].weight"),
+        (json.dumps(_one_block_json(weight=float("inf"))), "blocks[0].weight"),
+        (json.dumps(_one_block_json(weight=True)), "blocks[0].weight"),
+        (json.dumps(_one_block_json(dim=True)), "blocks[0].dim"),
+    ],
+    ids=[
+        "nan-entry",
+        "infinite-entry",
+        "overflowing-entry",
+        "boolean-entry",
+        "nan-weight",
+        "infinite-weight",
+        "boolean-weight",
+        "boolean-dim",
+    ],
+)
+def test_nonfinite_and_boolean_input_exits_two(tmp_path, capsys, text, path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run(["support", "--input", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"input error: {path}:" in err
+    assert "Traceback" not in err

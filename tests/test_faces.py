@@ -3,9 +3,11 @@ import pytest
 
 from conftest import sampled_face_inventory
 from specscale import fixtures
-from specscale.algebra import max_norm, psi
+from specscale.algebra import HermitianOperator, max_norm, psi
 from specscale.errors import DegenerateFaceError, MinimalFaceError
 from specscale.faces import (
+    FaceHandle,
+    _commutant_directions,
     block_decomposition_checks,
     build_facial_complex,
     cut_down,
@@ -21,6 +23,7 @@ from specscale.faces import (
 from specscale.oracle import random_ball_operators
 from specscale.scale import exposed_face
 from specscale.spectral import OrderInterval, SpectralPair, interval_projections
+from specscale.structure import detect_gap
 
 
 def whole_interval(optuple):
@@ -350,3 +353,55 @@ def test_chain_of_hidden_segment_has_length_two(blockpair):
     assert intervals_equal(chain[-1].interval, handle.interval)
     assert face_dimension(blockpair, chain[0].interval) == 2
     assert face_dimension(blockpair, chain[1].interval) == 1
+
+
+# ------------------------------------------------- last-bit noise in endpoints
+
+
+def _jiggled(interval, eps, rng):
+    """The interval with Hermitian noise of size ``eps`` on both endpoints."""
+
+    def jiggle(p):
+        blocks = []
+        for b in p.blocks:
+            h = rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
+            blocks.append(b + eps * (h + h.conj().T))
+        return HermitianOperator(blocks)
+
+    return OrderInterval(jiggle(interval.lower), jiggle(interval.upper))
+
+
+@pytest.mark.parametrize("name", ["pauli", "commuting", "blockpair"])
+def test_gap_report_order_ignores_last_bit_noise(name, request):
+    optuple = request.getfixturevalue(name)
+    rng = np.random.default_rng(11)
+    for interval in sampled_face_inventory(optuple, 8):
+        noisy = _jiggled(interval, 1e-15, rng)
+        np.testing.assert_allclose(
+            _commutant_directions(optuple, noisy),
+            _commutant_directions(optuple, interval),
+            atol=1e-9,
+        )
+        rows = [
+            [
+                (*rep.t, rep.s1, rep.s2)
+                for rep in detect_gap(
+                    optuple, FaceHandle(iv), normal_cone(optuple, iv, 8)
+                )
+            ]
+            for iv in (interval, noisy)
+        ]
+        np.testing.assert_allclose(
+            np.reshape(rows[1], (-1, optuple.n + 2)),
+            np.reshape(rows[0], (-1, optuple.n + 2)),
+            atol=1e-9,
+        )
+
+
+def test_commutant_basis_is_signed_and_whole_space_is_the_axes(pauli, commuting):
+    whole = _commutant_directions(commuting, sampled_face_inventory(commuting, 8)[0])
+    np.testing.assert_array_equal(whole, np.eye(2))
+    for interval in sampled_face_inventory(pauli, 8):
+        for row in _commutant_directions(pauli, interval):
+            lead = np.flatnonzero(np.abs(row) >= np.abs(row).max() - 1e-9)[0]
+            assert row[lead] > 0

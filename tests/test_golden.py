@@ -1,0 +1,119 @@
+"""Golden CLI regression: every command on every reference fixture.
+
+The recorded runs live in ``tests/golden/<fixture>-<command>.json`` with
+the exit code, stdout and stderr of ``specscale <command> --input
+<fixture> --samples 8``.  Numbers must match within 1e-12 (relative to
+``max(1, |x|)``); everything else, the exit code included, must match
+exactly.  Re-record after an intended output change with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import re
+
+import pytest
+
+from specscale import fixtures, scale, spectral
+from specscale.algebra import save_tuple
+from specscale.cli import COMMANDS, main
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+SAMPLES = 8
+NUMBER_TOL = 1e-12
+FIXTURES = {
+    "reciprocal_diagonal": lambda: fixtures.reciprocal_diagonal(8),
+    "two_point": fixtures.two_point,
+    "pauli_pair": fixtures.pauli_pair,
+    "commuting_diagonals": fixtures.commuting_diagonals,
+    "block_with_scalars": fixtures.block_with_scalars,
+}
+CASES = [(name, cmd) for name in FIXTURES for cmd in COMMANDS]
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+def run_case(name, command, directory):
+    path = os.path.join(directory, f"{name}.json")
+    save_tuple(FIXTURES[name](), path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--input", path, "--samples", str(SAMPLES)])
+    # streams as line lists, so the recorded files diff line by line
+    return {
+        "exit_code": code,
+        "stdout": out.getvalue().splitlines(keepends=True),
+        "stderr": err.getvalue().splitlines(keepends=True),
+    }
+
+
+def _golden_path(name, command):
+    return os.path.join(GOLDEN_DIR, f"{name}-{command}.json")
+
+
+def assert_text_close(actual, expected, where):
+    """Same text up to numbers, and numbers within NUMBER_TOL."""
+    assert _NUMBER.split(actual) == _NUMBER.split(expected), where
+    got, want = _NUMBER.findall(actual), _NUMBER.findall(expected)
+    assert len(got) == len(want), where
+    for k, (a, b) in enumerate(zip(map(float, got), map(float, want))):
+        assert a == b or abs(a - b) <= NUMBER_TOL * max(1.0, abs(a), abs(b)), (
+            f"{where}: number {k} is {a!r}, recorded {b!r}"
+        )
+
+
+@pytest.mark.parametrize("name,command", CASES)
+def test_cli_matches_golden(name, command, tmp_path):
+    with open(_golden_path(name, command), encoding="utf-8") as fh:
+        expected = json.load(fh)
+    actual = run_case(name, command, str(tmp_path))
+    assert actual["exit_code"] == expected["exit_code"]
+    for stream in ("stdout", "stderr"):
+        assert_text_close(
+            "".join(actual[stream]),
+            "".join(expected[stream]),
+            f"{name} {command} {stream}",
+        )
+
+
+def test_number_comparison_catches_changes():
+    assert_text_close("a,1.0,-0.0\n", "a,1.0000000000001,0\n", "tolerant")
+    with pytest.raises(AssertionError):
+        assert_text_close("a,1.0\n", "a,1.001\n", "number")
+    with pytest.raises(AssertionError):
+        assert_text_close("a,1.0\n", "b,1.0\n", "text")
+
+
+def test_support_decomposes_once_per_direction(tmp_path, monkeypatch):
+    calls = []
+    original = spectral.decompose
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "decompose", counting)
+    for name in ("reciprocal_diagonal", "pauli_pair", "block_with_scalars"):
+        optuple = FIXTURES[name]()
+        calls.clear()
+        assert run_case(name, "support", str(tmp_path))["exit_code"] == 0
+        assert len(calls) == len(scale._cloud_t_directions(optuple.n, SAMPLES))
+
+
+def record():
+    import tempfile
+
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    with tempfile.TemporaryDirectory() as directory:
+        for name, command in CASES:
+            result = run_case(name, command, directory)
+            with open(_golden_path(name, command), "w", encoding="utf-8") as fh:
+                json.dump(result, fh, indent=1)
+                fh.write("\n")
+            print(f"{name} {command}: exit {result['exit_code']}")
+
+
+if __name__ == "__main__":
+    record()

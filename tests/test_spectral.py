@@ -170,3 +170,136 @@ def test_order_interval_validation(pauli):
         OrderInterval(one, p)  # not ordered
     with pytest.raises(ShapeError):
         OrderInterval(0.5 * one, one)  # not a projection
+
+
+# ------------------------------------------------------- the spectral frame
+
+
+def _reference_clusters(alg, a, cluster_tol=1e-9):
+    """Clusters the long way: rank-one outer products per eigenvector.
+
+    Same stable sort and chained ``<= tol`` merge as ``decompose``; each
+    projection is summed from ``np.outer`` terms.
+    """
+    tol = cluster_tol * max(1.0, max_norm(a))
+    entries = []
+    for j, b in enumerate(a.blocks):
+        w, v = np.linalg.eigh(b)
+        entries += [(float(w[k]), j, v[:, k]) for k in range(len(w))]
+    entries.sort(key=lambda e: e[0])
+    groups = [[entries[0]]]
+    for e in entries[1:]:
+        if e[0] - groups[-1][-1][0] <= tol:
+            groups[-1].append(e)
+        else:
+            groups.append([e])
+    out = []
+    for group in groups:
+        blocks = [np.zeros((d, d), dtype=complex) for d in alg.dims]
+        for _, j, vec in group:
+            blocks[j] += np.outer(vec, vec.conj())
+        out.append((float(np.mean([e[0] for e in group])), len(group), blocks))
+    return out
+
+
+def _random_hermitian(rng, d, eigenvalues):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, _ = np.linalg.qr(z)
+    return (q * eigenvalues) @ q.conj().T
+
+
+def _frame_cases():
+    """(algebra, operator) pairs: dense blocks, many repeated 1x1 blocks,
+    and an eigenvalue chain at 1e-9 spacing split across blocks."""
+    rng = np.random.default_rng(23)
+    cases = []
+    dims = (3, 1, 2)
+    alg = FiniteAlgebra(tuple((d, 1.0 / 6.0) for d in dims))
+    for _ in range(5):
+        blocks = [_random_hermitian(rng, d, rng.standard_normal(d)) for d in dims]
+        cases.append((alg, HermitianOperator(blocks, herm_tol=np.inf)))
+    # 40 one-dimensional blocks, eigenvalues repeated across them
+    w = rng.uniform(0.5, 1.5, 40)
+    alg = FiniteAlgebra(tuple((1, c / w.sum()) for c in w))
+    values = rng.choice([-1.0, 0.0, 0.5, 2.0], size=40)
+    cases.append((alg, HermitianOperator([[[v]] for v in values])))
+    # 2 + k*1e-9 for k = 0..7 alternating between a 6x6 and a 4x4 block,
+    # with isolated eigenvalues -1 and 3
+    chain = 2.0 + 1e-9 * np.arange(8)
+    alg = FiniteAlgebra(((6, 0.1), (4, 0.1)))
+    blocks = [
+        _random_hermitian(rng, 6, np.concatenate(([-1.0], chain[::2], [3.0]))),
+        _random_hermitian(rng, 4, chain[1::2]),
+    ]
+    cases.append((alg, HermitianOperator(blocks, herm_tol=np.inf)))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(_frame_cases())))
+def test_cluster_projections_match_outer_products(case):
+    alg, a = _frame_cases()[case]
+    info = decompose(alg, a)
+    reference = _reference_clusters(alg, a)
+    assert [c.multiplicity for c in info.clusters] == [r[1] for r in reference]
+    assert list(info.values) == [r[0] for r in reference]
+    for c, (_, _, blocks) in zip(info.clusters, reference):
+        for got, want in zip(c.projection.blocks, blocks):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        expected_weight = sum(
+            w * np.trace(b).real for (_, w), b in zip(alg.blocks, blocks)
+        )
+        assert c.trace_weight == pytest.approx(expected_weight, abs=1e-12)
+
+
+def test_eigenvalue_chain_merges_past_the_tolerance():
+    # the merge is transitive: the chain spans 7e-9, more than the scaled
+    # cluster tolerance, and still becomes one cluster
+    alg, a = _frame_cases()[-1]
+    assert 7e-9 > 1e-9 * max(1.0, max_norm(a))
+    info = decompose(alg, a)
+    assert [c.multiplicity for c in info.clusters] == [1, 8, 1]
+    np.testing.assert_allclose(
+        info.values, [-1.0, 2.0 + 3.5e-9, 3.0], rtol=0, atol=1e-12
+    )
+    chain = info.clusters[1].projection
+    assert [round(float(np.trace(b).real)) for b in chain.blocks] == [4, 4]
+
+
+def _sweep_tuples():
+    from specscale import fixtures
+    from specscale.algebra import OperatorTuple
+
+    out = [fixtures.pauli_pair(), fixtures.block_with_scalars()]
+    for alg, a in _frame_cases()[-2:]:
+        out.append(OperatorTuple(alg, (a, alg.identity())))
+    return out
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_sweep_intervals_match_interval_projections(index):
+    from specscale import sampling
+    from specscale.scale import _cloud_t_directions
+    from specscale.spectral import interval_from_spectrum, sweep
+
+    optuple = _sweep_tuples()[index]
+    directions = _cloud_t_directions(optuple.n, 6)
+    frames = list(sweep(optuple, directions))
+    assert len(frames) == len(directions)
+    for frame, t in zip(frames, directions):
+        assert np.array_equal(frame.t, t)
+        np.testing.assert_array_equal(
+            frame.levels, sampling.eigenvalue_sweep(frame.info.values)
+        )
+        reference = _reference_clusters(optuple.algebra, frame.b_t)
+        for s in frame.levels:
+            got = interval_from_spectrum(optuple.algebra, frame.info, s, frame.eff_tol)
+            want = interval_projections(optuple, SpectralPair(s, t))
+            assert max_norm(got.lower - want.lower) <= 1e-12
+            assert max_norm(got.upper - want.upper) <= 1e-12
+            # and the upper endpoint against the outer-product sums
+            for j, got_block in enumerate(got.upper.blocks):
+                want_block = np.zeros_like(got_block)
+                for value, _, blocks in reference:
+                    if value <= s + frame.eff_tol:
+                        want_block += blocks[j]
+                np.testing.assert_allclose(got_block, want_block, rtol=0, atol=1e-12)
