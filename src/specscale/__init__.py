@@ -22,7 +22,6 @@ from .algebra import (
     tuple_to_json,
 )
 from .faces import (
-    CutDown,
     FaceHandle,
     FacialComplex,
     NormalConeSample,
@@ -76,7 +75,6 @@ __all__ = [
     "ExposedFace",
     "SupportHyperplane",
     "IsotraceSlice",
-    "CutDown",
     "FaceHandle",
     "FacialComplex",
     "NormalConeSample",

@@ -19,6 +19,7 @@ import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -327,47 +328,60 @@ def generated_algebra_basis(optuple, tol=1e-10, max_rounds=None):
 
 
 class Compression:
-    """Cut-down of a tuple to the range of a projection ``r``.
+    """Cut-down of a tuple to the range of per-block isometries ``V``.
 
-    Holds the compressed tuple over the rescaled trace ``tr_r = tr / tr(r)``
-    together with the per-block isometries needed to embed compressed
-    operators back into the ambient algebra.
+    ``tuple`` holds ``V* b V`` over the rescaled trace ``tr / tr(r)``,
+    ``r = V V*``.  Offset by a projection ``lower`` (zero unless given),
+    it names the face ``[lower, lower + r]``: ``psi(lift(x)) = base_point
+    + trace_r * psi_r(x)``.  ``cut`` composes cut-downs.
     """
 
-    def __init__(self, optuple, r, rank_tol=1e-6):
-        alg = optuple.algebra
-        alg.require(r)
-        self.parent = optuple
-        self.r = r
-        self.trace_r = alg.trace(r)
+    def __init__(self, parent, isometries, lower=None):
+        alg = parent.algebra
+        self.parent = parent
+        self.isometries = tuple(isometries)
+        if lower is not None:
+            self.lower = lower
+        ranks = [V.shape[1] for V in self.isometries]
+        self.trace_r = float(sum(c * k for c, k in zip(alg.weights, ranks)))
         if self.trace_r <= 1e-10:
             raise ShapeError("projection has (numerically) zero trace")
+        self.kept_blocks = [j for j, k in enumerate(ranks) if k]
+        sub_alg = FiniteAlgebra(
+            tuple((ranks[j], alg.weights[j] / self.trace_r) for j in self.kept_blocks)
+        )
+        self.tuple = OperatorTuple(sub_alg, tuple(map(self.restrict, parent.operators)))
+
+    @staticmethod
+    def range_isometries(r, rank_tol=1e-6):
+        """Per block, an orthonormal basis of the range of the projection ``r``."""
         isometries = []
-        new_blocks = []
-        kept = []
-        for j, ((d, c), rb) in enumerate(zip(alg.blocks, r.blocks)):
+        for j, rb in enumerate(r.blocks):
             w, v = np.linalg.eigh(rb)
-            cols = w > 1.0 - rank_tol
             if np.any((w > rank_tol) & (w < 1.0 - rank_tol)):
                 raise ShapeError(f"block {j} of r is not a projection")
-            k = int(cols.sum())
-            if k == 0:
-                isometries.append(None)
-                continue
-            V = v[:, cols]
-            isometries.append(V)
-            new_blocks.append(Block(k, c / self.trace_r))
-            kept.append(j)
-        self.isometries = isometries
-        self.kept_blocks = kept
-        sub_alg = FiniteAlgebra(tuple(new_blocks))
-        ops = []
-        for op in optuple.operators:
-            comp = [
-                isometries[j].conj().T @ op.blocks[j] @ isometries[j] for j in kept
-            ]
-            ops.append(_raw([(m + m.conj().T) / 2.0 for m in comp]))
-        self.tuple = OperatorTuple(sub_alg, tuple(ops))
+            isometries.append(v[:, w > 1.0 - rank_tol])
+        return isometries
+
+    @cached_property
+    def lower(self):
+        # zero unless given; built on first use, as sweep levels never use it
+        return self.parent.algebra.zero()
+
+    @property
+    def base_point(self):
+        """``psi(lower)``: the image of the cut-down's zero."""
+        return psi(self.parent, self.lower)
+
+    def cut(self, interval):
+        """Cut-down of the parent by an order interval in these coordinates:
+        the isometries compose (``V W``) and ``interval.lower`` is lifted."""
+        lower = self.lift(interval.lower)
+        inner = self.range_isometries(interval.gap())
+        isometries = list(self.isometries)
+        for local, j in enumerate(self.kept_blocks):
+            isometries[j] = isometries[j] @ inner[local]
+        return Compression(self.parent, isometries, lower)
 
     def restrict(self, op):
         """Compress an ambient operator into the cut-down coordinates."""
@@ -389,6 +403,10 @@ class Compression:
             V = self.isometries[j]
             blocks[j] = V @ op.blocks[local] @ V.conj().T
         return _raw([(m + m.conj().T) / 2.0 for m in blocks])
+
+    def lift(self, op):
+        """Ambient operator ``lower + V x V*`` for cut-down ``x``."""
+        return self.lower + self.embed(op)
 
 
 # ---------------------------------------------------------------------------

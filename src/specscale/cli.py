@@ -57,9 +57,7 @@ def build_parser():
         p.add_argument("--eig-eq-tol", type=float, default=None)
         p.add_argument("--iso-radius", type=float, default=None)
         p.add_argument("--level", type=float, default=0.5)
-        p.add_argument(
-            "--format", choices=("csv", "json", "obj"), default=None
-        )
+        p.add_argument("--format", choices=("csv", "obj"), default=None)
     return parser
 
 
@@ -143,6 +141,12 @@ def _distinct_faces(optuple, args):
     return out
 
 
+def _normal_cone(optuple, face, args):
+    return faces.normal_cone(
+        optuple, face.interval, args.samples, args.cluster_tol, args.eig_eq_tol
+    )
+
+
 def cmd_faces(optuple, args):
     reports = []
     alg = optuple.algebra
@@ -159,9 +163,9 @@ def cmd_faces(optuple, args):
             "dimension": face.dimension,
         }
         if proper:
-            cone = faces.normal_cone(optuple, face.interval, args.samples)
+            cone = _normal_cone(optuple, face, args)
             chain = faces.minimal_exposed_chain(
-                optuple, face.interval, args.samples
+                optuple, face.interval, args.samples, args.cluster_tol, args.eig_eq_tol
             )
             entry.update(
                 degree=cone.degree,
@@ -175,7 +179,7 @@ def cmd_faces(optuple, args):
 
 def cmd_slice(optuple, args):
     sl = scale.isotrace_slice(
-        optuple, args.level, resolution=max(args.samples, 3)
+        optuple, args.level, max(args.samples, 3), args.cluster_tol
     )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -192,7 +196,7 @@ def cmd_corners(optuple, args):
     for face in _distinct_faces(optuple, args):
         if not faces._is_proper(optuple, face.interval):
             continue
-        cone = faces.normal_cone(optuple, face.interval, args.samples)
+        cone = _normal_cone(optuple, face, args)
         handle = faces.FaceHandle(face.interval)
         if cone.degree >= 2:
             sharp_list.append(
@@ -204,7 +208,9 @@ def cmd_corners(optuple, args):
                 }
             )
         gap_reports.extend(
-            structure.detect_gap(optuple, handle, cone, eig_eq_tol=args.eig_eq_tol)
+            structure.detect_gap(
+                optuple, handle, cone, args.eig_eq_tol, args.cluster_tol
+            )
         )
     payload = structure.report_json(gap_reports=gap_reports)
     payload["sharp_faces"] = sharp_list
@@ -217,12 +223,14 @@ def cmd_center(optuple, args):
     for face in _distinct_faces(optuple, args):
         if not faces._is_proper(optuple, face.interval):
             continue
-        cone = faces.normal_cone(optuple, face.interval, args.samples)
+        cone = _normal_cone(optuple, face, args)
         handle = faces.FaceHandle(face.interval)
         reports.append(structure.detect_central(optuple, handle, cone))
     payload = structure.report_json(central_reports=reports)
     del payload["gaps"]
-    cloud = scale.extreme_point_cloud(optuple, args.samples)
+    cloud = scale.extreme_point_cloud(
+        optuple, args.samples, args.cluster_tol, args.eig_eq_tol
+    )
     isolated = structure.isolated_extremes_to_center(
         optuple, cloud, iso_radius=args.iso_radius
     )

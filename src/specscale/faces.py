@@ -3,10 +3,12 @@
 A face of the scale is named by an order interval ``[q_minus, q_plus]``
 of projections.  Faces of positive dimension are scales in their own
 right once the tuple is cut down to the range of ``q_plus - q_minus``
-with the trace rescaled; iterating that cut-down is what reaches faces
-no single hyperplane exposes.  The normal cone of a face is probed
-through the order test: ``(-s, t)`` supports the face exactly when
-``p_minus <= q_minus`` and ``q_plus <= p_plus`` for the interval
+with the trace rescaled (``cut_down``, an ``algebra.Compression``);
+iterating that cut-down is what reaches faces no single hyperplane
+exposes, and a cut-down of a cut-down is one ``Compression`` of the
+ambient tuple (``Compression.cut``).  The normal cone of a face is
+probed through the order test: ``(-s, t)`` supports the face exactly
+when ``p_minus <= q_minus`` and ``q_plus <= p_plus`` for the interval
 projections of ``b_t`` at ``s``.
 """
 
@@ -17,41 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, sampling, scale, spectral
-from .algebra import Compression, HermitianOperator, max_norm, psi
+from .algebra import Compression, HermitianOperator, max_norm
 from .errors import (
     DegenerateFaceError,
     FaceChainError,
     InvariantViolation,
     MinimalFaceError,
 )
+from .scale import face_dimension
 from .spectral import OrderInterval, SpectralPair
 
 PROJ_ORDER_TOL = 1e-8
 CUT_TRACE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class CutDown:
-    """A face's ambient data plus its cut-down scale.
-
-    ``tuple`` is the compressed system over the rescaled trace; the face
-    is recovered as ``base_point + trace_r * psi_r(x)`` for ``x`` in the
-    compressed positive unit ball.
-    """
-
-    r: HermitianOperator
-    tuple: algebra.OperatorTuple
-    trace_r: float
-    base_point: np.ndarray
-    lower: HermitianOperator
-    compression: Compression
-
-    def embed(self, x):
-        return self.compression.embed(x)
-
-    def lift(self, x):
-        """Ambient operator ``q_minus + r x r`` for cut-down ``x``."""
-        return self.lower + self.compression.embed(x)
 
 
 @dataclass(frozen=True)
@@ -147,55 +126,21 @@ def _require_proper(optuple, interval):
 def cut_down(optuple, interval):
     """Compress the tuple to the range of ``upper - lower``.
 
-    The compressed system is a tuple over a normalized trace, so all the
-    scale machinery applies to it directly.
+    The result is a ``Compression`` offset by ``lower``: its tuple lives
+    over a normalized trace, so all the scale machinery applies to it
+    directly, and ``lift`` maps it back onto the face.
     """
     r = interval.gap()
     if optuple.algebra.trace(r) <= CUT_TRACE_TOL:
         raise DegenerateFaceError(
             "face is an extreme point; there is nothing to cut down to"
         )
-    comp = Compression(optuple, r)
-    return CutDown(
-        r=r,
-        tuple=comp.tuple,
-        trace_r=comp.trace_r,
-        base_point=psi(optuple, interval.lower),
-        lower=interval.lower,
-        compression=comp,
-    )
+    return Compression(optuple, Compression.range_isometries(r), interval.lower)
 
 
-def face_dimension(optuple, interval):
-    """Affine dimension of the face named by the interval."""
-    return scale.face_dimension_of_interval(optuple, interval)
-
-
-class _CompressionStack:
-    """Composition of successive cut-downs with ambient embedding."""
-
-    def __init__(self, optuple):
-        self.parent = optuple
-        self.stack = []
-
-    @property
-    def tuple(self):
-        return self.stack[-1].tuple if self.stack else self.parent
-
-    def push(self, r):
-        comp = Compression(self.tuple, r)
-        self.stack.append(comp)
-        return comp
-
-    def restrict(self, op):
-        for comp in self.stack:
-            op = comp.restrict(op)
-        return op
-
-    def embed(self, op):
-        for comp in reversed(self.stack):
-            op = comp.embed(op)
-        return op
+def _whole(optuple):
+    """The trivial cut-down, from which successive ``cut``s compose."""
+    return Compression(optuple, [np.eye(d) for d in optuple.algebra.dims])
 
 
 def build_facial_complex(optuple, pairs, cluster_tol=None, eig_eq_tol=None):
@@ -210,17 +155,15 @@ def build_facial_complex(optuple, pairs, cluster_tol=None, eig_eq_tol=None):
     pairs = tuple(pairs)
     if not pairs:
         raise ValueError("need at least one spectral pair")
-    alg = optuple.algebra
-    stack = _CompressionStack(optuple)
+    comp = _whole(optuple)
     levels = []
     terminated = False
     term_level = None
     for i, pair in enumerate(pairs):
-        current = stack.tuple
-        b_t = algebra.linear_combination(optuple, pair.t)
-        b_cut = stack.restrict(b_t)
+        current = comp.tuple.algebra
+        b_cut = comp.restrict(algebra.linear_combination(optuple, pair.t))
         interval = spectral.interval_projections_of(
-            current.algebra,
+            current,
             b_cut,
             pair.s,
             cluster_tol=cluster_tol,
@@ -230,19 +173,19 @@ def build_facial_complex(optuple, pairs, cluster_tol=None, eig_eq_tol=None):
         levels.append(
             ComplexLevel(
                 pair=pair,
-                cut_operator=stack.embed(b_cut),
-                q_minus=stack.embed(interval.lower),
-                q_plus=stack.embed(interval.upper),
-                r=stack.embed(r_local),
+                cut_operator=comp.embed(b_cut),
+                q_minus=comp.embed(interval.lower),
+                q_plus=comp.embed(interval.upper),
+                r=comp.embed(r_local),
             )
         )
         if i + 1 == len(pairs):
             break
-        if current.algebra.trace(r_local) <= CUT_TRACE_TOL:
+        if current.trace(r_local) <= CUT_TRACE_TOL:
             terminated = True
             term_level = i + 1
             break
-        stack.push(r_local)
+        comp = comp.cut(interval)
     return FacialComplex(
         pairs=pairs,
         levels=tuple(levels),
@@ -389,7 +332,7 @@ def block_decomposition_checks(optuple, interval, pair):
     }
     lower_eigs = _restricted_eigs(b_t, q_minus)
     out["lower_excess"] = max(float(lower_eigs.max(initial=-np.inf)) - s, 0.0)
-    upper_eigs = _restricted_eigs(b_t, _complement(optuple.algebra, q_plus))
+    upper_eigs = _restricted_eigs(b_t, optuple.algebra.identity() - q_plus)
     out["upper_deficit"] = max(s - float(upper_eigs.min(initial=np.inf)), 0.0)
     mid = [
         rb @ bb @ rb - s * rb for rb, bb in zip(r.blocks, b_t.blocks)
@@ -400,45 +343,56 @@ def block_decomposition_checks(optuple, interval, pair):
     return out
 
 
-def _complement(alg, p):
-    return alg.identity() - p
-
-
-def _restricted_eigs(op, proj, rank_tol=1e-6):
+def _restricted_eigs(op, proj):
     """Eigenvalues of ``op`` compressed to the range of ``proj``."""
-    eigs = []
-    for pb, ob in zip(proj.blocks, op.blocks):
-        w, v = np.linalg.eigh(pb)
-        cols = w > 1.0 - rank_tol
-        if not np.any(cols):
-            continue
-        V = v[:, cols]
-        eigs.append(np.linalg.eigvalsh(V.conj().T @ ob @ V))
-    return np.concatenate(eigs) if eigs else np.array([])
+    return np.concatenate(
+        [
+            np.linalg.eigvalsh(V.conj().T @ ob @ V)
+            for V, ob in zip(Compression.range_isometries(proj), op.blocks)
+        ]
+    )
 
 
 def minimal_exposed_face(
-    optuple, interval, directions=sampling.DEFAULT_DIRECTIONS
+    optuple,
+    interval,
+    directions=sampling.DEFAULT_DIRECTIONS,
+    cluster_tol=None,
+    eig_eq_tol=None,
 ):
     """Smallest sampled exposed face containing the given face.
 
     Sums the unit normals found in the cone sample; the combined
     direction supports the intersection of the sampled faces, which
-    contains the input.  Fails when no member is found or the combined
-    direction has no ``t`` component.
+    contains the input.  A combined normal with no ``t`` part is a pure
+    trace direction: the sampled faces then meet only in ``psi(0)`` or
+    ``psi(1)``, so the face of a member exposing exactly the input is
+    returned, failing if none does.  Also fails when no member is found.
     """
-    cone = normal_cone(optuple, interval, directions)
+    cone = normal_cone(optuple, interval, directions, cluster_tol, eig_eq_tol)
     if not len(cone.members):
         raise MinimalFaceError(
             "no supporting directions found; refine the direction sample"
         )
     combined = cone.members.sum(axis=0)
     t_bar = combined[1:]
-    if np.linalg.norm(t_bar) <= 1e-10:
-        raise MinimalFaceError(
-            "combined normal is a pure trace direction; refine the sample"
+    if np.linalg.norm(t_bar) > 1e-10:
+        face = scale.exposed_face(
+            optuple, SpectralPair(s=-combined[0], t=t_bar), cluster_tol, eig_eq_tol
         )
-    face = scale.exposed_face(optuple, SpectralPair(s=-combined[0], t=t_bar))
+    else:
+        exposing = (
+            scale.exposed_face(optuple, pair, cluster_tol, eig_eq_tol)
+            for pair in cone.pairs
+        )
+        face = next(
+            (f for f in exposing if intervals_equal(f.interval, interval)), None
+        )
+        if face is None:
+            raise MinimalFaceError(
+                "combined normal is a pure trace direction and no sampled "
+                "member exposes the face alone; refine the sample"
+            )
     if not interval_contains(face.interval, interval):
         raise InvariantViolation(
             "input face is not inside the exposed face of its combined normal"
@@ -447,7 +401,11 @@ def minimal_exposed_face(
 
 
 def minimal_exposed_chain(
-    optuple, interval, directions=sampling.DEFAULT_DIRECTIONS
+    optuple,
+    interval,
+    directions=sampling.DEFAULT_DIRECTIONS,
+    cluster_tol=None,
+    eig_eq_tol=None,
 ):
     """Nested exposed faces descending to the given face.
 
@@ -457,25 +415,22 @@ def minimal_exposed_chain(
     the target, which takes at most ``n + 1`` levels for a genuine face.
     """
     _require_proper(optuple, interval)
-    stack = _CompressionStack(optuple)
-    base = optuple.algebra.zero()
-    current_target = interval
+    comp = _whole(optuple)
+    target = interval
     handles = []
     for _ in range(optuple.n + 2):
-        exposed = minimal_exposed_face(stack.tuple, current_target, directions)
-        lower_amb = base + stack.embed(exposed.interval.lower)
-        upper_amb = base + stack.embed(exposed.interval.upper)
-        handles.append(
-            FaceHandle(interval=OrderInterval(lower_amb, upper_amb))
-        )
-        if intervals_equal(exposed.interval, current_target):
+        exposed = minimal_exposed_face(
+            comp.tuple, target, directions, cluster_tol, eig_eq_tol
+        ).interval
+        lifted = OrderInterval(comp.lift(exposed.lower), comp.lift(exposed.upper))
+        handles.append(FaceHandle(interval=lifted))
+        if intervals_equal(exposed, target):
             return handles
-        p_minus, p_plus = exposed.interval.lower, exposed.interval.upper
-        base = base + stack.embed(p_minus)
-        comp = stack.push(exposed.interval.gap())
-        current_target = OrderInterval(
-            comp.restrict(current_target.lower - p_minus),
-            comp.restrict(current_target.upper - p_minus),
+        comp = comp.cut(exposed)
+        # the input face in the new cut-down's coordinates
+        target = OrderInterval(
+            comp.restrict(interval.lower - comp.lower),
+            comp.restrict(interval.upper - comp.lower),
         )
     raise FaceChainError(
         f"chain did not stabilize within {optuple.n + 2} levels"

@@ -104,7 +104,7 @@ def support_value(optuple, pair, cluster_tol=None, eig_eq_tol=None):
     return alpha
 
 
-def face_dimension_of_interval(optuple, interval):
+def face_dimension(optuple, interval):
     """Affine dimension of the image of an order interval.
 
     Zero for a point; otherwise the cut-down scale of ``upper - lower``
@@ -113,8 +113,11 @@ def face_dimension_of_interval(optuple, interval):
     """
     if interval.is_point():
         return 0
-    comp = Compression(optuple, interval.gap())
-    return scale_dimension(comp.tuple).dimension
+    return _range_dimension(optuple, Compression.range_isometries(interval.gap()))
+
+
+def _range_dimension(optuple, isometries):
+    return scale_dimension(Compression(optuple, isometries).tuple).dimension
 
 
 def _face_in_frame(optuple, frame, pair):
@@ -122,11 +125,14 @@ def _face_in_frame(optuple, frame, pair):
     vertices = np.vstack(
         [psi(optuple, interval.lower), psi(optuple, interval.upper)]
     )
+    # the gap's basis is its clusters' eigenvector columns in the frame
+    lower, upper = spectral.cut_clusters(frame.info, pair.s, frame.eff_tol)
+    gap = frame.info.frame.columns(lower, upper)
     return ExposedFace(
         hyperplane=SupportHyperplane(pair=pair, alpha=alpha),
         interval=interval,
         vertices=vertices,
-        dimension=face_dimension_of_interval(optuple, interval),
+        dimension=_range_dimension(optuple, gap) if lower < upper else 0,
     )
 
 

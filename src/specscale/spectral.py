@@ -63,13 +63,16 @@ class SpectralFrame:
     vectors: tuple
     bounds: np.ndarray  # (clusters + 1, blocks)
 
+    def columns(self, first, stop):
+        """Per block, the eigenvector columns of clusters ``first .. stop-1``."""
+        return [
+            v[:, lo:hi]
+            for v, lo, hi in zip(self.vectors, self.bounds[first], self.bounds[stop])
+        ]
+
     def projection(self, first, stop):
         """Projection onto clusters ``first .. stop-1``: ``V Vᴴ`` per block."""
-        blocks = []
-        for v, lo, hi in zip(self.vectors, self.bounds[first], self.bounds[stop]):
-            cols = v[:, lo:hi]
-            blocks.append(cols @ cols.conj().T)
-        return _raw(blocks)
+        return _raw([cols @ cols.conj().T for cols in self.columns(first, stop)])
 
     def combination(self, coeffs):
         """``sum_k coeffs[k] * P_k`` over the cluster projections ``P_k``."""
@@ -229,7 +232,7 @@ class OrderInterval:
         """The projection ``upper - lower``."""
         return self.upper - self.lower
 
-    def is_point(self, alg=None, tol=PROJECTION_TOL):
+    def is_point(self, tol=PROJECTION_TOL):
         return max_norm(self.upper - self.lower) <= tol
 
 
@@ -248,6 +251,13 @@ def projection_leq(p, q, tol=PROJECTION_TOL):
     )
 
 
+def cut_clusters(info, s, eff_tol):
+    """How many leading clusters ``p_minus`` and ``p_plus`` span at level ``s``:
+    those below ``s``, and those at most ``s``, within the equality band."""
+    lower = int(np.count_nonzero(info.values < s - eff_tol))
+    return lower, int(np.count_nonzero(info.values <= s + eff_tol))
+
+
 def interval_from_spectrum(alg, info, s, eff_tol):
     """Interval projections for a cut level, from a clustered spectrum.
 
@@ -258,8 +268,7 @@ def interval_from_spectrum(alg, info, s, eff_tol):
     """
     if len(info.frame.vectors) != len(alg.dims):
         raise ShapeError("spectrum was decomposed in a different algebra")
-    upper = int(np.count_nonzero(info.values <= s + eff_tol))
-    lower = int(np.count_nonzero(info.values < s - eff_tol))
+    lower, upper = cut_clusters(info, s, eff_tol)
     p_plus = info.frame.projection(0, upper)
     p_minus = p_plus if lower == upper else info.frame.projection(0, lower)
     return OrderInterval(p_minus, p_plus)

@@ -19,7 +19,8 @@ import numpy as np
 from . import algebra, sampling, scale, spectral
 from .algebra import commutator_norm, generated_algebra_basis
 from .errors import InvariantViolation
-from .faces import FaceHandle, _require_proper, face_dimension
+from .faces import FaceHandle, _require_proper
+from .scale import face_dimension
 
 CENTRAL_TOL = 1e-6
 ABELIAN_COMMUTATOR_TOL = 1e-8
@@ -112,7 +113,7 @@ def detect_central(optuple, face, cone):
     )
 
 
-def detect_gap(optuple, face, cone, eig_eq_tol=None):
+def detect_gap(optuple, face, cone, eig_eq_tol=None, cluster_tol=None):
     """Spectral gaps read off cone members sharing a direction part.
 
     Members are grouped by ``t`` (angular tolerance 1e-8); a group whose
@@ -137,7 +138,9 @@ def detect_gap(optuple, face, cone, eig_eq_tol=None):
         # the spread's endpoints may themselves be eigenvalues; only the
         # interior beyond the equality band must be spectrum-free
         band = spectral.equality_band(b_t, eig_eq_tol)
-        if not spectral.eigengap_of(optuple.algebra, b_t, s1 + band, s2 - band):
+        if not spectral.eigengap_of(
+            optuple.algebra, b_t, s1 + band, s2 - band, cluster_tol
+        ):
             raise InvariantViolation(
                 f"support levels spread over ({s1}, {s2}) but the spectrum "
                 "of b_t meets that interval"

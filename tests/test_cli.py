@@ -337,3 +337,58 @@ def test_nonfinite_and_boolean_input_exits_two(tmp_path, capsys, text, path):
     assert out == ""
     assert f"input error: {path}:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["faces", "corners", "center", "slice"])
+def test_tolerance_flags_reach_every_decomposition(
+    inputs, capsys, monkeypatch, command
+):
+    import inspect
+
+    from specscale import spectral
+
+    seen = {"cluster_tol": [], "eig_eq_tol": []}
+
+    def recording(fn, name):
+        signature = inspect.signature(fn)
+
+        def wrapper(*args, **kwargs):
+            seen[name].append(signature.bind(*args, **kwargs).arguments.get(name))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        spectral, "decompose", recording(spectral.decompose, "cluster_tol")
+    )
+    monkeypatch.setattr(
+        spectral, "equality_band", recording(spectral.equality_band, "eig_eq_tol")
+    )
+    argv = [command, "--input", inputs["reciprocal"], "--samples", "4"]
+    code, _, _ = run(argv + ["--cluster-tol", "1e-7", "--eig-eq-tol", "1e-6"], capsys)
+    assert code == 0
+    assert seen["cluster_tol"] and set(seen["cluster_tol"]) == {1e-7}
+    if command != "slice":  # water-filling has no equality band
+        assert seen["eig_eq_tol"] and set(seen["eig_eq_tol"]) == {1e-6}
+
+
+@pytest.mark.parametrize("samples", ["0", "8", "64"])
+def test_faces_on_pauli_reaches_the_apex(inputs, capsys, samples):
+    # the apex psi(0) has a normal cone symmetric about the trace axis, so
+    # its summed normal has no t part; its chain is the apex itself
+    code, out, err = run(
+        ["faces", "--input", inputs["pauli"], "--samples", samples], capsys
+    )
+    assert code == 0, err
+    reports = json.loads(out)
+    apex = [r for r in reports if r["trace_upper"] == 0.0]
+    assert apex and all(r["chain_length"] == 1 for r in apex)
+    assert all("chain_length" in r for r in reports)  # every face is proper
+
+
+def test_json_format_is_not_an_option(inputs, capsys):
+    code, _, err = run(
+        ["support", "--input", inputs["pauli"], "--format", "json"], capsys
+    )
+    assert code == 1
+    assert "invalid choice" in err

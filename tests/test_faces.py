@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import sampled_face_inventory
-from specscale import fixtures
-from specscale.algebra import HermitianOperator, max_norm, psi
+from specscale import fixtures, spectral
+from specscale.algebra import (
+    FiniteAlgebra,
+    HermitianOperator,
+    OperatorTuple,
+    max_norm,
+    psi,
+)
 from specscale.errors import DegenerateFaceError, MinimalFaceError
 from specscale.faces import (
     FaceHandle,
@@ -51,7 +57,7 @@ def test_cut_down_by_identity_is_the_original(pauli):
     assert cut.trace_r == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(cut.base_point, 0.0, atol=1e-12)
     for a in random_ball_operators(pauli, 5, seed=0):
-        restricted = cut.compression.restrict(a)
+        restricted = cut.restrict(a)
         assert max_norm(cut.lift(restricted) - a) <= 1e-10
         np.testing.assert_allclose(
             psi(cut.tuple, restricted), psi(pauli, a), atol=1e-10
@@ -87,27 +93,107 @@ def test_cut_down_rejects_points(two_point):
         cut_down(two_point, OrderInterval(p, p))
 
 
-@pytest.mark.parametrize("name", ["reciprocal8", "pauli", "commuting", "blockpair"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "reciprocal8",
+        "pauli",
+        "commuting",
+        "blockpair",
+        "commuting-cut",
+        "blockpair-cut",
+        "dense-cut",
+    ],
+)
 def test_cut_down_reconstruction(name, request):
-    # psi(q-) + tr(r) psi_r(x) must reproduce psi(q- + rxr) on the ball
-    optuple = request.getfixturevalue(name)
-    face = _some_positive_face(optuple)
-    cut = cut_down(optuple, face)
+    # psi(q-) + tr(r) psi_r(x) must reproduce psi(q- + rxr) on the ball;
+    # "-cut" composes a second cut-down inside the first with Compression.cut
+    base = name.removesuffix("-cut")
+    optuple = request.getfixturevalue(base)
+    if name != base:
+        outer, inner = _two_level_cut(optuple, base)
+        cut = outer.cut(inner)
+    else:
+        cut = cut_down(optuple, _some_positive_face(optuple))
     for x in random_ball_operators(cut.tuple, 50, seed=1):
         lhs = cut.base_point + cut.trace_r * psi(cut.tuple, x)
         rhs = psi(optuple, cut.lift(x))
         np.testing.assert_allclose(lhs, rhs, atol=1e-8)
 
 
-def _some_positive_face(optuple):
+def _some_positive_face(optuple, top=False):
     t = np.zeros(optuple.n)
     t[0] = 1.0
-    from specscale import spectral
     from specscale.algebra import linear_combination
 
     b = linear_combination(optuple, t)
     values = spectral.decompose(optuple.algebra, b).values
-    return interval_projections(optuple, SpectralPair(values[0], t))
+    return interval_projections(optuple, SpectralPair(values[-1 if top else 0], t))
+
+
+@pytest.fixture(scope="module")
+def dense():
+    """Two random operators on a 3x3 block next to a 1x1 block where
+    ``b_2`` sits above the 3x3 block's spectrum."""
+    rng = np.random.default_rng(5)
+    ops = []
+    for top in (rng.standard_normal(), 10.0):
+        z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        ops.append(HermitianOperator([z + z.conj().T, [[top]]]))
+    return OperatorTuple(FiniteAlgebra(((3, 0.25), (1, 0.25))), tuple(ops))
+
+
+def _two_level_cut(optuple, name):
+    """An interval cut down, and an interval in the cut-down (its top face
+    along ``b_1``); both have a nonzero lower end.  The outer interval is a
+    two-dimensional exposed face, or for ``dense`` the span of the middle
+    two eigenvectors of ``b_2`` in the 3x3 block, so that both the outer
+    and the inner isometries are nontrivial there."""
+    if name == "dense":
+        t = np.array([0.0, 1.0])
+        values = spectral.decompose(optuple.algebra, optuple.operators[1]).values
+        lower, upper = (
+            interval_projections(optuple, SpectralPair(s, t)).upper
+            for s in values[[0, 2]]
+        )
+        interval = OrderInterval(lower, upper)
+    else:
+        if name == "blockpair":  # the upper tangency parallelogram
+            t_tan, s = fixtures.hidden_vertex_data()
+            pair = SpectralPair(s, t_tan)
+        else:
+            pair = SpectralPair(1.0, np.array([0.0, 1.0]))
+        face = exposed_face(optuple, pair)
+        assert face.dimension == 2
+        interval = face.interval
+    assert max_norm(interval.lower) > 0.2
+    outer = cut_down(optuple, interval)
+    inner = _some_positive_face(outer.tuple, top=True)
+    assert max_norm(inner.lower) > 0.2 and not inner.is_point()
+    return outer, inner
+
+
+@pytest.mark.parametrize("name", ["commuting", "blockpair", "dense"])
+def test_two_level_cut_matches_two_step_compression(name, request):
+    # one cut with composed isometries V W and a lifted lower end does what
+    # compressing the cut-down again and embedding twice does
+    optuple = request.getfixturevalue(name)
+    outer, inner = _two_level_cut(optuple, name)
+    cut = outer.cut(inner)
+    step = cut_down(outer.tuple, inner)
+    assert cut.trace_r == pytest.approx(outer.trace_r * step.trace_r, abs=1e-12)
+    assert cut.tuple.algebra.dims == step.tuple.algebra.dims
+    np.testing.assert_allclose(
+        cut.tuple.algebra.weights, step.tuple.algebra.weights, rtol=0, atol=1e-12
+    )
+    for got, want in zip(cut.tuple.operators, step.tuple.operators):
+        assert max_norm(got - want) <= 1e-12
+    assert max_norm(cut.lower - outer.lift(inner.lower)) <= 1e-12
+    for a in random_ball_operators(optuple, 5, seed=2):
+        assert max_norm(cut.restrict(a) - step.restrict(outer.restrict(a))) <= 1e-12
+    for x in random_ball_operators(cut.tuple, 5, seed=3):
+        assert max_norm(cut.embed(x) - outer.embed(step.embed(x))) <= 1e-12
+        assert max_norm(cut.lift(x) - outer.lift(step.lift(x))) <= 1e-12
 
 
 # ---------------------------------------------------------- facial complexes

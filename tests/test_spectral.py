@@ -303,3 +303,28 @@ def test_sweep_intervals_match_interval_projections(index):
                     if value <= s + frame.eff_tol:
                         want_block += blocks[j]
                 np.testing.assert_allclose(got_block, want_block, rtol=0, atol=1e-12)
+
+
+def _dimension_tuples():
+    """Two-operator tuples on the random blocks, and the 1e-9 chain."""
+    from specscale.algebra import OperatorTuple
+
+    cases = _frame_cases()
+    out = [OperatorTuple(cases[k][0], (cases[k][1], cases[k + 1][1])) for k in (0, 2)]
+    alg, a = cases[-1]
+    out.append(OperatorTuple(alg, (a, alg.identity())))
+    return out
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_sweep_face_dimension_matches_projection_built(index):
+    # the sweep reads the gap's basis off the frame's cluster columns; the
+    # reference diagonalises the materialised gap projection
+    from specscale.scale import face_dimension, sweep_faces
+
+    optuple = _dimension_tuples()[index]
+    dims = []
+    for face in sweep_faces(optuple, 6):
+        assert face.dimension == face_dimension(optuple, face.interval)
+        dims.append(face.dimension)
+    assert max(dims) >= 1
