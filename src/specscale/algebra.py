@@ -44,28 +44,28 @@ Block = namedtuple("Block", ["dim", "weight"])
 class HermitianOperator:
     """A self-adjoint element, stored as one complex matrix per block.
 
-    Construction checks ``max|A - A*| <= herm_tol`` per block and then
-    symmetrizes, so stored blocks are exactly Hermitian.  Instances are
-    immutable; the block arrays are marked read-only.
+    The constructor is the checked path, for data from outside (JSON
+    ingestion, fixtures, users): it copies each block, requires it to be
+    square with ``max|A - A*| <= HERMITIAN_TOL`` and then symmetrizes.
+    Operators built from other operators go through ``_raw`` instead.
+    Either way stored blocks are exactly Hermitian and read-only.
     """
 
     __slots__ = ("blocks",)
 
-    def __init__(self, blocks, herm_tol=HERMITIAN_TOL):
+    def __init__(self, blocks):
         mats = []
         for j, raw in enumerate(blocks):
             a = np.array(raw, dtype=complex)
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise ShapeError(f"block {j} is not a square matrix: shape {a.shape}")
             deviation = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-            if deviation > herm_tol:
+            if deviation > HERMITIAN_TOL:
                 raise HermitianError(
                     f"block {j} deviates from self-adjointness by {deviation:.3e}"
                 )
-            a = (a + a.conj().T) / 2.0
-            a.flags.writeable = False
-            mats.append(a)
-        object.__setattr__(self, "blocks", tuple(mats))
+            mats.append(_frozen_hermitian_part(a))
+        self.blocks = tuple(mats)
 
     @property
     def dims(self):
@@ -78,12 +78,10 @@ class HermitianOperator:
         return _combine(self, other, -1.0)
 
     def __neg__(self):
-        return HermitianOperator([-b for b in self.blocks], herm_tol=np.inf)
+        return _raw([-b for b in self.blocks])
 
     def __rmul__(self, scalar):
-        return HermitianOperator(
-            [float(scalar) * b for b in self.blocks], herm_tol=np.inf
-        )
+        return _raw([float(scalar) * b for b in self.blocks])
 
     __mul__ = __rmul__
 
@@ -91,17 +89,28 @@ class HermitianOperator:
         return f"HermitianOperator(dims={self.dims})"
 
 
+def _frozen_hermitian_part(a):
+    """``(A + A*)/2`` as a new read-only array; ``A`` bit for bit when ``A``
+    is exactly Hermitian."""
+    h = (a + a.conj().T) / 2.0
+    h.flags.writeable = False
+    return h
+
+
 def _combine(a, b, sign):
     if a.dims != b.dims:
         raise ShapeError(f"block shapes differ: {a.dims} vs {b.dims}")
-    return HermitianOperator(
-        [x + sign * y for x, y in zip(a.blocks, b.blocks)], herm_tol=np.inf
-    )
+    return _raw([x + sign * y for x, y in zip(a.blocks, b.blocks)])
 
 
 def _raw(blocks):
-    """Wrap already-Hermitian per-block arrays without re-checking."""
-    return HermitianOperator(blocks, herm_tol=np.inf)
+    """The unchecked path, for square blocks Hermitian by construction
+    (sums, products, cut-downs of operators): skips the constructor, with
+    no copy, shape or deviation check.  Each block is symmetrized once into
+    a new read-only array, so the caller's array is left as it was."""
+    op = object.__new__(HermitianOperator)
+    op.blocks = tuple(_frozen_hermitian_part(np.asarray(b, complex)) for b in blocks)
+    return op
 
 
 def max_norm(op):
@@ -297,7 +306,7 @@ def generated_algebra_basis(optuple, tol=1e-10, max_rounds=None):
     basis = []
 
     def try_add(candidate_blocks):
-        cand = _raw([np.array(b) for b in candidate_blocks])
+        cand = _raw(candidate_blocks)
         for e in basis:
             coeff = alg.inner(e, cand)
             cand = cand - coeff * e
@@ -390,7 +399,7 @@ class Compression:
             self.isometries[j].conj().T @ op.blocks[j] @ self.isometries[j]
             for j in self.kept_blocks
         ]
-        return _raw([(m + m.conj().T) / 2.0 for m in comp])
+        return _raw(comp)
 
     def embed(self, op):
         """Embed a cut-down operator back into the ambient algebra."""
@@ -402,7 +411,7 @@ class Compression:
         for local, j in enumerate(self.kept_blocks):
             V = self.isometries[j]
             blocks[j] = V @ op.blocks[local] @ V.conj().T
-        return _raw([(m + m.conj().T) / 2.0 for m in blocks])
+        return _raw(blocks)
 
     def lift(self, op):
         """Ambient operator ``lower + V x V*`` for cut-down ``x``."""

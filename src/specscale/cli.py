@@ -214,7 +214,6 @@ def cmd_corners(optuple, args):
         )
     payload = structure.report_json(gap_reports=gap_reports)
     payload["sharp_faces"] = sharp_list
-    del payload["central_projections"]
     _emit(args, "corners.json", json.dumps(payload, indent=2) + "\n")
 
 
@@ -227,7 +226,6 @@ def cmd_center(optuple, args):
         handle = faces.FaceHandle(face.interval)
         reports.append(structure.detect_central(optuple, handle, cone))
     payload = structure.report_json(central_reports=reports)
-    del payload["gaps"]
     cloud = scale.extreme_point_cloud(
         optuple, args.samples, args.cluster_tol, args.eig_eq_tol
     )
@@ -247,8 +245,6 @@ def cmd_center(optuple, args):
 def cmd_abelian(optuple, args):
     verdict = structure.abelian_verdict(optuple, directions=args.samples)
     payload = structure.report_json(verdict=verdict)
-    del payload["central_projections"]
-    del payload["gaps"]
     _emit(args, "abelian.json", json.dumps(payload, indent=2) + "\n")
 
 

@@ -112,7 +112,7 @@ def random_ball_operators(optuple, m, seed=0):
             U = _haar_unitary(rng, d)
             u = rng.uniform(0.0, 1.0, d)
             blocks.append((U * u) @ U.conj().T)
-        out.append(algebra._raw([(b + b.conj().T) / 2.0 for b in blocks]))
+        out.append(algebra._raw(blocks))
     return out
 
 

@@ -78,8 +78,10 @@ def _support_in_frame(optuple, frame, s):
     alg = optuple.algebra
     interval = spectral.interval_from_spectrum(alg, frame.info, s, frame.eff_tol)
     shifted = frame.b_t - s * alg.identity()
-    alpha_plus = alg.trace(_herm_product(shifted, interval.upper))
-    alpha_minus = alg.trace(_herm_product(shifted, interval.lower))
+    alpha_plus, alpha_minus = (
+        alg.trace(algebra._raw(algebra.operator_product(shifted, p)))
+        for p in (interval.upper, interval.lower)
+    )
     gap_weight = alg.trace(interval.upper) - alg.trace(interval.lower)
     # The two traces agree exactly in exact arithmetic; with s inside the
     # eigenvalue-equality band they can differ by at most band * gap weight.
@@ -89,12 +91,6 @@ def _support_in_frame(optuple, frame, s):
             f"{alpha_plus!r} vs {alpha_minus!r}"
         )
     return interval, alpha_plus
-
-
-def _herm_product(a, b):
-    return algebra._raw(
-        [(m + m.conj().T) / 2.0 for m in algebra.operator_product(a, b)]
-    )
 
 
 def support_value(optuple, pair, cluster_tol=None, eig_eq_tol=None):

@@ -122,7 +122,6 @@ def detect_gap(optuple, face, cone, eig_eq_tol=None, cluster_tol=None):
     single exposed point.  Both facts are verified before reporting.
     """
     _require_proper(optuple, face.interval)
-    tol = spectral.EIG_EQ_TOL if eig_eq_tol is None else eig_eq_tol
     groups = {}
     for pair in cone.pairs:
         key = tuple(np.round(pair.t, 8))
@@ -131,13 +130,13 @@ def detect_gap(optuple, face, cone, eig_eq_tol=None, cluster_tol=None):
     for members in groups.values():
         levels = [p.s for p in members]
         s1, s2 = min(levels), max(levels)
-        if s2 - s1 <= 2 * tol:
-            continue
         t = members[0].t
         b_t = algebra.linear_combination(optuple, t)
         # the spread's endpoints may themselves be eigenvalues; only the
         # interior beyond the equality band must be spectrum-free
         band = spectral.equality_band(b_t, eig_eq_tol)
+        if s2 - s1 <= 2 * band:
+            continue
         if not spectral.eigengap_of(
             optuple.algebra, b_t, s1 + band, s2 - band, cluster_tol
         ):
@@ -235,8 +234,9 @@ def _f17(x):
     return float(format(float(x), ".17g")) + 0.0
 
 
-def report_json(verdict=None, central_reports=(), gap_reports=()):
-    """Stable-schema report object for serialization."""
+def report_json(verdict=None, central_reports=None, gap_reports=None):
+    """Stable-schema report object for serialization, with a section for
+    each argument given."""
     out = {}
     if verdict is not None:
         out["abelian"] = {
@@ -247,22 +247,20 @@ def report_json(verdict=None, central_reports=(), gap_reports=()):
         out["n_dim"] = verdict.n_dim
         out["cloud_counts"] = list(verdict.cloud_counts)
         out["max_commutator"] = _f17(verdict.max_commutator)
-    out["central_projections"] = [
-        {
-            "tau_lower": _f17(rep.tau_lower),
-            "tau_upper": _f17(rep.tau_upper),
-            "rank": rep.rank,
-            "central": rep.central,
-            "commutator_norm": _f17(rep.commutator_norm),
-        }
-        for rep in central_reports
-    ]
-    out["gaps"] = [
-        {
-            "t": [_f17(x) for x in rep.t],
-            "s1": _f17(rep.s1),
-            "s2": _f17(rep.s2),
-        }
-        for rep in gap_reports
-    ]
+    if central_reports is not None:
+        out["central_projections"] = [
+            {
+                "tau_lower": _f17(rep.tau_lower),
+                "tau_upper": _f17(rep.tau_upper),
+                "rank": rep.rank,
+                "central": rep.central,
+                "commutator_norm": _f17(rep.commutator_norm),
+            }
+            for rep in central_reports
+        ]
+    if gap_reports is not None:
+        out["gaps"] = [
+            {"t": [_f17(x) for x in rep.t], "s1": _f17(rep.s1), "s2": _f17(rep.s2)}
+            for rep in gap_reports
+        ]
     return out

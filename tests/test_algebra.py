@@ -10,6 +10,7 @@ from specscale.algebra import (
     FiniteAlgebra,
     HermitianOperator,
     OperatorTuple,
+    _raw,
     generated_algebra_basis,
     is_contraction,
     linear_combination,
@@ -125,12 +126,44 @@ def test_generated_basis_is_orthonormal(blockpair):
 def test_hermitian_rejection():
     with pytest.raises(HermitianError):
         HermitianOperator([np.array([[0.0, 1.0], [0.0, 0.0]])])
+    # the checked constructor bounds max|A - A*| by HERMITIAN_TOL = 1e-10
+    a = np.array([[0.0, 1.0 + 0.9e-10], [1.0, 0.0]])
+    HermitianOperator([a])
+    a[0, 1] = 1.0 + 1.1e-10
+    with pytest.raises(HermitianError):
+        HermitianOperator([a])
+    with pytest.raises(ShapeError):
+        HermitianOperator([np.zeros((2, 3))])
 
 
 def test_hermitian_symmetrizes_roundoff():
     a = np.array([[1.0, 0.5 + 1e-12j], [0.5 - 3e-12j, 2.0]])
     op = HermitianOperator([a])
     assert np.allclose(op.blocks[0], op.blocks[0].conj().T)
+
+
+def test_raw_blocks_are_exactly_hermitian_and_read_only():
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    q, _ = np.linalg.qr(z)
+    near = (q * [0.1, 0.2, 0.3, 0.4]) @ q.conj().T  # Hermitian up to roundoff
+    assert not np.array_equal(near, near.conj().T)
+    op = _raw([near, [[2.0]]])
+    for b in op.blocks:
+        assert b.dtype == complex
+        assert np.array_equal(b, b.conj().T)
+        assert not b.flags.writeable
+    np.testing.assert_allclose(op.blocks[0], near, atol=1e-15)
+
+
+def test_raw_neither_aliases_nor_freezes_its_input():
+    m = np.array([[1.0, 2.0 + 1e-13j], [2.0, 3.0]])
+    before = m.copy()
+    op = _raw([m])
+    assert not np.shares_memory(op.blocks[0], m)
+    assert m.flags.writeable and np.array_equal(m, before)
+    m[0, 0] = 7.0
+    assert op.blocks[0][0, 0] == 1.0
 
 
 @settings(max_examples=25, deadline=None)
@@ -143,8 +176,8 @@ def test_psi_is_linear(x, y, coeffs):
     alg = FiniteAlgebra(((3, 1.0 / 3.0),))
     b = HermitianOperator([np.diag([1.0, -1.0, 0.5])])
     optuple = OperatorTuple(alg, (b,))
-    a1 = HermitianOperator([x + x.T], herm_tol=np.inf)
-    a2 = HermitianOperator([y + y.T], herm_tol=np.inf)
+    a1 = _raw([x + x.T])
+    a2 = _raw([y + y.T])
     alpha, beta = coeffs
     lhs = psi(optuple, alpha * a1 + beta * a2)
     rhs = alpha * psi(optuple, a1) + beta * psi(optuple, a2)
@@ -160,8 +193,8 @@ def test_trace_is_tracial(x, y):
     alg = FiniteAlgebra(((2, 0.5),))
     a = (x + x.T) + 0j
     b = (y + y.T) + 0j
-    ab = HermitianOperator([(a @ b + b @ a) / 2], herm_tol=np.inf)
-    ba = HermitianOperator([(b @ a + a @ b) / 2], herm_tol=np.inf)
+    ab = _raw([(a @ b + b @ a) / 2])
+    ba = _raw([(b @ a + a @ b) / 2])
     assert trace(alg, ab) == pytest.approx(trace(alg, ba), abs=1e-10)
     lhs = float(np.trace(a @ b).real) * 0.5
     rhs = float(np.trace(b @ a).real) * 0.5
@@ -176,10 +209,8 @@ def test_faithfulness_bound(blockpair):
     min_weight = min(alg.weights)
     for _ in range(50):
         raw = [rng.standard_normal((d, d)) for d in alg.dims]
-        a = HermitianOperator([(m + m.T) / 2 for m in raw], herm_tol=np.inf)
-        sq = HermitianOperator(
-            [b @ b for b in a.blocks], herm_tol=np.inf
-        )
+        a = _raw(raw)
+        sq = _raw([b @ b for b in a.blocks])
         assert trace(alg, sq) >= min_weight * max_norm(a) ** 2 - 1e-12
 
 

@@ -392,3 +392,19 @@ def test_json_format_is_not_an_option(inputs, capsys):
     )
     assert code == 1
     assert "invalid choice" in err
+
+
+def test_corners_skips_spreads_inside_the_scaled_band(tmp_path, capsys):
+    # ||b|| = 100 scales the equality band to 1e-6; cut levels at 1 and
+    # 1 + 1.5e-6 spread by less than twice the band, which is no gap, and
+    # used to reach eigengap_of with s1 + band > s2 - band (exit 1)
+    values = (1.0, 1.0 + 1.5e-6, 100.0)
+    blocks = [
+        {"weight": 1.0 / 3.0, "dim": 1, "operators": [[[[v, 0.0]]]]} for v in values
+    ]
+    path = tmp_path / "close.json"
+    path.write_text(json.dumps({"blocks": blocks}))
+    code, out, err = run(["corners", "--input", str(path), "--samples", "0"], capsys)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert list(payload) == ["gaps", "sharp_faces"]

@@ -4,6 +4,8 @@ import pytest
 from specscale.algebra import (
     FiniteAlgebra,
     HermitianOperator,
+    OperatorTuple,
+    _raw,
     linear_combination,
     max_norm,
 )
@@ -13,6 +15,7 @@ from specscale.spectral import (
     SpectralPair,
     decompose,
     eigengap_of,
+    equality_band,
     interval_projections,
     is_projection,
     projection_leq,
@@ -56,7 +59,7 @@ def test_decompose_invariants_random():
     alg = FiniteAlgebra(((3, 0.2), (2, 0.2)))
     for _ in range(20):
         blocks = [rng.standard_normal((d, d)) for d in (3, 2)]
-        a = HermitianOperator([(b + b.T) / 2 for b in blocks], herm_tol=np.inf)
+        a = _raw(blocks)
         info = decompose(alg, a)
         total = alg.zero()
         recon = alg.zero()
@@ -89,6 +92,33 @@ def test_interval_projections_at_an_eigenvalue(two_point):
     np.testing.assert_allclose(interval.lower.blocks[1], [[0.0]], atol=1e-12)
     np.testing.assert_allclose(interval.upper.blocks[0], [[1.0]], atol=1e-12)
     np.testing.assert_allclose(interval.upper.blocks[1], [[1.0]], atol=1e-12)
+
+
+@pytest.mark.parametrize("eig_eq_tol", [None, 1e-6])
+def test_interval_projections_at_the_band_edge(eig_eq_tol):
+    # max_norm 5 scales the band to 5 * eig_eq_tol; the doubled eigenvalue
+    # 2 counts as "at s" strictly inside the band and nowhere outside it
+    alg, b = one_block(np.diag([-1.0, 2.0, 2.0, 5.0]), 4)
+    optuple = OperatorTuple(alg, (b,))
+    band = equality_band(b, eig_eq_tol)
+    assert band == 5 * (eig_eq_tol or 1e-8)
+
+    def diagonals(s):
+        interval = interval_projections(
+            optuple, SpectralPair(s, np.array([1.0])), eig_eq_tol=eig_eq_tol
+        )
+        return [np.diag(p.blocks[0]).real for p in (interval.lower, interval.upper)]
+
+    for s in (2.0 - (1 - 1e-3) * band, 2.0 + (1 - 1e-3) * band):
+        p_minus, p_plus = diagonals(s)
+        np.testing.assert_allclose(p_minus, [1, 0, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(p_plus, [1, 1, 1, 0], atol=1e-12)
+    for s, side in (
+        (2.0 - (1 + 1e-3) * band, [1, 0, 0, 0]),
+        (2.0 + (1 + 1e-3) * band, [1, 1, 1, 0]),
+    ):
+        for p in diagonals(s):
+            np.testing.assert_allclose(p, side, atol=1e-12)
 
 
 def test_interval_projections_reciprocal_gap_is_rank_one(reciprocal8):
@@ -217,7 +247,7 @@ def _frame_cases():
     alg = FiniteAlgebra(tuple((d, 1.0 / 6.0) for d in dims))
     for _ in range(5):
         blocks = [_random_hermitian(rng, d, rng.standard_normal(d)) for d in dims]
-        cases.append((alg, HermitianOperator(blocks, herm_tol=np.inf)))
+        cases.append((alg, _raw(blocks)))
     # 40 one-dimensional blocks, eigenvalues repeated across them
     w = rng.uniform(0.5, 1.5, 40)
     alg = FiniteAlgebra(tuple((1, c / w.sum()) for c in w))
@@ -231,7 +261,7 @@ def _frame_cases():
         _random_hermitian(rng, 6, np.concatenate(([-1.0], chain[::2], [3.0]))),
         _random_hermitian(rng, 4, chain[1::2]),
     ]
-    cases.append((alg, HermitianOperator(blocks, herm_tol=np.inf)))
+    cases.append((alg, _raw(blocks)))
     return cases
 
 

@@ -157,4 +157,6 @@ def test_report_json_schema(commuting):
     verdict = abelian_verdict(commuting, directions=32)
     payload = report_json(verdict=verdict)
     assert payload["abelian"] == {"geometric": True, "algebraic": True}
-    assert set(payload) >= {"abelian", "central_projections", "gaps"}
+    assert set(payload) == {
+        "abelian", "extreme_count", "n_dim", "cloud_counts", "max_commutator"
+    }
