@@ -293,47 +293,52 @@ def require_direction(t, tol=1e-12):
     return t
 
 
-def generated_algebra_basis(optuple, tol=1e-10, max_rounds=None):
-    """Trace-orthonormal self-adjoint basis of the algebra generated by
-    the tuple and the identity.
+def _span_residual(alg, stacks, blocks):
+    """``blocks`` minus its projection onto the span of a trace-orthonormal
+    self-adjoint set, held as one ``(k, d_j, d_j)`` stack per block:
+    classical Gram-Schmidt, applied twice."""
+    for _ in range(2):
+        coeffs = sum(
+            c * np.einsum("kij,ij->k", s, b.conj()).real
+            for c, s, b in zip(alg.weights, stacks, blocks)
+        )
+        blocks = [
+            b - np.einsum("k,kij->ij", coeffs, s) for s, b in zip(stacks, blocks)
+        ]
+    return blocks
 
-    The real span of the self-adjoint part is closed under the
-    symmetrized product ``(xy + yx)/2`` and ``(xy - yx)/(2i)``; iterating
-    these on a growing orthonormal set stabilizes in finitely many rounds.
-    The basis size equals the complex dimension of the generated algebra.
+
+def generated_algebra_basis(optuple, tol=1e-10):
+    """Trace-orthonormal self-adjoint basis of the algebra generated by the
+    tuple and the identity; its size is the algebra's complex dimension.
+
+    The real span is closed once it holds ``(xy + yx)/2`` and ``(xy - yx)/(2i)``
+    for every pair of its elements.  ``yx`` gives the same two parts up to
+    sign, and a rejected candidate stays inside the growing span, so one
+    walk over the basis multiplies each unordered pair once.
     """
     alg = optuple.algebra
-    basis = []
+    stacks = [np.empty((0, d, d), dtype=complex) for d in alg.dims]
 
-    def try_add(candidate_blocks):
-        cand = _raw(candidate_blocks)
-        for e in basis:
-            coeff = alg.inner(e, cand)
-            cand = cand - coeff * e
-        norm2 = alg.inner(cand, cand)
+    def try_add(blocks):
+        nonlocal stacks
+        residual = _span_residual(alg, stacks, blocks)
+        norm2 = sum(c * np.sum(np.abs(r) ** 2) for c, r in zip(alg.weights, residual))
         if norm2 > tol:
-            basis.append((1.0 / np.sqrt(norm2)) * cand)
-            return True
-        return False
+            unit = [r / np.sqrt(norm2) for r in residual]
+            stacks = [np.concatenate([s, [u]]) for s, u in zip(stacks, unit)]
 
     try_add(alg.identity().blocks)
     for op in optuple.operators:
         try_add(op.blocks)
-
-    cap = max_rounds or sum(d * d for d in alg.dims) + 1
-    for _ in range(cap):
-        grew = False
-        snapshot = list(basis)
-        for x in snapshot:
-            for y in snapshot:
-                prod = [p @ q for p, q in zip(x.blocks, y.blocks)]
-                sym = [(m + m.conj().T) / 2.0 for m in prod]
-                antisym = [(m - m.conj().T) / 2j for m in prod]
-                grew |= try_add(sym)
-                grew |= try_add(antisym)
-        if not grew:
-            break
-    return basis
+    i = 0
+    while i < len(stacks[0]):
+        for j in range(i + 1):
+            prod = [s[i] @ s[j] for s in stacks]
+            try_add([(m + m.conj().T) / 2.0 for m in prod])
+            try_add([(m - m.conj().T) / 2j for m in prod])
+        i += 1
+    return [_raw(element) for element in zip(*stacks)]
 
 
 class Compression:

@@ -52,7 +52,8 @@ def build_parser():
         p.add_argument("--input", required=True, help="tuple JSON file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--samples", type=int, default=256)
-        p.add_argument("--seed", type=int, default=0)
+        seed_help = "unit-ball sample seed; used only by extremes --format obj"
+        p.add_argument("--seed", type=int, default=0, help=seed_help)
         p.add_argument("--cluster-tol", type=float, default=None)
         p.add_argument("--eig-eq-tol", type=float, default=None)
         p.add_argument("--iso-radius", type=float, default=None)
@@ -110,12 +111,6 @@ def cmd_support(optuple, args):
 
 
 def cmd_extremes(optuple, args):
-    cloud = scale.extreme_point_cloud(
-        optuple,
-        args.samples,
-        cluster_tol=args.cluster_tol,
-        eig_eq_tol=args.eig_eq_tol,
-    )
     if args.format == "obj":
         buf = io.StringIO()
         scale.export_hull_obj(
@@ -123,6 +118,12 @@ def cmd_extremes(optuple, args):
         )
         _emit(args, "hull.obj", buf.getvalue())
         return
+    cloud = scale.extreme_point_cloud(
+        optuple,
+        args.samples,
+        cluster_tol=args.cluster_tol,
+        eig_eq_tol=args.eig_eq_tol,
+    )
     buf = io.StringIO()
     scale.export_extremes_csv(cloud, buf)
     _emit(args, "extremes.csv", buf.getvalue())

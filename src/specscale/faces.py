@@ -52,9 +52,7 @@ class FaceHandle:
 @dataclass(frozen=True)
 class ComplexLevel:
     pair: SpectralPair
-    cut_operator: HermitianOperator  # ambient r_{i-1} b_t r_{i-1}
     q_minus: HermitianOperator  # ambient embedding
-    q_plus: HermitianOperator
     r: HermitianOperator  # q_plus - q_minus, ambient
 
 
@@ -90,11 +88,9 @@ def in_generated_algebra(optuple, op, basis=None, tol=1e-6):
     """
     if basis is None:
         basis = algebra.generated_algebra_basis(optuple)
-    inner = optuple.algebra.inner
-    residual = op
-    for e in basis:
-        residual = residual - inner(e, op) * e
-    return max_norm(residual) <= tol
+    stacks = [np.array(per_block) for per_block in zip(*(e.blocks for e in basis))]
+    residual = algebra._span_residual(optuple.algebra, stacks, op.blocks)
+    return max_norm(algebra._raw(residual)) <= tol
 
 
 def intervals_equal(a, b, tol=PROJ_ORDER_TOL):
@@ -171,13 +167,7 @@ def build_facial_complex(optuple, pairs, cluster_tol=None, eig_eq_tol=None):
         )
         r_local = interval.gap()
         levels.append(
-            ComplexLevel(
-                pair=pair,
-                cut_operator=comp.embed(b_cut),
-                q_minus=comp.embed(interval.lower),
-                q_plus=comp.embed(interval.upper),
-                r=comp.embed(r_local),
-            )
+            ComplexLevel(pair, comp.embed(interval.lower), comp.embed(r_local))
         )
         if i + 1 == len(pairs):
             break

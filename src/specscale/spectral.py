@@ -114,6 +114,11 @@ class SpectrumInfo:
         return [c.projection for c in self.clusters]
 
 
+def _scaled_tol(tol, default, op):
+    """``tol`` (``default`` when None) scaled by ``max(1, max_norm(op))``."""
+    return (default if tol is None else tol) * max(1.0, max_norm(op))
+
+
 def decompose(alg, a, cluster_tol=None):
     """Eigendecompose ``a`` blockwise and merge eigenvalues across blocks.
 
@@ -123,9 +128,7 @@ def decompose(alg, a, cluster_tol=None):
     and its trace weight comes from its eigenvector column norms.
     """
     alg.require(a)
-    tol = (CLUSTER_TOL if cluster_tol is None else cluster_tol) * max(
-        1.0, max_norm(a)
-    )
+    tol = _scaled_tol(cluster_tol, CLUSTER_TOL, a)
     vectors, eigenvalues, weights = [], [], []
     for j, (b, (_, c)) in enumerate(zip(a.blocks, alg.blocks)):
         try:
@@ -175,9 +178,7 @@ def decompose(alg, a, cluster_tol=None):
 
 def equality_band(op, eig_eq_tol=None):
     """The scaled band within which a cut level counts as an eigenvalue of ``op``."""
-    return (EIG_EQ_TOL if eig_eq_tol is None else eig_eq_tol) * max(
-        1.0, max_norm(op)
-    )
+    return _scaled_tol(eig_eq_tol, EIG_EQ_TOL, op)
 
 
 class DirectionFrame(NamedTuple):

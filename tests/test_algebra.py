@@ -107,12 +107,65 @@ def test_generated_basis_pauli_fills_matrix_algebra(pauli):
     assert len(generated_algebra_basis(pauli)) == 4
 
 
-def test_generated_basis_joint_eigenspaces():
-    alg = FiniteAlgebra(tuple((1, 1.0 / 3.0) for _ in range(3)))
-    b1 = HermitianOperator([[[1.0]], [[1.0]], [[2.0]]])
-    b2 = HermitianOperator([[[0.0]], [[1.0]], [[1.0]]])
-    basis = generated_algebra_basis(OperatorTuple(alg, (b1, b2)))
-    assert len(basis) == 3
+def _generic_tuple(dims):
+    """Two seeded random self-adjoint operators, dense on every block."""
+    rng = np.random.default_rng(7)
+    alg = FiniteAlgebra(tuple((d, 1.0 / sum(dims)) for d in dims))
+    ops = []
+    for _ in range(2):
+        blocks = []
+        for d in dims:
+            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            blocks.append(z + z.conj().T)
+        ops.append(HermitianOperator(blocks))
+    return OperatorTuple(alg, tuple(ops))
+
+
+@pytest.mark.parametrize("dims, expected", [((3,), 9), ((6,), 36), ((2, 3), 13)])
+def test_generated_basis_fills_generic_blocks(dims, expected):
+    # generic operators generate the whole of M_{d_1} (+) ... (+) M_{d_k}
+    assert len(generated_algebra_basis(_generic_tuple(dims))) == expected
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(1.0, 0.0), (1.0, 1.0), (2.0, 1.0)],
+        [tuple(r) for r in np.random.default_rng(4).integers(0, 4, (16, 2))],
+    ],
+    ids=["three_blocks", "seeded_16_blocks"],
+)
+def test_generated_basis_joint_eigenspaces(rows):
+    # commuting 1x1 blocks generate one minimal projection per distinct
+    # joint-value row
+    alg = FiniteAlgebra(tuple((1, 1.0 / len(rows)) for _ in rows))
+    ops = tuple(
+        HermitianOperator([[[float(v)]] for v in column]) for column in zip(*rows)
+    )
+    basis = generated_algebra_basis(OperatorTuple(alg, ops))
+    assert len(basis) == len(set(rows))
+
+
+@pytest.mark.parametrize("name", ["pauli", "blockpair", "generic_3_2"])
+def test_generated_basis_is_closed_under_products(name, request):
+    tol = 1e-10
+    if name == "generic_3_2":
+        optuple = _generic_tuple((3, 2))
+    else:
+        optuple = request.getfixturevalue(name)
+    alg = optuple.algebra
+    basis = generated_algebra_basis(optuple)
+    for x in basis:
+        for y in basis:
+            prod = [p @ q for p, q in zip(x.blocks, y.blocks)]
+            for part in (
+                _raw([(m + m.conj().T) / 2.0 for m in prod]),
+                _raw([(m - m.conj().T) / 2j for m in prod]),
+            ):
+                residual = part
+                for e in basis:
+                    residual = residual - alg.inner(e, part) * e
+                assert alg.inner(residual, residual) <= tol
 
 
 def test_generated_basis_is_orthonormal(blockpair):

@@ -293,6 +293,26 @@ def test_obj_faces_index_written_vertices(inputs, capsys, name):
     assert 1 <= min(indices) and max(indices) <= n_vertices
 
 
+def test_obj_export_builds_no_extreme_cloud(inputs, capsys, monkeypatch):
+    from specscale import scale
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the OBJ path needs no extreme point cloud")
+
+    monkeypatch.setattr(scale, "extreme_point_cloud", unused)
+    code, out, _ = run(
+        ["extremes", "--input", inputs["pauli"], "--format", "obj", "--samples", "8"],
+        capsys,
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    n_vertices = sum(line.startswith("v ") for line in lines)
+    indices = [
+        int(i) for line in lines if line.startswith("f ") for i in line.split()[1:]
+    ]
+    assert indices and 1 <= min(indices) and max(indices) <= n_vertices
+
+
 def _one_block_json(weight=0.5, dim=2, entry=(1, 0)):
     """A 2x2 tuple in the ingestion schema with one configurable entry."""
     zero = [0, 0]
