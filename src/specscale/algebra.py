@@ -28,7 +28,6 @@ from .errors import (
     IngestError,
     MembershipError,
     ShapeError,
-    ZeroDirectionError,
 )
 
 # Ingestion tolerances.  Inputs are symmetrized after passing the
@@ -244,11 +243,11 @@ def trace(optuple_or_alg, a):
     return alg.trace(a)
 
 
-def is_contraction(alg, a, tol=MEMBERSHIP_TOL):
-    """True when the spectrum of ``a`` lies in ``[-tol, 1 + tol]``."""
+def is_contraction(alg, a):
+    """True when the spectrum of ``a`` lies in ``[0, 1]`` up to ``MEMBERSHIP_TOL``."""
     alg.require(a)
     for w in (np.linalg.eigvalsh(b) for b in a.blocks):
-        if w.size and (w.min() < -tol or w.max() > 1.0 + tol):
+        if w.size and (w.min() < -MEMBERSHIP_TOL or w.max() > 1.0 + MEMBERSHIP_TOL):
             return False
     return True
 
@@ -286,13 +285,6 @@ def linear_combination(optuple, t):
     return _raw(blocks)
 
 
-def require_direction(t, tol=1e-12):
-    t = np.asarray(t, dtype=float).ravel()
-    if np.linalg.norm(t) <= tol:
-        raise ZeroDirectionError("spectral pair needs a nonzero direction t")
-    return t
-
-
 def _span_residual(alg, stacks, blocks):
     """``blocks`` minus its projection onto the span of a trace-orthonormal
     self-adjoint set, held as one ``(k, d_j, d_j)`` stack per block:
@@ -308,7 +300,7 @@ def _span_residual(alg, stacks, blocks):
     return blocks
 
 
-def generated_algebra_basis(optuple, tol=1e-10):
+def generated_algebra_basis(optuple):
     """Trace-orthonormal self-adjoint basis of the algebra generated by the
     tuple and the identity; its size is the algebra's complex dimension.
 
@@ -324,7 +316,7 @@ def generated_algebra_basis(optuple, tol=1e-10):
         nonlocal stacks
         residual = _span_residual(alg, stacks, blocks)
         norm2 = sum(c * np.sum(np.abs(r) ** 2) for c, r in zip(alg.weights, residual))
-        if norm2 > tol:
+        if norm2 > 1e-10:
             unit = [r / np.sqrt(norm2) for r in residual]
             stacks = [np.concatenate([s, [u]]) for s, u in zip(stacks, unit)]
 
@@ -367,14 +359,14 @@ class Compression:
         self.tuple = OperatorTuple(sub_alg, tuple(map(self.restrict, parent.operators)))
 
     @staticmethod
-    def range_isometries(r, rank_tol=1e-6):
+    def range_isometries(r):
         """Per block, an orthonormal basis of the range of the projection ``r``."""
         isometries = []
         for j, rb in enumerate(r.blocks):
             w, v = np.linalg.eigh(rb)
-            if np.any((w > rank_tol) & (w < 1.0 - rank_tol)):
+            if np.any((w > 1e-6) & (w < 1.0 - 1e-6)):
                 raise ShapeError(f"block {j} of r is not a projection")
-            isometries.append(v[:, w > 1.0 - rank_tol])
+            isometries.append(v[:, w > 1.0 - 1e-6])
         return isometries
 
     @cached_property

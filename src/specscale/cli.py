@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -37,6 +38,17 @@ def _f17(x):
     return format(float(x), ".17g")
 
 
+def _tolerance(text):
+    """A finite value ``>= 0``, for the tolerance flags."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"need a finite value >= 0, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -54,9 +66,9 @@ def build_parser():
         p.add_argument("--samples", type=int, default=256)
         seed_help = "unit-ball sample seed; used only by extremes --format obj"
         p.add_argument("--seed", type=int, default=0, help=seed_help)
-        p.add_argument("--cluster-tol", type=float, default=None)
-        p.add_argument("--eig-eq-tol", type=float, default=None)
-        p.add_argument("--iso-radius", type=float, default=None)
+        p.add_argument("--cluster-tol", type=_tolerance, default=None)
+        p.add_argument("--eig-eq-tol", type=_tolerance, default=None)
+        p.add_argument("--iso-radius", type=_tolerance, default=None)
         p.add_argument("--level", type=float, default=0.5)
         p.add_argument("--format", choices=("csv", "obj"), default=None)
     return parser
@@ -131,42 +143,43 @@ def cmd_extremes(optuple, args):
     print(json.dumps(stats), file=sys.stderr)
 
 
-def _distinct_faces(optuple, args):
-    """Deduplicated exposed faces from the sweep."""
-    out = []
+def _face_pass(optuple, args):
+    """``(face, cone)`` per distinct sweep face, once the whole sweep has run;
+    each cone is sampled as its face is reached, None for the whole scale."""
+    distinct = []
     for face in scale.sweep_faces(
         optuple, args.samples, args.cluster_tol, args.eig_eq_tol
     ):
-        if not any(faces.intervals_equal(face.interval, f.interval) for f in out):
-            out.append(face)
-    return out
-
-
-def _normal_cone(optuple, face, args):
-    return faces.normal_cone(
-        optuple, face.interval, args.samples, args.cluster_tol, args.eig_eq_tol
-    )
+        if not any(faces.intervals_equal(face.interval, f.interval) for f in distinct):
+            distinct.append(face)
+    for face in distinct:
+        cone = None
+        if faces._is_proper(optuple, face.interval):
+            cone = faces.normal_cone(
+                optuple, face.interval, args.samples, args.cluster_tol, args.eig_eq_tol
+            )
+        yield face, cone
 
 
 def cmd_faces(optuple, args):
     reports = []
     alg = optuple.algebra
-    for face in _distinct_faces(optuple, args):
-        proper = faces._is_proper(optuple, face.interval)
+    for face, cone in _face_pass(optuple, args):
         entry = {
-            "pair": {
-                "s": float(_f17(face.pair.s)),
-                "t": [float(_f17(x)) for x in face.pair.t],
-            },
-            "alpha": float(_f17(face.alpha)),
-            "trace_lower": float(_f17(alg.trace(face.interval.lower))),
-            "trace_upper": float(_f17(alg.trace(face.interval.upper))),
+            "pair": {"s": face.pair.s, "t": [float(x) for x in face.pair.t]},
+            "alpha": face.alpha,
+            "trace_lower": alg.trace(face.interval.lower),
+            "trace_upper": alg.trace(face.interval.upper),
             "dimension": face.dimension,
         }
-        if proper:
-            cone = _normal_cone(optuple, face, args)
-            chain = faces.minimal_exposed_chain(
-                optuple, face.interval, args.samples, args.cluster_tol, args.eig_eq_tol
+        if cone is not None:
+            chain = faces._chain_from_cone(
+                optuple,
+                face.interval,
+                cone,
+                args.samples,
+                args.cluster_tol,
+                args.eig_eq_tol,
             )
             entry.update(
                 degree=cone.degree,
@@ -194,10 +207,9 @@ def cmd_corners(optuple, args):
     alg = optuple.algebra
     sharp_list = []
     gap_reports = []
-    for face in _distinct_faces(optuple, args):
-        if not faces._is_proper(optuple, face.interval):
+    for face, cone in _face_pass(optuple, args):
+        if cone is None:
             continue
-        cone = _normal_cone(optuple, face, args)
         handle = faces.FaceHandle(face.interval)
         if cone.degree >= 2:
             sharp_list.append(
@@ -220,10 +232,9 @@ def cmd_corners(optuple, args):
 
 def cmd_center(optuple, args):
     reports = []
-    for face in _distinct_faces(optuple, args):
-        if not faces._is_proper(optuple, face.interval):
+    for face, cone in _face_pass(optuple, args):
+        if cone is None:
             continue
-        cone = _normal_cone(optuple, face, args)
         handle = faces.FaceHandle(face.interval)
         reports.append(structure.detect_central(optuple, handle, cone))
     payload = structure.report_json(central_reports=reports)

@@ -27,18 +27,16 @@ from .errors import (
     MinimalFaceError,
 )
 from .scale import face_dimension
-from .spectral import OrderInterval, SpectralPair
+from .spectral import PROJECTION_TOL, OrderInterval, SpectralPair
 
-PROJ_ORDER_TOL = 1e-8
 CUT_TRACE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class FaceHandle:
-    """An order interval naming a face, with its complex when known."""
+    """An order interval naming a face."""
 
     interval: OrderInterval
-    complex: object = None
 
     @property
     def lower(self):
@@ -79,37 +77,35 @@ class NormalConeSample:
     exact: bool
 
 
-def in_generated_algebra(optuple, op, basis=None, tol=1e-6):
+def in_generated_algebra(optuple, op, basis=None):
     """Whether ``op`` lies in the algebra generated by the tuple.
 
-    Expands against a trace-orthonormal basis and measures the residual;
-    face endpoint projections always pass since interval projections are
-    polynomials in the ``b_t`` they come from.
+    Expands against a trace-orthonormal basis and bounds the residual's
+    entries by 1e-6; face endpoint projections always pass since interval
+    projections are polynomials in the ``b_t`` they come from.
     """
     if basis is None:
         basis = algebra.generated_algebra_basis(optuple)
     stacks = [np.array(per_block) for per_block in zip(*(e.blocks for e in basis))]
     residual = algebra._span_residual(optuple.algebra, stacks, op.blocks)
-    return max_norm(algebra._raw(residual)) <= tol
+    return max_norm(algebra._raw(residual)) <= 1e-6
 
 
-def intervals_equal(a, b, tol=PROJ_ORDER_TOL):
-    return (
-        max_norm(a.lower - b.lower) <= tol and max_norm(a.upper - b.upper) <= tol
-    )
+def intervals_equal(a, b):
+    ends = ((a.lower, b.lower), (a.upper, b.upper))
+    return all(max_norm(x - y) <= PROJECTION_TOL for x, y in ends)
 
 
-def interval_contains(outer, inner, tol=PROJ_ORDER_TOL):
+def interval_contains(outer, inner):
     """``outer.lower <= inner.lower <= inner.upper <= outer.upper``."""
     return spectral.projection_leq(
-        outer.lower, inner.lower, tol
-    ) and spectral.projection_leq(inner.upper, outer.upper, tol)
+        outer.lower, inner.lower
+    ) and spectral.projection_leq(inner.upper, outer.upper)
 
 
-def _is_proper(optuple, interval, tol=PROJ_ORDER_TOL):
-    one = optuple.algebra.identity()
-    whole = max_norm(interval.lower) <= tol and max_norm(interval.upper - one) <= tol
-    return not whole
+def _is_proper(optuple, interval):
+    gaps = (interval.lower, interval.upper - optuple.algebra.identity())
+    return not all(max_norm(g) <= PROJECTION_TOL for g in gaps)
 
 
 def _require_proper(optuple, interval):
@@ -195,10 +191,10 @@ def face_from_complex(optuple, fcomplex):
         q_minus = q_minus + level.q_minus
     q_plus = q_minus + fcomplex.levels[-1].r
     interval = OrderInterval(q_minus, q_plus)
-    return FaceHandle(interval=interval, complex=fcomplex)
+    return FaceHandle(interval=interval)
 
 
-def _commutant_directions(optuple, interval, tol=1e-9):
+def _commutant_directions(optuple, interval):
     """Orthonormal basis of ``{t : [b_t, q_minus] = [b_t, q_plus] = 0}``.
 
     Commutation with both endpoints is necessary for ``(-s, t)`` to
@@ -223,12 +219,12 @@ def _commutant_directions(optuple, interval, tol=1e-9):
     _, svals, vt = np.linalg.svd(mat, full_matrices=True)
     scale_ref = max(1.0, float(svals[0]) if len(svals) else 1.0)
     null_mask = np.ones(optuple.n, dtype=bool)
-    null_mask[: len(svals)] = svals <= tol * scale_ref
+    null_mask[: len(svals)] = svals <= 1e-9 * scale_ref
     if null_mask.all():
         return np.eye(optuple.n)
     basis = vt[null_mask]
     mags = np.abs(basis)
-    lead = np.argmax(mags >= mags.max(axis=1, keepdims=True) - tol, axis=1)
+    lead = np.argmax(mags >= mags.max(axis=1, keepdims=True) - 1e-9, axis=1)
     return basis * np.sign(basis[np.arange(len(basis)), lead])[:, None]
 
 
@@ -279,11 +275,7 @@ def normal_cone(
     ):
         for s in frame.levels:
             cand = spectral.interval_from_spectrum(alg, frame.info, s, frame.eff_tol)
-            if spectral.projection_leq(
-                cand.lower, interval.lower, PROJ_ORDER_TOL
-            ) and spectral.projection_leq(
-                interval.upper, cand.upper, PROJ_ORDER_TOL
-            ):
+            if interval_contains(cand, interval):
                 normal = np.concatenate(([-s], frame.t))
                 members.append(normal / np.linalg.norm(normal))
                 pairs.append(SpectralPair(s=s, t=frame.t))
@@ -360,6 +352,11 @@ def minimal_exposed_face(
     returned, failing if none does.  Also fails when no member is found.
     """
     cone = normal_cone(optuple, interval, directions, cluster_tol, eig_eq_tol)
+    return _exposed_by_cone(optuple, interval, cone, cluster_tol, eig_eq_tol)
+
+
+def _exposed_by_cone(optuple, interval, cone, cluster_tol, eig_eq_tol):
+    """``minimal_exposed_face`` from the face's sampled normal cone."""
     if not len(cone.members):
         raise MinimalFaceError(
             "no supporting directions found; refine the direction sample"
@@ -404,13 +401,24 @@ def minimal_exposed_chain(
     ambient algebra.  The chain ends when the current exposed face equals
     the target, which takes at most ``n + 1`` levels for a genuine face.
     """
-    _require_proper(optuple, interval)
+    cone = normal_cone(optuple, interval, directions, cluster_tol, eig_eq_tol)
+    return _chain_from_cone(
+        optuple, interval, cone, directions, cluster_tol, eig_eq_tol
+    )
+
+
+def _chain_from_cone(optuple, interval, cone, directions, cluster_tol, eig_eq_tol):
+    """``minimal_exposed_chain`` from the face's sampled normal cone, which
+    serves the first level; each later level samples the cone of its
+    cut-down target."""
     comp = _whole(optuple)
     target = interval
     handles = []
-    for _ in range(optuple.n + 2):
-        exposed = minimal_exposed_face(
-            comp.tuple, target, directions, cluster_tol, eig_eq_tol
+    for level in range(optuple.n + 2):
+        if level:
+            cone = normal_cone(comp.tuple, target, directions, cluster_tol, eig_eq_tol)
+        exposed = _exposed_by_cone(
+            comp.tuple, target, cone, cluster_tol, eig_eq_tol
         ).interval
         lifted = OrderInterval(comp.lift(exposed.lower), comp.lift(exposed.upper))
         handles.append(FaceHandle(interval=lifted))

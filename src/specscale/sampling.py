@@ -36,18 +36,18 @@ def unit_directions(dim, count=DEFAULT_DIRECTIONS):
     return np.concatenate(out, axis=0)
 
 
-def eigenvalue_sweep(values, pad=1.0):
+def eigenvalue_sweep(values):
     """Cut levels hitting every interval projection of a spectrum.
 
     Returns the sorted cluster values themselves, the midpoints of
     consecutive gaps, and one level below the minimum and above the
-    maximum.
+    maximum, each 1 away.
     """
     values = np.sort(np.asarray(values, dtype=float))
-    levels = [values[0] - pad]
+    levels = [values[0] - 1.0]
     for i, v in enumerate(values):
         levels.append(v)
         if i + 1 < len(values):
             levels.append(0.5 * (v + values[i + 1]))
-    levels.append(values[-1] + pad)
+    levels.append(values[-1] + 1.0)
     return np.array(levels)

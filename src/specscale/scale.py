@@ -158,7 +158,7 @@ def sweep_faces(
             yield _face_in_frame(optuple, frame, SpectralPair(s=s, t=frame.t))
 
 
-def scale_dimension(optuple, tol=RELATION_TOL):
+def scale_dimension(optuple):
     """Dimension of the linear span of the scale, with the affine relations.
 
     Relations ``b_t = s 1`` are read off the null space of the Gram matrix
@@ -183,7 +183,7 @@ def scale_dimension(optuple, tol=RELATION_TOL):
             t = v[:, k]
             s = float(traces @ t)
             b_t = algebra.linear_combination(optuple, t)
-            if max_norm(b_t - s * one) <= tol:
+            if max_norm(b_t - s * one) <= RELATION_TOL:
                 relations.append((t, s))
     return ScaleDimension(
         dimension=n + 1 - len(relations), relations=tuple(relations)

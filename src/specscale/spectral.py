@@ -26,7 +26,7 @@ import numpy as np
 
 from . import algebra, sampling
 from .algebra import HermitianOperator, _raw, max_norm
-from .errors import NumericalError, ShapeError
+from .errors import NumericalError, ShapeError, ZeroDirectionError
 
 CLUSTER_TOL = 1e-9
 EIG_EQ_TOL = 1e-8
@@ -41,7 +41,9 @@ class SpectralPair:
     t: np.ndarray
 
     def __post_init__(self):
-        t = algebra.require_direction(self.t)
+        t = np.asarray(self.t, dtype=float).ravel()
+        if np.linalg.norm(t) <= 1e-12:
+            raise ZeroDirectionError("spectral pair needs a nonzero direction t")
         t.flags.writeable = False
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "s", float(self.s))
@@ -233,21 +235,21 @@ class OrderInterval:
         """The projection ``upper - lower``."""
         return self.upper - self.lower
 
-    def is_point(self, tol=PROJECTION_TOL):
-        return max_norm(self.upper - self.lower) <= tol
+    def is_point(self):
+        return max_norm(self.upper - self.lower) <= PROJECTION_TOL
 
 
-def is_projection(p, tol=PROJECTION_TOL):
+def is_projection(p):
     for b in p.blocks:
-        if b.size and float(np.max(np.abs(b @ b - b))) > tol:
+        if b.size and float(np.max(np.abs(b @ b - b))) > PROJECTION_TOL:
             return False
     return True
 
 
-def projection_leq(p, q, tol=PROJECTION_TOL):
-    """Projection order ``p <= q``, tested as ``|pq - p| <= tol``."""
+def projection_leq(p, q):
+    """Projection order ``p <= q``, tested as ``|pq - p| <= PROJECTION_TOL``."""
     return all(
-        float(np.max(np.abs(x @ y - x))) <= tol if x.size else True
+        float(np.max(np.abs(x @ y - x))) <= PROJECTION_TOL if x.size else True
         for x, y in zip(p.blocks, q.blocks)
     )
 

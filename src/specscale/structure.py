@@ -165,10 +165,9 @@ def isolated_extremes_to_center(
     """
     points = cloud.points
     if iso_radius is None:
-        diam = 0.0
-        if len(points) > 1:
-            diffs = points[:, None, :] - points[None, :, :]
-            diam = float(np.sqrt((diffs**2).sum(axis=2)).max())
+        # row by row: an N x N x (n+1) difference array outgrows memory
+        rows = (np.sqrt(((points - p) ** 2).sum(axis=1)).max() for p in points)
+        diam = float(max(rows, default=0.0))
         iso_radius = ISO_RADIUS_FACTOR * max(diam, 1e-12)
     reports = []
     for idx, (point, proj) in enumerate(cloud):
@@ -190,19 +189,18 @@ def isolated_extremes_to_center(
     return reports
 
 
-def abelian_verdict(
-    optuple, directions=sampling.DEFAULT_DIRECTIONS, escalation=2
-):
+def abelian_verdict(optuple, directions=sampling.DEFAULT_DIRECTIONS):
     """Decide abelian-ness geometrically and algebraically.
 
     Geometric side: the extreme point cloud is sampled at two direction
     densities; a finite scale must stabilize, with every projection
     central and the count within the projection count of the generated
     algebra.  Algebraic side: the generators must pairwise commute.  The
-    escalation counts are reported as evidence either way.
+    counts at ``directions`` and ``2 * directions`` are reported as
+    evidence either way.
     """
     first = scale.extreme_point_cloud(optuple, directions)
-    second = scale.extreme_point_cloud(optuple, escalation * directions)
+    second = scale.extreme_point_cloud(optuple, 2 * directions)
     counts = (len(first), len(second))
     basis = generated_algebra_basis(optuple)
     n_dim = len(basis)
@@ -230,8 +228,8 @@ def abelian_verdict(
 
 
 def _f17(x):
-    """``x`` rounded to 17 significant digits, with ``-0.0`` written as ``0.0``."""
-    return float(format(float(x), ".17g")) + 0.0
+    """``x`` as a Python float, with ``-0.0`` written as ``0.0``."""
+    return float(x) + 0.0
 
 
 def report_json(verdict=None, central_reports=None, gap_reports=None):

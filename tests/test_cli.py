@@ -3,6 +3,7 @@ import io
 import json
 import os
 
+import numpy as np
 import pytest
 
 from specscale import fixtures
@@ -390,6 +391,55 @@ def test_tolerance_flags_reach_every_decomposition(
     assert seen["cluster_tol"] and set(seen["cluster_tol"]) == {1e-7}
     if command != "slice":  # water-filling has no equality band
         assert seen["eig_eq_tol"] and set(seen["eig_eq_tol"]) == {1e-6}
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--cluster-tol", "inf"),
+        ("--cluster-tol", "-1e-9"),
+        ("--eig-eq-tol", "nan"),
+        ("--eig-eq-tol", "-inf"),
+        ("--iso-radius", "nan"),
+        ("--iso-radius", "-0.5"),
+    ],
+)
+def test_tolerance_flags_need_finite_nonnegative_values(inputs, capsys, flag, value):
+    argv = ["center", "--input", inputs["commuting"], "--samples", "0"]
+    code, out, err = run(argv + [f"{flag}={value}"], capsys)
+    assert code == 1
+    assert out == ""
+    assert flag in err
+
+
+@pytest.mark.parametrize("samples", ["0", "8"])
+@pytest.mark.parametrize("name", ["commuting", "blockpair"])
+def test_faces_samples_each_cone_once(inputs, capsys, monkeypatch, name, samples):
+    # the chain starts from the cone the face pass sampled, so only
+    # cut-down levels (none here: sweep faces are exposed) sample again
+    from specscale import faces
+    from specscale.algebra import load_tuple
+
+    ambient = load_tuple(inputs[name])
+    original = faces.normal_cone
+    ambient_calls = []
+
+    def counting(optuple, *args, **kwargs):
+        if optuple.algebra.dims == ambient.algebra.dims and all(
+            np.allclose(x, y)
+            for a, b in zip(optuple.operators, ambient.operators)
+            for x, y in zip(a.blocks, b.blocks)
+        ):
+            ambient_calls.append(args[0])
+        return original(optuple, *args, **kwargs)
+
+    monkeypatch.setattr(faces, "normal_cone", counting)
+    code, out, err = run(
+        ["faces", "--input", inputs[name], "--samples", samples], capsys
+    )
+    assert code == 0, err
+    with_cone = [r for r in json.loads(out) if "degree" in r]
+    assert with_cone and len(ambient_calls) == len(with_cone)
 
 
 @pytest.mark.parametrize("samples", ["0", "8", "64"])

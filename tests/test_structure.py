@@ -5,7 +5,7 @@ from specscale import fixtures
 from specscale.algebra import max_norm
 from specscale.errors import DegenerateFaceError
 from specscale.faces import FaceHandle, normal_cone
-from specscale.scale import exposed_face, extreme_point_cloud
+from specscale.scale import ExtremePointCloud, exposed_face, extreme_point_cloud
 from specscale.spectral import OrderInterval, SpectralPair
 from specscale.structure import (
     SAMPLING_INCOMPLETE,
@@ -123,6 +123,25 @@ def test_isolated_extremes_zero_tuple():
     reports = isolated_extremes_to_center(zt, cloud)
     assert len(reports) == 2
     assert all(r.is_central for r in reports)
+
+
+def test_isolated_extremes_diameter_memory_is_linear():
+    # a 3,000-point cloud: the N x N x (n+1) pairwise difference array
+    # alone would take over 200 MB
+    import tracemalloc
+
+    zt = fixtures.zero_tuple(n=2, dim=1)
+    cloud = ExtremePointCloud(zt.n)
+    cloud.points = np.random.default_rng(0).standard_normal((3000, zt.n + 1))
+    cloud.projections = [zt.algebra.identity()] * len(cloud.points)
+    tracemalloc.start()
+    try:
+        reports = isolated_extremes_to_center(zt, cloud)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+    assert reports and all(r.is_central for r in reports)
 
 
 def test_abelian_verdict_commuting(commuting):
