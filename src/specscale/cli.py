@@ -105,19 +105,14 @@ def cmd_support(optuple, args):
         + [f"t{i + 1}" for i in range(n)]
         + ["alpha", "trace_p_minus", "trace_p_plus", "face_dim"]
     )
-    alg = optuple.algebra
     for face in scale.sweep_faces(
         optuple, args.samples, args.cluster_tol, args.eig_eq_tol
     ):
+        trace_minus, trace_plus = face.vertices[:, 0]
         writer.writerow(
             [_f17(face.pair.s)]
             + [_f17(x) for x in face.pair.t]
-            + [
-                _f17(face.alpha),
-                _f17(alg.trace(face.interval.lower)),
-                _f17(alg.trace(face.interval.upper)),
-                face.dimension,
-            ]
+            + [_f17(face.alpha), _f17(trace_minus), _f17(trace_plus), face.dimension]
         )
     _emit(args, "support.csv", buf.getvalue())
 
@@ -143,15 +138,21 @@ def cmd_extremes(optuple, args):
     print(json.dumps(stats), file=sys.stderr)
 
 
-def _face_pass(optuple, args):
+def _face_pass(optuple, args, cloud=None):
     """``(face, cone)`` per distinct sweep face, once the whole sweep has run;
-    each cone is sampled as its face is reached, None for the whole scale."""
+    each cone is sampled as its face is reached, None for the whole scale.
+    A ``cloud`` given gets the extreme points of every swept direction."""
     distinct = []
-    for face in scale.sweep_faces(
+    for frame in scale.sweep_frames(
         optuple, args.samples, args.cluster_tol, args.eig_eq_tol
     ):
-        if not any(faces.intervals_equal(face.interval, f.interval) for f in distinct):
-            distinct.append(face)
+        if cloud is not None:
+            cloud.add_frame(frame)
+        for face in scale.faces_in_frame(frame):
+            if not any(
+                faces.intervals_equal(face.interval, f.interval) for f in distinct
+            ):
+                distinct.append(face)
     for face in distinct:
         cone = None
         if faces._is_proper(optuple, face.interval):
@@ -163,13 +164,13 @@ def _face_pass(optuple, args):
 
 def cmd_faces(optuple, args):
     reports = []
-    alg = optuple.algebra
     for face, cone in _face_pass(optuple, args):
+        trace_lower, trace_upper = face.vertices[:, 0]
         entry = {
             "pair": {"s": face.pair.s, "t": [float(x) for x in face.pair.t]},
             "alpha": face.alpha,
-            "trace_lower": alg.trace(face.interval.lower),
-            "trace_upper": alg.trace(face.interval.upper),
+            "trace_lower": float(trace_lower),
+            "trace_upper": float(trace_upper),
             "dimension": face.dimension,
         }
         if cone is not None:
@@ -204,7 +205,6 @@ def cmd_slice(optuple, args):
 
 
 def cmd_corners(optuple, args):
-    alg = optuple.algebra
     sharp_list = []
     gap_reports = []
     for face, cone in _face_pass(optuple, args):
@@ -212,10 +212,11 @@ def cmd_corners(optuple, args):
             continue
         handle = faces.FaceHandle(face.interval)
         if cone.degree >= 2:
+            trace_lower, trace_upper = face.vertices[:, 0]
             sharp_list.append(
                 {
-                    "trace_lower": structure._f17(alg.trace(face.interval.lower)),
-                    "trace_upper": structure._f17(alg.trace(face.interval.upper)),
+                    "trace_lower": structure._f17(trace_lower),
+                    "trace_upper": structure._f17(trace_upper),
                     "dimension": face.dimension,
                     "degree": cone.degree,
                 }
@@ -232,15 +233,13 @@ def cmd_corners(optuple, args):
 
 def cmd_center(optuple, args):
     reports = []
-    for face, cone in _face_pass(optuple, args):
+    cloud = scale.ExtremePointCloud(optuple.n)
+    for face, cone in _face_pass(optuple, args, cloud):
         if cone is None:
             continue
         handle = faces.FaceHandle(face.interval)
         reports.append(structure.detect_central(optuple, handle, cone))
     payload = structure.report_json(central_reports=reports)
-    cloud = scale.extreme_point_cloud(
-        optuple, args.samples, args.cluster_tol, args.eig_eq_tol
-    )
     isolated = structure.isolated_extremes_to_center(
         optuple, cloud, iso_radius=args.iso_radius
     )

@@ -9,7 +9,8 @@ exposes, and a cut-down of a cut-down is one ``Compression`` of the
 ambient tuple (``Compression.cut``).  The normal cone of a face is
 probed through the order test: ``(-s, t)`` supports the face exactly
 when ``p_minus <= q_minus`` and ``q_plus <= p_plus`` for the interval
-projections of ``b_t`` at ``s``.
+projections of ``b_t`` at ``s``, which the sweep reads per direction off
+the eigenframe of ``b_t`` as prefix and suffix maxima of column norms.
 """
 
 from __future__ import annotations
@@ -261,7 +262,10 @@ def normal_cone(
     (a necessary condition for membership, and what pins down one-ray
     cones exactly); for every ``t`` the cut level sweeps the spectrum of
     ``b_t`` including gap midpoints, which is what picks up multiple
-    supporting levels across a spectral gap.
+    supporting levels across a spectral gap.  The order test
+    ``p_minus <= q_minus``, ``q_plus <= p_plus`` reads the frame's
+    ``order_margins`` at each level's cluster counts, so no candidate
+    interval is built.
     """
     _require_proper(optuple, interval)
     alg = optuple.algebra
@@ -273,12 +277,13 @@ def normal_cone(
         cluster_tol,
         eig_eq_tol,
     ):
-        for s in frame.levels:
-            cand = spectral.interval_from_spectrum(alg, frame.info, s, frame.eff_tol)
-            if interval_contains(cand, interval):
-                normal = np.concatenate(([-s], frame.t))
-                members.append(normal / np.linalg.norm(normal))
-                pairs.append(SpectralPair(s=s, t=frame.t))
+        below, above = frame.info.frame.order_margins(interval.lower, interval.upper)
+        lower, upper = frame.cuts
+        member = (below[lower] <= PROJECTION_TOL) & (above[upper] <= PROJECTION_TOL)
+        for s in frame.levels[member]:
+            normal = np.concatenate(([-s], frame.t))
+            members.append(normal / np.linalg.norm(normal))
+            pairs.append(SpectralPair(s=s, t=frame.t))
     members = np.array(members) if members else np.empty((0, optuple.n + 1))
     degree = int(np.linalg.matrix_rank(members, tol=1e-8)) if len(members) else 0
     exact = False

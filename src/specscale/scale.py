@@ -11,12 +11,18 @@ order interval ``[p_minus, p_plus]`` of the interval projections of
 direction sample therefore enumerates extreme points and exposed faces
 without ever building the body itself.  Each sampled direction is
 decomposed once (``spectral.sweep``) and all of its cut levels are read
-off that one eigenframe.
+off that one eigenframe: a level's interval is a pair of leading cluster
+counts, its endpoints' ``psi`` are rows of the frame's ``psi`` table and
+``alpha`` is ``<(-s, t), row>``, so a sweep builds no d×d projection.
+Extreme clouds keep each projection as such a count in its frame and
+build it as an operator only when a caller reads it.  A rank-one gap is
+a segment, so its face dimension needs no cut-down.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,32 +78,30 @@ class IsotraceSlice:
     points: np.ndarray  # (m, n) cross-section coordinates
 
 
-def _support_in_frame(optuple, frame, s):
-    """Interval projections and support value at level ``s`` of a decomposed
-    direction (a ``spectral.DirectionFrame``)."""
-    alg = optuple.algebra
-    interval = spectral.interval_from_spectrum(alg, frame.info, s, frame.eff_tol)
-    shifted = frame.b_t - s * alg.identity()
-    alpha_plus, alpha_minus = (
-        alg.trace(algebra._raw(algebra.operator_product(shifted, p)))
-        for p in (interval.upper, interval.lower)
-    )
-    gap_weight = alg.trace(interval.upper) - alg.trace(interval.lower)
-    # The two traces agree exactly in exact arithmetic; with s inside the
-    # eigenvalue-equality band they can differ by at most band * gap weight.
+def _support_in_frame(frame, s, lower, upper):
+    """Support value at level ``s`` of a decomposed direction (a
+    ``spectral.DirectionFrame``) whose interval spans the leading
+    ``lower`` and ``upper`` clusters: ``<(-s, t), psi(p)>`` for either
+    endpoint, read off the frame's ``psi`` table."""
+    rows = frame.psi_table[[upper, lower]]
+    alpha_plus, alpha_minus = rows @ np.concatenate(([-s], frame.t))
+    gap_weight = rows[0, 0] - rows[1, 0]
+    # The two agree exactly in exact arithmetic: the difference is the gap
+    # columns' Rayleigh quotients minus s, weighted, and those quotients lie
+    # in the equality band around s.
     if abs(alpha_plus - alpha_minus) > 1e-9 + frame.eff_tol * max(gap_weight, 0.0):
         raise InvariantViolation(
             "support value differs between the two interval projections: "
             f"{alpha_plus!r} vs {alpha_minus!r}"
         )
-    return interval, alpha_plus
+    return float(alpha_plus)
 
 
 def support_value(optuple, pair, cluster_tol=None, eig_eq_tol=None):
     """``tr((b_t - s) p_plus)``: the minimum of ``<(-s,t), x>`` over the scale."""
     frame = spectral.direction_frame(optuple, pair.t, cluster_tol, eig_eq_tol)
-    _, alpha = _support_in_frame(optuple, frame, pair.s)
-    return alpha
+    lower, upper = spectral.cut_clusters(frame.info, pair.s, frame.eff_tol)
+    return _support_in_frame(frame, pair.s, lower, upper)
 
 
 def face_dimension(optuple, interval):
@@ -113,22 +117,25 @@ def face_dimension(optuple, interval):
 
 
 def _range_dimension(optuple, isometries):
+    # a rank-one range cuts down to a one-dimensional algebra, whose
+    # operators are all scalars: its scale is a segment
+    if sum(V.shape[1] for V in isometries) == 1:
+        return 1
     return scale_dimension(Compression(optuple, isometries).tuple).dimension
 
 
-def _face_in_frame(optuple, frame, pair):
-    interval, alpha = _support_in_frame(optuple, frame, pair.s)
-    vertices = np.vstack(
-        [psi(optuple, interval.lower), psi(optuple, interval.upper)]
-    )
+def _face_in_frame(frame, pair, lower, upper):
+    """The exposed face of ``pair`` at a level of ``frame`` whose interval
+    spans the leading ``lower`` and ``upper`` clusters."""
     # the gap's basis is its clusters' eigenvector columns in the frame
-    lower, upper = spectral.cut_clusters(frame.info, pair.s, frame.eff_tol)
     gap = frame.info.frame.columns(lower, upper)
     return ExposedFace(
-        hyperplane=SupportHyperplane(pair=pair, alpha=alpha),
-        interval=interval,
-        vertices=vertices,
-        dimension=_range_dimension(optuple, gap) if lower < upper else 0,
+        hyperplane=SupportHyperplane(
+            pair=pair, alpha=_support_in_frame(frame, pair.s, lower, upper)
+        ),
+        interval=OrderInterval._from_frame(frame.info.frame, lower, upper),
+        vertices=frame.psi_table[[lower, upper]],
+        dimension=_range_dimension(frame.optuple, gap) if lower < upper else 0,
     )
 
 
@@ -140,7 +147,24 @@ def exposed_face(optuple, pair, cluster_tol=None, eig_eq_tol=None):
     projections coincide.
     """
     frame = spectral.direction_frame(optuple, pair.t, cluster_tol, eig_eq_tol)
-    return _face_in_frame(optuple, frame, pair)
+    lower, upper = spectral.cut_clusters(frame.info, pair.s, frame.eff_tol)
+    return _face_in_frame(frame, pair, lower, upper)
+
+
+def sweep_frames(
+    optuple, directions=sampling.DEFAULT_DIRECTIONS, cluster_tol=None, eig_eq_tol=None
+):
+    """One ``spectral.DirectionFrame`` per distinct direction part of a
+    sphere sample (as for ``extreme_point_cloud``)."""
+    return spectral.sweep(
+        optuple, _cloud_t_directions(optuple.n, directions), cluster_tol, eig_eq_tol
+    )
+
+
+def faces_in_frame(frame):
+    """Exposed faces of every sweep level of one decomposed direction."""
+    for s, lower, upper in zip(frame.levels, *frame.cuts):
+        yield _face_in_frame(frame, SpectralPair(s=s, t=frame.t), lower, upper)
 
 
 def sweep_faces(
@@ -151,11 +175,8 @@ def sweep_faces(
     ``directions`` is a sphere sample as for ``extreme_point_cloud``; each
     direction is decomposed once for all of its levels.
     """
-    for frame in spectral.sweep(
-        optuple, _cloud_t_directions(optuple.n, directions), cluster_tol, eig_eq_tol
-    ):
-        for s in frame.levels:
-            yield _face_in_frame(optuple, frame, SpectralPair(s=s, t=frame.t))
+    for frame in sweep_frames(optuple, directions, cluster_tol, eig_eq_tol):
+        yield from faces_in_frame(frame)
 
 
 def scale_dimension(optuple):
@@ -209,31 +230,104 @@ def _cloud_t_directions(n, directions):
     return list(seen.values())
 
 
+class _LeadingRanges(Sequence):
+    """Cloud projections kept as leading ranges ``(frame, count)`` of a
+    ``spectral.SpectralFrame``; item ``i`` is built as an operator when read."""
+
+    def __init__(self):
+        self.sources = []
+
+    def __len__(self):
+        return len(self.sources)
+
+    def __getitem__(self, idx):
+        frame, count = self.sources[idx]
+        return frame.projection(0, count)
+
+    def rank(self, idx):
+        """``Σ Tr`` of projection ``idx``: its column count."""
+        frame, count = self.sources[idx]
+        return int(frame.bounds[count].sum())
+
+
+def _same_projection(a, b):
+    """Whether two leading ranges ``(frame, count)`` span the same
+    projection, to ``PROJECTION_MATCH_TOL`` in max norm.
+
+    Within one frame that is equal counts.  Across frames, a block whose
+    ranks differ has a diagonal entry of the difference at least ``1/d``
+    away from zero, and a block both ranges leave empty or both fill
+    agrees to roundoff; only the other blocks are built and compared.
+    """
+    (fa, ka), (fb, kb) = a, b
+    if fa is fb:
+        return ka == kb
+    ranks = fa.bounds[ka]
+    if not np.array_equal(ranks, fb.bounds[kb]):
+        return False
+    for va, vb, r in zip(fa.vectors, fb.vectors, ranks):
+        if 0 < r < va.shape[1]:
+            x, y = va[:, :r], vb[:, :r]
+            diff = x @ x.conj().T - y @ y.conj().T
+            if float(np.max(np.abs(diff))) > PROJECTION_MATCH_TOL:
+                return False
+    return True
+
+
 class ExtremePointCloud:
-    """Deduplicated extreme points ``psi(p)`` with their projections."""
+    """Deduplicated extreme points ``psi(p)`` with their projections.
+
+    ``points`` fill a buffer that doubles when full.  ``add`` takes each
+    projection as a leading range ``(frame, count)`` of a
+    ``spectral.SpectralFrame``, and ``projections[i]`` builds it as an
+    operator only when read.  A point merges into an earlier one only when
+    the coordinates agree within ``POINT_DEDUP_TOL`` and the projections
+    within ``PROJECTION_MATCH_TOL``.
+    """
 
     def __init__(self, n):
-        self.points = np.empty((0, n + 1))
-        self.projections = []
+        self._buffer = np.empty((16, n + 1))
+        self._size = 0
+        self.projections = _LeadingRanges()
+
+    @property
+    def points(self):
+        return self._buffer[: self._size]
+
+    @points.setter
+    def points(self, points):
+        self._buffer = np.asarray(points, dtype=float)
+        self._size = len(self._buffer)
 
     def add(self, point, projection):
-        if len(self.projections):
-            dist = np.linalg.norm(self.points - point, axis=1)
+        count = self._size
+        if count:
+            dist = np.linalg.norm(self._buffer[:count] - point, axis=1)
             for idx in np.flatnonzero(dist <= POINT_DEDUP_TOL):
-                if (
-                    max_norm(self.projections[idx] - projection)
-                    <= PROJECTION_MATCH_TOL
-                ):
+                if _same_projection(self.projections.sources[idx], projection):
                     return int(idx)
-        self.points = np.vstack([self.points, point])
-        self.projections.append(projection)
-        return len(self.projections) - 1
+        if count == len(self._buffer):
+            self._buffer = np.concatenate([self._buffer, np.empty_like(self._buffer)])
+        self._buffer[count] = point
+        self._size += 1
+        self.projections.sources.append(projection)
+        return count
+
+    def add_frame(self, frame):
+        """Add ``psi(p_minus)`` and ``psi(p_plus)`` of every sweep level of a
+        ``spectral.DirectionFrame``, level by level."""
+        seen = set()  # a repeated count is the same projection, kept or merged
+        for lower, upper in zip(*frame.cuts):
+            for k in (lower, upper):
+                if k not in seen:
+                    seen.add(k)
+                    self.add(frame.psi_table[k], (frame.info.frame, k))
 
     def __len__(self):
         return len(self.projections)
 
     def __iter__(self):
-        return iter(zip(self.points, self.projections))
+        return zip(self.points, self.projections)
 
 
 def extreme_point_cloud(
@@ -247,17 +341,9 @@ def extreme_point_cloud(
     deduplicated; a pair merges only when both the coordinates and the
     projections agree.
     """
-    alg = optuple.algebra
     cloud = ExtremePointCloud(optuple.n)
-    for frame in spectral.sweep(
-        optuple, _cloud_t_directions(optuple.n, directions), cluster_tol, eig_eq_tol
-    ):
-        for s in frame.levels:
-            interval = spectral.interval_from_spectrum(
-                alg, frame.info, s, frame.eff_tol
-            )
-            for p in (interval.lower, interval.upper):
-                cloud.add(psi(optuple, p), p)
+    for frame in sweep_frames(optuple, directions, cluster_tol, eig_eq_tol):
+        cloud.add_frame(frame)
     return cloud
 
 
@@ -314,12 +400,13 @@ def isotrace_slice(optuple, level, resolution=720, cluster_tol=None):
 
 
 def export_extremes_csv(cloud, fh):
-    """Write the cloud as RFC-4180 CSV: x0..xn, projection id and trace."""
+    """Write the cloud as RFC-4180 CSV: x0..xn, projection id and trace
+    (``Σ Tr`` over blocks, the projection's rank)."""
     n_plus_1 = cloud.points.shape[1]
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow([f"x{i}" for i in range(n_plus_1)] + ["proj_id", "proj_trace"])
-    for idx, (point, proj) in enumerate(cloud):
-        trace = float(sum(np.trace(b).real for b in proj.blocks))
+    for idx, point in enumerate(cloud.points):
+        trace = float(cloud.projections.rank(idx))
         writer.writerow(
             [format(x, ".17g") for x in point] + [idx, format(trace, ".17g")]
         )

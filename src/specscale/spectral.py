@@ -9,18 +9,25 @@ separates the closed-interval projection ``p_plus`` (spectrum in
 
 ``decompose`` keeps its eigenframe: every block's ``eigh`` output and,
 per cluster, the range of eigenvector columns it owns.  Clusters take
-consecutive columns of every block, so any spectral projection of the
-operator is one ``V Vᴴ`` product per block over a column range, and is
-built only when asked for.  ``sweep`` yields one decomposed direction at
-a time with all its cut levels, so every level of a direction reads the
-same frame.
+consecutive columns of every block, so a spectral projection onto the
+leading ``k`` clusters is a leading column range of every block, named by
+the count ``k`` alone.  ``sweep`` yields one decomposed direction at a
+time with all its cut levels as such counts, and everything a sweep
+reads off a level comes from the frame without a d×d matrix: ``psi`` and
+the trace of an endpoint are rows of a cumulative table, the support
+value is a dot product with a row, and the order test against a fixed
+interval is a prefix (or suffix) maximum of column norms.  An
+``OrderInterval`` from a frame builds its ``V Vᴴ`` endpoints only when
+they are read as operators.  A frame checks once that its columns are
+orthonormal, which makes every leading range a projection and the ranges
+nested, so frame-backed intervals skip the per-interval checks that
+intervals from outside pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -83,6 +90,49 @@ class SpectralFrame:
             x = np.repeat(coeffs, np.diff(self.bounds[:, j]))
             blocks.append((v * x) @ v.conj().T)
         return _raw(blocks)
+
+    @cached_property
+    def deviation(self):
+        """Per block, ``max|VᴴV - I|``: how far the columns are from orthonormal."""
+        return np.array(
+            [np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() for v in self.vectors]
+        )
+
+    def require_orthonormal(self):
+        """Raise unless every block's ``max|VᴴV - I| <= PROJECTION_TOL``.
+
+        Then every leading column range spans a projection and the ranges
+        are nested, which is what frame-backed intervals do not re-check.
+        """
+        bad = np.flatnonzero(self.deviation > PROJECTION_TOL)
+        if bad.size:
+            j = int(bad[0])
+            raise NumericalError(
+                f"eigenvectors deviate from orthonormal by {self.deviation[j]:.3e}",
+                block=j,
+            )
+
+    def order_margins(self, q_minus, q_plus):
+        """How far each leading range ``p_k`` is from ``p_k <= q_minus`` and
+        from ``q_plus <= p_k``, per cluster count ``k``.
+
+        ``below[k]`` is the largest ``|(1 - q_minus) v|`` over the columns
+        ``v`` of the first ``k`` clusters (a prefix maximum), ``above[k]``
+        the largest ``|q_plus v|`` over the other columns (a suffix
+        maximum); each order holds exactly when its margin is zero.
+        """
+        self.require_orthonormal()
+        below, above = [], []
+        for v, qm, qp, ends in zip(
+            self.vectors, q_minus.blocks, q_plus.blocks, self.bounds.T
+        ):
+            outside = np.linalg.norm(v - qm @ v, axis=0)
+            inside = np.linalg.norm(qp @ v, axis=0)
+            prefix = np.maximum.accumulate(np.concatenate(([0.0], outside)))
+            suffix = np.maximum.accumulate(np.concatenate((inside, [0.0]))[::-1])
+            below.append(prefix[ends])
+            above.append(suffix[::-1][ends])
+        return np.max(below, axis=0), np.max(above, axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,59 +233,114 @@ def equality_band(op, eig_eq_tol=None):
     return _scaled_tol(eig_eq_tol, EIG_EQ_TOL, op)
 
 
-class DirectionFrame(NamedTuple):
-    """One decomposed direction: ``b_t``, its spectrum and equality band."""
+@dataclass(frozen=True, eq=False)
+class DirectionFrame:
+    """One decomposed direction: ``b_t``, its spectrum and equality band,
+    with the sweep levels and what each level reads off the frame."""
 
+    optuple: algebra.OperatorTuple
     t: np.ndarray
     b_t: HermitianOperator
     info: SpectrumInfo
     eff_tol: float
 
-    @property
+    @cached_property
     def levels(self):
         """Cut levels reaching every interval projection of ``b_t``."""
         return sampling.eigenvalue_sweep(self.info.values)
+
+    @cached_property
+    def cuts(self):
+        """Per level, the cluster counts of ``p_minus`` and ``p_plus``."""
+        return cut_clusters(self.info, self.levels, self.eff_tol)
+
+    @cached_property
+    def psi_table(self):
+        """Row ``k`` is ``psi`` of the projection onto the leading ``k``
+        clusters, its trace first.
+
+        Column ``v`` of block ``j`` contributes ``c_j (|v|², v*b_1v, …,
+        v*b_nv)``; a leading range is a prefix of every block's columns,
+        so row ``k`` sums the blocks' prefix sums at ``bounds[k]``.
+        """
+        frame = self.info.frame
+        frame.require_orthonormal()
+        ops = self.optuple.operators
+        table = 0.0
+        for j, (v, c) in enumerate(zip(frame.vectors, self.optuple.algebra.weights)):
+            per_column = [np.sum(np.abs(v) ** 2, axis=0)]
+            per_column += [
+                np.sum(v.conj() * (b.blocks[j] @ v), axis=0).real for b in ops
+            ]
+            prefix = np.zeros((v.shape[1] + 1, len(ops) + 1))
+            np.cumsum(c * np.transpose(per_column), axis=0, out=prefix[1:])
+            table = table + prefix[frame.bounds[:, j]]
+        return table
 
 
 def direction_frame(optuple, t, cluster_tol=None, eig_eq_tol=None):
     """Build ``b_t`` and decompose it once."""
     b_t = algebra.linear_combination(optuple, t)
     info = decompose(optuple.algebra, b_t, cluster_tol=cluster_tol)
-    return DirectionFrame(t, b_t, info, equality_band(b_t, eig_eq_tol))
+    return DirectionFrame(optuple, t, b_t, info, equality_band(b_t, eig_eq_tol))
 
 
 def sweep(optuple, directions, cluster_tol=None, eig_eq_tol=None):
     """Yield one ``DirectionFrame`` per direction part ``t``.
 
     Each direction is decomposed once; its ``levels`` hit every interval
-    projection of ``b_t``, all read off the same frame by
-    ``interval_from_spectrum``.
+    projection of ``b_t``, all read off the same frame.
     """
     for t in directions:
         yield direction_frame(optuple, t, cluster_tol, eig_eq_tol)
 
 
-@dataclass(frozen=True)
 class OrderInterval:
-    """A pair of projections ``lower <= upper`` naming a face candidate."""
+    """A pair of projections ``lower <= upper`` naming a face candidate.
 
-    lower: HermitianOperator
-    upper: HermitianOperator
+    The constructor is the checked path, for projections from outside: both
+    must pass ``is_projection`` and be ordered by ``projection_leq``.
+    ``_from_frame`` is the unchecked path for leading cluster ranges of a
+    ``SpectralFrame``, whose frame vouches for both; their ``lower`` and
+    ``upper`` are built as operators on first read.
+    """
 
-    def __post_init__(self):
-        if self.lower.dims != self.upper.dims:
+    def __init__(self, lower, upper):
+        if lower.dims != upper.dims:
             raise ShapeError("interval endpoints live in different algebras")
-        for name, p in (("lower", self.lower), ("upper", self.upper)):
+        for name, p in (("lower", lower), ("upper", upper)):
             if not is_projection(p):
                 raise ShapeError(f"{name} endpoint is not a projection")
-        if not projection_leq(self.lower, self.upper):
+        if not projection_leq(lower, upper):
             raise ShapeError("interval endpoints are not ordered")
+        self.lower, self.upper = lower, upper
+        self._frame = self._counts = None
+
+    @classmethod
+    def _from_frame(cls, frame, lower, upper):
+        """The interval of the leading ``lower`` and ``upper`` clusters of
+        ``frame``, with no per-interval check."""
+        frame.require_orthonormal()
+        interval = object.__new__(cls)
+        interval._frame, interval._counts = frame, (lower, upper)
+        return interval
+
+    @cached_property
+    def upper(self):
+        return self._frame.projection(0, self._counts[1])
+
+    @cached_property
+    def lower(self):
+        lower, upper = self._counts
+        return self.upper if lower == upper else self._frame.projection(0, lower)
 
     def gap(self):
         """The projection ``upper - lower``."""
         return self.upper - self.lower
 
     def is_point(self):
+        if self._frame is not None:
+            return self._counts[0] == self._counts[1]
         return max_norm(self.upper - self.lower) <= PROJECTION_TOL
 
 
@@ -255,10 +360,13 @@ def projection_leq(p, q):
 
 
 def cut_clusters(info, s, eff_tol):
-    """How many leading clusters ``p_minus`` and ``p_plus`` span at level ``s``:
-    those below ``s``, and those at most ``s``, within the equality band."""
-    lower = int(np.count_nonzero(info.values < s - eff_tol))
-    return lower, int(np.count_nonzero(info.values <= s + eff_tol))
+    """How many leading clusters ``p_minus`` and ``p_plus`` span at level
+    ``s`` (or at each of an array of levels): those below ``s``, and those
+    at most ``s``, within the equality band."""
+    return (
+        np.searchsorted(info.values, s - eff_tol, side="left"),
+        np.searchsorted(info.values, s + eff_tol, side="right"),
+    )
 
 
 def interval_from_spectrum(alg, info, s, eff_tol):
@@ -266,15 +374,13 @@ def interval_from_spectrum(alg, info, s, eff_tol):
 
     ``eff_tol`` is the already-scaled equality band deciding whether a
     cluster sitting at ``s`` belongs to the closed-interval projection.
-    Both endpoints are spans of leading clusters, so each is one ``V Vᴴ``
-    product per block over a leading column range of ``info``'s frame.
+    Both endpoints are spans of leading clusters of ``info``'s frame, so
+    the interval comes from the frame and builds no projection until its
+    endpoints are read.
     """
     if len(info.frame.vectors) != len(alg.dims):
         raise ShapeError("spectrum was decomposed in a different algebra")
-    lower, upper = cut_clusters(info, s, eff_tol)
-    p_plus = info.frame.projection(0, upper)
-    p_minus = p_plus if lower == upper else info.frame.projection(0, lower)
-    return OrderInterval(p_minus, p_plus)
+    return OrderInterval._from_frame(info.frame, *cut_clusters(info, s, eff_tol))
 
 
 def interval_projections_of(alg, b_op, s, cluster_tol=None, eig_eq_tol=None):

@@ -159,8 +159,9 @@ def isolated_extremes_to_center(
 
     A point is isolated when no other cloud point lies within
     ``iso_radius`` (default: 1e-3 of the cloud diameter).  Centrality is
-    checked algebraically per point.  With ``certified_complete`` the
-    converse is enforced too: a central projection imaging to a
+    checked algebraically per isolated point, so only their projections
+    are built.  With ``certified_complete`` the converse is enforced too,
+    which measures every point: a central projection imaging to a
     non-isolated cloud point is an inconsistency.
     """
     points = cloud.points
@@ -170,10 +171,13 @@ def isolated_extremes_to_center(
         diam = float(max(rows, default=0.0))
         iso_radius = ISO_RADIUS_FACTOR * max(diam, 1e-12)
     reports = []
-    for idx, (point, proj) in enumerate(cloud):
+    for idx, point in enumerate(points):
         dist = np.linalg.norm(points - point, axis=1)
         dist[idx] = np.inf
         isolated = bool(np.all(dist > iso_radius))
+        if not (isolated or certified_complete):
+            continue
+        proj = cloud.projections[idx]
         central = _max_commutator_with_tuple(optuple, proj) <= CENTRAL_TOL
         if isolated:
             reports.append(
@@ -197,10 +201,13 @@ def abelian_verdict(optuple, directions=sampling.DEFAULT_DIRECTIONS):
     central and the count within the projection count of the generated
     algebra.  Algebraic side: the generators must pairwise commute.  The
     counts at ``directions`` and ``2 * directions`` are reported as
-    evidence either way.
+    evidence either way.  With ``directions <= 0`` both densities are the
+    coordinate axes alone, so one cloud serves as both.
     """
     first = scale.extreme_point_cloud(optuple, directions)
-    second = scale.extreme_point_cloud(optuple, 2 * directions)
+    second = (
+        scale.extreme_point_cloud(optuple, 2 * directions) if directions > 0 else first
+    )
     counts = (len(first), len(second))
     basis = generated_algebra_basis(optuple)
     n_dim = len(basis)

@@ -478,3 +478,33 @@ def test_corners_skips_spreads_inside_the_scaled_band(tmp_path, capsys):
     assert code == 0, err
     payload = json.loads(out)
     assert list(payload) == ["gaps", "sharp_faces"]
+
+
+@pytest.mark.parametrize("samples", ["0", "8"])
+@pytest.mark.parametrize("name", ["commuting", "blockpair", "reciprocal"])
+def test_center_fills_its_cloud_from_the_face_sweep(
+    inputs, capsys, monkeypatch, name, samples
+):
+    # the face pass's frames hold every interval the cloud reads, so center
+    # sweeps its directions once, to the same cloud extreme_point_cloud builds
+    from specscale import scale
+    from specscale.algebra import load_tuple
+    from specscale.structure import isolated_extremes_to_center
+
+    optuple = load_tuple(inputs[name])
+    cloud = scale.extreme_point_cloud(optuple, int(samples))
+    want = [
+        [float(x) + 0.0 for x in r.point]
+        for r in isolated_extremes_to_center(optuple, cloud)
+    ]
+
+    def unused(*args, **kwargs):
+        raise AssertionError("center reads its cloud off the face sweep")
+
+    monkeypatch.setattr(scale, "extreme_point_cloud", unused)
+    code, out, _ = run(
+        ["center", "--input", inputs[name], "--samples", samples], capsys
+    )
+    assert code == 0
+    got = [entry["point"] for entry in json.loads(out)["isolated_extreme_points"]]
+    assert got == want and want

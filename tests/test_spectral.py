@@ -358,3 +358,165 @@ def test_sweep_face_dimension_matches_projection_built(index):
         assert face.dimension == face_dimension(optuple, face.interval)
         dims.append(face.dimension)
     assert max(dims) >= 1
+
+
+# ------------------------------------------------- frame-backed intervals
+
+
+def _frame_tuples():
+    """Two-operator tuples on every frame case (random blocks, 40 repeated
+    1x1 blocks, the 1e-9 chain), the second operator random; on the 1x1
+    blocks it takes three values, so mixed directions repeat eigenvalues
+    too."""
+    rng = np.random.default_rng(31)
+    out = []
+    for alg, a in _frame_cases():
+        if all(d == 1 for d in alg.dims):
+            b = alg.diagonal(rng.choice([-1.0, 0.0, 1.0], size=len(alg.dims)))
+        else:
+            b = _raw(
+                [_random_hermitian(rng, d, rng.standard_normal(d)) for d in alg.dims]
+            )
+        out.append(OperatorTuple(alg, (a, b)))
+    return out
+
+
+def _frames(optuple):
+    from specscale.scale import _cloud_t_directions
+    from specscale.spectral import sweep
+
+    return sweep(optuple, _cloud_t_directions(optuple.n, 6))
+
+
+@pytest.mark.parametrize("case", range(len(_frame_cases())))
+def test_frame_intervals_are_ordered_projections(case):
+    optuple = _frame_tuples()[case]
+    for frame in _frames(optuple):
+        for lower, upper in zip(*frame.cuts):
+            interval = OrderInterval._from_frame(frame.info.frame, lower, upper)
+            assert is_projection(interval.lower) and is_projection(interval.upper)
+            assert projection_leq(interval.lower, interval.upper)
+            assert interval.is_point() == (max_norm(interval.gap()) <= 1e-8)
+
+
+@pytest.mark.parametrize("case", range(len(_frame_cases())))
+def test_psi_table_matches_the_built_endpoints(case):
+    from specscale.algebra import operator_product, psi
+    from specscale.scale import _support_in_frame
+
+    optuple = _frame_tuples()[case]
+    alg = optuple.algebra
+    for frame in _frames(optuple):
+        for s, lower, upper in zip(frame.levels, *frame.cuts):
+            interval = OrderInterval._from_frame(frame.info.frame, lower, upper)
+            normal = np.concatenate(([-s], frame.t))
+            shifted = frame.b_t - s * alg.identity()
+            alphas = []
+            for k, p in ((lower, interval.lower), (upper, interval.upper)):
+                row = frame.psi_table[k]
+                np.testing.assert_allclose(row, psi(optuple, p), rtol=0, atol=1e-12)
+                assert abs(row[0] - alg.trace(p)) <= 1e-12
+                alphas.append(alg.trace(_raw(operator_product(shifted, p))))
+                assert abs(row @ normal - alphas[-1]) <= 1e-12
+            alpha = _support_in_frame(frame, s, lower, upper)
+            assert abs(alpha - alphas[1]) <= 1e-12
+
+
+def _distinct_proper_faces(optuple, directions):
+    from specscale.faces import _is_proper, intervals_equal
+    from specscale.scale import sweep_faces
+
+    distinct = []
+    for face in sweep_faces(optuple, directions):
+        if not any(intervals_equal(face.interval, f.interval) for f in distinct):
+            distinct.append(face)
+    return [f.interval for f in distinct if _is_proper(optuple, f.interval)]
+
+
+@pytest.mark.parametrize(
+    "name", ["reciprocal8", "two_point", "pauli", "commuting", "blockpair"]
+)
+def test_frame_order_test_matches_interval_contains(name, request):
+    # every level of every normal cone the face pass samples at 8 directions
+    from specscale.faces import _candidate_directions, interval_contains
+    from specscale.spectral import PROJECTION_TOL, sweep
+
+    optuple = request.getfixturevalue(name)
+    verdicts = []
+    for interval in _distinct_proper_faces(optuple, 8):
+        for frame in sweep(optuple, _candidate_directions(optuple, interval, 8)):
+            spectral_frame = frame.info.frame
+            below, above = spectral_frame.order_margins(interval.lower, interval.upper)
+            for lower, upper in zip(*frame.cuts):
+                by_frame = max(below[lower], above[upper]) <= PROJECTION_TOL
+                candidate = OrderInterval._from_frame(spectral_frame, lower, upper)
+                built = interval_contains(candidate, interval)
+                assert by_frame == built
+                verdicts.append(built)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_non_orthonormal_frame_raises():
+    from specscale.errors import NumericalError
+    from specscale.spectral import SpectralFrame
+
+    alg, a = _frame_cases()[0]
+    frame = decompose(alg, a).frame
+    frame.require_orthonormal()
+    vectors = list(frame.vectors)
+    vectors[2] = vectors[2].copy()
+    vectors[2][:, 1] *= 1.0 + 1e-6
+    bad = SpectralFrame(tuple(vectors), frame.bounds)
+    with pytest.raises(NumericalError, match="block 2"):
+        OrderInterval._from_frame(bad, 0, 1)
+    one = alg.identity()
+    with pytest.raises(NumericalError):
+        bad.order_margins(one, one)
+
+
+def test_shifted_cluster_bound_trips_the_support_check():
+    from specscale.errors import InvariantViolation
+    from specscale.scale import _support_in_frame
+    from specscale.spectral import (
+        DirectionFrame,
+        SpectralFrame,
+        SpectrumInfo,
+        cut_clusters,
+        direction_frame,
+    )
+
+    optuple = _frame_tuples()[0]
+    frame = direction_frame(optuple, np.array([1.0, 0.0]))
+    bounds = frame.info.frame.bounds
+    # a cluster k whose successor owns a column of block 0
+    k = next(k for k in range(len(bounds) - 2) if bounds[k + 1, 0] < bounds[k + 2, 0])
+    s = frame.info.values[k]
+    assert tuple(cut_clusters(frame.info, s, frame.eff_tol)) == (k, k + 1)
+    _support_in_frame(frame, s, k, k + 1)
+    shifted_bounds = bounds.copy()
+    shifted_bounds[k + 1, 0] += 1  # cluster k takes its successor's column
+    info = SpectrumInfo(
+        frame.info.clusters,
+        frame.info.values,
+        SpectralFrame(frame.info.frame.vectors, shifted_bounds),
+    )
+    shifted = DirectionFrame(optuple, frame.t, frame.b_t, info, frame.eff_tol)
+    with pytest.raises(InvariantViolation):
+        _support_in_frame(shifted, s, k, k + 1)
+
+
+@pytest.mark.parametrize("case", range(len(_frame_cases())))
+def test_rank_one_gaps_cut_down_to_a_segment(case):
+    # what lets scale._range_dimension answer 1 for them unmeasured
+    from specscale.algebra import Compression
+    from specscale.scale import scale_dimension
+
+    optuple = _frame_tuples()[case]
+    seen = 0
+    for frame in _frames(optuple):
+        for lower, upper in zip(*frame.cuts):
+            gap = frame.info.frame.columns(lower, upper)
+            if sum(g.shape[1] for g in gap) == 1:
+                seen += 1
+                assert scale_dimension(Compression(optuple, gap).tuple).dimension == 1
+    assert seen

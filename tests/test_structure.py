@@ -179,3 +179,40 @@ def test_report_json_schema(commuting):
     assert set(payload) == {
         "abelian", "extreme_count", "n_dim", "cloud_counts", "max_commutator"
     }
+
+
+def test_abelian_verdict_at_zero_directions_builds_one_cloud(commuting, monkeypatch):
+    # 2 * 0 = 0: the "second" density is the first one
+    from specscale import scale
+
+    calls = []
+    original = scale.extreme_point_cloud
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scale, "extreme_point_cloud", counting)
+    verdict = abelian_verdict(commuting, directions=0)
+    assert calls == [(0,)]
+    assert verdict.cloud_counts == (8, 8)
+    calls.clear()
+    assert abelian_verdict(commuting, directions=4).cloud_counts[1] >= 8
+    assert calls == [(4,), (8,)]
+
+
+def test_isolated_extremes_build_only_isolated_projections(pauli):
+    cloud = extreme_point_cloud(pauli, 64)
+    read = []
+
+    class Counting(list):
+        def __getitem__(self, idx):
+            read.append(idx)
+            return super().__getitem__(idx)
+
+    cloud.projections = Counting(cloud.projections)
+    reports = isolated_extremes_to_center(pauli, cloud, iso_radius=0.05)
+    assert 0 < len(read) == len(reports) < len(cloud)
+    read.clear()
+    isolated_extremes_to_center(pauli, cloud, iso_radius=0.05, certified_complete=True)
+    assert sorted(read) == list(range(len(cloud)))
