@@ -358,17 +358,6 @@ class Compression:
         )
         self.tuple = OperatorTuple(sub_alg, tuple(map(self.restrict, parent.operators)))
 
-    @staticmethod
-    def range_isometries(r):
-        """Per block, an orthonormal basis of the range of the projection ``r``."""
-        isometries = []
-        for j, rb in enumerate(r.blocks):
-            w, v = np.linalg.eigh(rb)
-            if np.any((w > 1e-6) & (w < 1.0 - 1e-6)):
-                raise ShapeError(f"block {j} of r is not a projection")
-            isometries.append(v[:, w > 1.0 - 1e-6])
-        return isometries
-
     @cached_property
     def lower(self):
         # zero unless given; built on first use, as sweep levels never use it
@@ -383,7 +372,7 @@ class Compression:
         """Cut-down of the parent by an order interval in these coordinates:
         the isometries compose (``V W``) and ``interval.lower`` is lifted."""
         lower = self.lift(interval.lower)
-        inner = self.range_isometries(interval.gap())
+        inner = interval.columns("gap")
         isometries = list(self.isometries)
         for local, j in enumerate(self.kept_blocks):
             isometries[j] = isometries[j] @ inner[local]

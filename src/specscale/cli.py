@@ -38,15 +38,23 @@ def _f17(x):
     return format(float(x), ".17g")
 
 
-def _tolerance(text):
-    """A finite value ``>= 0``, for the tolerance flags."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"need a finite value >= 0, got {text!r}")
-    return value
+def _at_least_zero(convert, what):
+    """An argument type: ``convert(text)``, finite and ``>= 0``."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"need {what} >= 0, got {text!r}")
+        return value
+
+    return parse
+
+
+_tolerance = _at_least_zero(float, "a finite value")
+_count = _at_least_zero(int, "an integer")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,7 +71,7 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="tuple JSON file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--samples", type=int, default=256)
+        p.add_argument("--samples", type=_count, default=256)
         seed_help = "unit-ball sample seed; used only by extremes --format obj"
         p.add_argument("--seed", type=int, default=0, help=seed_help)
         p.add_argument("--cluster-tol", type=_tolerance, default=None)

@@ -1,13 +1,15 @@
 """Recursive facial calculus: cut-downs, facial complexes, normal cones.
 
 A face of the scale is named by an order interval ``[q_minus, q_plus]``
-of projections.  Faces of positive dimension are scales in their own
-right once the tuple is cut down to the range of ``q_plus - q_minus``
-with the trace rescaled (``cut_down``, an ``algebra.Compression``);
-iterating that cut-down is what reaches faces no single hyperplane
-exposes, and a cut-down of a cut-down is one ``Compression`` of the
-ambient tuple (``Compression.cut``).  The normal cone of a face is
-probed through the order test: ``(-s, t)`` supports the face exactly
+of projections, held as two leading ranges of a spectral frame.  Faces
+of positive dimension are scales in their own right once the tuple is
+cut down to the range of ``q_plus - q_minus``, whose basis is the
+interval's gap columns, with the trace rescaled (``cut_down``, an
+``algebra.Compression``); iterating that cut-down is what reaches faces
+no single hyperplane exposes, and a cut-down of a cut-down is one
+``Compression`` of the ambient tuple (``Compression.cut``); equality
+and properness of faces compare ranks first.  The normal cone of a face
+is probed through the order test: ``(-s, t)`` supports the face exactly
 when ``p_minus <= q_minus`` and ``q_plus <= p_plus`` for the interval
 projections of ``b_t`` at ``s``, which the sweep reads per direction off
 the eigenframe of ``b_t`` as prefix and suffix maxima of column norms.
@@ -29,8 +31,6 @@ from .errors import (
 )
 from .scale import face_dimension
 from .spectral import PROJECTION_TOL, OrderInterval, SpectralPair
-
-CUT_TRACE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,10 @@ def in_generated_algebra(optuple, op, basis=None):
 
 
 def intervals_equal(a, b):
-    ends = ((a.lower, b.lower), (a.upper, b.upper))
-    return all(max_norm(x - y) <= PROJECTION_TOL for x, y in ends)
+    """Both endpoints span the same projections, to ``PROJECTION_TOL``."""
+    return all(
+        spectral.same_range(x, y, PROJECTION_TOL) for x, y in zip(a.ends, b.ends)
+    )
 
 
 def interval_contains(outer, inner):
@@ -105,8 +107,9 @@ def interval_contains(outer, inner):
 
 
 def _is_proper(optuple, interval):
-    gaps = (interval.lower, interval.upper - optuple.algebra.identity())
-    return not all(max_norm(g) <= PROJECTION_TOL for g in gaps)
+    """Not the whole scale: ``lower`` has some rank or ``upper`` is not full."""
+    lower, upper = interval.frame.bounds[list(interval.counts)]
+    return bool(lower.any()) or not np.array_equal(upper, optuple.algebra.dims)
 
 
 def _require_proper(optuple, interval):
@@ -123,12 +126,11 @@ def cut_down(optuple, interval):
     over a normalized trace, so all the scale machinery applies to it
     directly, and ``lift`` maps it back onto the face.
     """
-    r = interval.gap()
-    if optuple.algebra.trace(r) <= CUT_TRACE_TOL:
+    if interval.is_point():
         raise DegenerateFaceError(
             "face is an extreme point; there is nothing to cut down to"
         )
-    return Compression(optuple, Compression.range_isometries(r), interval.lower)
+    return Compression(optuple, interval.columns("gap"), interval.lower)
 
 
 def _whole(optuple):
@@ -153,22 +155,15 @@ def build_facial_complex(optuple, pairs, cluster_tol=None, eig_eq_tol=None):
     terminated = False
     term_level = None
     for i, pair in enumerate(pairs):
-        current = comp.tuple.algebra
-        b_cut = comp.restrict(algebra.linear_combination(optuple, pair.t))
-        interval = spectral.interval_projections_of(
-            current,
-            b_cut,
-            pair.s,
-            cluster_tol=cluster_tol,
-            eig_eq_tol=eig_eq_tol,
+        interval = spectral.interval_projections(
+            comp.tuple, pair, cluster_tol=cluster_tol, eig_eq_tol=eig_eq_tol
         )
-        r_local = interval.gap()
         levels.append(
-            ComplexLevel(pair, comp.embed(interval.lower), comp.embed(r_local))
+            ComplexLevel(pair, comp.embed(interval.lower), comp.embed(interval.gap()))
         )
         if i + 1 == len(pairs):
             break
-        if current.trace(r_local) <= CUT_TRACE_TOL:
+        if interval.is_point():
             terminated = True
             term_level = i + 1
             break
@@ -234,18 +229,9 @@ def _candidate_directions(optuple, interval, directions):
     if basis.shape[0] == 0:
         return []
     raw = scale._cloud_t_directions(optuple.n, directions)
-    seen = {}
-    for t in list(basis) + raw:
-        proj = basis.T @ (basis @ t)
-        norm = np.linalg.norm(proj)
-        if norm <= 1e-9:
-            continue
-        proj = proj / norm
-        for cand in (proj, -proj):
-            key = tuple(np.round(cand, 9))
-            if key not in seen:
-                seen[key] = cand
-    return list(seen.values())
+    projected = (basis.T @ (basis @ t) for t in list(basis) + raw)
+    # (-p)/|p| is -(p/|p|) bit for bit: both signs are exact negatives
+    return sampling.distinct_unit_vectors(x for p in projected for x in (p, -p))
 
 
 def normal_cone(
@@ -317,9 +303,9 @@ def block_decomposition_checks(optuple, interval, pair):
         "commutator_lower": algebra.commutator_norm(b_t, q_minus),
         "commutator_upper": algebra.commutator_norm(b_t, q_plus),
     }
-    lower_eigs = _restricted_eigs(b_t, q_minus)
+    lower_eigs = _restricted_eigs(b_t, interval.columns("lower"))
     out["lower_excess"] = max(float(lower_eigs.max(initial=-np.inf)) - s, 0.0)
-    upper_eigs = _restricted_eigs(b_t, optuple.algebra.identity() - q_plus)
+    upper_eigs = _restricted_eigs(b_t, interval.columns("above"))
     out["upper_deficit"] = max(s - float(upper_eigs.min(initial=np.inf)), 0.0)
     mid = [
         rb @ bb @ rb - s * rb for rb, bb in zip(r.blocks, b_t.blocks)
@@ -330,13 +316,10 @@ def block_decomposition_checks(optuple, interval, pair):
     return out
 
 
-def _restricted_eigs(op, proj):
-    """Eigenvalues of ``op`` compressed to the range of ``proj``."""
+def _restricted_eigs(op, columns):
+    """Eigenvalues of ``op`` compressed to the span of per-block ``columns``."""
     return np.concatenate(
-        [
-            np.linalg.eigvalsh(V.conj().T @ ob @ V)
-            for V, ob in zip(Compression.range_isometries(proj), op.blocks)
-        ]
+        [np.linalg.eigvalsh(V.conj().T @ ob @ V) for V, ob in zip(columns, op.blocks)]
     )
 
 

@@ -36,6 +36,18 @@ def unit_directions(dim, count=DEFAULT_DIRECTIONS):
     return np.concatenate(out, axis=0)
 
 
+def distinct_unit_vectors(vectors):
+    """``vectors`` normalized, in order, without those of norm ``<= 1e-9``
+    and without repeats of an earlier one to 9 decimals."""
+    seen = {}
+    for v in vectors:
+        norm = np.linalg.norm(v)
+        if norm > 1e-9:
+            unit = v / norm
+            seen.setdefault(tuple(np.round(unit, 9)), unit)
+    return list(seen.values())
+
+
 def eigenvalue_sweep(values):
     """Cut levels hitting every interval projection of a spectrum.
 

@@ -14,9 +14,11 @@ decomposed once (``spectral.sweep``) and all of its cut levels are read
 off that one eigenframe: a level's interval is a pair of leading cluster
 counts, its endpoints' ``psi`` are rows of the frame's ``psi`` table and
 ``alpha`` is ``<(-s, t), row>``, so a sweep builds no d×d projection.
-Extreme clouds keep each projection as such a count in its frame and
-build it as an operator only when a caller reads it.  A rank-one gap is
-a segment, so its face dimension needs no cut-down.
+A face's dimension is read off its interval's gap columns, and a
+rank-one gap is a segment, which needs no cut-down.  Extreme clouds keep
+each projection as a leading range ``(frame, count)``, merge two ranges
+by ``spectral.same_range`` and build a projection as an operator only
+when a caller reads it.
 """
 
 from __future__ import annotations
@@ -113,29 +115,25 @@ def face_dimension(optuple, interval):
     """
     if interval.is_point():
         return 0
-    return _range_dimension(optuple, Compression.range_isometries(interval.gap()))
-
-
-def _range_dimension(optuple, isometries):
-    # a rank-one range cuts down to a one-dimensional algebra, whose
+    gap = interval.columns("gap")
+    # a rank-one gap cuts down to a one-dimensional algebra, whose
     # operators are all scalars: its scale is a segment
-    if sum(V.shape[1] for V in isometries) == 1:
+    if sum(V.shape[1] for V in gap) == 1:
         return 1
-    return scale_dimension(Compression(optuple, isometries).tuple).dimension
+    return scale_dimension(Compression(optuple, gap).tuple).dimension
 
 
 def _face_in_frame(frame, pair, lower, upper):
     """The exposed face of ``pair`` at a level of ``frame`` whose interval
     spans the leading ``lower`` and ``upper`` clusters."""
-    # the gap's basis is its clusters' eigenvector columns in the frame
-    gap = frame.info.frame.columns(lower, upper)
+    interval = OrderInterval._from_frame(frame.info.frame, lower, upper)
     return ExposedFace(
         hyperplane=SupportHyperplane(
             pair=pair, alpha=_support_in_frame(frame, pair.s, lower, upper)
         ),
-        interval=OrderInterval._from_frame(frame.info.frame, lower, upper),
+        interval=interval,
         vertices=frame.psi_table[[lower, upper]],
-        dimension=_range_dimension(frame.optuple, gap) if lower < upper else 0,
+        dimension=face_dimension(frame.optuple, interval),
     )
 
 
@@ -217,17 +215,9 @@ def _cloud_t_directions(n, directions):
         dirs = sampling.unit_directions(n + 1, int(directions))
     else:
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    seen = {}
-    for u in dirs:
-        t = u[1:] if u.shape[0] == n + 1 else u
-        norm = np.linalg.norm(t)
-        if norm <= 1e-9:
-            continue
-        t = t / norm
-        key = tuple(np.round(t, 9))
-        if key not in seen:
-            seen[key] = t
-    return list(seen.values())
+    return sampling.distinct_unit_vectors(
+        u[1:] if u.shape[0] == n + 1 else u for u in dirs
+    )
 
 
 class _LeadingRanges(Sequence):
@@ -248,30 +238,6 @@ class _LeadingRanges(Sequence):
         """``Σ Tr`` of projection ``idx``: its column count."""
         frame, count = self.sources[idx]
         return int(frame.bounds[count].sum())
-
-
-def _same_projection(a, b):
-    """Whether two leading ranges ``(frame, count)`` span the same
-    projection, to ``PROJECTION_MATCH_TOL`` in max norm.
-
-    Within one frame that is equal counts.  Across frames, a block whose
-    ranks differ has a diagonal entry of the difference at least ``1/d``
-    away from zero, and a block both ranges leave empty or both fill
-    agrees to roundoff; only the other blocks are built and compared.
-    """
-    (fa, ka), (fb, kb) = a, b
-    if fa is fb:
-        return ka == kb
-    ranks = fa.bounds[ka]
-    if not np.array_equal(ranks, fb.bounds[kb]):
-        return False
-    for va, vb, r in zip(fa.vectors, fb.vectors, ranks):
-        if 0 < r < va.shape[1]:
-            x, y = va[:, :r], vb[:, :r]
-            diff = x @ x.conj().T - y @ y.conj().T
-            if float(np.max(np.abs(diff))) > PROJECTION_MATCH_TOL:
-                return False
-    return True
 
 
 class ExtremePointCloud:
@@ -304,7 +270,8 @@ class ExtremePointCloud:
         if count:
             dist = np.linalg.norm(self._buffer[:count] - point, axis=1)
             for idx in np.flatnonzero(dist <= POINT_DEDUP_TOL):
-                if _same_projection(self.projections.sources[idx], projection):
+                source = self.projections.sources[idx]
+                if spectral.same_range(source, projection, PROJECTION_MATCH_TOL):
                     return int(idx)
         if count == len(self._buffer):
             self._buffer = np.concatenate([self._buffer, np.empty_like(self._buffer)])

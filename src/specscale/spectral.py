@@ -16,12 +16,13 @@ time with all its cut levels as such counts, and everything a sweep
 reads off a level comes from the frame without a d×d matrix: ``psi`` and
 the trace of an endpoint are rows of a cumulative table, the support
 value is a dot product with a row, and the order test against a fixed
-interval is a prefix (or suffix) maximum of column norms.  An
-``OrderInterval`` from a frame builds its ``V Vᴴ`` endpoints only when
-they are read as operators.  A frame checks once that its columns are
-orthonormal, which makes every leading range a projection and the ranges
-nested, so frame-backed intervals skip the per-interval checks that
-intervals from outside pass.
+interval is a prefix (or suffix) maximum of column norms.  Every
+``OrderInterval`` is a frame with two leading counts (an interval from
+outside is framed by the eigenvectors of ``lower + upper``), so the bases
+of ``lower``, of the gap and of ``1 - upper`` are column ranges, and two
+ranges compare ranks before any ``V Vᴴ`` is built (``same_range``).  A
+frame checks once that its columns are orthonormal, which makes every
+leading range a projection and the ranges nested.
 """
 
 from __future__ import annotations
@@ -65,8 +66,9 @@ class SpectralFrame:
     """Blockwise eigenvectors with the cluster boundaries among their columns.
 
     ``vectors[j]`` is block ``j``'s eigenvector matrix from ``eigh``, its
-    columns in ascending eigenvalue order; ``bounds[k, j]`` counts the
-    columns of block ``j`` that belong to clusters ``0 .. k-1``.
+    columns in cluster order (ascending eigenvalues for ``decompose``);
+    ``bounds[k, j]`` counts the columns of block ``j`` that belong to
+    clusters ``0 .. k-1``, and the last row counts them all.
     """
 
     vectors: tuple
@@ -104,9 +106,8 @@ class SpectralFrame:
         Then every leading column range spans a projection and the ranges
         are nested, which is what frame-backed intervals do not re-check.
         """
-        bad = np.flatnonzero(self.deviation > PROJECTION_TOL)
-        if bad.size:
-            j = int(bad[0])
+        j = int(np.argmax(self.deviation))  # the worst block
+        if self.deviation[j] > PROJECTION_TOL:
             raise NumericalError(
                 f"eigenvectors deviate from orthonormal by {self.deviation[j]:.3e}",
                 block=j,
@@ -296,13 +297,18 @@ def sweep(optuple, directions, cluster_tol=None, eig_eq_tol=None):
 
 
 class OrderInterval:
-    """A pair of projections ``lower <= upper`` naming a face candidate.
+    """A pair of projections ``lower <= upper`` naming a face candidate,
+    held as the leading ``counts[0]`` and ``counts[1]`` column groups of a
+    ``SpectralFrame``.
 
     The constructor is the checked path, for projections from outside: both
-    must pass ``is_projection`` and be ordered by ``projection_leq``.
-    ``_from_frame`` is the unchecked path for leading cluster ranges of a
-    ``SpectralFrame``, whose frame vouches for both; their ``lower`` and
-    ``upper`` are built as operators on first read.
+    must pass ``is_projection`` and be ordered by ``projection_leq``.  Per
+    block, the eigenvectors of ``lower + upper`` (eigenvalue 2 on
+    ``lower``'s range, 1 on the gap, 0 elsewhere) in descending order,
+    counted at 1.5 and 0.5, frame them, and the caller's operators stay as
+    ``.lower`` and ``.upper``.  ``_from_frame`` is the unchecked path for
+    leading cluster ranges of a frame, which vouches for both; their
+    ``lower`` and ``upper`` are built as operators on first read.
     """
 
     def __init__(self, lower, upper):
@@ -313,8 +319,14 @@ class OrderInterval:
                 raise ShapeError(f"{name} endpoint is not a projection")
         if not projection_leq(lower, upper):
             raise ShapeError("interval endpoints are not ordered")
+        vectors, bounds = [], []
+        for x, y in zip(lower.blocks, upper.blocks):
+            w, v = np.linalg.eigh(x + y)
+            vectors.append(v[:, ::-1])
+            bounds.append((0, np.sum(w > 1.5), np.sum(w > 0.5), len(w)))
+        self.frame = SpectralFrame(tuple(vectors), np.array(bounds).T)
+        self.counts = (1, 2)
         self.lower, self.upper = lower, upper
-        self._frame = self._counts = None
 
     @classmethod
     def _from_frame(cls, frame, lower, upper):
@@ -322,26 +334,60 @@ class OrderInterval:
         ``frame``, with no per-interval check."""
         frame.require_orthonormal()
         interval = object.__new__(cls)
-        interval._frame, interval._counts = frame, (lower, upper)
+        interval.frame, interval.counts = frame, (lower, upper)
         return interval
 
     @cached_property
     def upper(self):
-        return self._frame.projection(0, self._counts[1])
+        return self.frame.projection(0, self.counts[1])
 
     @cached_property
     def lower(self):
-        lower, upper = self._counts
-        return self.upper if lower == upper else self._frame.projection(0, lower)
+        lower, upper = self.counts
+        return self.upper if lower == upper else self.frame.projection(0, lower)
+
+    @property
+    def ends(self):
+        """``lower`` and ``upper`` as leading ranges ``(frame, count)``."""
+        return [(self.frame, k) for k in self.counts]
+
+    def columns(self, part):
+        """Per block, orthonormal columns spanning ``lower`` (``part`` is
+        ``"lower"``), the gap ``upper - lower`` (``"gap"``) or ``1 - upper``
+        (``"above"``)."""
+        cuts = (0, *self.counts, len(self.frame.bounds) - 1)
+        first = ("lower", "gap", "above").index(part)
+        return self.frame.columns(cuts[first], cuts[first + 1])
 
     def gap(self):
         """The projection ``upper - lower``."""
         return self.upper - self.lower
 
     def is_point(self):
-        if self._frame is not None:
-            return self._counts[0] == self._counts[1]
-        return max_norm(self.upper - self.lower) <= PROJECTION_TOL
+        return same_range(*self.ends, PROJECTION_TOL)
+
+
+def same_range(a, b, tol):
+    """Whether two leading ranges ``(frame, count)`` span the same
+    projection, to ``tol`` in max norm.
+
+    Ranks per block come first: where they differ, a diagonal entry of the
+    difference is at least ``1/d`` from zero.  A block both leave empty or
+    both fill agrees to roundoff, and so does every block within one frame;
+    only the other blocks are built and compared.
+    """
+    (fa, ka), (fb, kb) = a, b
+    ranks = fa.bounds[ka].tolist()
+    if ranks != fb.bounds[kb].tolist():
+        return False
+    if fa is fb:
+        return True
+    for va, vb, r in zip(fa.vectors, fb.vectors, ranks):
+        if 0 < r < va.shape[1]:
+            x, y = va[:, :r], vb[:, :r]
+            if float(np.max(np.abs(x @ x.conj().T - y @ y.conj().T))) > tol:
+                return False
+    return True
 
 
 def is_projection(p):
@@ -383,12 +429,6 @@ def interval_from_spectrum(alg, info, s, eff_tol):
     return OrderInterval._from_frame(info.frame, *cut_clusters(info, s, eff_tol))
 
 
-def interval_projections_of(alg, b_op, s, cluster_tol=None, eig_eq_tol=None):
-    """Interval projections of a single self-adjoint operator at level s."""
-    info = decompose(alg, b_op, cluster_tol=cluster_tol)
-    return interval_from_spectrum(alg, info, s, equality_band(b_op, eig_eq_tol))
-
-
 def interval_projections(optuple, pair, cluster_tol=None, eig_eq_tol=None):
     """The projections ``(p_minus, p_plus)`` of ``b_t`` at level ``s``.
 
@@ -396,10 +436,8 @@ def interval_projections(optuple, pair, cluster_tol=None, eig_eq_tol=None):
     equality band), ``p_minus`` those strictly below.  When no cluster
     sits in the band the two coincide.
     """
-    b_t = algebra.linear_combination(optuple, pair.t)
-    return interval_projections_of(
-        optuple.algebra, b_t, pair.s, cluster_tol=cluster_tol, eig_eq_tol=eig_eq_tol
-    )
+    frame = direction_frame(optuple, pair.t, cluster_tol, eig_eq_tol)
+    return interval_from_spectrum(optuple.algebra, frame.info, pair.s, frame.eff_tol)
 
 
 def eigengap_of(alg, a, s1, s2, cluster_tol=None):

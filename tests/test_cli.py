@@ -8,7 +8,7 @@ import pytest
 
 from specscale import fixtures
 from specscale.algebra import save_tuple
-from specscale.cli import main
+from specscale.cli import COMMANDS, main
 
 
 @pytest.fixture()
@@ -410,6 +410,16 @@ def test_tolerance_flags_need_finite_nonnegative_values(inputs, capsys, flag, va
     assert code == 1
     assert out == ""
     assert flag in err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("value", ["-1", "-3", "2.5"])
+def test_samples_needs_an_integer_at_least_zero(inputs, capsys, command, value):
+    argv = [command, "--input", inputs["reciprocal"], f"--samples={value}"]
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "--samples" in err
 
 
 @pytest.mark.parametrize("samples", ["0", "8"])

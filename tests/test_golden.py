@@ -2,7 +2,10 @@
 
 The recorded runs live in ``tests/golden/<fixture>-<command>.json`` with
 the exit code, stdout and stderr of ``specscale <command> --input
-<fixture> --samples 8``.  Numbers must match within 1e-12 (relative to
+<fixture> --samples 8``.  The face commands (``faces``, ``corners``,
+``center``) are also recorded on the coordinate axes alone, ``--samples
+0``, in ``tests/golden/<fixture>-<command>-s0.json``, since that is the
+setting the benchmark times.  Numbers must match within 1e-12 (relative to
 ``max(1, |x|)``); everything else, the exit code included, must match
 exactly.  Re-record after an intended output change with
 
@@ -32,15 +35,16 @@ FIXTURES = {
     "block_with_scalars": fixtures.block_with_scalars,
 }
 CASES = [(name, cmd) for name in FIXTURES for cmd in COMMANDS]
+AXIS_CASES = [(name, cmd) for name in FIXTURES for cmd in ("faces", "corners", "center")]
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
 
-def run_case(name, command, directory):
+def run_case(name, command, directory, samples=SAMPLES):
     path = os.path.join(directory, f"{name}.json")
     save_tuple(FIXTURES[name](), path)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "--input", path, "--samples", str(SAMPLES)])
+        code = main([command, "--input", path, "--samples", str(samples)])
     # streams as line lists, so the recorded files diff line by line
     return {
         "exit_code": code,
@@ -49,8 +53,9 @@ def run_case(name, command, directory):
     }
 
 
-def _golden_path(name, command):
-    return os.path.join(GOLDEN_DIR, f"{name}-{command}.json")
+def _golden_path(name, command, samples=SAMPLES):
+    suffix = "" if samples == SAMPLES else f"-s{samples}"
+    return os.path.join(GOLDEN_DIR, f"{name}-{command}{suffix}.json")
 
 
 def assert_text_close(actual, expected, where):
@@ -64,11 +69,10 @@ def assert_text_close(actual, expected, where):
         )
 
 
-@pytest.mark.parametrize("name,command", CASES)
-def test_cli_matches_golden(name, command, tmp_path):
-    with open(_golden_path(name, command), encoding="utf-8") as fh:
+def _check_golden(name, command, directory, samples=SAMPLES):
+    with open(_golden_path(name, command, samples), encoding="utf-8") as fh:
         expected = json.load(fh)
-    actual = run_case(name, command, str(tmp_path))
+    actual = run_case(name, command, directory, samples)
     assert actual["exit_code"] == expected["exit_code"]
     for stream in ("stdout", "stderr"):
         assert_text_close(
@@ -76,6 +80,16 @@ def test_cli_matches_golden(name, command, tmp_path):
             "".join(expected[stream]),
             f"{name} {command} {stream}",
         )
+
+
+@pytest.mark.parametrize("name,command", CASES)
+def test_cli_matches_golden(name, command, tmp_path):
+    _check_golden(name, command, str(tmp_path))
+
+
+@pytest.mark.parametrize("name,command", AXIS_CASES)
+def test_cli_matches_axis_golden(name, command, tmp_path):
+    _check_golden(name, command, str(tmp_path), samples=0)
 
 
 def test_number_comparison_catches_changes():
@@ -107,12 +121,16 @@ def record():
 
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     with tempfile.TemporaryDirectory() as directory:
-        for name, command in CASES:
-            result = run_case(name, command, directory)
-            with open(_golden_path(name, command), "w", encoding="utf-8") as fh:
+        runs = [case + (SAMPLES,) for case in CASES]
+        runs += [case + (0,) for case in AXIS_CASES]
+        for name, command, samples in runs:
+            result = run_case(name, command, directory, samples)
+            with open(
+                _golden_path(name, command, samples), "w", encoding="utf-8"
+            ) as fh:
                 json.dump(result, fh, indent=1)
                 fh.write("\n")
-            print(f"{name} {command}: exit {result['exit_code']}")
+            print(f"{name} {command} --samples {samples}: exit {result['exit_code']}")
 
 
 if __name__ == "__main__":

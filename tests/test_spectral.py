@@ -507,7 +507,7 @@ def test_shifted_cluster_bound_trips_the_support_check():
 
 @pytest.mark.parametrize("case", range(len(_frame_cases())))
 def test_rank_one_gaps_cut_down_to_a_segment(case):
-    # what lets scale._range_dimension answer 1 for them unmeasured
+    # what lets scale.face_dimension answer 1 for them unmeasured
     from specscale.algebra import Compression
     from specscale.scale import scale_dimension
 
@@ -520,3 +520,126 @@ def test_rank_one_gaps_cut_down_to_a_segment(case):
                 seen += 1
                 assert scale_dimension(Compression(optuple, gap).tuple).dimension == 1
     assert seen
+
+
+# ------------------------------------------- one interval representation
+
+_FIXTURE_NAMES = ["reciprocal8", "two_point", "pauli", "commuting", "blockpair"]
+_EQUALITY_CASES = [(name, None) for name in _FIXTURE_NAMES] + [
+    (None, case) for case in range(len(_frame_cases()))
+]
+
+
+def _equality_faces(name, case, request):
+    """The tuple and its sweep faces: the fixtures at 8 directions, the
+    frame tuples at 6."""
+    from specscale.scale import sweep_faces
+
+    if name is not None:
+        optuple = request.getfixturevalue(name)
+        return optuple, list(sweep_faces(optuple, 8))
+    optuple = _frame_tuples()[case]
+    return optuple, list(sweep_faces(optuple, 6))
+
+
+def _flat(op):
+    return np.concatenate([b.ravel() for b in op.blocks])
+
+
+@pytest.mark.parametrize("name,case", _EQUALITY_CASES)
+def test_equality_rule_matches_built_endpoints(name, case, request):
+    from specscale.faces import intervals_equal
+    from specscale.spectral import PROJECTION_TOL
+
+    optuple, faces = _equality_faces(name, case, request)
+    intervals = [f.interval for f in faces]
+    built = [(_flat(i.lower), _flat(i.upper)) for i in intervals]
+    verdicts = []
+    for a in range(len(intervals)):
+        for b in range(a + 1, len(intervals)):
+            by_operators = all(
+                float(np.max(np.abs(x - y))) <= PROJECTION_TOL
+                for x, y in zip(built[a], built[b])
+            )
+            assert intervals_equal(intervals[a], intervals[b]) == by_operators
+            verdicts.append(by_operators)
+    assert any(verdicts) and not all(verdicts)
+    for interval in intervals:
+        twin = OrderInterval(interval.lower, interval.upper)
+        assert intervals_equal(interval, twin) and intervals_equal(twin, interval)
+
+
+@pytest.mark.parametrize("name,case", _EQUALITY_CASES)
+def test_is_point_and_is_proper_match_their_operator_definitions(name, case, request):
+    from specscale.faces import _is_proper
+    from specscale.spectral import PROJECTION_TOL
+
+    optuple, faces = _equality_faces(name, case, request)
+    one = optuple.algebra.identity()
+    points = []
+    for face in faces:
+        interval = face.interval
+        for candidate in (interval, OrderInterval(interval.lower, interval.upper)):
+            point = max_norm(candidate.upper - candidate.lower) <= PROJECTION_TOL
+            assert candidate.is_point() == point
+            whole = (
+                max_norm(candidate.lower) <= PROJECTION_TOL
+                and max_norm(candidate.upper - one) <= PROJECTION_TOL
+            )
+            assert _is_proper(optuple, candidate) == (not whole)
+            points.append(point)
+    assert any(points) and not all(points)
+
+
+def test_checked_interval_keeps_the_callers_operators(pauli):
+    p = 0.5 * (pauli.algebra.identity() + pauli.operators[0])
+    one = pauli.algebra.identity()
+    interval = OrderInterval(p, one)
+    assert interval.lower is p and interval.upper is one
+
+
+@pytest.mark.parametrize("name,case", _EQUALITY_CASES)
+def test_interval_columns_rebuild_the_three_projections(name, case, request):
+    optuple, faces = _equality_faces(name, case, request)
+    one = optuple.algebra.identity()
+    for face in faces:
+        interval = face.interval
+        for candidate in (interval, OrderInterval(interval.lower, interval.upper)):
+            wanted = {
+                "lower": candidate.lower,
+                "gap": candidate.upper - candidate.lower,
+                "above": one - candidate.upper,
+            }
+            for part, projection in wanted.items():
+                columns = candidate.columns(part)
+                rebuilt = _raw([v @ v.conj().T for v in columns])
+                assert max_norm(rebuilt - projection) <= 1e-12
+
+
+def test_face_pass_dedup_builds_no_projection(commuting, monkeypatch):
+    # the dedup and the proper-face test read ranks off the frames; only
+    # the normal cones need the endpoints as operators
+    from argparse import Namespace
+
+    from specscale import cli, faces
+    from specscale.spectral import SpectralFrame
+
+    built = []
+    before_first_cone = []
+    projection, normal_cone = SpectralFrame.projection, faces.normal_cone
+
+    def counting_projection(self, first, stop):
+        built.append((first, stop))
+        return projection(self, first, stop)
+
+    def noting_cone(*args, **kwargs):
+        if not before_first_cone:
+            before_first_cone.append(len(built))
+        return normal_cone(*args, **kwargs)
+
+    monkeypatch.setattr(SpectralFrame, "projection", counting_projection)
+    monkeypatch.setattr(faces, "normal_cone", noting_cone)
+    args = Namespace(samples=8, cluster_tol=None, eig_eq_tol=None)
+    assert len(list(cli._face_pass(commuting, args))) > 1
+    assert before_first_cone == [0]
+    assert built
