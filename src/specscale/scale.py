@@ -13,12 +13,19 @@ without ever building the body itself.  Each sampled direction is
 decomposed once (``spectral.sweep``) and all of its cut levels are read
 off that one eigenframe: a level's interval is a pair of leading cluster
 counts, its endpoints' ``psi`` are rows of the frame's ``psi`` table and
-``alpha`` is ``<(-s, t), row>``, so a sweep builds no d×d projection.
+``alpha`` is ``<(-s, t), row>``, computed and checked for all levels of a
+frame at once, so a sweep builds no d×d projection.
 A face's dimension is read off its interval's gap columns, and a
 rank-one gap is a segment, which needs no cut-down.  Extreme clouds keep
 each projection as a leading range ``(frame, count)``, merge two ranges
 by ``spectral.same_range`` and build a projection as an operator only
 when a caller reads it.
+
+An isotrace slice is batched over its directions instead: per block
+size, the ``b_u`` of many directions are stacked as
+``(directions, m_k, d, d)`` and decomposed by one ``eigh``, and each
+boundary point is the water-filling coefficients of a direction's
+clusters times their summed per-column ``psi``, with no operator built.
 """
 
 from __future__ import annotations
@@ -30,13 +37,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, sampling, spectral
-from .algebra import Compression, max_norm, psi
+from .algebra import Compression, max_norm
 from .errors import InvariantViolation
 from .spectral import OrderInterval, SpectralPair
 
 POINT_DEDUP_TOL = 1e-8
 PROJECTION_MATCH_TOL = 1e-6
 RELATION_TOL = 1e-8
+# Bound on one stacked (directions, m_k, d, d) array of an isotrace slice.
+# About three are alive at once; larger stacks run no faster, since eigh
+# then dominates, but raise the peak memory.
+SLICE_CHUNK_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -81,29 +92,34 @@ class IsotraceSlice:
 
 
 def _support_in_frame(frame, s, lower, upper):
-    """Support value at level ``s`` of a decomposed direction (a
-    ``spectral.DirectionFrame``) whose interval spans the leading
-    ``lower`` and ``upper`` clusters: ``<(-s, t), psi(p)>`` for either
-    endpoint, read off the frame's ``psi`` table."""
-    rows = frame.psi_table[[upper, lower]]
-    alpha_plus, alpha_minus = rows @ np.concatenate(([-s], frame.t))
-    gap_weight = rows[0, 0] - rows[1, 0]
+    """Support values at levels ``s`` (a number or an array) of a decomposed
+    direction (a ``spectral.DirectionFrame``) whose intervals span the
+    leading ``lower`` and ``upper`` clusters: ``<(-s, t), psi(p)>`` for
+    either endpoint, read off the frame's ``psi`` table, all levels at once."""
+    ends = frame.psi_table[np.stack([upper, lower])]  # (2, ..., n + 1)
+    alpha_plus, alpha_minus = ends[..., 1:] @ frame.t - np.multiply(s, ends[..., 0])
+    gap_weight = ends[0, ..., 0] - ends[1, ..., 0]
     # The two agree exactly in exact arithmetic: the difference is the gap
     # columns' Rayleigh quotients minus s, weighted, and those quotients lie
     # in the equality band around s.
-    if abs(alpha_plus - alpha_minus) > 1e-9 + frame.eff_tol * max(gap_weight, 0.0):
+    bad = np.abs(alpha_plus - alpha_minus) > 1e-9 + frame.eff_tol * np.maximum(
+        gap_weight, 0.0
+    )
+    if np.any(bad):
+        k = np.flatnonzero(bad)[0]
+        plus, minus = np.ravel(alpha_plus)[k], np.ravel(alpha_minus)[k]
         raise InvariantViolation(
             "support value differs between the two interval projections: "
-            f"{alpha_plus!r} vs {alpha_minus!r}"
+            f"{float(plus)!r} vs {float(minus)!r}"
         )
-    return float(alpha_plus)
+    return alpha_plus
 
 
 def support_value(optuple, pair, cluster_tol=None, eig_eq_tol=None):
     """``tr((b_t - s) p_plus)``: the minimum of ``<(-s,t), x>`` over the scale."""
     frame = spectral.direction_frame(optuple, pair.t, cluster_tol, eig_eq_tol)
     lower, upper = spectral.cut_clusters(frame.info, pair.s, frame.eff_tol)
-    return _support_in_frame(frame, pair.s, lower, upper)
+    return float(_support_in_frame(frame, pair.s, lower, upper))
 
 
 def face_dimension(optuple, interval):
@@ -123,14 +139,13 @@ def face_dimension(optuple, interval):
     return scale_dimension(Compression(optuple, gap).tuple).dimension
 
 
-def _face_in_frame(frame, pair, lower, upper):
+def _face_in_frame(frame, pair, lower, upper, alpha):
     """The exposed face of ``pair`` at a level of ``frame`` whose interval
-    spans the leading ``lower`` and ``upper`` clusters."""
+    spans the leading ``lower`` and ``upper`` clusters, with support value
+    ``alpha``."""
     interval = OrderInterval._from_frame(frame.info.frame, lower, upper)
     return ExposedFace(
-        hyperplane=SupportHyperplane(
-            pair=pair, alpha=_support_in_frame(frame, pair.s, lower, upper)
-        ),
+        hyperplane=SupportHyperplane(pair=pair, alpha=alpha),
         interval=interval,
         vertices=frame.psi_table[[lower, upper]],
         dimension=face_dimension(frame.optuple, interval),
@@ -146,7 +161,8 @@ def exposed_face(optuple, pair, cluster_tol=None, eig_eq_tol=None):
     """
     frame = spectral.direction_frame(optuple, pair.t, cluster_tol, eig_eq_tol)
     lower, upper = spectral.cut_clusters(frame.info, pair.s, frame.eff_tol)
-    return _face_in_frame(frame, pair, lower, upper)
+    alpha = float(_support_in_frame(frame, pair.s, lower, upper))
+    return _face_in_frame(frame, pair, lower, upper, alpha)
 
 
 def sweep_frames(
@@ -160,9 +176,18 @@ def sweep_frames(
 
 
 def faces_in_frame(frame):
-    """Exposed faces of every sweep level of one decomposed direction."""
-    for s, lower, upper in zip(frame.levels, *frame.cuts):
-        yield _face_in_frame(frame, SpectralPair(s=s, t=frame.t), lower, upper)
+    """Exposed faces of every sweep level of one decomposed direction.
+
+    The levels share ``t``, checked once, and their support values are
+    computed and checked together, in one pass over the frame.
+    """
+    t = SpectralPair(s=0.0, t=frame.t).t
+    lowers, uppers = frame.cuts
+    alphas = _support_in_frame(frame, frame.levels, lowers, uppers)
+    for s, lower, upper, alpha in zip(
+        frame.levels.tolist(), lowers, uppers, alphas.tolist()
+    ):
+        yield _face_in_frame(frame, SpectralPair._at_level(s, t), lower, upper, alpha)
 
 
 def sweep_faces(
@@ -314,6 +339,21 @@ def extreme_point_cloud(
     return cloud
 
 
+def _fill(weights, level):
+    """Water-filling coefficients of clusters with trace ``weights``, ordered
+    from the top along the last axis (a zero weight pads a ragged row).
+
+    Each cluster takes ``clip((level - weight_above) / weight, 0, 1)``: the
+    clusters above it are full, and it takes what is left of the budget.
+    """
+    above = np.zeros_like(weights)
+    np.cumsum(weights[..., :-1], axis=-1, out=above[..., 1:])
+    share = np.divide(
+        level - above, weights, out=np.zeros_like(weights), where=weights > 0
+    )
+    return np.clip(share, 0.0, 1.0)
+
+
 def waterfill(optuple, direction, level, cluster_tol=None):
     """Maximizer of ``tr(b_u a)`` over ``0 <= a <= 1`` with ``tr(a) = level``.
 
@@ -325,15 +365,61 @@ def waterfill(optuple, direction, level, cluster_tol=None):
         raise ValueError(f"trace level must be in [0, 1], got {level}")
     b_u = algebra.linear_combination(optuple, direction)
     info = spectral.decompose(optuple.algebra, b_u, cluster_tol=cluster_tol)
-    takes = np.zeros(len(info.clusters))
-    budget = level
-    for idx in np.argsort(-info.values):
-        if budget <= 0.0:
-            break
-        c = info.clusters[idx]
-        takes[idx] = min(1.0, budget / c.trace_weight)
-        budget -= takes[idx] * c.trace_weight
-    return info.frame.combination(takes)
+    weights = np.array([c.trace_weight for c in info.clusters])
+    return info.frame.combination(_fill(weights[::-1], level)[::-1])
+
+
+def _size_classes(optuple):
+    """Per distinct block size: the block indices, their trace weights and
+    every operator's blocks stacked as ``(n, m_k, d, d)``."""
+    dims = np.array(optuple.algebra.dims)
+    weights = np.array(optuple.algebra.weights)
+    classes = []
+    for d in np.unique(dims):
+        idx = np.flatnonzero(dims == d)
+        ops = np.array([[b.blocks[j] for j in idx] for b in optuple.operators])
+        classes.append((idx, weights[idx], ops))
+    return classes
+
+
+def _waterfill_points(optuple, classes, dirs, level, cluster_tol):
+    """``psi(waterfill(optuple, u, level))[1:]`` for every row ``u`` of
+    ``dirs``, with one stacked ``eigh`` per block size.
+
+    Each column of each ``b_u`` block contributes ``psi`` of its rank-one
+    projection (``spectral.column_psi``); columns are clustered per row by
+    ``decompose``'s rule, and a row's point is its fill coefficients times
+    its cluster sums, so no operator is built.
+    """
+    rows, n = len(dirs), optuple.n
+    norms = np.zeros(rows)
+    eigenvalues, per_column = [], []
+    for idx, weights, ops in classes:
+        b_u = np.einsum("un,nmij->umij", dirs, ops)
+        b_u = b_u.conj().swapaxes(-1, -2) + b_u
+        b_u /= 2  # (b + b*) / 2, as _raw symmetrizes
+        norms = np.maximum(norms, np.abs(b_u).max(axis=(1, 2, 3)))
+        w, v = spectral.eigh(b_u, int(idx[0]))
+        del b_u  # free the stack before the per-column products
+        eigenvalues.append(w.reshape(rows, -1))
+        psi_v = spectral.column_psi(v, weights[:, None], ops)
+        per_column.append(psi_v.reshape(n + 1, rows, -1))
+    eigenvalues = np.concatenate(eigenvalues, axis=1)
+    per_column = np.concatenate(per_column, axis=2)  # (n + 1, rows, columns)
+    order = np.argsort(eigenvalues, axis=1, kind="stable")
+    ordered = np.take_along_axis(eigenvalues, order, axis=1)
+    starts, _ = spectral.cluster_starts(ordered, norms[:, None], cluster_tol)
+    per_column = np.take_along_axis(per_column, order[None], axis=2)
+    sums = np.add.reduceat(per_column.reshape(n + 1, -1), starts, axis=1)
+    # cluster sums per row, the top cluster first and zeros after the last
+    row = starts // ordered.shape[1]
+    count = np.bincount(row, minlength=rows)
+    from_top = np.cumsum(count)[row] - 1 - np.arange(len(starts))
+    table = np.zeros((n + 1, rows, count.max()))
+    table[:, row, from_top] = sums
+    takes = _fill(table[0], level)
+    # + 0.0 turns the -0.0 of an empty fill into 0.0
+    return np.einsum("rk,irk->ri", takes, table[1:]) + 0.0
 
 
 def isotrace_slice(optuple, level, resolution=720, cluster_tol=None):
@@ -342,7 +428,11 @@ def isotrace_slice(optuple, level, resolution=720, cluster_tol=None):
     Each boundary point is found exactly by the water-filling maximizer
     along one direction in R^n; for ``n = 2`` the angular sweep returns
     the boundary polygon in order, for other ``n`` the result is a point
-    sample of the boundary.
+    sample of the boundary.  All directions are filled together: per
+    block size, the ``b_u`` of up to ``SLICE_CHUNK_BYTES`` worth of
+    directions are stacked as ``(directions, m_k, d, d)`` and decomposed
+    by one ``eigh`` (``_waterfill_points``).  Points repeating an earlier
+    one within 1e-12 are dropped.
     """
     if not 0.0 <= level <= 1.0:
         raise ValueError(f"trace level must be in [0, 1], got {level}")
@@ -354,11 +444,15 @@ def isotrace_slice(optuple, level, resolution=720, cluster_tol=None):
         dirs = np.column_stack([np.cos(theta), np.sin(theta)])
     else:
         dirs = sampling.unit_directions(n, resolution)
-    rows = []
-    for u in dirs:
-        a = waterfill(optuple, u, level, cluster_tol=cluster_tol)
-        rows.append(psi(optuple, a)[1:])
-    points = np.array(rows)
+    classes = _size_classes(optuple)
+    # one direction stacks 16 bytes per complex entry of every block
+    step = max(1, SLICE_CHUNK_BYTES // (16 * sum(d * d for d in optuple.algebra.dims)))
+    points = np.concatenate(
+        [
+            _waterfill_points(optuple, classes, dirs[k : k + step], level, cluster_tol)
+            for k in range(0, len(dirs), step)
+        ]
+    )
     keep = [0]
     for i in range(1, len(points)):
         if np.all(np.linalg.norm(points[keep] - points[i], axis=1) > 1e-12):

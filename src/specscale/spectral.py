@@ -5,7 +5,9 @@ numerically split eigenvalues into one cluster; ``eig_eq_tol`` decides
 whether a cut level ``s`` counts as an eigenvalue, which is what
 separates the closed-interval projection ``p_plus`` (spectrum in
 ``(-inf, s]``) from the open-interval projection ``p_minus`` (spectrum in
-``(-inf, s)``).  Both scale with ``max(1, |a|)``.
+``(-inf, s)``).  Both scale with ``max(1, |a|)``.  ``cluster_starts`` is
+the one clustering rule: ``decompose`` applies it to one operator, and
+the isotrace slice to a stack of operators, one row each.
 
 ``decompose`` keeps its eigenframe: every block's ``eigh`` output and,
 per cluster, the range of eigenvector columns it owns.  Clusters take
@@ -55,6 +57,15 @@ class SpectralPair:
         t.flags.writeable = False
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "s", float(self.s))
+
+    @classmethod
+    def _at_level(cls, s, t):
+        """The pair of level ``s`` (a float) on a direction ``t`` that a
+        checked pair already holds, with no check and no copy."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "s", s)
+        object.__setattr__(pair, "t", t)
+        return pair
 
     def normal_vector(self):
         """The hyperplane normal ``(-s, t)`` in R^{n+1}."""
@@ -167,36 +178,72 @@ class SpectrumInfo:
         return [c.projection for c in self.clusters]
 
 
-def _scaled_tol(tol, default, op):
-    """``tol`` (``default`` when None) scaled by ``max(1, max_norm(op))``."""
-    return (default if tol is None else tol) * max(1.0, max_norm(op))
+def _scaled_tol(tol, default, norm):
+    """``tol`` (``default`` when None) scaled by ``max(1, norm)``, where
+    ``norm`` is an operator's ``max_norm`` (or an array of them)."""
+    return (default if tol is None else tol) * np.maximum(1.0, norm)
+
+
+def eigh(stack, block):
+    """``np.linalg.eigh`` of one block or a stack of them, a failure reported
+    as a ``NumericalError`` at ``block`` (a stack's first block)."""
+    try:
+        return np.linalg.eigh(stack)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed: {exc}", block=block) from exc
+
+
+def cluster_starts(ordered, norm, cluster_tol=None):
+    """Clusters of eigenvalues sorted ascending along the last axis, one row
+    per operator; ``norm`` is each row's operator ``max_norm``, shaped to
+    broadcast against the rows (a number for one operator).
+
+    Equal or near-equal eigenvalues chain into one cluster: a cluster ends
+    where the step to the next value is not ``<= cluster_tol`` scaled by
+    ``max(1, norm)``.  Returns the flat indices of ``ordered`` where
+    clusters start (every row starts one) and the clusters' multiplicities.
+    """
+    first = np.ones(np.shape(ordered), dtype=bool)
+    tol = _scaled_tol(cluster_tol, CLUSTER_TOL, norm)
+    first[..., 1:] = ~(np.diff(ordered) <= tol)
+    starts = np.flatnonzero(first)
+    return starts, np.diff(starts, append=first.size)
+
+
+def column_psi(vectors, weight, blocks):
+    """Per eigenvector column ``v``, ``weight * (|v|², v*b_1v, …, v*b_nv)``
+    along a new first axis: ``psi`` of the rank-one projection onto ``v``.
+
+    ``vectors`` holds eigenvectors as columns, one block or a stack of
+    them, and ``blocks`` the matching block (or stack) of each ``b_i``.
+    """
+    per_column = [np.sum(np.abs(vectors) ** 2, axis=-2)]
+    for b in blocks:
+        quadratic = vectors.conj()
+        quadratic *= b @ vectors  # in place: one stack fewer alive at once
+        per_column.append(np.sum(quadratic, axis=-2).real)
+    return weight * np.array(per_column)
 
 
 def decompose(alg, a, cluster_tol=None):
     """Eigendecompose ``a`` blockwise and merge eigenvalues across blocks.
 
     Eigenvalues of all blocks are sorted together (stably) and chained
-    into one cluster while consecutive ones differ by at most the scaled
-    cluster tolerance.  The cluster value is the mean of its eigenvalues
-    and its trace weight comes from its eigenvector column norms.
+    into clusters by ``cluster_starts``.  The cluster value is the mean of
+    its eigenvalues and its trace weight comes from its eigenvector column
+    norms.
     """
     alg.require(a)
-    tol = _scaled_tol(cluster_tol, CLUSTER_TOL, a)
     vectors, eigenvalues, weights = [], [], []
-    for j, (b, (_, c)) in enumerate(zip(a.blocks, alg.blocks)):
-        try:
-            w, v = np.linalg.eigh(b)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigensolver failed: {exc}", block=j) from exc
+    for j, (b, c) in enumerate(zip(a.blocks, alg.weights)):
+        w, v = eigh(b, j)
         vectors.append(v)
         eigenvalues.append(w)
         weights.append(c * np.sum(np.abs(v) ** 2, axis=0))
     eigenvalues = np.concatenate(eigenvalues)
     order = np.argsort(eigenvalues, kind="stable")
     ordered = eigenvalues[order]
-    # a cluster ends where the step to the next eigenvalue is not <= tol
-    starts = np.concatenate(([0], np.flatnonzero(~(np.diff(ordered) <= tol)) + 1))
-    stops = np.append(starts[1:], len(ordered))
+    starts, multiplicity = cluster_starts(ordered, max_norm(a), cluster_tol)
 
     # A block's columns leave the stable sort in column order (eigh sorts
     # them ascending), so every cluster owns a consecutive column range of
@@ -204,34 +251,28 @@ def decompose(alg, a, cluster_tol=None):
     # start of cluster k.
     rank = np.empty(len(order), dtype=int)
     rank[order] = np.arange(len(order))
-    cuts = np.concatenate(([0], stops))
+    cuts = np.append(starts, len(ordered))
     offsets = np.cumsum((0,) + alg.dims)
     bounds = np.column_stack(
         [np.searchsorted(rank[o:e], cuts) for o, e in zip(offsets, offsets[1:])]
     )
     frame = SpectralFrame(vectors=tuple(vectors), bounds=bounds)
+    values = np.add.reduceat(ordered, starts) / multiplicity
     cluster_weights = np.add.reduceat(np.concatenate(weights)[order], starts)
-
     clusters = tuple(
         EigenCluster(
-            value=float(np.mean(ordered[lo:hi])),
-            multiplicity=int(hi - lo),
-            trace_weight=float(weight),
-            frame=frame,
-            index=k,
+            value=value, multiplicity=count, trace_weight=weight, frame=frame, index=k
         )
-        for k, (lo, hi, weight) in enumerate(zip(starts, stops, cluster_weights))
+        for k, (value, count, weight) in enumerate(
+            zip(values.tolist(), multiplicity.tolist(), cluster_weights.tolist())
+        )
     )
-    return SpectrumInfo(
-        clusters=clusters,
-        values=np.array([c.value for c in clusters]),
-        frame=frame,
-    )
+    return SpectrumInfo(clusters=clusters, values=values, frame=frame)
 
 
 def equality_band(op, eig_eq_tol=None):
     """The scaled band within which a cut level counts as an eigenvalue of ``op``."""
-    return _scaled_tol(eig_eq_tol, EIG_EQ_TOL, op)
+    return float(_scaled_tol(eig_eq_tol, EIG_EQ_TOL, max_norm(op)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,12 +310,9 @@ class DirectionFrame:
         ops = self.optuple.operators
         table = 0.0
         for j, (v, c) in enumerate(zip(frame.vectors, self.optuple.algebra.weights)):
-            per_column = [np.sum(np.abs(v) ** 2, axis=0)]
-            per_column += [
-                np.sum(v.conj() * (b.blocks[j] @ v), axis=0).real for b in ops
-            ]
             prefix = np.zeros((v.shape[1] + 1, len(ops) + 1))
-            np.cumsum(c * np.transpose(per_column), axis=0, out=prefix[1:])
+            per_column = column_psi(v, c, [b.blocks[j] for b in ops])
+            np.cumsum(per_column.T, axis=0, out=prefix[1:])
             table = table + prefix[frame.bounds[:, j]]
         return table
 

@@ -152,6 +152,18 @@ def test_slice_level_zero_single_point(inputs, capsys):
     assert lines == ["x1,x2", "0,0"]
 
 
+@pytest.mark.parametrize(
+    "name", ["reciprocal", "pauli", "commuting", "zeros", "blockpair"]
+)
+def test_slice_level_zero_writes_no_negative_zero(inputs, capsys, name):
+    code, out, _ = run(
+        ["slice", "--input", inputs[name], "--level", "0", "--samples", "16"], capsys
+    )
+    assert code == 0
+    header, *rows = out.strip().splitlines()
+    assert rows == [",".join(["0"] * len(header.split(",")))]
+
+
 def test_corners_report_two_point_gap(inputs, capsys):
     code, out, _ = run(
         ["corners", "--input", inputs["reciprocal"], "--samples", "4"], capsys
@@ -381,6 +393,10 @@ def test_tolerance_flags_reach_every_decomposition(
 
     monkeypatch.setattr(
         spectral, "decompose", recording(spectral.decompose, "cluster_tol")
+    )
+    # every clustering, the slice's batched one included, goes through here
+    monkeypatch.setattr(
+        spectral, "cluster_starts", recording(spectral.cluster_starts, "cluster_tol")
     )
     monkeypatch.setattr(
         spectral, "equality_band", recording(spectral.equality_band, "eig_eq_tol")

@@ -10,6 +10,8 @@ setting the benchmark times.  Numbers must match within 1e-12 (relative to
 exactly.  Re-record after an intended output change with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which rewrites only the files that no longer match.
 """
 
 import contextlib
@@ -18,6 +20,7 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
 from specscale import fixtures, scale, spectral
@@ -69,17 +72,20 @@ def assert_text_close(actual, expected, where):
         )
 
 
+def assert_run_matches(actual, expected, where):
+    """Same exit code, and streams the same up to numbers within NUMBER_TOL."""
+    assert actual["exit_code"] == expected["exit_code"], where
+    for stream in ("stdout", "stderr"):
+        assert_text_close(
+            "".join(actual[stream]), "".join(expected[stream]), f"{where} {stream}"
+        )
+
+
 def _check_golden(name, command, directory, samples=SAMPLES):
     with open(_golden_path(name, command, samples), encoding="utf-8") as fh:
         expected = json.load(fh)
     actual = run_case(name, command, directory, samples)
-    assert actual["exit_code"] == expected["exit_code"]
-    for stream in ("stdout", "stderr"):
-        assert_text_close(
-            "".join(actual[stream]),
-            "".join(expected[stream]),
-            f"{name} {command} {stream}",
-        )
+    assert_run_matches(actual, expected, f"{name} {command}")
 
 
 @pytest.mark.parametrize("name,command", CASES)
@@ -116,7 +122,53 @@ def test_support_decomposes_once_per_direction(tmp_path, monkeypatch):
         assert len(calls) == len(scale._cloud_t_directions(optuple.n, SAMPLES))
 
 
+def test_slice_stacks_one_eigh_per_block_size(tmp_path, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return eigh(a)
+
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("slice decomposed one direction at a time")
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(spectral, "decompose", no_decompose)
+    for name in FIXTURES:
+        dims = FIXTURES[name]().algebra.dims
+        calls.clear()
+        assert run_case(name, "slice", str(tmp_path))["exit_code"] == 0
+        # the fixtures are small enough for one chunk of directions
+        assert sorted(shape[-1] for shape in calls) == sorted(set(dims))
+
+
+def test_record_keeps_files_that_match_within_tolerance(tmp_path):
+    path = str(tmp_path / "case.json")
+    run = {"exit_code": 0, "stdout": ["x1\n", "0.30000000000000004\n"], "stderr": []}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(run, fh)
+    churn = dict(run, stdout=["x1\n", "0.29999999999999999\n"])
+    assert _golden_matches(path, churn, "churn")
+    assert not _golden_matches(path, dict(run, stdout=["x1\n", "0.3001\n"]), "value")
+    assert not _golden_matches(path, dict(run, exit_code=4), "exit code")
+    assert not _golden_matches(str(tmp_path / "missing.json"), run, "missing")
+
+
+def _golden_matches(path, result, where):
+    """Whether the golden file at ``path`` exists and ``result`` matches it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            assert_run_matches(result, json.load(fh), where)
+    except (OSError, ValueError, KeyError, AssertionError):
+        return False
+    return True
+
+
 def record():
+    """Write the golden file of every case whose run no longer matches it
+    (or that has none), and leave the others as they are, so that a
+    re-record carries no last-digit churn."""
     import tempfile
 
     os.makedirs(GOLDEN_DIR, exist_ok=True)
@@ -125,12 +177,15 @@ def record():
         runs += [case + (0,) for case in AXIS_CASES]
         for name, command, samples in runs:
             result = run_case(name, command, directory, samples)
-            with open(
-                _golden_path(name, command, samples), "w", encoding="utf-8"
-            ) as fh:
+            path = _golden_path(name, command, samples)
+            where = f"{name} {command} --samples {samples}"
+            if _golden_matches(path, result, where):
+                print(f"{where}: unchanged")
+                continue
+            with open(path, "w", encoding="utf-8") as fh:
                 json.dump(result, fh, indent=1)
                 fh.write("\n")
-            print(f"{name} {command} --samples {samples}: exit {result['exit_code']}")
+            print(f"{where}: exit {result['exit_code']}, written")
 
 
 if __name__ == "__main__":

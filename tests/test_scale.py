@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import lower_hull, lower_tail_points, reciprocal_weights
-from specscale import fixtures
-from specscale.algebra import OperatorTuple, linear_combination, max_norm
+from specscale import fixtures, sampling
+from specscale.algebra import (
+    FiniteAlgebra,
+    HermitianOperator,
+    OperatorTuple,
+    linear_combination,
+    max_norm,
+    psi,
+)
 from specscale.oracle import oracle_support, sample_unit_ball
 from specscale.scale import (
     exposed_face,
@@ -177,6 +184,89 @@ def test_waterfill_respects_budget(commuting):
     assert commuting.algebra.trace(a) == pytest.approx(0.37, abs=1e-12)
     w = np.concatenate([np.linalg.eigvalsh(b) for b in a.blocks])
     assert w.min() >= -1e-12 and w.max() <= 1.0 + 1e-12
+
+
+def _slice_tuples():
+    """Random tuples on mixed blocks, and on 40 one-dimensional blocks whose
+    integer eigenvalues repeat across blocks (so the marginal cluster spans
+    blocks), each with n = 1, 2, 3."""
+    rng = np.random.default_rng(17)
+    dims = (2, 1, 3, 1, 2)
+    weights = rng.uniform(0.5, 1.5, len(dims))
+    mixed = FiniteAlgebra(tuple(zip(dims, weights / (weights @ dims))))
+    ones = FiniteAlgebra(((1, 1.0 / 40),) * 40)
+
+    def hermitian(d):
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return (z + z.conj().T) / 2
+
+    out = {}
+    for n in (1, 2, 3):
+        out[f"mixed-n{n}"] = OperatorTuple(
+            mixed, [HermitianOperator([hermitian(d) for d in dims]) for _ in range(n)]
+        )
+        out[f"ones40-n{n}"] = OperatorTuple(
+            ones,
+            [
+                HermitianOperator([[[float(x)]] for x in rng.integers(-2, 3, 40)])
+                for _ in range(n)
+            ],
+        )
+    return out
+
+
+SLICE_TUPLES = _slice_tuples()
+
+
+def _reference_slice(optuple, level, resolution):
+    """The slice one direction at a time: ``psi`` of each ``waterfill``
+    operator, over ``isotrace_slice``'s directions, keep-first within 1e-12."""
+    n = optuple.n
+    if n == 1:
+        dirs = [[1.0], [-1.0]]
+    elif n == 2:
+        theta = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
+        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+    else:
+        dirs = sampling.unit_directions(n, resolution)
+    kept = []
+    for u in dirs:
+        point = psi(optuple, waterfill(optuple, np.asarray(u), level))[1:]
+        if all(np.linalg.norm(point - k) > 1e-12 for k in kept):
+            kept.append(point)
+    return np.array(kept)
+
+
+@pytest.mark.parametrize("level", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("name", sorted(SLICE_TUPLES))
+def test_isotrace_slice_matches_per_direction_waterfill(name, level):
+    optuple = SLICE_TUPLES[name]
+    got = isotrace_slice(optuple, level, 24).points
+    want = _reference_slice(optuple, level, 24)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_isotrace_slice_chunks_give_the_same_points(monkeypatch):
+    import specscale.scale as scale_module
+
+    optuple = SLICE_TUPLES["mixed-n2"]
+    whole = isotrace_slice(optuple, 0.37, 50).points
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        calls.append(np.shape(a)[0])
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    # 16 bytes per entry of the 19 block entries: 7 directions per chunk
+    monkeypatch.setattr(scale_module, "SLICE_CHUNK_BYTES", 16 * 19 * 7)
+    chunked = isotrace_slice(optuple, 0.37, 50).points
+    np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-15)
+    # 8 chunks of at most 7 directions, one eigh per block size (1, 2, 3)
+    assert len(calls) == 8 * 3
+    assert sorted(set(calls)) == [1, 7]
 
 
 @pytest.mark.parametrize("name", ["reciprocal8", "two_point", "pauli", "commuting"])
