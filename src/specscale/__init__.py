@@ -46,8 +46,8 @@ from .scale import (
 )
 from .spectral import (
     OrderInterval,
+    SpectralFrame,
     SpectralPair,
-    SpectrumInfo,
     decompose,
     eigengap_of,
     interval_projections,
@@ -71,7 +71,7 @@ __all__ = [
     "OperatorTuple",
     "SpectralPair",
     "OrderInterval",
-    "SpectrumInfo",
+    "SpectralFrame",
     "ExposedFace",
     "SupportHyperplane",
     "IsotraceSlice",

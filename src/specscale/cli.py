@@ -34,10 +34,6 @@ EXIT_INVARIANT = 4
 COMMANDS = ("support", "extremes", "faces", "slice", "corners", "center", "abelian")
 
 
-def _f17(x):
-    return format(float(x), ".17g")
-
-
 def _at_least_zero(convert, what):
     """An argument type: ``convert(text)``, finite and ``>= 0``."""
 
@@ -116,12 +112,8 @@ def cmd_support(optuple, args):
     for face in scale.sweep_faces(
         optuple, args.samples, args.cluster_tol, args.eig_eq_tol
     ):
-        trace_minus, trace_plus = face.vertices[:, 0]
-        writer.writerow(
-            [_f17(face.pair.s)]
-            + [_f17(x) for x in face.pair.t]
-            + [_f17(face.alpha), _f17(trace_minus), _f17(trace_plus), face.dimension]
-        )
+        numbers = (face.pair.s, *face.pair.t, face.alpha, *face.vertices[:, 0])
+        writer.writerow([scale._f17(x) for x in numbers] + [face.dimension])
     _emit(args, "support.csv", buf.getvalue())
 
 
@@ -175,10 +167,13 @@ def cmd_faces(optuple, args):
     for face, cone in _face_pass(optuple, args):
         trace_lower, trace_upper = face.vertices[:, 0]
         entry = {
-            "pair": {"s": face.pair.s, "t": [float(x) for x in face.pair.t]},
-            "alpha": face.alpha,
-            "trace_lower": float(trace_lower),
-            "trace_upper": float(trace_upper),
+            "pair": {
+                "s": scale._number(face.pair.s),
+                "t": [scale._number(x) for x in face.pair.t],
+            },
+            "alpha": scale._number(face.alpha),
+            "trace_lower": scale._number(trace_lower),
+            "trace_upper": scale._number(trace_upper),
             "dimension": face.dimension,
         }
         if cone is not None:
@@ -208,7 +203,7 @@ def cmd_slice(optuple, args):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([f"x{i + 1}" for i in range(optuple.n)])
     for row in sl.points:
-        writer.writerow([_f17(x) for x in row])
+        writer.writerow([scale._f17(x) for x in row])
     _emit(args, "slice.csv", buf.getvalue())
 
 
@@ -223,8 +218,8 @@ def cmd_corners(optuple, args):
             trace_lower, trace_upper = face.vertices[:, 0]
             sharp_list.append(
                 {
-                    "trace_lower": structure._f17(trace_lower),
-                    "trace_upper": structure._f17(trace_upper),
+                    "trace_lower": scale._number(trace_lower),
+                    "trace_upper": scale._number(trace_upper),
                     "dimension": face.dimension,
                     "degree": cone.degree,
                 }
@@ -253,7 +248,7 @@ def cmd_center(optuple, args):
     )
     payload["isolated_extreme_points"] = [
         {
-            "point": [structure._f17(x) for x in rep.point],
+            "point": [scale._number(x) for x in rep.point],
             "central": rep.is_central,
         }
         for rep in isolated

@@ -263,7 +263,7 @@ def normal_cone(
         cluster_tol,
         eig_eq_tol,
     ):
-        below, above = frame.info.frame.order_margins(interval.lower, interval.upper)
+        below, above = frame.spectrum.order_margins(interval.lower, interval.upper)
         lower, upper = frame.cuts
         member = (below[lower] <= PROJECTION_TOL) & (above[upper] <= PROJECTION_TOL)
         for s in frame.levels[member]:

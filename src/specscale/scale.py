@@ -118,7 +118,7 @@ def _support_in_frame(frame, s, lower, upper):
 def support_value(optuple, pair, cluster_tol=None, eig_eq_tol=None):
     """``tr((b_t - s) p_plus)``: the minimum of ``<(-s,t), x>`` over the scale."""
     frame = spectral.direction_frame(optuple, pair.t, cluster_tol, eig_eq_tol)
-    lower, upper = spectral.cut_clusters(frame.info, pair.s, frame.eff_tol)
+    lower, upper = spectral.cut_clusters(frame.spectrum, pair.s, frame.eff_tol)
     return float(_support_in_frame(frame, pair.s, lower, upper))
 
 
@@ -143,7 +143,7 @@ def _face_in_frame(frame, pair, lower, upper, alpha):
     """The exposed face of ``pair`` at a level of ``frame`` whose interval
     spans the leading ``lower`` and ``upper`` clusters, with support value
     ``alpha``."""
-    interval = OrderInterval._from_frame(frame.info.frame, lower, upper)
+    interval = OrderInterval._from_frame(frame.spectrum, lower, upper)
     return ExposedFace(
         hyperplane=SupportHyperplane(pair=pair, alpha=alpha),
         interval=interval,
@@ -160,7 +160,7 @@ def exposed_face(optuple, pair, cluster_tol=None, eig_eq_tol=None):
     projections coincide.
     """
     frame = spectral.direction_frame(optuple, pair.t, cluster_tol, eig_eq_tol)
-    lower, upper = spectral.cut_clusters(frame.info, pair.s, frame.eff_tol)
+    lower, upper = spectral.cut_clusters(frame.spectrum, pair.s, frame.eff_tol)
     alpha = float(_support_in_frame(frame, pair.s, lower, upper))
     return _face_in_frame(frame, pair, lower, upper, alpha)
 
@@ -313,7 +313,7 @@ class ExtremePointCloud:
             for k in (lower, upper):
                 if k not in seen:
                     seen.add(k)
-                    self.add(frame.psi_table[k], (frame.info.frame, k))
+                    self.add(frame.psi_table[k], (frame.spectrum, k))
 
     def __len__(self):
         return len(self.projections)
@@ -364,9 +364,9 @@ def waterfill(optuple, direction, level, cluster_tol=None):
     if not 0.0 <= level <= 1.0:
         raise ValueError(f"trace level must be in [0, 1], got {level}")
     b_u = algebra.linear_combination(optuple, direction)
-    info = spectral.decompose(optuple.algebra, b_u, cluster_tol=cluster_tol)
-    weights = np.array([c.trace_weight for c in info.clusters])
-    return info.frame.combination(_fill(weights[::-1], level)[::-1])
+    spectrum = spectral.decompose(optuple.algebra, b_u, cluster_tol=cluster_tol)
+    weights = np.diff(spectrum.bounds, axis=0) @ optuple.algebra.weights
+    return spectrum.combination(_fill(weights[::-1], level)[::-1])
 
 
 def _size_classes(optuple):
@@ -418,8 +418,7 @@ def _waterfill_points(optuple, classes, dirs, level, cluster_tol):
     table = np.zeros((n + 1, rows, count.max()))
     table[:, row, from_top] = sums
     takes = _fill(table[0], level)
-    # + 0.0 turns the -0.0 of an empty fill into 0.0
-    return np.einsum("rk,irk->ri", takes, table[1:]) + 0.0
+    return np.einsum("rk,irk->ri", takes, table[1:])
 
 
 def isotrace_slice(optuple, level, resolution=720, cluster_tol=None):
@@ -460,6 +459,15 @@ def isotrace_slice(optuple, level, resolution=720, cluster_tol=None):
     return IsotraceSlice(level=float(level), points=points[keep])
 
 
+def _number(x):
+    """Every number written out: ``x`` as a float, with ``-0.0`` as ``0.0``."""
+    return float(x) + 0.0
+
+
+def _f17(x):
+    return format(_number(x), ".17g")
+
+
 def export_extremes_csv(cloud, fh):
     """Write the cloud as RFC-4180 CSV: x0..xn, projection id and trace
     (``Σ Tr`` over blocks, the projection's rank)."""
@@ -467,10 +475,8 @@ def export_extremes_csv(cloud, fh):
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow([f"x{i}" for i in range(n_plus_1)] + ["proj_id", "proj_trace"])
     for idx, point in enumerate(cloud.points):
-        trace = float(cloud.projections.rank(idx))
-        writer.writerow(
-            [format(x, ".17g") for x in point] + [idx, format(trace, ".17g")]
-        )
+        trace = cloud.projections.rank(idx)
+        writer.writerow([_f17(x) for x in point] + [idx, _f17(trace)])
 
 
 def export_hull_obj(optuple, fh, samples=4096, seed=0):
@@ -488,6 +494,6 @@ def export_hull_obj(optuple, fh, samples=4096, seed=0):
     position = np.zeros(len(points), dtype=int)
     position[hull.vertex_indices] = np.arange(1, len(hull.vertex_indices) + 1)
     for v in hull.hull_points:
-        fh.write("v " + " ".join(format(x, ".17g") for x in v) + "\n")
+        fh.write("v " + " ".join(_f17(x) for x in v) + "\n")
     for tri in position[hull.simplices]:
         fh.write("f " + " ".join(str(i) for i in tri) + "\n")

@@ -9,8 +9,10 @@ separates the closed-interval projection ``p_plus`` (spectrum in
 the one clustering rule: ``decompose`` applies it to one operator, and
 the isotrace slice to a stack of operators, one row each.
 
-``decompose`` keeps its eigenframe: every block's ``eigh`` output and,
-per cluster, the range of eigenvector columns it owns.  Clusters take
+``decompose`` returns its eigenframe, one ``SpectralFrame``: every
+block's ``eigh`` output and, per cluster, its value and the range of
+eigenvector columns it owns; a cluster's trace is those column counts
+times the block weights, with no pass over the columns.  Clusters take
 consecutive columns of every block, so a spectral projection onto the
 leading ``k`` clusters is a leading column range of every block, named by
 the count ``k`` alone.  ``sweep`` yields one decomposed direction at a
@@ -79,11 +81,15 @@ class SpectralFrame:
     ``vectors[j]`` is block ``j``'s eigenvector matrix from ``eigh``, its
     columns in cluster order (ascending eigenvalues for ``decompose``);
     ``bounds[k, j]`` counts the columns of block ``j`` that belong to
-    clusters ``0 .. k-1``, and the last row counts them all.
+    clusters ``0 .. k-1``, and the last row counts them all; ``values[k]``
+    is the eigenvalue cluster ``k``'s columns share.  Multiplicities and
+    traces are column counts: ``np.diff(bounds.sum(axis=1))`` and
+    ``np.diff(bounds, axis=0) @ alg.weights``.
     """
 
     vectors: tuple
     bounds: np.ndarray  # (clusters + 1, blocks)
+    values: np.ndarray  # (clusters,)
 
     def columns(self, first, stop):
         """Per block, the eigenvector columns of clusters ``first .. stop-1``."""
@@ -147,37 +153,6 @@ class SpectralFrame:
         return np.max(below, axis=0), np.max(above, axis=0)
 
 
-@dataclass(frozen=True, eq=False)
-class EigenCluster:
-    value: float
-    multiplicity: int
-    trace_weight: float
-    frame: SpectralFrame
-    index: int  # position in the ascending cluster list
-
-    @cached_property
-    def projection(self):
-        return self.frame.projection(self.index, self.index + 1)
-
-
-@dataclass(frozen=True, eq=False)
-class SpectrumInfo:
-    """Clustered spectrum of a self-adjoint operator.
-
-    The cluster projections are mutually orthogonal, sum to the identity
-    and reconstruct the operator as ``sum(value * projection)``.
-    ``values`` ascend strictly.
-    """
-
-    clusters: tuple
-    values: np.ndarray
-    frame: SpectralFrame
-
-    @property
-    def projections(self):
-        return [c.projection for c in self.clusters]
-
-
 def _scaled_tol(tol, default, norm):
     """``tol`` (``default`` when None) scaled by ``max(1, norm)``, where
     ``norm`` is an operator's ``max_norm`` (or an array of them)."""
@@ -229,17 +204,12 @@ def decompose(alg, a, cluster_tol=None):
     """Eigendecompose ``a`` blockwise and merge eigenvalues across blocks.
 
     Eigenvalues of all blocks are sorted together (stably) and chained
-    into clusters by ``cluster_starts``.  The cluster value is the mean of
-    its eigenvalues and its trace weight comes from its eigenvector column
-    norms.
+    into clusters by ``cluster_starts``.  Returns the ``SpectralFrame``
+    whose values, the means of the clusters' eigenvalues, ascend strictly;
+    a cluster's trace is its column counts times the block weights.
     """
     alg.require(a)
-    vectors, eigenvalues, weights = [], [], []
-    for j, (b, c) in enumerate(zip(a.blocks, alg.weights)):
-        w, v = eigh(b, j)
-        vectors.append(v)
-        eigenvalues.append(w)
-        weights.append(c * np.sum(np.abs(v) ** 2, axis=0))
+    eigenvalues, vectors = zip(*(eigh(b, j) for j, b in enumerate(a.blocks)))
     eigenvalues = np.concatenate(eigenvalues)
     order = np.argsort(eigenvalues, kind="stable")
     ordered = eigenvalues[order]
@@ -256,18 +226,8 @@ def decompose(alg, a, cluster_tol=None):
     bounds = np.column_stack(
         [np.searchsorted(rank[o:e], cuts) for o, e in zip(offsets, offsets[1:])]
     )
-    frame = SpectralFrame(vectors=tuple(vectors), bounds=bounds)
     values = np.add.reduceat(ordered, starts) / multiplicity
-    cluster_weights = np.add.reduceat(np.concatenate(weights)[order], starts)
-    clusters = tuple(
-        EigenCluster(
-            value=value, multiplicity=count, trace_weight=weight, frame=frame, index=k
-        )
-        for k, (value, count, weight) in enumerate(
-            zip(values.tolist(), multiplicity.tolist(), cluster_weights.tolist())
-        )
-    )
-    return SpectrumInfo(clusters=clusters, values=values, frame=frame)
+    return SpectralFrame(vectors=vectors, bounds=bounds, values=values)
 
 
 def equality_band(op, eig_eq_tol=None):
@@ -283,18 +243,18 @@ class DirectionFrame:
     optuple: algebra.OperatorTuple
     t: np.ndarray
     b_t: HermitianOperator
-    info: SpectrumInfo
+    spectrum: SpectralFrame
     eff_tol: float
 
     @cached_property
     def levels(self):
         """Cut levels reaching every interval projection of ``b_t``."""
-        return sampling.eigenvalue_sweep(self.info.values)
+        return sampling.eigenvalue_sweep(self.spectrum.values)
 
     @cached_property
     def cuts(self):
         """Per level, the cluster counts of ``p_minus`` and ``p_plus``."""
-        return cut_clusters(self.info, self.levels, self.eff_tol)
+        return cut_clusters(self.spectrum, self.levels, self.eff_tol)
 
     @cached_property
     def psi_table(self):
@@ -305,7 +265,7 @@ class DirectionFrame:
         v*b_nv)``; a leading range is a prefix of every block's columns,
         so row ``k`` sums the blocks' prefix sums at ``bounds[k]``.
         """
-        frame = self.info.frame
+        frame = self.spectrum
         frame.require_orthonormal()
         ops = self.optuple.operators
         table = 0.0
@@ -320,8 +280,8 @@ class DirectionFrame:
 def direction_frame(optuple, t, cluster_tol=None, eig_eq_tol=None):
     """Build ``b_t`` and decompose it once."""
     b_t = algebra.linear_combination(optuple, t)
-    info = decompose(optuple.algebra, b_t, cluster_tol=cluster_tol)
-    return DirectionFrame(optuple, t, b_t, info, equality_band(b_t, eig_eq_tol))
+    spectrum = decompose(optuple.algebra, b_t, cluster_tol=cluster_tol)
+    return DirectionFrame(optuple, t, b_t, spectrum, equality_band(b_t, eig_eq_tol))
 
 
 def sweep(optuple, directions, cluster_tol=None, eig_eq_tol=None):
@@ -362,7 +322,9 @@ class OrderInterval:
             w, v = np.linalg.eigh(x + y)
             vectors.append(v[:, ::-1])
             bounds.append((0, np.sum(w > 1.5), np.sum(w > 0.5), len(w)))
-        self.frame = SpectralFrame(tuple(vectors), np.array(bounds).T)
+        self.frame = SpectralFrame(
+            tuple(vectors), np.array(bounds).T, np.array([2.0, 1.0, 0.0])
+        )
         self.counts = (1, 2)
         self.lower, self.upper = lower, upper
 
@@ -443,28 +405,28 @@ def projection_leq(p, q):
     )
 
 
-def cut_clusters(info, s, eff_tol):
+def cut_clusters(spectrum, s, eff_tol):
     """How many leading clusters ``p_minus`` and ``p_plus`` span at level
     ``s`` (or at each of an array of levels): those below ``s``, and those
-    at most ``s``, within the equality band."""
+    at most ``s``, within the equality band; ``spectrum``'s values ascend."""
     return (
-        np.searchsorted(info.values, s - eff_tol, side="left"),
-        np.searchsorted(info.values, s + eff_tol, side="right"),
+        np.searchsorted(spectrum.values, s - eff_tol, side="left"),
+        np.searchsorted(spectrum.values, s + eff_tol, side="right"),
     )
 
 
-def interval_from_spectrum(alg, info, s, eff_tol):
-    """Interval projections for a cut level, from a clustered spectrum.
+def interval_from_spectrum(alg, spectrum, s, eff_tol):
+    """Interval projections for a cut level, from a ``decompose`` frame.
 
     ``eff_tol`` is the already-scaled equality band deciding whether a
     cluster sitting at ``s`` belongs to the closed-interval projection.
-    Both endpoints are spans of leading clusters of ``info``'s frame, so
-    the interval comes from the frame and builds no projection until its
+    Both endpoints are spans of leading clusters of ``spectrum``, so the
+    interval comes from the frame and builds no projection until its
     endpoints are read.
     """
-    if len(info.frame.vectors) != len(alg.dims):
+    if tuple(v.shape[0] for v in spectrum.vectors) != alg.dims:
         raise ShapeError("spectrum was decomposed in a different algebra")
-    return OrderInterval._from_frame(info.frame, *cut_clusters(info, s, eff_tol))
+    return OrderInterval._from_frame(spectrum, *cut_clusters(spectrum, s, eff_tol))
 
 
 def interval_projections(optuple, pair, cluster_tol=None, eig_eq_tol=None):
@@ -475,7 +437,9 @@ def interval_projections(optuple, pair, cluster_tol=None, eig_eq_tol=None):
     sits in the band the two coincide.
     """
     frame = direction_frame(optuple, pair.t, cluster_tol, eig_eq_tol)
-    return interval_from_spectrum(optuple.algebra, frame.info, pair.s, frame.eff_tol)
+    return interval_from_spectrum(
+        optuple.algebra, frame.spectrum, pair.s, frame.eff_tol
+    )
 
 
 def eigengap_of(alg, a, s1, s2, cluster_tol=None):

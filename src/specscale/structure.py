@@ -234,11 +234,6 @@ def abelian_verdict(optuple, directions=sampling.DEFAULT_DIRECTIONS):
     )
 
 
-def _f17(x):
-    """``x`` as a Python float, with ``-0.0`` written as ``0.0``."""
-    return float(x) + 0.0
-
-
 def report_json(verdict=None, central_reports=None, gap_reports=None):
     """Stable-schema report object for serialization, with a section for
     each argument given."""
@@ -251,21 +246,25 @@ def report_json(verdict=None, central_reports=None, gap_reports=None):
         out["extreme_count"] = verdict.extreme_count
         out["n_dim"] = verdict.n_dim
         out["cloud_counts"] = list(verdict.cloud_counts)
-        out["max_commutator"] = _f17(verdict.max_commutator)
+        out["max_commutator"] = scale._number(verdict.max_commutator)
     if central_reports is not None:
         out["central_projections"] = [
             {
-                "tau_lower": _f17(rep.tau_lower),
-                "tau_upper": _f17(rep.tau_upper),
+                "tau_lower": scale._number(rep.tau_lower),
+                "tau_upper": scale._number(rep.tau_upper),
                 "rank": rep.rank,
                 "central": rep.central,
-                "commutator_norm": _f17(rep.commutator_norm),
+                "commutator_norm": scale._number(rep.commutator_norm),
             }
             for rep in central_reports
         ]
     if gap_reports is not None:
         out["gaps"] = [
-            {"t": [_f17(x) for x in rep.t], "s1": _f17(rep.s1), "s2": _f17(rep.s2)}
+            {
+                "t": [scale._number(x) for x in rep.t],
+                "s1": scale._number(rep.s1),
+                "s2": scale._number(rep.s2),
+            }
             for rep in gap_reports
         ]
     return out

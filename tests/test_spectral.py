@@ -29,28 +29,28 @@ def one_block(matrix, dim):
 
 def test_decompose_merges_repeated_eigenvalues():
     alg, a = one_block(np.diag([1.0, 1.0, 2.0]), 3)
-    info = decompose(alg, a)
-    assert [c.multiplicity for c in info.clusters] == [2, 1]
-    np.testing.assert_allclose(info.values, [1.0, 2.0])
+    spectrum = decompose(alg, a)
+    assert list(np.diff(spectrum.bounds.sum(axis=1))) == [2, 1]
+    np.testing.assert_allclose(spectrum.values, [1.0, 2.0])
 
 
 def test_decompose_reciprocal_spectrum(reciprocal8):
-    info = decompose(reciprocal8.algebra, reciprocal8.operators[0])
+    spectrum = decompose(reciprocal8.algebra, reciprocal8.operators[0])
     expected = sorted(1.0 / k for k in range(1, 9))
-    np.testing.assert_allclose(info.values, expected, atol=1e-12)
-    assert all(c.multiplicity == 1 for c in info.clusters)
+    np.testing.assert_allclose(spectrum.values, expected, atol=1e-12)
+    assert np.all(np.diff(spectrum.bounds.sum(axis=1)) == 1)
 
 
 def test_decompose_flip_matrix_projections():
     alg, a = one_block(np.array([[0.0, 1.0], [1.0, 0.0]]), 2)
-    info = decompose(alg, a)
-    np.testing.assert_allclose(info.values, [-1.0, 1.0], atol=1e-12)
+    spectrum = decompose(alg, a)
+    np.testing.assert_allclose(spectrum.values, [-1.0, 1.0], atol=1e-12)
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     np.testing.assert_allclose(
-        info.clusters[0].projection.blocks[0], (np.eye(2) - sx) / 2, atol=1e-12
+        spectrum.projection(0, 1).blocks[0], (np.eye(2) - sx) / 2, atol=1e-12
     )
     np.testing.assert_allclose(
-        info.clusters[1].projection.blocks[0], (np.eye(2) + sx) / 2, atol=1e-12
+        spectrum.projection(1, 2).blocks[0], (np.eye(2) + sx) / 2, atol=1e-12
     )
 
 
@@ -60,21 +60,21 @@ def test_decompose_invariants_random():
     for _ in range(20):
         blocks = [rng.standard_normal((d, d)) for d in (3, 2)]
         a = _raw(blocks)
-        info = decompose(alg, a)
+        spectrum = decompose(alg, a)
+        projections = [
+            spectrum.projection(k, k + 1) for k in range(len(spectrum.values))
+        ]
         total = alg.zero()
         recon = alg.zero()
-        for c in info.clusters:
-            assert is_projection(c.projection)
-            total = total + c.projection
-            recon = recon + c.value * c.projection
+        for value, p in zip(spectrum.values, projections):
+            assert is_projection(p)
+            total = total + p
+            recon = recon + value * p
         assert max_norm(total - alg.identity()) <= 1e-8
         assert max_norm(recon - a) <= 1e-8
-        for i, ci in enumerate(info.clusters):
-            for cj in info.clusters[i + 1 :]:
-                prod = [
-                    x @ y
-                    for x, y in zip(ci.projection.blocks, cj.projection.blocks)
-                ]
+        for i, pi in enumerate(projections):
+            for pj in projections[i + 1 :]:
+                prod = [x @ y for x, y in zip(pi.blocks, pj.blocks)]
                 assert max(np.max(np.abs(p)) for p in prod) <= 1e-8
 
 
@@ -202,6 +202,18 @@ def test_order_interval_validation(pauli):
         OrderInterval(0.5 * one, one)  # not a projection
 
 
+def test_interval_from_spectrum_rejects_another_algebra(pauli):
+    # the same block count, another block size
+    from specscale.errors import ShapeError
+    from specscale.spectral import interval_from_spectrum
+
+    alg, a = one_block(np.array([[1.0]]), 1)
+    spectrum = decompose(alg, a)
+    with pytest.raises(ShapeError, match="different algebra"):
+        interval_from_spectrum(pauli.algebra, spectrum, 1.0, 1e-8)
+    assert interval_from_spectrum(alg, spectrum, 1.0, 1e-8).counts == (0, 1)
+
+
 # ------------------------------------------------------- the spectral frame
 
 
@@ -268,17 +280,19 @@ def _frame_cases():
 @pytest.mark.parametrize("case", range(len(_frame_cases())))
 def test_cluster_projections_match_outer_products(case):
     alg, a = _frame_cases()[case]
-    info = decompose(alg, a)
+    spectrum = decompose(alg, a)
     reference = _reference_clusters(alg, a)
-    assert [c.multiplicity for c in info.clusters] == [r[1] for r in reference]
-    assert list(info.values) == [r[0] for r in reference]
-    for c, (_, _, blocks) in zip(info.clusters, reference):
-        for got, want in zip(c.projection.blocks, blocks):
+    multiplicities = np.diff(spectrum.bounds.sum(axis=1))
+    assert list(multiplicities) == [r[1] for r in reference]
+    assert list(spectrum.values) == [r[0] for r in reference]
+    traces = np.diff(spectrum.bounds, axis=0) @ alg.weights
+    for k, (_, _, blocks) in enumerate(reference):
+        for got, want in zip(spectrum.projection(k, k + 1).blocks, blocks):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         expected_weight = sum(
             w * np.trace(b).real for (_, w), b in zip(alg.blocks, blocks)
         )
-        assert c.trace_weight == pytest.approx(expected_weight, abs=1e-12)
+        assert traces[k] == pytest.approx(expected_weight, abs=1e-12)
 
 
 def test_eigenvalue_chain_merges_past_the_tolerance():
@@ -286,13 +300,37 @@ def test_eigenvalue_chain_merges_past_the_tolerance():
     # cluster tolerance, and still becomes one cluster
     alg, a = _frame_cases()[-1]
     assert 7e-9 > 1e-9 * max(1.0, max_norm(a))
-    info = decompose(alg, a)
-    assert [c.multiplicity for c in info.clusters] == [1, 8, 1]
+    spectrum = decompose(alg, a)
+    assert list(np.diff(spectrum.bounds.sum(axis=1))) == [1, 8, 1]
     np.testing.assert_allclose(
-        info.values, [-1.0, 2.0 + 3.5e-9, 3.0], rtol=0, atol=1e-12
+        spectrum.values, [-1.0, 2.0 + 3.5e-9, 3.0], rtol=0, atol=1e-12
     )
-    chain = info.clusters[1].projection
+    chain = spectrum.projection(1, 2)
     assert [round(float(np.trace(b).real)) for b in chain.blocks] == [4, 4]
+
+
+def test_eigenvalue_chain_reads_as_one_eigenvalue():
+    # what the transitive merge does downstream: a level anywhere on the
+    # chain puts the whole chain in p_plus, so the face is a segment and the
+    # support value is off by at most the chain's trace times its span
+    from specscale.oracle import oracle_support
+    from specscale.scale import exposed_face, support_value
+
+    alg, a = _frame_cases()[-1]
+    optuple = OperatorTuple(alg, (a,))
+    spectrum = decompose(alg, a)
+    value = spectrum.values[1]
+    trace = (np.diff(spectrum.bounds, axis=0) @ alg.weights)[1]
+    for s in (2.0, value, 2.0 + 7e-9):
+        pair = SpectralPair(s, np.array([1.0]))
+        exact = -oracle_support(optuple, [s, -1.0])
+        error = support_value(optuple, pair) - exact
+        assert -1e-15 <= error <= trace * 7e-9
+        if s == value:
+            assert error <= 1e-9
+        face = exposed_face(optuple, pair)
+        assert tuple(face.interval.counts) == (1, 2)
+        assert face.dimension == 1
 
 
 def _sweep_tuples():
@@ -318,11 +356,13 @@ def test_sweep_intervals_match_interval_projections(index):
     for frame, t in zip(frames, directions):
         assert np.array_equal(frame.t, t)
         np.testing.assert_array_equal(
-            frame.levels, sampling.eigenvalue_sweep(frame.info.values)
+            frame.levels, sampling.eigenvalue_sweep(frame.spectrum.values)
         )
         reference = _reference_clusters(optuple.algebra, frame.b_t)
         for s in frame.levels:
-            got = interval_from_spectrum(optuple.algebra, frame.info, s, frame.eff_tol)
+            got = interval_from_spectrum(
+                optuple.algebra, frame.spectrum, s, frame.eff_tol
+            )
             want = interval_projections(optuple, SpectralPair(s, t))
             assert max_norm(got.lower - want.lower) <= 1e-12
             assert max_norm(got.upper - want.upper) <= 1e-12
@@ -393,7 +433,7 @@ def test_frame_intervals_are_ordered_projections(case):
     optuple = _frame_tuples()[case]
     for frame in _frames(optuple):
         for lower, upper in zip(*frame.cuts):
-            interval = OrderInterval._from_frame(frame.info.frame, lower, upper)
+            interval = OrderInterval._from_frame(frame.spectrum, lower, upper)
             assert is_projection(interval.lower) and is_projection(interval.upper)
             assert projection_leq(interval.lower, interval.upper)
             assert interval.is_point() == (max_norm(interval.gap()) <= 1e-8)
@@ -408,7 +448,7 @@ def test_psi_table_matches_the_built_endpoints(case):
     alg = optuple.algebra
     for frame in _frames(optuple):
         for s, lower, upper in zip(frame.levels, *frame.cuts):
-            interval = OrderInterval._from_frame(frame.info.frame, lower, upper)
+            interval = OrderInterval._from_frame(frame.spectrum, lower, upper)
             normal = np.concatenate(([-s], frame.t))
             shifted = frame.b_t - s * alg.identity()
             alphas = []
@@ -445,7 +485,7 @@ def test_frame_order_test_matches_interval_contains(name, request):
     verdicts = []
     for interval in _distinct_proper_faces(optuple, 8):
         for frame in sweep(optuple, _candidate_directions(optuple, interval, 8)):
-            spectral_frame = frame.info.frame
+            spectral_frame = frame.spectrum
             below, above = spectral_frame.order_margins(interval.lower, interval.upper)
             for lower, upper in zip(*frame.cuts):
                 by_frame = max(below[lower], above[upper]) <= PROJECTION_TOL
@@ -461,12 +501,12 @@ def test_non_orthonormal_frame_raises():
     from specscale.spectral import SpectralFrame
 
     alg, a = _frame_cases()[0]
-    frame = decompose(alg, a).frame
+    frame = decompose(alg, a)
     frame.require_orthonormal()
     vectors = list(frame.vectors)
     vectors[2] = vectors[2].copy()
     vectors[2][:, 1] *= 1.0 + 1e-6
-    bad = SpectralFrame(tuple(vectors), frame.bounds)
+    bad = SpectralFrame(tuple(vectors), frame.bounds, frame.values)
     with pytest.raises(NumericalError, match="block 2"):
         OrderInterval._from_frame(bad, 0, 1)
     one = alg.identity()
@@ -480,27 +520,24 @@ def test_shifted_cluster_bound_trips_the_support_check():
     from specscale.spectral import (
         DirectionFrame,
         SpectralFrame,
-        SpectrumInfo,
         cut_clusters,
         direction_frame,
     )
 
     optuple = _frame_tuples()[0]
     frame = direction_frame(optuple, np.array([1.0, 0.0]))
-    bounds = frame.info.frame.bounds
+    bounds = frame.spectrum.bounds
     # a cluster k whose successor owns a column of block 0
     k = next(k for k in range(len(bounds) - 2) if bounds[k + 1, 0] < bounds[k + 2, 0])
-    s = frame.info.values[k]
-    assert tuple(cut_clusters(frame.info, s, frame.eff_tol)) == (k, k + 1)
+    s = frame.spectrum.values[k]
+    assert tuple(cut_clusters(frame.spectrum, s, frame.eff_tol)) == (k, k + 1)
     _support_in_frame(frame, s, k, k + 1)
     shifted_bounds = bounds.copy()
     shifted_bounds[k + 1, 0] += 1  # cluster k takes its successor's column
-    info = SpectrumInfo(
-        frame.info.clusters,
-        frame.info.values,
-        SpectralFrame(frame.info.frame.vectors, shifted_bounds),
+    spectrum = SpectralFrame(
+        frame.spectrum.vectors, shifted_bounds, frame.spectrum.values
     )
-    shifted = DirectionFrame(optuple, frame.t, frame.b_t, info, frame.eff_tol)
+    shifted = DirectionFrame(optuple, frame.t, frame.b_t, spectrum, frame.eff_tol)
     with pytest.raises(InvariantViolation):
         _support_in_frame(shifted, s, k, k + 1)
 
@@ -515,7 +552,7 @@ def test_rank_one_gaps_cut_down_to_a_segment(case):
     seen = 0
     for frame in _frames(optuple):
         for lower, upper in zip(*frame.cuts):
-            gap = frame.info.frame.columns(lower, upper)
+            gap = frame.spectrum.columns(lower, upper)
             if sum(g.shape[1] for g in gap) == 1:
                 seen += 1
                 assert scale_dimension(Compression(optuple, gap).tuple).dimension == 1
