@@ -33,6 +33,7 @@ from .faces import (
     minimal_exposed_chain,
     minimal_exposed_face,
     normal_cone,
+    normal_cones,
 )
 from .scale import (
     ExposedFace,
@@ -104,6 +105,7 @@ __all__ = [
     "minimal_exposed_chain",
     "minimal_exposed_face",
     "normal_cone",
+    "normal_cones",
     "oracle_support",
     "psi",
     "sample_unit_ball",

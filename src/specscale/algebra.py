@@ -307,13 +307,18 @@ def generated_algebra_basis(optuple):
     The real span is closed once it holds ``(xy + yx)/2`` and ``(xy - yx)/(2i)``
     for every pair of its elements.  ``yx`` gives the same two parts up to
     sign, and a rejected candidate stays inside the growing span, so one
-    walk over the basis multiplies each unordered pair once.
+    walk over the basis multiplies each unordered pair once.  The walk
+    stops early once the basis holds ``Σ d_j²`` elements: it then spans
+    every self-adjoint element of the algebra.
     """
     alg = optuple.algebra
+    full = sum(d * d for d in alg.dims)
     stacks = [np.empty((0, d, d), dtype=complex) for d in alg.dims]
 
     def try_add(blocks):
         nonlocal stacks
+        if len(stacks[0]) == full:
+            return
         residual = _span_residual(alg, stacks, blocks)
         norm2 = sum(c * np.sum(np.abs(r) ** 2) for c, r in zip(alg.weights, residual))
         if norm2 > 1e-10:
@@ -324,11 +329,13 @@ def generated_algebra_basis(optuple):
     for op in optuple.operators:
         try_add(op.blocks)
     i = 0
-    while i < len(stacks[0]):
+    while i < len(stacks[0]) < full:
         for j in range(i + 1):
             prod = [s[i] @ s[j] for s in stacks]
             try_add([(m + m.conj().T) / 2.0 for m in prod])
             try_add([(m - m.conj().T) / 2j for m in prod])
+            if len(stacks[0]) == full:
+                break
         i += 1
     return [_raw(element) for element in zip(*stacks)]
 

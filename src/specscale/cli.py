@@ -17,7 +17,7 @@ import os
 import sys
 import tempfile
 
-from . import algebra, faces, scale, structure
+from . import algebra, faces, scale, spectral, structure
 from .errors import (
     HermitianError,
     IngestError,
@@ -139,12 +139,18 @@ def cmd_extremes(optuple, args):
 
 
 def _face_pass(optuple, args, cloud=None):
-    """``(face, cone)`` per distinct sweep face, once the whole sweep has run;
-    each cone is sampled as its face is reached, None for the whole scale.
-    A ``cloud`` given gets the extreme points of every swept direction."""
+    """The run's ``spectral.FrameCache`` and ``(face, cone)`` per distinct
+    sweep face, the cone None for the whole scale.
+
+    The sweep fills the cache, and the cones of all proper faces are
+    sampled together from it (``faces.normal_cones``), so each direction
+    part is decomposed once per run.  A ``cloud`` given gets the extreme
+    points of every swept direction.
+    """
+    frames = spectral.FrameCache(optuple, args.cluster_tol, args.eig_eq_tol)
     distinct = []
     for frame in scale.sweep_frames(
-        optuple, args.samples, args.cluster_tol, args.eig_eq_tol
+        optuple, args.samples, args.cluster_tol, args.eig_eq_tol, frames
     ):
         if cloud is not None:
             cloud.add_frame(frame)
@@ -153,18 +159,24 @@ def _face_pass(optuple, args, cloud=None):
                 faces.intervals_equal(face.interval, f.interval) for f in distinct
             ):
                 distinct.append(face)
-    for face in distinct:
-        cone = None
-        if faces._is_proper(optuple, face.interval):
-            cone = faces.normal_cone(
-                optuple, face.interval, args.samples, args.cluster_tol, args.eig_eq_tol
-            )
-        yield face, cone
+    proper = [faces._is_proper(optuple, f.interval) for f in distinct]
+    cones = iter(
+        faces.normal_cones(
+            optuple,
+            [f.interval for f, p in zip(distinct, proper) if p],
+            args.samples,
+            args.cluster_tol,
+            args.eig_eq_tol,
+            frames,
+        )
+    )
+    return frames, [(f, next(cones) if p else None) for f, p in zip(distinct, proper)]
 
 
 def cmd_faces(optuple, args):
     reports = []
-    for face, cone in _face_pass(optuple, args):
+    frames, passed = _face_pass(optuple, args)
+    for face, cone in passed:
         trace_lower, trace_upper = face.vertices[:, 0]
         entry = {
             "pair": {
@@ -184,6 +196,7 @@ def cmd_faces(optuple, args):
                 args.samples,
                 args.cluster_tol,
                 args.eig_eq_tol,
+                frames,
             )
             entry.update(
                 degree=cone.degree,
@@ -210,7 +223,8 @@ def cmd_slice(optuple, args):
 def cmd_corners(optuple, args):
     sharp_list = []
     gap_reports = []
-    for face, cone in _face_pass(optuple, args):
+    frames, passed = _face_pass(optuple, args)
+    for face, cone in passed:
         if cone is None:
             continue
         handle = faces.FaceHandle(face.interval)
@@ -226,7 +240,7 @@ def cmd_corners(optuple, args):
             )
         gap_reports.extend(
             structure.detect_gap(
-                optuple, handle, cone, args.eig_eq_tol, args.cluster_tol
+                optuple, handle, cone, args.eig_eq_tol, args.cluster_tol, frames
             )
         )
     payload = structure.report_json(gap_reports=gap_reports)
@@ -237,7 +251,7 @@ def cmd_corners(optuple, args):
 def cmd_center(optuple, args):
     reports = []
     cloud = scale.ExtremePointCloud(optuple.n)
-    for face, cone in _face_pass(optuple, args, cloud):
+    for face, cone in _face_pass(optuple, args, cloud)[1]:
         if cone is None:
             continue
         handle = faces.FaceHandle(face.interval)

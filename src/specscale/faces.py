@@ -13,6 +13,11 @@ is probed through the order test: ``(-s, t)`` supports the face exactly
 when ``p_minus <= q_minus`` and ``q_plus <= p_plus`` for the interval
 projections of ``b_t`` at ``s``, which the sweep reads per direction off
 the eigenframe of ``b_t`` as prefix and suffix maxima of column norms.
+``normal_cones`` samples the cones of many faces in one pass: each
+distinct candidate ``t`` is decomposed once, through a
+``spectral.FrameCache`` that the CLI fills from its sweep and keeps for
+the run, and every face that tests ``t`` is tested together, its
+endpoints stacked per block size into one product.
 """
 
 from __future__ import annotations
@@ -197,6 +202,8 @@ def _commutant_directions(optuple, interval):
     support the face, so restricting candidate directions to this
     subspace loses no members and finds one-ray cones exactly.
 
+    The null space comes from a thin SVD of the ``(4·Σd², n)`` commutator
+    matrix, padded with zero rows to at least ``n`` so that it is complete.
     The basis does not depend on last-bit noise in the endpoints: the
     whole space is returned as the coordinate axes, and every other row
     is signed so that its largest entry (the first, on a near tie) is
@@ -212,10 +219,10 @@ def _commutant_directions(optuple, interval):
                 col.append(c.imag)
         cols.append(np.concatenate(col))
     mat = np.column_stack(cols)
-    _, svals, vt = np.linalg.svd(mat, full_matrices=True)
-    scale_ref = max(1.0, float(svals[0]) if len(svals) else 1.0)
-    null_mask = np.ones(optuple.n, dtype=bool)
-    null_mask[: len(svals)] = svals <= 1e-9 * scale_ref
+    if len(mat) < optuple.n:
+        mat = np.vstack([mat, np.zeros((optuple.n - len(mat), optuple.n))])
+    _, svals, vt = np.linalg.svd(mat, full_matrices=False)
+    null_mask = svals <= 1e-9 * max(1.0, float(svals[0]))
     if null_mask.all():
         return np.eye(optuple.n)
     basis = vt[null_mask]
@@ -224,14 +231,97 @@ def _commutant_directions(optuple, interval):
     return basis * np.sign(basis[np.arange(len(basis)), lead])[:, None]
 
 
-def _candidate_directions(optuple, interval, directions):
+def _candidate_directions(optuple, interval, raw):
+    """Candidate direction parts for the face's cone: the commutant basis
+    and the sampled direction parts ``raw``, projected onto the commutant,
+    with both signs."""
     basis = _commutant_directions(optuple, interval)
     if basis.shape[0] == 0:
         return []
-    raw = scale._cloud_t_directions(optuple.n, directions)
     projected = (basis.T @ (basis @ t) for t in list(basis) + raw)
     # (-p)/|p| is -(p/|p|) bit for bit: both signs are exact negatives
     return sampling.distinct_unit_vectors(x for p in projected for x in (p, -p))
+
+
+def normal_cones(
+    optuple,
+    intervals,
+    directions=sampling.DEFAULT_DIRECTIONS,
+    cluster_tol=None,
+    eig_eq_tol=None,
+    frames=None,
+):
+    """Sample the normal cones of proper faces through the order test.
+
+    Candidate direction parts are the extreme-point sampling scheme
+    projected onto the subspace commuting with both endpoint projections
+    of the face (a necessary condition for membership, and what pins down
+    one-ray cones exactly); for every ``t`` the cut level sweeps the
+    spectrum of ``b_t`` including gap midpoints, which is what picks up
+    multiple supporting levels across a spectral gap.
+
+    All cones are sampled in one pass.  Each distinct ``t`` is decomposed
+    once, by ``frames`` (a ``spectral.FrameCache`` of this tuple, which
+    may already hold it) or by a cache of this call, and the order test
+    ``p_minus <= q_minus``, ``q_plus <= p_plus`` of every face whose
+    candidates hold ``t`` is one stacked ``order_margins`` on its frame,
+    read at each level's cluster counts, so no candidate interval is
+    built.  Each face's members keep the order of its candidates.
+    """
+    intervals = list(intervals)
+    for interval in intervals:
+        _require_proper(optuple, interval)
+    if frames is None:
+        frames = spectral.FrameCache(optuple, cluster_tol, eig_eq_tol)
+    source = spectral.frame_source(optuple, cluster_tol, eig_eq_tol, frames)
+    raw = scale._cloud_t_directions(optuple.n, directions)
+    candidates = [_candidate_directions(optuple, iv, raw) for iv in intervals]
+    testers = {}  # exact bytes of t -> (t, [(face, candidate position)])
+    for f, ts in enumerate(candidates):
+        for k, t in enumerate(ts):
+            testers.setdefault(t.tobytes(), (t, []))[1].append((f, k))
+    dims = optuple.algebra.dims
+    lowers = spectral.stack_blocks(dims, [iv.lower for iv in intervals])
+    uppers = spectral.stack_blocks(dims, [iv.upper for iv in intervals])
+    found = [[None] * len(ts) for ts in candidates]
+    for t, tests in testers.values():
+        frame = source(t)
+        q_minus, q_plus = lowers, uppers
+        if len(tests) < len(intervals):  # only some faces test this t
+            which = [f for f, _ in tests]
+            q_minus, q_plus = [q[which] for q in lowers], [q[which] for q in uppers]
+        below, above = frame.spectrum.order_margins(q_minus, q_plus)
+        lower, upper = frame.cuts
+        member = (below[:, lower] <= PROJECTION_TOL) & (
+            above[:, upper] <= PROJECTION_TOL
+        )
+        for (f, k), row in zip(tests, member):
+            found[f][k] = (frame.t, frame.levels[row])
+    return [
+        _cone_sample(optuple, interval, hits)
+        for interval, hits in zip(intervals, found)
+    ]
+
+
+def _cone_sample(optuple, interval, hits):
+    """The ``NormalConeSample`` of member levels ``hits``, one
+    ``(t, levels)`` per candidate direction part in order."""
+    members = []
+    pairs = []
+    for t, levels in hits:
+        for s in levels:
+            normal = np.concatenate(([-s], t))
+            members.append(normal / np.linalg.norm(normal))
+            pairs.append(SpectralPair(s=s, t=t))
+    members = np.array(members) if members else np.empty((0, optuple.n + 1))
+    degree = int(np.linalg.matrix_rank(members, tol=1e-8)) if len(members) else 0
+    exact = False
+    if all(d == 1 for d in optuple.algebra.dims):
+        polytope_degree = optuple.n + 1 - face_dimension(optuple, interval)
+        exact = degree == polytope_degree
+    return NormalConeSample(
+        members=members, pairs=tuple(pairs), degree=degree, exact=exact
+    )
 
 
 def normal_cone(
@@ -240,45 +330,13 @@ def normal_cone(
     directions=sampling.DEFAULT_DIRECTIONS,
     cluster_tol=None,
     eig_eq_tol=None,
+    frames=None,
 ):
-    """Sample the normal cone of a proper face through the order test.
-
-    Candidate direction parts are the extreme-point sampling scheme
-    projected onto the subspace commuting with both endpoint projections
-    (a necessary condition for membership, and what pins down one-ray
-    cones exactly); for every ``t`` the cut level sweeps the spectrum of
-    ``b_t`` including gap midpoints, which is what picks up multiple
-    supporting levels across a spectral gap.  The order test
-    ``p_minus <= q_minus``, ``q_plus <= p_plus`` reads the frame's
-    ``order_margins`` at each level's cluster counts, so no candidate
-    interval is built.
-    """
-    _require_proper(optuple, interval)
-    alg = optuple.algebra
-    members = []
-    pairs = []
-    for frame in spectral.sweep(
-        optuple,
-        _candidate_directions(optuple, interval, directions),
-        cluster_tol,
-        eig_eq_tol,
-    ):
-        below, above = frame.spectrum.order_margins(interval.lower, interval.upper)
-        lower, upper = frame.cuts
-        member = (below[lower] <= PROJECTION_TOL) & (above[upper] <= PROJECTION_TOL)
-        for s in frame.levels[member]:
-            normal = np.concatenate(([-s], frame.t))
-            members.append(normal / np.linalg.norm(normal))
-            pairs.append(SpectralPair(s=s, t=frame.t))
-    members = np.array(members) if members else np.empty((0, optuple.n + 1))
-    degree = int(np.linalg.matrix_rank(members, tol=1e-8)) if len(members) else 0
-    exact = False
-    if all(d == 1 for d in alg.dims):
-        polytope_degree = optuple.n + 1 - face_dimension(optuple, interval)
-        exact = degree == polytope_degree
-    return NormalConeSample(
-        members=members, pairs=tuple(pairs), degree=degree, exact=exact
+    """The normal cone of one proper face: ``normal_cones`` of ``[interval]``."""
+    (cone,) = normal_cones(
+        optuple, [interval], directions, cluster_tol, eig_eq_tol, frames
     )
+    return cone
 
 
 def is_sharp(optuple, interval, directions=sampling.DEFAULT_DIRECTIONS):
@@ -343,8 +401,9 @@ def minimal_exposed_face(
     return _exposed_by_cone(optuple, interval, cone, cluster_tol, eig_eq_tol)
 
 
-def _exposed_by_cone(optuple, interval, cone, cluster_tol, eig_eq_tol):
-    """``minimal_exposed_face`` from the face's sampled normal cone."""
+def _exposed_by_cone(optuple, interval, cone, cluster_tol, eig_eq_tol, frames=None):
+    """``minimal_exposed_face`` from the face's sampled normal cone, with
+    directions decomposed by ``frames`` (a ``spectral.FrameCache``) when given."""
     if not len(cone.members):
         raise MinimalFaceError(
             "no supporting directions found; refine the direction sample"
@@ -353,11 +412,15 @@ def _exposed_by_cone(optuple, interval, cone, cluster_tol, eig_eq_tol):
     t_bar = combined[1:]
     if np.linalg.norm(t_bar) > 1e-10:
         face = scale.exposed_face(
-            optuple, SpectralPair(s=-combined[0], t=t_bar), cluster_tol, eig_eq_tol
+            optuple,
+            SpectralPair(s=-combined[0], t=t_bar),
+            cluster_tol,
+            eig_eq_tol,
+            frames,
         )
     else:
         exposing = (
-            scale.exposed_face(optuple, pair, cluster_tol, eig_eq_tol)
+            scale.exposed_face(optuple, pair, cluster_tol, eig_eq_tol, frames)
             for pair in cone.pairs
         )
         face = next(
@@ -395,20 +458,32 @@ def minimal_exposed_chain(
     )
 
 
-def _chain_from_cone(optuple, interval, cone, directions, cluster_tol, eig_eq_tol):
+def _chain_from_cone(
+    optuple, interval, cone, directions, cluster_tol, eig_eq_tol, frames=None
+):
     """``minimal_exposed_chain`` from the face's sampled normal cone, which
     serves the first level; each later level samples the cone of its
-    cut-down target."""
+    cut-down target.  The first level is exposed in ``optuple`` itself,
+    its directions decomposed by ``frames`` (a ``spectral.FrameCache`` of
+    ``optuple``) when given; each cut-down is a tuple of its own and gets
+    a cache of its own."""
     comp = _whole(optuple)
-    target = interval
+    current, target = optuple, interval
     handles = []
     for level in range(optuple.n + 2):
         if level:
-            cone = normal_cone(comp.tuple, target, directions, cluster_tol, eig_eq_tol)
+            current = comp.tuple
+            frames = spectral.FrameCache(current, cluster_tol, eig_eq_tol)
+            cone = normal_cone(
+                current, target, directions, cluster_tol, eig_eq_tol, frames
+            )
         exposed = _exposed_by_cone(
-            comp.tuple, target, cone, cluster_tol, eig_eq_tol
+            current, target, cone, cluster_tol, eig_eq_tol, frames
         ).interval
-        lifted = OrderInterval(comp.lift(exposed.lower), comp.lift(exposed.upper))
+        if level:
+            lifted = OrderInterval(comp.lift(exposed.lower), comp.lift(exposed.upper))
+        else:
+            lifted = exposed  # already ambient
         handles.append(FaceHandle(interval=lifted))
         if intervals_equal(exposed, target):
             return handles

@@ -152,26 +152,36 @@ def _face_in_frame(frame, pair, lower, upper, alpha):
     )
 
 
-def exposed_face(optuple, pair, cluster_tol=None, eig_eq_tol=None):
+def exposed_face(optuple, pair, cluster_tol=None, eig_eq_tol=None, frames=None):
     """The face cut out by the supporting hyperplane of ``(s, t)``.
 
     The face is the image of the order interval of the interval
     projections; it is a single exposed point exactly when the two
-    projections coincide.
+    projections coincide.  ``frames``, a ``spectral.FrameCache`` of the
+    tuple, decomposes ``t`` when given.
     """
-    frame = spectral.direction_frame(optuple, pair.t, cluster_tol, eig_eq_tol)
+    frame = spectral.frame_source(optuple, cluster_tol, eig_eq_tol, frames)(pair.t)
     lower, upper = spectral.cut_clusters(frame.spectrum, pair.s, frame.eff_tol)
     alpha = float(_support_in_frame(frame, pair.s, lower, upper))
     return _face_in_frame(frame, pair, lower, upper, alpha)
 
 
 def sweep_frames(
-    optuple, directions=sampling.DEFAULT_DIRECTIONS, cluster_tol=None, eig_eq_tol=None
+    optuple,
+    directions=sampling.DEFAULT_DIRECTIONS,
+    cluster_tol=None,
+    eig_eq_tol=None,
+    frames=None,
 ):
     """One ``spectral.DirectionFrame`` per distinct direction part of a
-    sphere sample (as for ``extreme_point_cloud``)."""
+    sphere sample (as for ``extreme_point_cloud``), kept by ``frames`` (a
+    ``spectral.FrameCache`` of the tuple) when given."""
     return spectral.sweep(
-        optuple, _cloud_t_directions(optuple.n, directions), cluster_tol, eig_eq_tol
+        optuple,
+        _cloud_t_directions(optuple.n, directions),
+        cluster_tol,
+        eig_eq_tol,
+        frames,
     )
 
 
@@ -372,14 +382,13 @@ def waterfill(optuple, direction, level, cluster_tol=None):
 def _size_classes(optuple):
     """Per distinct block size: the block indices, their trace weights and
     every operator's blocks stacked as ``(n, m_k, d, d)``."""
-    dims = np.array(optuple.algebra.dims)
+    dims = optuple.algebra.dims
     weights = np.array(optuple.algebra.weights)
-    classes = []
-    for d in np.unique(dims):
-        idx = np.flatnonzero(dims == d)
-        ops = np.array([[b.blocks[j] for j in idx] for b in optuple.operators])
-        classes.append((idx, weights[idx], ops))
-    return classes
+    stacks = spectral.stack_blocks(dims, optuple.operators)
+    return [
+        (idx, weights[idx], ops)
+        for idx, ops in zip(spectral.size_classes(dims), stacks)
+    ]
 
 
 def _waterfill_points(optuple, classes, dirs, level, cluster_tol):
@@ -452,11 +461,28 @@ def isotrace_slice(optuple, level, resolution=720, cluster_tol=None):
             for k in range(0, len(dirs), step)
         ]
     )
-    keep = [0]
-    for i in range(1, len(points)):
-        if np.all(np.linalg.norm(points[keep] - points[i], axis=1) > 1e-12):
-            keep.append(i)
-    return IsotraceSlice(level=float(level), points=points[keep])
+    return IsotraceSlice(level=float(level), points=_keep_first(points, 1e-12))
+
+
+def _keep_first(points, tol):
+    """``points`` without each one within ``tol`` of an earlier kept point.
+
+    Only points whose first coordinates lie within ``2 tol`` of each other
+    can be that close (the factor 2 absorbs rounding in the window), so
+    they are sorted by that coordinate and each point is compared only
+    with its neighbours there, in input order.
+    """
+    order = np.argsort(points[:, 0], kind="stable")
+    first = points[order, 0]
+    lo = np.searchsorted(first, points[:, 0] - 2 * tol, side="left")
+    hi = np.searchsorted(first, points[:, 0] + 2 * tol, side="right")
+    kept = np.ones(len(points), dtype=bool)
+    for i in np.flatnonzero(hi - lo > 1):
+        near = order[lo[i] : hi[i]]
+        near = near[(near < i) & kept[near]]
+        if not np.all(np.linalg.norm(points[near] - points[i], axis=1) > tol):
+            kept[i] = False
+    return points[kept]
 
 
 def _number(x):

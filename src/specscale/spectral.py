@@ -19,8 +19,12 @@ the count ``k`` alone.  ``sweep`` yields one decomposed direction at a
 time with all its cut levels as such counts, and everything a sweep
 reads off a level comes from the frame without a d×d matrix: ``psi`` and
 the trace of an endpoint are rows of a cumulative table, the support
-value is a dot product with a row, and the order test against a fixed
-interval is a prefix (or suffix) maximum of column norms.  Every
+value is a dot product with a row, and the order test against fixed
+intervals is a prefix (or suffix) maximum of column norms, for many
+intervals at once with their blocks stacked per block size.  A
+``FrameCache`` keeps the frame of every direction one command decomposes,
+bound to one tuple and its tolerances and keyed on the exact bytes of
+``t``, so a face command decomposes each direction once.  Every
 ``OrderInterval`` is a frame with two leading counts (an interval from
 outside is framed by the eigenvectors of ``lower + upper``), so the bases
 of ``lower``, of the gap and of ``1 - upper`` are column ranges, and two
@@ -130,27 +134,66 @@ class SpectralFrame:
                 block=j,
             )
 
+    @cached_property
+    def _by_size(self):
+        """The eigenvectors stacked as ``(m_k, d, d)`` per block size
+        (``size_classes``), the order that sorts all their columns by
+        cluster, and where each cluster starts in that order."""
+        counts = np.diff(self.bounds, axis=0).T  # (blocks, clusters)
+        stacks, clusters = [], []
+        for idx in size_classes([v.shape[0] for v in self.vectors]):
+            stacks.append(np.array([self.vectors[j] for j in idx]))
+            # a block's columns run through the clusters in order
+            ids = np.tile(np.arange(counts.shape[1]), len(idx))
+            clusters.append(np.repeat(ids, counts[idx].ravel()))
+        order = np.argsort(np.concatenate(clusters), kind="stable")
+        return stacks, order, self.bounds.sum(axis=1)[:-1]
+
     def order_margins(self, q_minus, q_plus):
         """How far each leading range ``p_k`` is from ``p_k <= q_minus`` and
-        from ``q_plus <= p_k``, per cluster count ``k``.
+        from ``q_plus <= p_k``, per face and cluster count ``k``.
 
-        ``below[k]`` is the largest ``|(1 - q_minus) v|`` over the columns
-        ``v`` of the first ``k`` clusters (a prefix maximum), ``above[k]``
-        the largest ``|q_plus v|`` over the other columns (a suffix
-        maximum); each order holds exactly when its margin is zero.
+        ``q_minus`` and ``q_plus`` hold the faces' blocks per block size
+        (``stack_blocks``), so every face's test on this frame is one
+        product per block size.  ``below[f, k]`` is the largest
+        ``|(1 - q_minus) v|`` over the columns ``v`` of the first ``k``
+        clusters, ``above[f, k]`` the largest ``|q_plus v|`` over the other
+        columns: prefix and suffix maxima of each cluster's largest column
+        norm.  Each order holds exactly when its margin is zero.
         """
         self.require_orthonormal()
-        below, above = [], []
-        for v, qm, qp, ends in zip(
-            self.vectors, q_minus.blocks, q_plus.blocks, self.bounds.T
-        ):
-            outside = np.linalg.norm(v - qm @ v, axis=0)
-            inside = np.linalg.norm(qp @ v, axis=0)
-            prefix = np.maximum.accumulate(np.concatenate(([0.0], outside)))
-            suffix = np.maximum.accumulate(np.concatenate((inside, [0.0]))[::-1])
-            below.append(prefix[ends])
-            above.append(suffix[::-1][ends])
-        return np.max(below, axis=0), np.max(above, axis=0)
+        stacks, order, starts = self._by_size
+        faces = len(q_minus[0])
+        outside, inside = [], []
+        for v, qm, qp in zip(stacks, q_minus, q_plus):
+            outside.append(np.linalg.norm(v - qm @ v, axis=-2).reshape(faces, -1))
+            inside.append(np.linalg.norm(qp @ v, axis=-2).reshape(faces, -1))
+
+        def per_cluster(norms):
+            columns = np.concatenate(norms, axis=1)[:, order]
+            return np.maximum.reduceat(columns, starts, axis=1)
+
+        below = np.zeros((faces, len(starts) + 1))
+        above = np.zeros_like(below)
+        np.maximum.accumulate(per_cluster(outside), axis=1, out=below[:, 1:])
+        suffix = np.maximum.accumulate(per_cluster(inside)[:, ::-1], axis=1)
+        above[:, :-1] = suffix[:, ::-1]
+        return below, above
+
+
+def size_classes(dims):
+    """Per distinct block size, ascending, the indices of the blocks of that size."""
+    dims = np.asarray(dims)
+    return [np.flatnonzero(dims == d) for d in np.unique(dims)]
+
+
+def stack_blocks(dims, ops):
+    """The blocks of ``ops`` per block size (``size_classes(dims)``), each
+    size stacked as ``(len(ops), m_k, d, d)``."""
+    return [
+        np.array([[op.blocks[j] for j in idx] for op in ops])
+        for idx in size_classes(dims)
+    ]
 
 
 def _scaled_tol(tol, default, norm):
@@ -284,14 +327,52 @@ def direction_frame(optuple, t, cluster_tol=None, eig_eq_tol=None):
     return DirectionFrame(optuple, t, b_t, spectrum, equality_band(b_t, eig_eq_tol))
 
 
-def sweep(optuple, directions, cluster_tol=None, eig_eq_tol=None):
-    """Yield one ``DirectionFrame`` per direction part ``t``.
+class FrameCache:
+    """The ``DirectionFrame`` of every direction part ``t`` one run asks
+    for, each decomposed once.
 
-    Each direction is decomposed once; its ``levels`` hit every interval
+    A cache is bound to one tuple and its two tolerances, and keyed on the
+    exact bytes of ``t``: a rounded key could hand back a frame whose ``t``
+    differs in the last bits.  It lives as long as the command that made
+    it; ``frame_source`` refuses it for any other tuple, a cut-down of the
+    same tuple included.
+    """
+
+    def __init__(self, optuple, cluster_tol=None, eig_eq_tol=None):
+        self.optuple = optuple
+        self.tols = (cluster_tol, eig_eq_tol)
+        self._frames = {}
+
+    def __call__(self, t):
+        key = np.asarray(t, dtype=float).tobytes()
+        frame = self._frames.get(key)
+        if frame is None:
+            frame = direction_frame(self.optuple, t, *self.tols)
+            self._frames[key] = frame
+        return frame
+
+
+def frame_source(optuple, cluster_tol=None, eig_eq_tol=None, frames=None):
+    """What decomposes a direction ``t`` of ``optuple``: ``frames``, a
+    ``FrameCache`` bound to this tuple and these tolerances, or with none
+    given, ``direction_frame`` afresh on every call.  A cache bound to
+    another tuple or other tolerances raises ``ValueError``."""
+    if frames is None:
+        return lambda t: direction_frame(optuple, t, cluster_tol, eig_eq_tol)
+    if frames.optuple is not optuple or frames.tols != (cluster_tol, eig_eq_tol):
+        raise ValueError("frame cache is bound to another tuple or other tolerances")
+    return frames
+
+
+def sweep(optuple, directions, cluster_tol=None, eig_eq_tol=None, frames=None):
+    """Lazily, one ``DirectionFrame`` per direction part ``t``.
+
+    Each direction is decomposed once (and kept by ``frames``, a
+    ``FrameCache``, when given); its ``levels`` hit every interval
     projection of ``b_t``, all read off the same frame.
     """
-    for t in directions:
-        yield direction_frame(optuple, t, cluster_tol, eig_eq_tol)
+    source = frame_source(optuple, cluster_tol, eig_eq_tol, frames)
+    return (source(t) for t in directions)
 
 
 class OrderInterval:

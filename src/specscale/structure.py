@@ -113,15 +113,18 @@ def detect_central(optuple, face, cone):
     )
 
 
-def detect_gap(optuple, face, cone, eig_eq_tol=None, cluster_tol=None):
+def detect_gap(optuple, face, cone, eig_eq_tol=None, cluster_tol=None, frames=None):
     """Spectral gaps read off cone members sharing a direction part.
 
     Members are grouped by ``t`` (angular tolerance 1e-8); a group whose
     cut levels spread beyond the eigenvalue-equality band witnesses a gap
     ``(s1, s2)`` in the spectrum of ``b_t``, and the face must be a
     single exposed point.  Both facts are verified before reporting.
+    ``b_t`` is decomposed by ``frames`` (a ``spectral.FrameCache`` of the
+    tuple, which holds every ``t`` its cones tested) when given.
     """
     _require_proper(optuple, face.interval)
+    source = spectral.frame_source(optuple, cluster_tol, eig_eq_tol, frames)
     groups = {}
     for pair in cone.pairs:
         key = tuple(np.round(pair.t, 8))
@@ -131,15 +134,14 @@ def detect_gap(optuple, face, cone, eig_eq_tol=None, cluster_tol=None):
         levels = [p.s for p in members]
         s1, s2 = min(levels), max(levels)
         t = members[0].t
-        b_t = algebra.linear_combination(optuple, t)
+        frame = source(t)
         # the spread's endpoints may themselves be eigenvalues; only the
         # interior beyond the equality band must be spectrum-free
-        band = spectral.equality_band(b_t, eig_eq_tol)
+        band = frame.eff_tol
         if s2 - s1 <= 2 * band:
             continue
-        if not spectral.eigengap_of(
-            optuple.algebra, b_t, s1 + band, s2 - band, cluster_tol
-        ):
+        values = frame.spectrum.values
+        if np.any((values > s1 + band) & (values < s2 - band)):
             raise InvariantViolation(
                 f"support levels spread over ({s1}, {s2}) but the spectrum "
                 "of b_t meets that interval"

@@ -25,6 +25,7 @@ from specscale.faces import (
     face_dimension,
     face_from_complex,
     normal_cone,
+    normal_cones,
 )
 from specscale.oracle import random_ball_operators, sample_unit_ball
 from specscale.scale import (
@@ -176,8 +177,8 @@ def test_criterion_03_exhaustive_oracle_equality(all_fixtures):
 def test_criterion_04_block_test(all_fixtures, inventories):
     checked = 0
     for name, optuple in all_fixtures.items():
-        for interval in inventories[name]:
-            cone = normal_cone(optuple, interval, 48)
+        intervals = inventories[name]
+        for interval, cone in zip(intervals, normal_cones(optuple, intervals, 48)):
             for pair in cone.pairs:
                 checks = block_decomposition_checks(optuple, interval, pair)
                 violation = max(checks.values())
@@ -194,8 +195,8 @@ def test_criterion_05_degree_bound(all_fixtures, inventories):
     checked = 0
     for name, optuple in all_fixtures.items():
         bound = optuple.n + 1
-        for interval in inventories[name]:
-            cone = normal_cone(optuple, interval, 48)
+        intervals = inventories[name]
+        for interval, cone in zip(intervals, normal_cones(optuple, intervals, 48)):
             dim = face_dimension(optuple, interval)
             assert cone.degree + dim <= bound, (name, cone.degree, dim)
             checked += 1
@@ -217,8 +218,8 @@ def test_criterion_06_gap_detection(all_fixtures, inventories):
     for name in ("two_point", "reciprocal"):
         optuple = all_fixtures[name]
         reported = []
-        for interval in inventories[name]:
-            cone = normal_cone(optuple, interval, 48)
+        intervals = inventories[name]
+        for interval, cone in zip(intervals, normal_cones(optuple, intervals, 48)):
             if not interval.is_point():
                 continue
             for rep in detect_gap(optuple, FaceHandle(interval), cone):

@@ -442,30 +442,77 @@ def test_samples_needs_an_integer_at_least_zero(inputs, capsys, command, value):
 @pytest.mark.parametrize("name", ["commuting", "blockpair"])
 def test_faces_samples_each_cone_once(inputs, capsys, monkeypatch, name, samples):
     # the chain starts from the cone the face pass sampled, so only
-    # cut-down levels (none here: sweep faces are exposed) sample again
+    # cut-down levels (none here: sweep faces are exposed) sample again;
+    # every cone, one face's or many faces' together, goes through
+    # normal_cones, which counts each face it samples
     from specscale import faces
     from specscale.algebra import load_tuple
 
     ambient = load_tuple(inputs[name])
-    original = faces.normal_cone
+    original = faces.normal_cones
     ambient_calls = []
 
-    def counting(optuple, *args, **kwargs):
+    def counting(optuple, intervals, *args, **kwargs):
+        intervals = list(intervals)
         if optuple.algebra.dims == ambient.algebra.dims and all(
             np.allclose(x, y)
             for a, b in zip(optuple.operators, ambient.operators)
             for x, y in zip(a.blocks, b.blocks)
         ):
-            ambient_calls.append(args[0])
-        return original(optuple, *args, **kwargs)
+            ambient_calls.extend(intervals)
+        return original(optuple, intervals, *args, **kwargs)
 
-    monkeypatch.setattr(faces, "normal_cone", counting)
+    monkeypatch.setattr(faces, "normal_cones", counting)
     code, out, err = run(
         ["faces", "--input", inputs[name], "--samples", samples], capsys
     )
     assert code == 0, err
     with_cone = [r for r in json.loads(out) if "degree" in r]
     assert with_cone and len(ambient_calls) == len(with_cone)
+
+
+def _counting_direction_frames(monkeypatch):
+    """Record ``(tuple, bytes of t)`` of every ``direction_frame`` call."""
+    from specscale import spectral
+
+    calls = []
+    direction_frame = spectral.direction_frame
+
+    def counting(optuple, t, *args):
+        calls.append((optuple, np.asarray(t, dtype=float).tobytes()))
+        return direction_frame(optuple, t, *args)
+
+    monkeypatch.setattr(spectral, "direction_frame", counting)
+    return calls
+
+
+def test_corners_decomposes_each_axis_once(inputs, capsys, monkeypatch):
+    # the four axis directions of the sweep are every candidate of every
+    # cone and every gap direction; each used to be decomposed per face
+    calls = _counting_direction_frames(monkeypatch)
+    code, _, err = run(
+        ["corners", "--input", inputs["commuting"], "--samples", "0"], capsys
+    )
+    assert code == 0, err
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("samples", ["0", "8"])
+@pytest.mark.parametrize("command", ["faces", "corners", "center"])
+@pytest.mark.parametrize("name", ["reciprocal", "pauli", "commuting", "blockpair"])
+def test_face_commands_decompose_each_direction_once(
+    inputs, capsys, monkeypatch, name, command, samples
+):
+    # one frame cache per run: the ambient tuple (the sweep's, the first
+    # decomposed) never decomposes the same t twice; cut-downs of the
+    # chains are other tuples
+    calls = _counting_direction_frames(monkeypatch)
+    code, _, err = run(
+        [command, "--input", inputs[name], "--samples", samples], capsys
+    )
+    assert code == 0, err
+    ambient = [t for optuple, t in calls if optuple is calls[0][0]]
+    assert ambient and len(ambient) == len(set(ambient))
 
 
 @pytest.mark.parametrize("samples", ["0", "8", "64"])

@@ -25,6 +25,7 @@ from specscale.faces import (
     minimal_exposed_chain,
     minimal_exposed_face,
     normal_cone,
+    normal_cones,
 )
 from specscale.oracle import random_ball_operators
 from specscale.scale import exposed_face
@@ -491,3 +492,144 @@ def test_commutant_basis_is_signed_and_whole_space_is_the_axes(pauli, commuting)
         for row in _commutant_directions(pauli, interval):
             lead = np.flatnonzero(np.abs(row) >= np.abs(row).max() - 1e-9)[0]
             assert row[lead] > 0
+
+
+# ------------------------------------------------- one cone pass, one cache
+
+
+def _proper_sweep_faces(optuple, directions):
+    from specscale.faces import _is_proper
+
+    return [
+        iv
+        for iv in sampled_face_inventory(optuple, directions, include_whole=True)
+        if _is_proper(optuple, iv)
+    ]
+
+
+@pytest.mark.parametrize(
+    "name", ["two_point", "reciprocal8", "pauli", "commuting", "blockpair"]
+)
+def test_normal_cones_equal_one_cone_per_face(name, request):
+    optuple = request.getfixturevalue(name)
+    intervals = _proper_sweep_faces(optuple, 8)
+    together = normal_cones(optuple, intervals, 8)
+    assert len(together) == len(intervals) > 1
+    for interval, cone in zip(intervals, together):
+        alone = normal_cone(optuple, interval, 8)
+        np.testing.assert_array_equal(cone.members, alone.members)
+        assert [(p.s, p.t.tolist()) for p in cone.pairs] == [
+            (p.s, p.t.tolist()) for p in alone.pairs
+        ]
+        assert (cone.degree, cone.exact) == (alone.degree, alone.exact)
+
+
+def test_normal_cones_decompose_each_direction_once(commuting, monkeypatch):
+    intervals = _proper_sweep_faces(commuting, 8)
+    calls = []
+    direction_frame = spectral.direction_frame
+
+    def counting(optuple, t, *args):
+        calls.append(np.asarray(t).tobytes())
+        return direction_frame(optuple, t, *args)
+
+    monkeypatch.setattr(spectral, "direction_frame", counting)
+    cones = normal_cones(commuting, intervals, 8)
+    assert sum(len(c.pairs) for c in cones) and len(calls) == len(set(calls))
+
+
+def test_cut_down_never_reads_the_ambient_cache(blockpair, monkeypatch):
+    # the hidden vertex's chain cuts the tuple down once; the cut-down
+    # decomposes its own directions even when the ambient cache holds
+    # the same t
+    from specscale.faces import _chain_from_cone
+
+    interval, _ = fd_hidden_vertex_interval(blockpair)
+    frames = spectral.FrameCache(blockpair)
+    cone = normal_cone(blockpair, interval, 128, frames=frames)
+    seen = []
+    direction_frame = spectral.direction_frame
+
+    def noting(optuple, t, *args):
+        seen.append((optuple, np.asarray(t).tobytes()))
+        return direction_frame(optuple, t, *args)
+
+    monkeypatch.setattr(spectral, "direction_frame", noting)
+    _chain_from_cone(blockpair, interval, cone, 128, None, None, frames)
+    cut_ts = [np.frombuffer(t) for op, t in seen if op is not blockpair]
+    assert cut_ts
+    for t in cut_ts:
+        frames(t)  # now the ambient cache holds every t the cut-down reads
+    seen.clear()
+    chain = _chain_from_cone(blockpair, interval, cone, 128, None, None, frames)
+    assert len(chain) == 2
+    assert {t for op, t in seen if op is not blockpair} == {
+        t.tobytes() for t in cut_ts
+    }
+    assert all(f.optuple is blockpair for f in frames._frames.values())
+    # a cache refuses any tuple but its own, and other tolerances
+    comp = cut_down(blockpair, chain[0].interval)
+    with pytest.raises(ValueError, match="another tuple"):
+        normal_cone(comp.tuple, sampled_face_inventory(comp.tuple, 0)[0], 8, frames=frames)
+    with pytest.raises(ValueError, match="another tuple"):
+        spectral.frame_source(comp.tuple, frames=frames)
+    with pytest.raises(ValueError, match="other tolerances"):
+        spectral.frame_source(blockpair, cluster_tol=1e-6, frames=frames)
+
+
+def test_stacked_order_margins_match_one_face_at_a_time(blockpair):
+    intervals = _proper_sweep_faces(blockpair, 8)
+    dims = blockpair.algebra.dims
+    lowers = spectral.stack_blocks(dims, [iv.lower for iv in intervals])
+    uppers = spectral.stack_blocks(dims, [iv.upper for iv in intervals])
+    frame = spectral.direction_frame(blockpair, np.array([0.6, -0.8])).spectrum
+    below, above = frame.order_margins(lowers, uppers)
+    for f, iv in enumerate(intervals):
+        (b,), (a,) = frame.order_margins(
+            spectral.stack_blocks(dims, [iv.lower]),
+            spectral.stack_blocks(dims, [iv.upper]),
+        )
+        np.testing.assert_allclose(below[f], b, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(above[f], a, rtol=0, atol=1e-15)
+
+
+def _full_svd_commutant(optuple, interval):
+    """The commutant's null space from a full SVD of the commutator map."""
+    cols = []
+    for b in optuple.operators:
+        c = np.concatenate(
+            [
+                (x @ y - y @ x).ravel()
+                for q in (interval.lower, interval.upper)
+                for x, y in zip(b.blocks, q.blocks)
+            ]
+        )
+        cols.append(np.concatenate([c.real, c.imag]))
+    _, svals, vt = np.linalg.svd(np.column_stack(cols), full_matrices=True)
+    null = np.ones(optuple.n, dtype=bool)
+    null[: len(svals)] = svals <= 1e-9 * max(1.0, svals[0])
+    return vt[null]
+
+
+def test_thin_commutant_svd_keeps_the_null_space_complete(pauli, blockpair):
+    # 17 operators on one 2x2 block: the commutator matrix has 16 rows,
+    # fewer than n, so a thin SVD alone would miss null directions
+    rng = np.random.default_rng(3)
+    ops = []
+    for k in range(17):
+        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        # two of every three operators are diagonal: they commute with p
+        block = np.diag(z.diagonal().real) if k % 3 else z + z.conj().T
+        ops.append(HermitianOperator([block]))
+    optuple = OperatorTuple(FiniteAlgebra(((2, 0.5),)), tuple(ops))
+    p = HermitianOperator([np.diag([1.0, 0.0])])
+    thin = _commutant_directions(optuple, OrderInterval(p, p))
+    full = _full_svd_commutant(optuple, OrderInterval(p, p))
+    assert thin.shape == full.shape == (15, 17)
+    np.testing.assert_allclose(thin.T @ thin, full.T @ full, rtol=0, atol=1e-12)
+    for optuple in (pauli, blockpair):
+        for iv in sampled_face_inventory(optuple, 8):
+            full = _full_svd_commutant(optuple, iv)
+            if len(full) < optuple.n:  # the whole space reads as the axes
+                thin = _commutant_directions(optuple, iv)
+                np.testing.assert_allclose(thin.T @ thin, full.T @ full, atol=1e-12)

@@ -269,6 +269,41 @@ def test_isotrace_slice_chunks_give_the_same_points(monkeypatch):
     assert sorted(set(calls)) == [1, 7]
 
 
+def _keep_first_loop(points, tol):
+    keep = [0]
+    for i in range(1, len(points)):
+        if np.all(np.linalg.norm(points[keep] - points[i], axis=1) > tol):
+            keep.append(i)
+    return points[keep]
+
+
+def test_slice_dedup_compares_with_kept_points_only():
+    from specscale.scale import _keep_first
+
+    a = np.array([0.3, -0.7])
+    e1 = np.array([1.0, 0.0])
+    chain = np.array([a, a + 0.6e-12 * e1, a + 1.2e-12 * e1])
+    # the middle point is within 1e-12 of a and dropped; the last is
+    # within 1e-12 only of the dropped one, so it stays
+    np.testing.assert_array_equal(_keep_first(chain, 1e-12), chain[[0, 2]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_slice_dedup_matches_the_keep_first_loop(n):
+    from specscale.scale import _keep_first
+
+    rng = np.random.default_rng(n)
+    base = rng.standard_normal((40, n))
+    # near-repeats at 0.2e-12 .. 1.6e-12, along the sort axis and across it
+    steps = rng.integers(0, 9, (200, 1)) * 0.2e-12
+    points = base[rng.integers(0, 40, 200)] + steps * rng.choice(
+        [np.eye(n)[0], np.ones(n) / np.sqrt(n)], 200
+    )
+    np.testing.assert_array_equal(
+        _keep_first(points, 1e-12), _keep_first_loop(points, 1e-12)
+    )
+
+
 @pytest.mark.parametrize("name", ["reciprocal8", "two_point", "pauli", "commuting"])
 def test_support_consistency_and_touching(name, request):
     optuple = request.getfixturevalue(name)

@@ -479,14 +479,19 @@ def _distinct_proper_faces(optuple, directions):
 def test_frame_order_test_matches_interval_contains(name, request):
     # every level of every normal cone the face pass samples at 8 directions
     from specscale.faces import _candidate_directions, interval_contains
-    from specscale.spectral import PROJECTION_TOL, sweep
+    from specscale.scale import _cloud_t_directions
+    from specscale.spectral import PROJECTION_TOL, stack_blocks, sweep
 
     optuple = request.getfixturevalue(name)
+    raw = _cloud_t_directions(optuple.n, 8)
+    dims = optuple.algebra.dims
     verdicts = []
     for interval in _distinct_proper_faces(optuple, 8):
-        for frame in sweep(optuple, _candidate_directions(optuple, interval, 8)):
+        lowers = stack_blocks(dims, [interval.lower])
+        uppers = stack_blocks(dims, [interval.upper])
+        for frame in sweep(optuple, _candidate_directions(optuple, interval, raw)):
             spectral_frame = frame.spectrum
-            below, above = spectral_frame.order_margins(interval.lower, interval.upper)
+            (below,), (above,) = spectral_frame.order_margins(lowers, uppers)
             for lower, upper in zip(*frame.cuts):
                 by_frame = max(below[lower], above[upper]) <= PROJECTION_TOL
                 candidate = OrderInterval._from_frame(spectral_frame, lower, upper)
@@ -498,7 +503,7 @@ def test_frame_order_test_matches_interval_contains(name, request):
 
 def test_non_orthonormal_frame_raises():
     from specscale.errors import NumericalError
-    from specscale.spectral import SpectralFrame
+    from specscale.spectral import SpectralFrame, stack_blocks
 
     alg, a = _frame_cases()[0]
     frame = decompose(alg, a)
@@ -509,7 +514,7 @@ def test_non_orthonormal_frame_raises():
     bad = SpectralFrame(tuple(vectors), frame.bounds, frame.values)
     with pytest.raises(NumericalError, match="block 2"):
         OrderInterval._from_frame(bad, 0, 1)
-    one = alg.identity()
+    one = stack_blocks(alg.dims, [alg.identity()])
     with pytest.raises(NumericalError):
         bad.order_margins(one, one)
 
@@ -663,20 +668,20 @@ def test_face_pass_dedup_builds_no_projection(commuting, monkeypatch):
 
     built = []
     before_first_cone = []
-    projection, normal_cone = SpectralFrame.projection, faces.normal_cone
+    projection, normal_cones = SpectralFrame.projection, faces.normal_cones
 
     def counting_projection(self, first, stop):
         built.append((first, stop))
         return projection(self, first, stop)
 
-    def noting_cone(*args, **kwargs):
+    def noting_cones(*args, **kwargs):
         if not before_first_cone:
             before_first_cone.append(len(built))
-        return normal_cone(*args, **kwargs)
+        return normal_cones(*args, **kwargs)
 
     monkeypatch.setattr(SpectralFrame, "projection", counting_projection)
-    monkeypatch.setattr(faces, "normal_cone", noting_cone)
+    monkeypatch.setattr(faces, "normal_cones", noting_cones)
     args = Namespace(samples=8, cluster_tol=None, eig_eq_tol=None)
-    assert len(list(cli._face_pass(commuting, args))) > 1
+    assert len(cli._face_pass(commuting, args)[1]) > 1
     assert before_first_cone == [0]
     assert built

@@ -216,3 +216,33 @@ def test_isolated_extremes_build_only_isolated_projections(pauli):
     read.clear()
     isolated_extremes_to_center(pauli, cloud, iso_radius=0.05, certified_complete=True)
     assert sorted(read) == list(range(len(cloud)))
+
+
+@pytest.mark.parametrize("dims", [(3,), (2, 3), (4,)])
+def test_generated_basis_stops_once_it_spans_the_algebra(dims, monkeypatch):
+    # generic operators generate all of M_{d_1} (+) ...: once the basis
+    # holds sum d_j^2 elements no further candidate is tried
+    from specscale import algebra
+
+    rng = np.random.default_rng(5)
+    alg = algebra.FiniteAlgebra(tuple((d, 1.0 / sum(dims)) for d in dims))
+    ops = []
+    for _ in range(2):
+        blocks = []
+        for d in dims:
+            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            blocks.append(z + z.conj().T)
+        ops.append(algebra.HermitianOperator(blocks))
+    optuple = algebra.OperatorTuple(alg, tuple(ops))
+    sizes = []
+    residual = algebra._span_residual
+
+    def noting(alg, stacks, blocks):
+        sizes.append(len(stacks[0]))
+        return residual(alg, stacks, blocks)
+
+    monkeypatch.setattr(algebra, "_span_residual", noting)
+    basis = algebra.generated_algebra_basis(optuple)
+    full = sum(d * d for d in dims)
+    assert len(basis) == full
+    assert max(sizes) < full
