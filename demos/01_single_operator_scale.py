@@ -54,6 +54,6 @@ print("sorted spectrum:      ", np.round(np.sort(info.values), 6))
 vertex = ss.exposed_face(optuple, ss.SpectralPair(5 / 12, np.array([1.0])))
 cone = ss.normal_cone(optuple, vertex.interval, 32)
 print("\nvertex at cut level 5/12: degree", cone.degree, "-> sharp corner")
-gaps = ss.detect_gap(optuple, ss.FaceHandle(vertex.interval), cone)
+gaps = ss.detect_gap(optuple, vertex.interval, cone)
 for g in gaps:
     print(f"  supported across the spectral gap ({g.s1:.6f}, {g.s2:.6f}) along t={g.t}")

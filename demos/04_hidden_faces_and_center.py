@@ -32,23 +32,23 @@ print("\nlevel-1 face dimension:", face1.dimension)
 complex_ = ss.build_facial_complex(
     optuple, [level1, ss.SpectralPair(2.0, np.array([1.0, 0.0]))]
 )
-handle = ss.face_from_complex(optuple, complex_)
-w = ss.psi(optuple, handle.interval.lower)
+hidden = ss.face_from_complex(optuple, complex_)
+w = ss.psi(optuple, hidden.lower)
 print("hidden vertex:", np.round(w, 6))
 
-cone = ss.normal_cone(optuple, handle.interval, 128)
+cone = ss.normal_cone(optuple, hidden, 128)
 print("its normal cone degree:", cone.degree, "(a single supporting ray)")
 
-chain = ss.minimal_exposed_chain(optuple, handle.interval, 128)
+chain = ss.minimal_exposed_chain(optuple, hidden, 128)
 print("minimal exposed chain length:", len(chain))
-print("chain dimensions:", [ss.face_dimension(optuple, h.interval) for h in chain])
+print("chain dimensions:", [ss.face_dimension(optuple, iv) for iv in chain])
 
 # the scalar block projection: an isolated extreme point with
 # independent supporting directions, hence central
 z = alg.diagonal(np.array([0.0, 0.0, 1.0]))
 interval = ss.OrderInterval(z, z)
 cone_z = ss.normal_cone(optuple, interval, 128)
-report = ss.detect_central(optuple, ss.FaceHandle(interval), cone_z)
+report = ss.detect_central(optuple, interval, cone_z)
 print("\nscalar block projection: central =", report.central,
       "| independent directions =", report.rank,
       "| commutator norm =", report.commutator_norm)

@@ -22,7 +22,6 @@ from .algebra import (
     tuple_to_json,
 )
 from .faces import (
-    FaceHandle,
     FacialComplex,
     NormalConeSample,
     build_facial_complex,
@@ -76,7 +75,6 @@ __all__ = [
     "ExposedFace",
     "SupportHyperplane",
     "IsotraceSlice",
-    "FaceHandle",
     "FacialComplex",
     "NormalConeSample",
     "AbelianVerdict",

@@ -145,19 +145,21 @@ def _face_pass(optuple, args, cloud=None):
     The sweep fills the cache, and the cones of all proper faces are
     sampled together from it (``faces.normal_cones``), so each direction
     part is decomposed once per run.  A ``cloud`` given gets the extreme
-    points of every swept direction.
+    points of every swept direction.  Kept faces are bucketed by rank, as
+    faces of different ranks never match.
     """
     frames = spectral.FrameCache(optuple, args.cluster_tol, args.eig_eq_tol)
     distinct = []
+    by_ranks = {}
     for frame in scale.sweep_frames(
         optuple, args.samples, args.cluster_tol, args.eig_eq_tol, frames
     ):
         if cloud is not None:
             cloud.add_frame(frame)
         for face in scale.faces_in_frame(frame):
-            if not any(
-                faces.intervals_equal(face.interval, f.interval) for f in distinct
-            ):
+            bucket = by_ranks.setdefault(faces.ranks(face.interval).tobytes(), [])
+            if not any(faces.intervals_equal(face.interval, f) for f in bucket):
+                bucket.append(face.interval)
                 distinct.append(face)
     proper = [faces._is_proper(optuple, f.interval) for f in distinct]
     cones = iter(
@@ -227,7 +229,6 @@ def cmd_corners(optuple, args):
     for face, cone in passed:
         if cone is None:
             continue
-        handle = faces.FaceHandle(face.interval)
         if cone.degree >= 2:
             trace_lower, trace_upper = face.vertices[:, 0]
             sharp_list.append(
@@ -238,10 +239,13 @@ def cmd_corners(optuple, args):
                     "degree": cone.degree,
                 }
             )
-        gap_reports.extend(
-            structure.detect_gap(
-                optuple, handle, cone, args.eig_eq_tol, args.cluster_tol, frames
-            )
+        gap_reports += structure.detect_gap(
+            optuple,
+            face.interval,
+            cone,
+            cluster_tol=args.cluster_tol,
+            eig_eq_tol=args.eig_eq_tol,
+            frames=frames,
         )
     payload = structure.report_json(gap_reports=gap_reports)
     payload["sharp_faces"] = sharp_list
@@ -254,8 +258,7 @@ def cmd_center(optuple, args):
     for face, cone in _face_pass(optuple, args, cloud)[1]:
         if cone is None:
             continue
-        handle = faces.FaceHandle(face.interval)
-        reports.append(structure.detect_central(optuple, handle, cone))
+        reports.append(structure.detect_central(optuple, face.interval, cone))
     payload = structure.report_json(central_reports=reports)
     isolated = structure.isolated_extremes_to_center(
         optuple, cloud, iso_radius=args.iso_radius

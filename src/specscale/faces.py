@@ -1,18 +1,19 @@
 """Recursive facial calculus: cut-downs, facial complexes, normal cones.
 
-A face of the scale is named by an order interval ``[q_minus, q_plus]``
-of projections, held as two leading ranges of a spectral frame.  Faces
-of positive dimension are scales in their own right once the tuple is
-cut down to the range of ``q_plus - q_minus``, whose basis is the
-interval's gap columns, with the trace rescaled (``cut_down``, an
-``algebra.Compression``); iterating that cut-down is what reaches faces
-no single hyperplane exposes, and a cut-down of a cut-down is one
-``Compression`` of the ambient tuple (``Compression.cut``); equality
-and properness of faces compare ranks first.  The normal cone of a face
-is probed through the order test: ``(-s, t)`` supports the face exactly
-when ``p_minus <= q_minus`` and ``q_plus <= p_plus`` for the interval
-projections of ``b_t`` at ``s``, which the sweep reads per direction off
-the eigenframe of ``b_t`` as prefix and suffix maxima of column norms.
+A face of the scale is an ``OrderInterval`` ``[q_minus, q_plus]`` of
+projections, held as two leading ranges of a spectral frame; equality
+and properness of faces compare ranks first.  A face of positive
+dimension is a scale in its own right, cut down to the range of
+``q_plus - q_minus`` with the trace rescaled: an ``algebra.Compression``
+(``cut_down``).  A face of a face is an interval in a compression's
+coordinates; ``Compression.cut`` composes cut-downs and
+``Compression.lift`` carries an interval back to the ambient algebra.
+Exposing, cutting down and exposing again reaches faces no single
+hyperplane exposes.  The normal cone of a face is probed through the
+order test: ``(-s, t)`` supports the face exactly when ``p_minus <=
+q_minus`` and ``q_plus <= p_plus`` for the interval projections of
+``b_t`` at ``s``, which the sweep reads per direction off the eigenframe
+of ``b_t`` as prefix and suffix maxima of column norms.
 ``normal_cones`` samples the cones of many faces in one pass: each
 distinct candidate ``t`` is decomposed once, through a
 ``spectral.FrameCache`` that the CLI fills from its sweep and keeps for
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, sampling, scale, spectral
-from .algebra import Compression, HermitianOperator, max_norm
+from .algebra import Compression, max_norm
 from .errors import (
     DegenerateFaceError,
     FaceChainError,
@@ -39,33 +40,16 @@ from .spectral import PROJECTION_TOL, OrderInterval, SpectralPair
 
 
 @dataclass(frozen=True)
-class FaceHandle:
-    """An order interval naming a face."""
-
-    interval: OrderInterval
-
-    @property
-    def lower(self):
-        return self.interval.lower
-
-    @property
-    def upper(self):
-        return self.interval.upper
-
-
-@dataclass(frozen=True)
-class ComplexLevel:
-    pair: SpectralPair
-    q_minus: HermitianOperator  # ambient embedding
-    r: HermitianOperator  # q_plus - q_minus, ambient
-
-
-@dataclass(frozen=True)
 class FacialComplex:
+    """Per level, the ``Compression`` it lives in and its interval there."""
+
     pairs: tuple
     levels: tuple
-    terminated_early: bool = False
     termination_level: int | None = None
+
+    @property
+    def terminated_early(self):
+        return self.termination_level is not None
 
 
 @dataclass(frozen=True)
@@ -111,9 +95,14 @@ def interval_contains(outer, inner):
     ) and spectral.projection_leq(inner.upper, outer.upper)
 
 
+def ranks(interval):
+    """Per block, the ranks of ``lower`` and ``upper``, as a ``(2, blocks)`` array."""
+    return interval.frame.bounds[list(interval.counts)]
+
+
 def _is_proper(optuple, interval):
     """Not the whole scale: ``lower`` has some rank or ``upper`` is not full."""
-    lower, upper = interval.frame.bounds[list(interval.counts)]
+    lower, upper = ranks(interval)
     return bool(lower.any()) or not np.array_equal(upper, optuple.algebra.dims)
 
 
@@ -157,42 +146,28 @@ def build_facial_complex(optuple, pairs, cluster_tol=None, eig_eq_tol=None):
         raise ValueError("need at least one spectral pair")
     comp = _whole(optuple)
     levels = []
-    terminated = False
-    term_level = None
     for i, pair in enumerate(pairs):
         interval = spectral.interval_projections(
             comp.tuple, pair, cluster_tol=cluster_tol, eig_eq_tol=eig_eq_tol
         )
-        levels.append(
-            ComplexLevel(pair, comp.embed(interval.lower), comp.embed(interval.gap()))
-        )
+        levels.append((comp, interval))
         if i + 1 == len(pairs):
             break
         if interval.is_point():
-            terminated = True
-            term_level = i + 1
-            break
+            return FacialComplex(pairs, tuple(levels), termination_level=i + 1)
         comp = comp.cut(interval)
-    return FacialComplex(
-        pairs=pairs,
-        levels=tuple(levels),
-        terminated_early=terminated,
-        termination_level=term_level,
-    )
+    return FacialComplex(pairs, tuple(levels))
+
+
+def _lift(comp, interval):
+    """An interval in ``comp``'s coordinates as an ambient interval, through
+    the checked ``OrderInterval`` constructor."""
+    return OrderInterval(comp.lift(interval.lower), comp.lift(interval.upper))
 
 
 def face_from_complex(optuple, fcomplex):
-    """Assemble the face handle from a facial complex.
-
-    The lower endpoint stacks the per-level lower projections; the upper
-    endpoint adds the last level's gap on top.
-    """
-    q_minus = optuple.algebra.zero()
-    for level in fcomplex.levels:
-        q_minus = q_minus + level.q_minus
-    q_plus = q_minus + fcomplex.levels[-1].r
-    interval = OrderInterval(q_minus, q_plus)
-    return FaceHandle(interval=interval)
+    """The ambient interval of a facial complex: its last level, lifted."""
+    return _lift(*fcomplex.levels[-1])
 
 
 def _commutant_directions(optuple, interval):
@@ -365,9 +340,7 @@ def block_decomposition_checks(optuple, interval, pair):
     out["lower_excess"] = max(float(lower_eigs.max(initial=-np.inf)) - s, 0.0)
     upper_eigs = _restricted_eigs(b_t, interval.columns("above"))
     out["upper_deficit"] = max(s - float(upper_eigs.min(initial=np.inf)), 0.0)
-    mid = [
-        rb @ bb @ rb - s * rb for rb, bb in zip(r.blocks, b_t.blocks)
-    ]
+    mid = [rb @ bb @ rb - s * rb for rb, bb in zip(r.blocks, b_t.blocks)]
     out["gap_mismatch"] = max(
         (float(np.max(np.abs(m))) for m in mid if m.size), default=0.0
     )
@@ -411,13 +384,8 @@ def _exposed_by_cone(optuple, interval, cone, cluster_tol, eig_eq_tol, frames=No
     combined = cone.members.sum(axis=0)
     t_bar = combined[1:]
     if np.linalg.norm(t_bar) > 1e-10:
-        face = scale.exposed_face(
-            optuple,
-            SpectralPair(s=-combined[0], t=t_bar),
-            cluster_tol,
-            eig_eq_tol,
-            frames,
-        )
+        pair = SpectralPair(s=-combined[0], t=t_bar)
+        face = scale.exposed_face(optuple, pair, cluster_tol, eig_eq_tol, frames)
     else:
         exposing = (
             scale.exposed_face(optuple, pair, cluster_tol, eig_eq_tol, frames)
@@ -447,7 +415,7 @@ def minimal_exposed_chain(
 ):
     """Nested exposed faces descending to the given face.
 
-    The first handle is exposed in the scale; each later one is exposed
+    The first face is exposed in the scale; each later one is exposed
     in the cut-down scale of its predecessor, transported back to the
     ambient algebra.  The chain ends when the current exposed face equals
     the target, which takes at most ``n + 1`` levels for a genuine face.
@@ -469,7 +437,7 @@ def _chain_from_cone(
     a cache of its own."""
     comp = _whole(optuple)
     current, target = optuple, interval
-    handles = []
+    chain = []
     for level in range(optuple.n + 2):
         if level:
             current = comp.tuple
@@ -480,19 +448,14 @@ def _chain_from_cone(
         exposed = _exposed_by_cone(
             current, target, cone, cluster_tol, eig_eq_tol, frames
         ).interval
-        if level:
-            lifted = OrderInterval(comp.lift(exposed.lower), comp.lift(exposed.upper))
-        else:
-            lifted = exposed  # already ambient
-        handles.append(FaceHandle(interval=lifted))
+        # the first level is exposed in the ambient tuple already
+        chain.append(_lift(comp, exposed) if level else exposed)
         if intervals_equal(exposed, target):
-            return handles
+            return chain
         comp = comp.cut(exposed)
         # the input face in the new cut-down's coordinates
         target = OrderInterval(
             comp.restrict(interval.lower - comp.lower),
             comp.restrict(interval.upper - comp.lower),
         )
-    raise FaceChainError(
-        f"chain did not stabilize within {optuple.n + 2} levels"
-    )
+    raise FaceChainError(f"chain did not stabilize within {optuple.n + 2} levels")

@@ -19,7 +19,7 @@ import numpy as np
 from . import algebra, sampling, scale, spectral
 from .algebra import commutator_norm, generated_algebra_basis
 from .errors import InvariantViolation
-from .faces import FaceHandle, _require_proper
+from .faces import _require_proper
 from .scale import face_dimension
 
 CENTRAL_TOL = 1e-6
@@ -30,7 +30,7 @@ SAMPLING_INCOMPLETE = "sampling-incomplete"
 
 @dataclass(frozen=True)
 class CentralityReport:
-    face: FaceHandle
+    interval: spectral.OrderInterval
     independent_normals: tuple  # spectral pairs with independent t parts
     rank: int
     central: bool
@@ -44,7 +44,7 @@ class GapReport:
     t: np.ndarray
     s1: float
     s2: float
-    face: FaceHandle
+    interval: spectral.OrderInterval
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def _max_commutator_with_tuple(optuple, p):
     return max(commutator_norm(b, p) for b in optuple.operators)
 
 
-def detect_central(optuple, face, cone):
+def detect_central(optuple, interval, cone):
     """Report central endpoint projections found via independent normals.
 
     When the cone sample contains ``n`` members with linearly independent
@@ -77,7 +77,7 @@ def detect_central(optuple, face, cone):
     directions produce a report with ``central=False``, which only means
     the geometric evidence is insufficient.
     """
-    _require_proper(optuple, face.interval)
+    _require_proper(optuple, interval)
     n = optuple.n
     chosen = []
     t_stack = np.empty((0, n))
@@ -89,8 +89,8 @@ def detect_central(optuple, face, cone):
         if len(chosen) == n:
             break
     measured = max(
-        _max_commutator_with_tuple(optuple, face.interval.lower),
-        _max_commutator_with_tuple(optuple, face.interval.upper),
+        _max_commutator_with_tuple(optuple, interval.lower),
+        _max_commutator_with_tuple(optuple, interval.upper),
     )
     central = len(chosen) == n
     if central:
@@ -98,22 +98,24 @@ def detect_central(optuple, face, cone):
             raise InvariantViolation(
                 f"independent normals found but commutator norm is {measured:.3e}"
             )
-        if face_dimension(optuple, face.interval) > 1:
+        if face_dimension(optuple, interval) > 1:
             raise InvariantViolation(
                 "a face with full-rank normals must be a point or a segment"
             )
     return CentralityReport(
-        face=face,
+        interval=interval,
         independent_normals=tuple(chosen),
         rank=len(chosen),
         central=central,
         commutator_norm=measured,
-        tau_lower=optuple.algebra.trace(face.interval.lower),
-        tau_upper=optuple.algebra.trace(face.interval.upper),
+        tau_lower=optuple.algebra.trace(interval.lower),
+        tau_upper=optuple.algebra.trace(interval.upper),
     )
 
 
-def detect_gap(optuple, face, cone, eig_eq_tol=None, cluster_tol=None, frames=None):
+def detect_gap(
+    optuple, interval, cone, cluster_tol=None, eig_eq_tol=None, frames=None
+):
     """Spectral gaps read off cone members sharing a direction part.
 
     Members are grouped by ``t`` (angular tolerance 1e-8); a group whose
@@ -123,7 +125,7 @@ def detect_gap(optuple, face, cone, eig_eq_tol=None, cluster_tol=None, frames=No
     ``b_t`` is decomposed by ``frames`` (a ``spectral.FrameCache`` of the
     tuple, which holds every ``t`` its cones tested) when given.
     """
-    _require_proper(optuple, face.interval)
+    _require_proper(optuple, interval)
     source = spectral.frame_source(optuple, cluster_tol, eig_eq_tol, frames)
     groups = {}
     for pair in cone.pairs:
@@ -146,11 +148,11 @@ def detect_gap(optuple, face, cone, eig_eq_tol=None, cluster_tol=None, frames=No
                 f"support levels spread over ({s1}, {s2}) but the spectrum "
                 "of b_t meets that interval"
             )
-        if not face.interval.is_point():
+        if not interval.is_point():
             raise InvariantViolation(
                 "a face supported across a spectral gap must be a point"
             )
-        reports.append(GapReport(t=t, s1=s1, s2=s2, face=face))
+        reports.append(GapReport(t=t, s1=s1, s2=s2, interval=interval))
     return reports
 
 

@@ -18,7 +18,6 @@ from conftest import (
 from specscale import fixtures
 from specscale.algebra import linear_combination, psi
 from specscale.faces import (
-    FaceHandle,
     block_decomposition_checks,
     build_facial_complex,
     cut_down,
@@ -72,7 +71,7 @@ def inventories(all_fixtures):
                     SpectralPair(2.0, np.array([1.0, 0.0])),
                 ],
             )
-            intervals.append(face_from_complex(optuple, cx).interval)
+            intervals.append(face_from_complex(optuple, cx))
         out[name] = intervals
     return out
 
@@ -222,7 +221,7 @@ def test_criterion_06_gap_detection(all_fixtures, inventories):
         for interval, cone in zip(intervals, normal_cones(optuple, intervals, 48)):
             if not interval.is_point():
                 continue
-            for rep in detect_gap(optuple, FaceHandle(interval), cone):
+            for rep in detect_gap(optuple, interval, cone):
                 if rep.t[0] > 0:
                     reported.append((rep.s1, rep.s2))
                 # the gap lives in the spectrum of b_t for the reported t
@@ -246,14 +245,14 @@ def test_criterion_07_centrality(all_fixtures):
 
     interval = OrderInterval(z, z)
     cone = normal_cone(blockpair, interval, 96)
-    report = detect_central(blockpair, FaceHandle(interval), cone)
+    report = detect_central(blockpair, interval, cone)
     assert report.central and report.rank == 2
     assert report.commutator_norm <= 1e-12
 
     pauli = all_fixtures["pauli"]
     for interval in sampled_face_inventory(pauli, directions=16):
         cone = normal_cone(pauli, interval, 48)
-        rep = detect_central(pauli, FaceHandle(interval), cone)
+        rep = detect_central(pauli, interval, cone)
         if rep.central:
             for tau in (rep.tau_lower, rep.tau_upper):
                 assert tau <= 1e-10 or tau >= 1.0 - 1e-10

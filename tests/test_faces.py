@@ -12,7 +12,6 @@ from specscale.algebra import (
 )
 from specscale.errors import DegenerateFaceError, MinimalFaceError
 from specscale.faces import (
-    FaceHandle,
     _commutant_directions,
     block_decomposition_checks,
     build_facial_complex,
@@ -47,7 +46,7 @@ def fd_hidden_vertex_interval(fd):
         fd,
         [SpectralPair(-s, -t_tan), SpectralPair(2.0, np.array([1.0, 0.0]))],
     )
-    return face_from_complex(fd, cx).interval, t_tan
+    return face_from_complex(fd, cx), t_tan
 
 
 # ---------------------------------------------------------------- cut-downs
@@ -203,9 +202,9 @@ def test_two_level_cut_matches_two_step_compression(name, request):
 def test_single_pair_complex_degenerates(reciprocal8):
     pair = SpectralPair(1.0 / 3.0, np.array([1.0]))
     cx = build_facial_complex(reciprocal8, [pair])
-    handle = face_from_complex(reciprocal8, cx)
+    face = face_from_complex(reciprocal8, cx)
     direct = interval_projections(reciprocal8, pair)
-    assert intervals_equal(handle.interval, direct)
+    assert intervals_equal(face, direct)
 
 
 def test_two_level_scalar_cutdown(reciprocal8):
@@ -218,32 +217,39 @@ def test_two_level_scalar_cutdown(reciprocal8):
     at = build_facial_complex(
         reciprocal8, [first, SpectralPair(1.0 / 3.0, np.array([1.0]))]
     )
-    handle_at = face_from_complex(reciprocal8, at)
-    assert intervals_equal(handle_at.interval, direct)
+    assert not at.terminated_early and at.termination_level is None
+    face_at = face_from_complex(reciprocal8, at)
+    assert intervals_equal(face_at, direct)
 
     high = build_facial_complex(
         reciprocal8, [first, SpectralPair(0.4, np.array([1.0]))]
     )
-    handle_high = face_from_complex(reciprocal8, high)
-    assert handle_high.interval.is_point()
-    assert max_norm(handle_high.interval.lower - direct.upper) <= 1e-10
+    face_high = face_from_complex(reciprocal8, high)
+    assert face_high.is_point()
+    assert max_norm(face_high.lower - direct.upper) <= 1e-10
 
     low = build_facial_complex(
         reciprocal8, [first, SpectralPair(0.2, np.array([1.0]))]
     )
-    handle_low = face_from_complex(reciprocal8, low)
-    assert handle_low.interval.is_point()
-    assert max_norm(handle_low.interval.lower - direct.lower) <= 1e-10
+    face_low = face_from_complex(reciprocal8, low)
+    assert face_low.is_point()
+    assert max_norm(face_low.lower - direct.lower) <= 1e-10
 
 
 def test_complex_terminates_early_in_a_gap(reciprocal8):
+    first = SpectralPair(0.4, np.array([1.0]))
     cx = build_facial_complex(
-        reciprocal8,
-        [SpectralPair(0.4, np.array([1.0])), SpectralPair(0.0, np.array([1.0]))],
+        reciprocal8, [first, SpectralPair(0.0, np.array([1.0]))]
     )
     assert cx.terminated_early
     assert cx.termination_level == 1
     assert len(cx.levels) == 1
+    # the face is level one's point, not a cut of it
+    face = face_from_complex(reciprocal8, cx)
+    direct = interval_projections(reciprocal8, first)
+    assert face.is_point()
+    assert max_norm(face.lower - direct.lower) <= 1e-10
+    assert max_norm(face.upper - direct.upper) <= 1e-10
 
 
 def test_two_level_complex_reaches_hidden_vertex(blockpair):
@@ -395,17 +401,17 @@ def test_chain_of_exposed_face_has_length_one(commuting):
     face = exposed_face(commuting, SpectralPair(-1.0, np.array([0.0, -1.0])))
     chain = minimal_exposed_chain(commuting, face.interval, 64)
     assert len(chain) == 1
-    assert intervals_equal(chain[0].interval, face.interval)
+    assert intervals_equal(chain[0], face.interval)
 
 
 def test_chain_of_hidden_vertex_has_length_two(blockpair):
     interval, _ = fd_hidden_vertex_interval(blockpair)
     chain = minimal_exposed_chain(blockpair, interval, 128)
     assert len(chain) == 2
-    assert intervals_equal(chain[-1].interval, interval)
-    dims = [face_dimension(blockpair, h.interval) for h in chain]
+    assert intervals_equal(chain[-1], interval)
+    dims = [face_dimension(blockpair, iv) for iv in chain]
     assert dims == [2, 0]
-    assert interval_contains(chain[0].interval, chain[1].interval)
+    assert interval_contains(chain[0], chain[1])
 
 
 def test_face_handles_live_in_the_generated_algebra(blockpair):
@@ -431,15 +437,15 @@ def test_chain_of_hidden_segment_has_length_two(blockpair):
             SpectralPair(np.cos(np.arctan2(t_tan[1], t_tan[0])), np.array([1.0, 0.0])),
         ],
     )
-    handle = face_from_complex(blockpair, cx)
+    face = face_from_complex(blockpair, cx)
     # level-two cut level equals the compressed eigenvalue cos(theta), so
-    # the handle is the ruling segment
-    assert not handle.interval.is_point()
-    chain = minimal_exposed_chain(blockpair, handle.interval, 128)
+    # the face is the ruling segment
+    assert not face.is_point()
+    chain = minimal_exposed_chain(blockpair, face, 128)
     assert len(chain) == 2
-    assert intervals_equal(chain[-1].interval, handle.interval)
-    assert face_dimension(blockpair, chain[0].interval) == 2
-    assert face_dimension(blockpair, chain[1].interval) == 1
+    assert intervals_equal(chain[-1], face)
+    assert face_dimension(blockpair, chain[0]) == 2
+    assert face_dimension(blockpair, chain[1]) == 1
 
 
 # ------------------------------------------------- last-bit noise in endpoints
@@ -473,7 +479,7 @@ def test_gap_report_order_ignores_last_bit_noise(name, request):
             [
                 (*rep.t, rep.s1, rep.s2)
                 for rep in detect_gap(
-                    optuple, FaceHandle(iv), normal_cone(optuple, iv, 8)
+                    optuple, iv, normal_cone(optuple, iv, 8)
                 )
             ]
             for iv in (interval, noisy)
@@ -568,7 +574,7 @@ def test_cut_down_never_reads_the_ambient_cache(blockpair, monkeypatch):
     }
     assert all(f.optuple is blockpair for f in frames._frames.values())
     # a cache refuses any tuple but its own, and other tolerances
-    comp = cut_down(blockpair, chain[0].interval)
+    comp = cut_down(blockpair, chain[0])
     with pytest.raises(ValueError, match="another tuple"):
         normal_cone(comp.tuple, sampled_face_inventory(comp.tuple, 0)[0], 8, frames=frames)
     with pytest.raises(ValueError, match="another tuple"):

@@ -38,7 +38,12 @@ FIXTURES = {
     "block_with_scalars": fixtures.block_with_scalars,
 }
 CASES = [(name, cmd) for name in FIXTURES for cmd in COMMANDS]
-AXIS_CASES = [(name, cmd) for name in FIXTURES for cmd in ("faces", "corners", "center")]
+FACE_COMMANDS = ("faces", "corners", "center")
+AXIS_CASES = [(name, cmd) for name in FIXTURES for cmd in FACE_COMMANDS]
+DENSE_SAMPLES = 64
+DENSE_CASES = [
+    (name, cmd) for name in ("pauli_pair", "block_with_scalars") for cmd in FACE_COMMANDS
+]
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
 
@@ -96,6 +101,11 @@ def test_cli_matches_golden(name, command, tmp_path):
 @pytest.mark.parametrize("name,command", AXIS_CASES)
 def test_cli_matches_axis_golden(name, command, tmp_path):
     _check_golden(name, command, str(tmp_path), samples=0)
+
+
+@pytest.mark.parametrize("name,command", DENSE_CASES)
+def test_cli_matches_dense_golden(name, command, tmp_path):
+    _check_golden(name, command, str(tmp_path), samples=DENSE_SAMPLES)
 
 
 def test_number_comparison_catches_changes():
@@ -175,6 +185,7 @@ def record():
     with tempfile.TemporaryDirectory() as directory:
         runs = [case + (SAMPLES,) for case in CASES]
         runs += [case + (0,) for case in AXIS_CASES]
+        runs += [case + (DENSE_SAMPLES,) for case in DENSE_CASES]
         for name, command, samples in runs:
             result = run_case(name, command, directory, samples)
             path = _golden_path(name, command, samples)

@@ -65,10 +65,10 @@ def test_pipeline_on_random_tuples(seed):
         chain = minimal_exposed_chain(optuple, face.interval, 16)
         assert chain
         for outer, inner in zip(chain, chain[1:]):
-            assert interval_contains(outer.interval, inner.interval)
-            assert ss.face_dimension(
-                optuple, inner.interval
-            ) < ss.face_dimension(optuple, outer.interval)
+            assert interval_contains(outer, inner)
+            assert ss.face_dimension(optuple, inner) < ss.face_dimension(
+                optuple, outer
+            )
 
     sl = ss.isotrace_slice(optuple, 0.3, 16)
     assert np.all(np.isfinite(sl.points))

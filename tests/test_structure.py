@@ -4,7 +4,7 @@ import pytest
 from specscale import fixtures
 from specscale.algebra import max_norm
 from specscale.errors import DegenerateFaceError
-from specscale.faces import FaceHandle, normal_cone
+from specscale.faces import normal_cone
 from specscale.scale import ExtremePointCloud, exposed_face, extreme_point_cloud
 from specscale.spectral import OrderInterval, SpectralPair
 from specscale.structure import (
@@ -25,7 +25,7 @@ def scalar_block_interval(blockpair):
 def test_detect_central_scalar_block_vertex(blockpair):
     interval = scalar_block_interval(blockpair)
     cone = normal_cone(blockpair, interval, 128)
-    report = detect_central(blockpair, FaceHandle(interval), cone)
+    report = detect_central(blockpair, interval, cone)
     assert report.central
     assert report.rank == 2
     assert report.commutator_norm <= 1e-12
@@ -48,7 +48,7 @@ def test_no_nontrivial_central_detection_in_a_factor(pauli):
         ) <= 1e-10:
             continue
         cone = normal_cone(pauli, face.interval, 64)
-        report = detect_central(pauli, FaceHandle(face.interval), cone)
+        report = detect_central(pauli, face.interval, cone)
         if report.central:
             # only the trivial endpoints 0 and 1 can be central in a factor
             for p in (face.interval.lower, face.interval.upper):
@@ -60,7 +60,7 @@ def test_detect_central_insufficient_normals_is_not_an_error(pauli):
     p = 0.5 * (pauli.algebra.identity() + pauli.operators[0])
     interval = OrderInterval(p, p)
     cone = normal_cone(pauli, interval, 64)
-    report = detect_central(pauli, FaceHandle(interval), cone)
+    report = detect_central(pauli, interval, cone)
     assert not report.central
     assert report.rank < 2
 
@@ -76,7 +76,7 @@ def test_detect_central_rejects_whole_scale(blockpair):
 def test_detect_gap_two_point(two_point):
     face = exposed_face(two_point, SpectralPair(0.5, np.array([1.0])))
     cone = normal_cone(two_point, face.interval, 64)
-    gaps = detect_gap(two_point, FaceHandle(face.interval), cone)
+    gaps = detect_gap(two_point, face.interval, cone)
     assert len(gaps) == 1
     assert gaps[0].s1 == pytest.approx(0.0, abs=1e-12)
     assert gaps[0].s2 == pytest.approx(1.0, abs=1e-12)
@@ -85,7 +85,7 @@ def test_detect_gap_two_point(two_point):
 def test_detect_gap_reciprocal_vertex(reciprocal8):
     face = exposed_face(reciprocal8, SpectralPair(5.0 / 12.0, np.array([1.0])))
     cone = normal_cone(reciprocal8, face.interval, 64)
-    gaps = detect_gap(reciprocal8, FaceHandle(face.interval), cone)
+    gaps = detect_gap(reciprocal8, face.interval, cone)
     by_t = {tuple(np.sign(g.t)): g for g in gaps}
     plus = by_t[(1.0,)]
     assert plus.s1 == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -95,7 +95,7 @@ def test_detect_gap_reciprocal_vertex(reciprocal8):
 def test_detect_gap_empty_for_facet(commuting):
     face = exposed_face(commuting, SpectralPair(-1.0, np.array([0.0, -1.0])))
     cone = normal_cone(commuting, face.interval, 64)
-    assert detect_gap(commuting, FaceHandle(face.interval), cone) == []
+    assert detect_gap(commuting, face.interval, cone) == []
 
 
 def test_isolated_extremes_reciprocal_all_central(reciprocal8):
