@@ -11,6 +11,11 @@ defines the map
 
 whose image of the positive unit ball ``{a : 0 <= a <= 1}`` is the
 spectral scale, the compact convex body the rest of the package studies.
+
+An operator is stored as one ``(m_k, d_k, d_k)`` stack per distinct
+block size ``d_k`` (a ``BlockLayout`` says where each block sits), so
+traces, products, cut-downs and eigensolves run once per size class,
+not once per block.
 """
 
 from __future__ import annotations
@@ -18,8 +23,9 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,35 +46,90 @@ MEMBERSHIP_TOL = 1e-10
 Block = namedtuple("Block", ["dim", "weight"])
 
 
+class BlockLayout:
+    """Where the blocks of sizes ``dims`` sit in per-size stacks: class
+    ``k`` (``sizes`` ascend) stacks the input blocks ``members[k]`` in
+    order as one ``shapes[k] = (m_k, d_k, d_k)`` array, block ``j`` at
+    slot ``slot[j]`` of class ``klass[j]`` (``where[j]``).  ``entry_block``
+    names the block of every row of the classes' stacks, concatenated."""
+
+    def __init__(self, dims):
+        self.dims = dims
+        sizes = np.array(dims, dtype=int)
+        order = np.argsort(sizes, kind="stable")  # class by class
+        self.sizes, starts, counts = np.unique(
+            sizes[order], return_index=True, return_counts=True
+        )
+        self.members = [order[i : i + m] for i, m in zip(starts, counts)]
+        self.shapes = [(m, d, d) for m, d in zip(counts.tolist(), self.sizes.tolist())]
+        self.klass = np.searchsorted(self.sizes, sizes)
+        self.slot = np.empty_like(self.klass)
+        self.slot[order] = np.arange(len(dims)) - starts[self.klass[order]]
+        self.where = tuple(zip(self.klass.tolist(), self.slot.tolist()))
+        self.entry_block = np.repeat(order, sizes[order])
+        # one layout serves every operator of these sizes: nobody may write to it
+        for a in (self.sizes, self.klass, self.slot, self.entry_block, *self.members):
+            a.flags.writeable = False
+
+    def stack(self, blocks):
+        """Per class, ``blocks`` (one array per block, in input order) stacked."""
+        return [np.array([blocks[j] for j in idx]) for idx in self.members]
+
+    def zeros(self):
+        return [np.zeros(shape, dtype=complex) for shape in self.shapes]
+
+
+@lru_cache(maxsize=None)
+def block_layout(dims):
+    """The one ``BlockLayout`` of the block sizes ``dims`` (a tuple)."""
+    return BlockLayout(dims)
+
+
 class HermitianOperator:
-    """A self-adjoint element, stored as one complex matrix per block.
+    """A self-adjoint element, stored as one read-only ``(m_k, d_k, d_k)``
+    stack per block size (``stacks``, placed by ``layout``).
 
     The constructor is the checked path, for data from outside (JSON
-    ingestion, fixtures, users): it copies each block, requires it to be
-    square with ``max|A - A*| <= HERMITIAN_TOL`` and then symmetrizes.
-    Operators built from other operators go through ``_raw`` instead.
-    Either way stored blocks are exactly Hermitian and read-only.
+    ingestion, fixtures, users): it copies the blocks into their stacks,
+    requires each to be square, finite and within ``HERMITIAN_TOL`` of
+    self-adjoint (naming the first block that is not) and symmetrizes.
+    Operators built from other operators go through ``_from_stacks`` (or
+    ``_raw``) instead.  Either way stacks are exactly Hermitian and
+    read-only; ``blocks`` are views into them, in input order.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("layout", "stacks", "_blocks")
 
     def __init__(self, blocks):
-        mats = []
-        for j, raw in enumerate(blocks):
-            a = np.array(raw, dtype=complex)
+        mats = [np.asarray(raw, dtype=complex) for raw in blocks]
+        for j, a in enumerate(mats):
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise ShapeError(f"block {j} is not a square matrix: shape {a.shape}")
-            deviation = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-            if deviation > HERMITIAN_TOL:
-                raise HermitianError(
-                    f"block {j} deviates from self-adjointness by {deviation:.3e}"
-                )
-            mats.append(_frozen_hermitian_part(a))
-        self.blocks = tuple(mats)
+        layout = block_layout(tuple(a.shape[0] for a in mats))
+        stacks = layout.stack(mats)
+        deviation = np.empty(len(mats))  # per block; NaN for a non-finite entry
+        for idx, s in zip(layout.members, stacks):
+            with np.errstate(invalid="ignore"):  # inf - inf is flagged below
+                dev = np.abs(s - s.conj().swapaxes(-1, -2)).max(axis=(1, 2), initial=0)
+            deviation[idx] = np.where(np.isfinite(s).all(axis=(1, 2)), dev, np.nan)
+        for j in np.flatnonzero(~(deviation <= HERMITIAN_TOL))[:1]:
+            if np.isnan(deviation[j]):
+                raise HermitianError(f"block {j} has a non-finite entry")
+            raise HermitianError(
+                f"block {j} deviates from self-adjointness by {deviation[j]:.3e}"
+            )
+        self.layout, self._blocks = layout, None
+        self.stacks = tuple(map(_frozen_hermitian_part, stacks))
+
+    @property
+    def blocks(self):
+        if self._blocks is None:
+            self._blocks = tuple(self.stacks[k][i] for k, i in self.layout.where)
+        return self._blocks
 
     @property
     def dims(self):
-        return tuple(b.shape[0] for b in self.blocks)
+        return self.layout.dims
 
     def __add__(self, other):
         return _combine(self, other, 1.0)
@@ -77,10 +138,10 @@ class HermitianOperator:
         return _combine(self, other, -1.0)
 
     def __neg__(self):
-        return _raw([-b for b in self.blocks])
+        return _from_stacks(self.layout, [-s for s in self.stacks])
 
     def __rmul__(self, scalar):
-        return _raw([float(scalar) * b for b in self.blocks])
+        return _from_stacks(self.layout, [float(scalar) * s for s in self.stacks])
 
     __mul__ = __rmul__
 
@@ -89,9 +150,9 @@ class HermitianOperator:
 
 
 def _frozen_hermitian_part(a):
-    """``(A + A*)/2`` as a new read-only array; ``A`` bit for bit when ``A``
-    is exactly Hermitian."""
-    h = (a + a.conj().T) / 2.0
+    """``(A + A*)/2`` of a stack of matrices as a new read-only array;
+    ``A`` bit for bit when ``A`` is exactly Hermitian."""
+    h = (a + a.conj().swapaxes(-1, -2)) / 2.0
     h.flags.writeable = False
     return h
 
@@ -99,24 +160,25 @@ def _frozen_hermitian_part(a):
 def _combine(a, b, sign):
     if a.dims != b.dims:
         raise ShapeError(f"block shapes differ: {a.dims} vs {b.dims}")
-    return _raw([x + sign * y for x, y in zip(a.blocks, b.blocks)])
+    return _from_stacks(a.layout, [x + sign * y for x, y in zip(a.stacks, b.stacks)])
 
 
-def _raw(blocks):
-    """The unchecked path, for square blocks Hermitian by construction
-    (sums, products, cut-downs of operators): skips the constructor, with
-    no copy, shape or deviation check.  Each block is symmetrized once into
-    a new read-only array, so the caller's array is left as it was."""
+def _from_stacks(layout, stacks):
+    """The unchecked path, for stacks Hermitian by construction (sums,
+    products, cut-downs of operators): no copy, shape or deviation check.
+    Each stack is symmetrized once into a new read-only array, so the
+    caller's array is left as it was."""
     op = object.__new__(HermitianOperator)
-    op.blocks = tuple(_frozen_hermitian_part(np.asarray(b, complex)) for b in blocks)
+    op.layout, op._blocks = layout, None
+    op.stacks = tuple(map(_frozen_hermitian_part, stacks))
     return op
 
 
-def max_norm(op):
-    """Largest absolute matrix entry across blocks."""
-    return max(
-        (float(np.max(np.abs(b))) for b in op.blocks if b.size), default=0.0
-    )
+def _raw(blocks):
+    """``_from_stacks`` for one square array per block, in input order."""
+    blocks = [np.asarray(b, dtype=complex) for b in blocks]
+    layout = block_layout(tuple(b.shape[0] for b in blocks))
+    return _from_stacks(layout, layout.stack(blocks))
 
 
 def operator_product(a, b):
@@ -126,16 +188,24 @@ def operator_product(a, b):
     return [x @ y for x, y in zip(a.blocks, b.blocks)]
 
 
+def stacked(ops):
+    """Per size class, the stacks of operators ``ops`` (one algebra) stacked
+    again, as ``(len(ops), m_k, d_k, d_k)``."""
+    return [np.array(per_class) for per_class in zip(*(op.stacks for op in ops))]
+
+
+def _max_abs(arrays):
+    return max((float(np.abs(x).max()) for x in arrays if x.size), default=0.0)
+
+
+def max_norm(op):
+    """Largest absolute matrix entry across blocks."""
+    return _max_abs(op.stacks)
+
+
 def commutator_norm(a, b):
     """max-norm of ``ab - ba``."""
-    return max(
-        (
-            float(np.max(np.abs(x @ y - y @ x)))
-            for x, y in zip(a.blocks, b.blocks)
-            if x.size
-        ),
-        default=0.0,
-    )
+    return _max_abs(x @ y - y @ x for x, y in zip(a.stacks, b.stacks))
 
 
 @dataclass(frozen=True)
@@ -152,25 +222,41 @@ class FiniteAlgebra:
         for j, (d, c) in enumerate(blocks):
             if d < 1:
                 raise ShapeError(f"block {j} has non-positive dimension {d}")
-            if c <= 0:
-                raise ShapeError(f"block {j} has non-positive weight {c}")
+            if not 0 < c < math.inf:
+                raise ShapeError(f"block {j} has weight {c}, not positive and finite")
         total = sum(c * d for d, c in blocks)
         if abs(total - 1.0) > TRACE_NORMALIZATION_TOL:
             raise ShapeError(
                 f"trace normalization sum(c_j d_j) = {total!r} is not 1"
             )
 
-    @property
+    @cached_property
     def dims(self):
         return tuple(b.dim for b in self.blocks)
 
-    @property
+    @cached_property
     def weights(self):
-        return tuple(b.weight for b in self.blocks)
+        weights = np.array([b.weight for b in self.blocks])
+        weights.flags.writeable = False
+        return weights
+
+    @cached_property
+    def layout(self):
+        return block_layout(self.dims)
+
+    @cached_property
+    def class_weights(self):
+        return [self.weights[idx] for idx in self.layout.members]
+
+    def _sum(self, per_class):
+        """``sum_j c_j x_j`` over per-block values ``x_j``, given per size
+        class as arrays whose first axis runs over the class's blocks."""
+        pairs = zip(self.class_weights, per_class)
+        return sum(np.einsum("m,m...->...", w, x) for w, x in pairs)
 
     @property
     def total_dim(self):
-        return sum(b.dim for b in self.blocks)
+        return sum(self.dims)
 
     def conforms(self, op):
         return op.dims == self.dims
@@ -182,10 +268,11 @@ class FiniteAlgebra:
             )
 
     def identity(self):
-        return _raw([np.eye(d, dtype=complex) for d in self.dims])
+        eyes = [np.eye(s[1]) * np.ones(s, complex) for s in self.layout.shapes]
+        return _from_stacks(self.layout, eyes)
 
     def zero(self):
-        return _raw([np.zeros((d, d), dtype=complex) for d in self.dims])
+        return _from_stacks(self.layout, self.layout.zeros())
 
     def diagonal(self, entries):
         """Operator with the given real diagonal, split across blocks."""
@@ -194,28 +281,18 @@ class FiniteAlgebra:
             raise ShapeError(
                 f"expected {self.total_dim} diagonal entries, got {entries.size}"
             )
-        out, k = [], 0
-        for d in self.dims:
-            out.append(np.diag(entries[k : k + d]).astype(complex))
-            k += d
-        return _raw(out)
+        return _raw([np.diag(e) for e in np.split(entries, np.cumsum(self.dims)[:-1])])
 
     def trace(self, op):
         self.require(op)
-        return float(
-            sum(c * np.trace(b).real for (d, c), b in zip(self.blocks, op.blocks))
-        )
+        return float(self._sum(np.einsum("mii->m", s).real for s in op.stacks))
 
     def inner(self, a, b):
         """Trace inner product ``tr(a* b)``, real for self-adjoint arguments."""
         self.require(a)
         self.require(b)
-        return float(
-            sum(
-                c * np.sum(x.conj() * y).real
-                for (d, c), x, y in zip(self.blocks, a.blocks, b.blocks)
-            )
-        )
+        pairs = zip(a.stacks, b.stacks)
+        return float(self._sum((x.conj() * y).sum(axis=(1, 2)).real for x, y in pairs))
 
 
 @dataclass(frozen=True)
@@ -246,7 +323,7 @@ def trace(optuple_or_alg, a):
 def is_contraction(alg, a):
     """True when the spectrum of ``a`` lies in ``[0, 1]`` up to ``MEMBERSHIP_TOL``."""
     alg.require(a)
-    for w in (np.linalg.eigvalsh(b) for b in a.blocks):
+    for w in (np.linalg.eigvalsh(s) for s in a.stacks):
         if w.size and (w.min() < -MEMBERSHIP_TOL or w.max() > 1.0 + MEMBERSHIP_TOL):
             return False
     return True
@@ -263,14 +340,8 @@ def psi(optuple, a, check_membership=False):
     alg.require(a)
     if check_membership and not is_contraction(alg, a):
         raise MembershipError("operator is not in the positive unit ball")
-    out = np.empty(optuple.n + 1)
-    out[0] = alg.trace(a)
-    for i, b in enumerate(optuple.operators):
-        out[i + 1] = sum(
-            c * np.sum(x * y.T).real
-            for (d, c), x, y in zip(alg.blocks, b.blocks, a.blocks)
-        )
-    return out
+    # tr(b a) = tr(a* b), as a is stored exactly Hermitian
+    return np.array([alg.trace(a)] + [alg.inner(a, b) for b in optuple.operators])
 
 
 def linear_combination(optuple, t):
@@ -278,25 +349,22 @@ def linear_combination(optuple, t):
     t = np.asarray(t, dtype=float)
     if t.shape != (optuple.n,):
         raise ShapeError(f"direction has shape {t.shape}, expected ({optuple.n},)")
-    blocks = [np.zeros((d, d), dtype=complex) for d in optuple.algebra.dims]
+    stacks = optuple.algebra.layout.zeros()
     for coeff, op in zip(t, optuple.operators):
-        for acc, b in zip(blocks, op.blocks):
-            acc += coeff * b
-    return _raw(blocks)
+        for acc, s in zip(stacks, op.stacks):
+            acc += coeff * s
+    return _from_stacks(optuple.algebra.layout, stacks)
 
 
 def _span_residual(alg, stacks, blocks):
     """``blocks`` minus its projection onto the span of a trace-orthonormal
-    self-adjoint set, held as one ``(k, d_j, d_j)`` stack per block:
-    classical Gram-Schmidt, applied twice."""
+    self-adjoint set, all held per size class: ``blocks`` as ``(m_k, d_k,
+    d_k)`` stacks, the set as ``(size, m_k, d_k, d_k)`` ones.  Classical
+    Gram-Schmidt, applied twice."""
     for _ in range(2):
-        coeffs = sum(
-            c * np.einsum("kij,ij->k", s, b.conj()).real
-            for c, s, b in zip(alg.weights, stacks, blocks)
-        )
-        blocks = [
-            b - np.einsum("k,kij->ij", coeffs, s) for s, b in zip(stacks, blocks)
-        ]
+        pairs = list(zip(stacks, blocks))
+        coeffs = alg._sum(np.einsum("kmij,mij->mk", s, b.conj()).real for s, b in pairs)
+        blocks = [b - np.einsum("k,kmij->mij", coeffs, s) for s, b in pairs]
     return blocks
 
 
@@ -313,56 +381,88 @@ def generated_algebra_basis(optuple):
     """
     alg = optuple.algebra
     full = sum(d * d for d in alg.dims)
-    stacks = [np.empty((0, d, d), dtype=complex) for d in alg.dims]
+    stacks = [np.empty((0, *shape), dtype=complex) for shape in alg.layout.shapes]
 
     def try_add(blocks):
         nonlocal stacks
         if len(stacks[0]) == full:
             return
         residual = _span_residual(alg, stacks, blocks)
-        norm2 = sum(c * np.sum(np.abs(r) ** 2) for c, r in zip(alg.weights, residual))
+        norm2 = alg._sum(np.sum(np.abs(r) ** 2, axis=(1, 2)) for r in residual)
         if norm2 > 1e-10:
             unit = [r / np.sqrt(norm2) for r in residual]
             stacks = [np.concatenate([s, [u]]) for s, u in zip(stacks, unit)]
 
-    try_add(alg.identity().blocks)
+    try_add(alg.identity().stacks)
     for op in optuple.operators:
-        try_add(op.blocks)
+        try_add(op.stacks)
     i = 0
     while i < len(stacks[0]) < full:
         for j in range(i + 1):
             prod = [s[i] @ s[j] for s in stacks]
-            try_add([(m + m.conj().T) / 2.0 for m in prod])
-            try_add([(m - m.conj().T) / 2j for m in prod])
+            try_add([(m + m.conj().swapaxes(-1, -2)) / 2.0 for m in prod])
+            try_add([(m - m.conj().swapaxes(-1, -2)) / 2j for m in prod])
             if len(stacks[0]) == full:
                 break
         i += 1
-    return [_raw(element) for element in zip(*stacks)]
+    return [_from_stacks(alg.layout, element) for element in zip(*stacks)]
+
+
+class ColumnRanges(Sequence):
+    """Per block ``j``, the columns ``lo[j]:hi[j]`` of its matrix in the
+    per-size ``stacks`` of ``layout``: an isometry, such as the columns
+    spanning a spectral projection.  Item ``j`` is block ``j``'s columns as
+    a view, for ragged callers; ``Compression`` reads the stacks."""
+
+    def __init__(self, layout, stacks, lo, hi):
+        self.layout, self.stacks, self.lo, self.hi = layout, stacks, lo, hi
+
+    @property
+    def ranks(self):
+        return self.hi - self.lo
+
+    def __len__(self):
+        return len(self.lo)
+
+    def __getitem__(self, j):
+        k, i = self.layout.where[j]
+        return self.stacks[k][i][:, self.lo[j] : self.hi[j]]
 
 
 class Compression:
-    """Cut-down of a tuple to the range of per-block isometries ``V``.
+    """Cut-down of a tuple to the range of per-block isometries ``V``, given
+    as ``ColumnRanges``.
 
     ``tuple`` holds ``V* b V`` over the rescaled trace ``tr / tr(r)``,
     ``r = V V*``.  Offset by a projection ``lower`` (zero unless given),
     it names the face ``[lower, lower + r]``: ``psi(lift(x)) = base_point
-    + trace_r * psi_r(x)``.  ``cut`` composes cut-downs.
+    + trace_r * psi_r(x)``.  ``cut`` composes cut-downs.  Kept blocks are
+    grouped by size and rank, so ``restrict``, ``embed`` and ``cut`` are
+    one batched product per group.
     """
 
     def __init__(self, parent, isometries, lower=None):
         alg = parent.algebra
         self.parent = parent
-        self.isometries = tuple(isometries)
         if lower is not None:
             self.lower = lower
-        ranks = [V.shape[1] for V in self.isometries]
-        self.trace_r = float(sum(c * k for c, k in zip(alg.weights, ranks)))
+        ranks = isometries.ranks
+        self.trace_r = float(alg.weights @ ranks)
         if self.trace_r <= 1e-10:
             raise ShapeError("projection has (numerically) zero trace")
-        self.kept_blocks = [j for j, k in enumerate(ranks) if k]
-        sub_alg = FiniteAlgebra(
-            tuple((ranks[j], alg.weights[j] / self.trace_r) for j in self.kept_blocks)
-        )
+        self.kept_blocks = kept = np.flatnonzero(ranks)
+        weights = alg.weights[kept] / self.trace_r
+        sub_alg = FiniteAlgebra(tuple(zip(ranks[kept].tolist(), weights.tolist())))
+        self._cut_layout = sub = sub_alg.layout
+        local = np.cumsum(ranks > 0) - 1  # a kept block's index in the cut-down
+        self._groups = []  # (class, slots, V, cut-down class, its slots)
+        for k, (idx, stack) in enumerate(zip(alg.layout.members, isometries.stacks)):
+            for r in set(ranks[idx].tolist()) - {0}:
+                slots = np.flatnonzero(ranks[idx] == r)
+                cols = isometries.lo[idx[slots], None, None] + np.arange(r)
+                V = np.take_along_axis(stack[slots], cols, axis=2)
+                js = local[idx[slots]]
+                self._groups.append((k, slots, V, sub.klass[js[0]], sub.slot[js]))
         self.tuple = OperatorTuple(sub_alg, tuple(map(self.restrict, parent.operators)))
 
     @cached_property
@@ -380,31 +480,33 @@ class Compression:
         the isometries compose (``V W``) and ``interval.lower`` is lifted."""
         lower = self.lift(interval.lower)
         inner = interval.columns("gap")
-        isometries = list(self.isometries)
-        for local, j in enumerate(self.kept_blocks):
-            isometries[j] = isometries[j] @ inner[local]
-        return Compression(self.parent, isometries, lower)
+        layout = self.parent.algebra.layout
+        stacks = layout.zeros()
+        lo, hi = np.zeros((2, len(layout.dims)), dtype=int)
+        lo[self.kept_blocks], hi[self.kept_blocks] = inner.lo, inner.hi
+        for k, slots, V, cut_k, cut_slots in self._groups:
+            stacks[k][slots, :, : V.shape[2]] = V @ inner.stacks[cut_k][cut_slots]
+        return Compression(self.parent, ColumnRanges(layout, stacks, lo, hi), lower)
 
     def restrict(self, op):
         """Compress an ambient operator into the cut-down coordinates."""
         self.parent.algebra.require(op)
-        comp = [
-            self.isometries[j].conj().T @ op.blocks[j] @ self.isometries[j]
-            for j in self.kept_blocks
-        ]
-        return _raw(comp)
+        stacks = self._cut_layout.zeros()
+        for k, slots, V, cut_k, cut_slots in self._groups:
+            Vh = V.conj().swapaxes(-1, -2)
+            stacks[cut_k][cut_slots] = Vh @ op.stacks[k][slots] @ V
+        return _from_stacks(self._cut_layout, stacks)
 
     def embed(self, op):
         """Embed a cut-down operator back into the ambient algebra."""
-        if op.dims != self.tuple.algebra.dims:
+        if op.dims != self._cut_layout.dims:
             raise ShapeError("operator does not live in the cut-down algebra")
-        blocks = [
-            np.zeros((d, d), dtype=complex) for d in self.parent.algebra.dims
-        ]
-        for local, j in enumerate(self.kept_blocks):
-            V = self.isometries[j]
-            blocks[j] = V @ op.blocks[local] @ V.conj().T
-        return _raw(blocks)
+        layout = self.parent.algebra.layout
+        stacks = layout.zeros()
+        for k, slots, V, cut_k, cut_slots in self._groups:
+            Vh = V.conj().swapaxes(-1, -2)
+            stacks[k][slots] = V @ op.stacks[cut_k][cut_slots] @ Vh
+        return _from_stacks(layout, stacks)
 
     def lift(self, op):
         """Ambient operator ``lower + V x V*`` for cut-down ``x``."""

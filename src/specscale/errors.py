@@ -10,7 +10,7 @@ class ShapeError(SpecScaleError):
 
 
 class HermitianError(SpecScaleError):
-    """Input matrix deviates from self-adjointness beyond tolerance."""
+    """Input matrix is not finite or deviates from self-adjointness."""
 
 
 class MembershipError(SpecScaleError):

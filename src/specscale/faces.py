@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, sampling, scale, spectral
-from .algebra import Compression, max_norm
+from .algebra import Compression
 from .errors import (
     DegenerateFaceError,
     FaceChainError,
@@ -76,9 +76,9 @@ def in_generated_algebra(optuple, op, basis=None):
     """
     if basis is None:
         basis = algebra.generated_algebra_basis(optuple)
-    stacks = [np.array(per_block) for per_block in zip(*(e.blocks for e in basis))]
-    residual = algebra._span_residual(optuple.algebra, stacks, op.blocks)
-    return max_norm(algebra._raw(residual)) <= 1e-6
+    stacks = algebra.stacked(basis)
+    residual = algebra._span_residual(optuple.algebra, stacks, op.stacks)
+    return algebra._max_abs(residual) <= 1e-6
 
 
 def intervals_equal(a, b):
@@ -129,7 +129,10 @@ def cut_down(optuple, interval):
 
 def _whole(optuple):
     """The trivial cut-down, from which successive ``cut``s compose."""
-    return Compression(optuple, [np.eye(d) for d in optuple.algebra.dims])
+    alg = optuple.algebra
+    dims = np.array(alg.dims)
+    one = algebra.ColumnRanges(alg.layout, alg.identity().stacks, 0 * dims, dims)
+    return Compression(optuple, one)
 
 
 def build_facial_complex(optuple, pairs, cluster_tol=None, eig_eq_tol=None):
@@ -186,13 +189,10 @@ def _commutant_directions(optuple, interval):
     """
     cols = []
     for b in optuple.operators:
-        col = []
-        for q in (interval.lower, interval.upper):
-            for x, y in zip(b.blocks, q.blocks):
-                c = (x @ y - y @ x).ravel()
-                col.append(c.real)
-                col.append(c.imag)
-        cols.append(np.concatenate(col))
+        ends = (interval.lower, interval.upper)
+        pairs = [(x, y) for q in ends for x, y in zip(b.stacks, q.stacks)]
+        c = np.concatenate([(x @ y - y @ x).ravel() for x, y in pairs])
+        cols.append(np.concatenate([c.real, c.imag]))
     mat = np.column_stack(cols)
     if len(mat) < optuple.n:
         mat = np.vstack([mat, np.zeros((optuple.n - len(mat), optuple.n))])
@@ -213,9 +213,10 @@ def _candidate_directions(optuple, interval, raw):
     basis = _commutant_directions(optuple, interval)
     if basis.shape[0] == 0:
         return []
-    projected = (basis.T @ (basis @ t) for t in list(basis) + raw)
+    projected = np.vstack([basis, *raw]) @ basis.T @ basis  # one row per t
     # (-p)/|p| is -(p/|p|) bit for bit: both signs are exact negatives
-    return sampling.distinct_unit_vectors(x for p in projected for x in (p, -p))
+    signed = np.stack([projected, -projected], axis=1).reshape(-1, optuple.n)
+    return sampling.distinct_unit_vectors(signed)
 
 
 def normal_cones(
@@ -255,9 +256,8 @@ def normal_cones(
     for f, ts in enumerate(candidates):
         for k, t in enumerate(ts):
             testers.setdefault(t.tobytes(), (t, []))[1].append((f, k))
-    dims = optuple.algebra.dims
-    lowers = spectral.stack_blocks(dims, [iv.lower for iv in intervals])
-    uppers = spectral.stack_blocks(dims, [iv.upper for iv in intervals])
+    lowers = algebra.stacked([iv.lower for iv in intervals])
+    uppers = algebra.stacked([iv.upper for iv in intervals])
     found = [[None] * len(ts) for ts in candidates]
     for t, tests in testers.values():
         frame = source(t)
@@ -340,10 +340,8 @@ def block_decomposition_checks(optuple, interval, pair):
     out["lower_excess"] = max(float(lower_eigs.max(initial=-np.inf)) - s, 0.0)
     upper_eigs = _restricted_eigs(b_t, interval.columns("above"))
     out["upper_deficit"] = max(s - float(upper_eigs.min(initial=np.inf)), 0.0)
-    mid = [rb @ bb @ rb - s * rb for rb, bb in zip(r.blocks, b_t.blocks)]
-    out["gap_mismatch"] = max(
-        (float(np.max(np.abs(m))) for m in mid if m.size), default=0.0
-    )
+    mid = (x @ y @ x - s * x for x, y in zip(r.stacks, b_t.stacks))
+    out["gap_mismatch"] = algebra._max_abs(mid)
     return out
 
 

@@ -38,14 +38,19 @@ def unit_directions(dim, count=DEFAULT_DIRECTIONS):
 
 def distinct_unit_vectors(vectors):
     """``vectors`` normalized, in order, without those of norm ``<= 1e-9``
-    and without repeats of an earlier one to 9 decimals."""
-    seen = {}
-    for v in vectors:
-        norm = np.linalg.norm(v)
-        if norm > 1e-9:
-            unit = v / norm
-            seen.setdefault(tuple(np.round(unit, 9)), unit)
-    return list(seen.values())
+    and without repeats of an earlier one to 9 decimals.
+
+    All rows are handled at once; each norm is ``sqrt(v·v)`` from one
+    stacked ``matmul``, bit for bit ``np.linalg.norm(v)``.  ``-0.0`` and
+    ``0.0`` round to the same key.
+    """
+    rows = np.array(list(vectors), dtype=float)
+    if not rows.size:
+        return []
+    norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).ravel())
+    units = rows[norms > 1e-9] / norms[norms > 1e-9, None]
+    _, first = np.unique(np.round(units, 9) + 0.0, axis=0, return_index=True)
+    return list(units[np.sort(first)])
 
 
 def eigenvalue_sweep(values):

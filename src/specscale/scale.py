@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, sampling, spectral
-from .algebra import Compression, max_norm
+from .algebra import Compression
 from .errors import InvariantViolation
 from .spectral import OrderInterval, SpectralPair
 
@@ -134,7 +134,7 @@ def face_dimension(optuple, interval):
     gap = interval.columns("gap")
     # a rank-one gap cuts down to a one-dimensional algebra, whose
     # operators are all scalars: its scale is a segment
-    if sum(V.shape[1] for V in gap) == 1:
+    if sum(gap.ranks.tolist()) == 1:
         return 1
     return scale_dimension(Compression(optuple, gap).tuple).dimension
 
@@ -222,23 +222,20 @@ def scale_dimension(optuple):
     """
     alg = optuple.algebra
     n = optuple.n
-    one = alg.identity()
-    traces = np.array([alg.trace(b) for b in optuple.operators])
-    centered = [b - traces[i] * one for i, b in enumerate(optuple.operators)]
-    gram = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            gram[i, j] = gram[j, i] = alg.inner(centered[i], centered[j])
+    ops = algebra.stacked(optuple.operators)
+    traces = alg._sum(np.einsum("imaa->mi", x).real for x in ops)
+    centered = [x - traces[:, None, None, None] * np.eye(x.shape[-1]) for x in ops]
+    gram = alg._sum(np.einsum("imab,jmab->mij", x.conj(), x).real for x in centered)
     w, v = np.linalg.eigh(gram)
     scale_ref = max(1.0, float(w[-1]) if n else 1.0)
     relations = []
     for k in range(n):
         if w[k] <= 1e-12 * scale_ref:
             t = v[:, k]
-            s = float(traces @ t)
-            b_t = algebra.linear_combination(optuple, t)
-            if max_norm(b_t - s * one) <= RELATION_TOL:
-                relations.append((t, s))
+            # b_t - s = sum_i t_i (b_i - tr(b_i)), with s = <traces, t>
+            residual = (np.einsum("i,imab->mab", t, x) for x in centered)
+            if algebra._max_abs(residual) <= RELATION_TOL:
+                relations.append((t, float(traces @ t)))
     return ScaleDimension(
         dimension=n + 1 - len(relations), relations=tuple(relations)
     )
@@ -379,18 +376,6 @@ def waterfill(optuple, direction, level, cluster_tol=None):
     return spectrum.combination(_fill(weights[::-1], level)[::-1])
 
 
-def _size_classes(optuple):
-    """Per distinct block size: the block indices, their trace weights and
-    every operator's blocks stacked as ``(n, m_k, d, d)``."""
-    dims = optuple.algebra.dims
-    weights = np.array(optuple.algebra.weights)
-    stacks = spectral.stack_blocks(dims, optuple.operators)
-    return [
-        (idx, weights[idx], ops)
-        for idx, ops in zip(spectral.size_classes(dims), stacks)
-    ]
-
-
 def _waterfill_points(optuple, classes, dirs, level, cluster_tol):
     """``psi(waterfill(optuple, u, level))[1:]`` for every row ``u`` of
     ``dirs``, with one stacked ``eigh`` per block size.
@@ -403,7 +388,8 @@ def _waterfill_points(optuple, classes, dirs, level, cluster_tol):
     rows, n = len(dirs), optuple.n
     norms = np.zeros(rows)
     eigenvalues, per_column = [], []
-    for idx, weights, ops in classes:
+    alg = optuple.algebra
+    for idx, weights, ops in zip(alg.layout.members, alg.class_weights, classes):
         b_u = np.einsum("un,nmij->umij", dirs, ops)
         b_u = b_u.conj().swapaxes(-1, -2) + b_u
         b_u /= 2  # (b + b*) / 2, as _raw symmetrizes
@@ -452,7 +438,7 @@ def isotrace_slice(optuple, level, resolution=720, cluster_tol=None):
         dirs = np.column_stack([np.cos(theta), np.sin(theta)])
     else:
         dirs = sampling.unit_directions(n, resolution)
-    classes = _size_classes(optuple)
+    classes = algebra.stacked(optuple.operators)
     # one direction stacks 16 bytes per complex entry of every block
     step = max(1, SLICE_CHUNK_BYTES // (16 * sum(d * d for d in optuple.algebra.dims)))
     points = np.concatenate(

@@ -9,19 +9,20 @@ separates the closed-interval projection ``p_plus`` (spectrum in
 the one clustering rule: ``decompose`` applies it to one operator, and
 the isotrace slice to a stack of operators, one row each.
 
-``decompose`` returns its eigenframe, one ``SpectralFrame``: every
-block's ``eigh`` output and, per cluster, its value and the range of
-eigenvector columns it owns; a cluster's trace is those column counts
-times the block weights, with no pass over the columns.  Clusters take
-consecutive columns of every block, so a spectral projection onto the
-leading ``k`` clusters is a leading column range of every block, named by
-the count ``k`` alone.  ``sweep`` yields one decomposed direction at a
+``decompose`` runs one batched ``eigh`` per block size on the operator's
+stacks and returns its eigenframe, one ``SpectralFrame``: the eigenvector
+stacks and, per cluster, its value and the range of columns it owns in
+every block; a cluster's trace is those column counts times the block
+weights, with no pass over the columns.  Clusters take consecutive
+columns of every block, so a spectral projection onto the leading ``k``
+clusters is a leading column range of every block, named by the count
+``k`` alone.  ``sweep`` yields one decomposed direction at a
 time with all its cut levels as such counts, and everything a sweep
 reads off a level comes from the frame without a d×d matrix: ``psi`` and
 the trace of an endpoint are rows of a cumulative table, the support
 value is a dot product with a row, and the order test against fixed
 intervals is a prefix (or suffix) maximum of column norms, for many
-intervals at once with their blocks stacked per block size.  A
+intervals at once, one product per block size.  A
 ``FrameCache`` keeps the frame of every direction one command decomposes,
 bound to one tuple and its tolerances and keyed on the exact bytes of
 ``t``, so a face command decomposes each direction once.  Every
@@ -41,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from . import algebra, sampling
-from .algebra import HermitianOperator, _raw, max_norm
+from .algebra import ColumnRanges, HermitianOperator, _from_stacks, max_norm
 from .errors import NumericalError, ShapeError, ZeroDirectionError
 
 CLUSTER_TOL = 1e-9
@@ -80,46 +81,59 @@ class SpectralPair:
 
 @dataclass(frozen=True, eq=False)
 class SpectralFrame:
-    """Blockwise eigenvectors with the cluster boundaries among their columns.
+    """Eigenvectors stacked per block size, with the cluster boundaries
+    among each block's columns.
 
-    ``vectors[j]`` is block ``j``'s eigenvector matrix from ``eigh``, its
-    columns in cluster order (ascending eigenvalues for ``decompose``);
-    ``bounds[k, j]`` counts the columns of block ``j`` that belong to
-    clusters ``0 .. k-1``, and the last row counts them all; ``values[k]``
-    is the eigenvalue cluster ``k``'s columns share.  Multiplicities and
-    traces are column counts: ``np.diff(bounds.sum(axis=1))`` and
+    ``vectors[k]`` stacks the eigenvector matrices of ``layout``'s size
+    class ``k`` as ``(m_k, d_k, d_k)``, columns in cluster order
+    (ascending eigenvalues for ``decompose``); ``bounds[c, j]`` counts the
+    columns of block ``j`` (input order) that belong to clusters ``0 ..
+    c-1``, and the last row counts them all; ``values[c]`` is the
+    eigenvalue cluster ``c``'s columns share.  Multiplicities and traces
+    are column counts: ``np.diff(bounds.sum(axis=1))`` and
     ``np.diff(bounds, axis=0) @ alg.weights``.
     """
 
+    layout: algebra.BlockLayout
     vectors: tuple
     bounds: np.ndarray  # (clusters + 1, blocks)
     values: np.ndarray  # (clusters,)
 
     def columns(self, first, stop):
-        """Per block, the eigenvector columns of clusters ``first .. stop-1``."""
+        """The eigenvector columns of clusters ``first .. stop-1``, per block."""
+        return ColumnRanges(
+            self.layout, self.vectors, self.bounds[first], self.bounds[stop]
+        )
+
+    @cached_property
+    def clusters(self):
+        """Per size class, the cluster of every column, shaped ``(m_k, d_k)``."""
         return [
-            v[:, lo:hi]
-            for v, lo, hi in zip(self.vectors, self.bounds[first], self.bounds[stop])
+            (self.bounds[1:, idx, None] <= np.arange(d)).sum(axis=0)
+            for d, idx in zip(self.layout.sizes, self.layout.members)
         ]
+
+    def combination(self, coeffs):
+        """``sum_c coeffs[c] * P_c`` over the cluster projections ``P_c``."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        pairs = zip(self.vectors, self.clusters)
+        sums = [(v * coeffs[c[:, None]]) @ v.conj().swapaxes(-1, -2) for v, c in pairs]
+        return _from_stacks(self.layout, sums)
 
     def projection(self, first, stop):
         """Projection onto clusters ``first .. stop-1``: ``V Vᴴ`` per block."""
-        return _raw([cols @ cols.conj().T for cols in self.columns(first, stop)])
-
-    def combination(self, coeffs):
-        """``sum_k coeffs[k] * P_k`` over the cluster projections ``P_k``."""
-        blocks = []
-        for j, v in enumerate(self.vectors):
-            x = np.repeat(coeffs, np.diff(self.bounds[:, j]))
-            blocks.append((v * x) @ v.conj().T)
-        return _raw(blocks)
+        coeffs = np.zeros(len(self.values))
+        coeffs[first:stop] = 1.0
+        return self.combination(coeffs)
 
     @cached_property
     def deviation(self):
         """Per block, ``max|VᴴV - I|``: how far the columns are from orthonormal."""
-        return np.array(
-            [np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() for v in self.vectors]
-        )
+        out = np.empty(len(self.layout.dims))
+        for v, idx in zip(self.vectors, self.layout.members):
+            gram = v.conj().swapaxes(-1, -2) @ v - np.eye(v.shape[-1])
+            out[idx] = np.abs(gram).max(axis=(1, 2))
+        return out
 
     def require_orthonormal(self):
         """Raise unless every block's ``max|VᴴV - I| <= PROJECTION_TOL``.
@@ -134,66 +148,31 @@ class SpectralFrame:
                 block=j,
             )
 
-    @cached_property
-    def _by_size(self):
-        """The eigenvectors stacked as ``(m_k, d, d)`` per block size
-        (``size_classes``), the order that sorts all their columns by
-        cluster, and where each cluster starts in that order."""
-        counts = np.diff(self.bounds, axis=0).T  # (blocks, clusters)
-        stacks, clusters = [], []
-        for idx in size_classes([v.shape[0] for v in self.vectors]):
-            stacks.append(np.array([self.vectors[j] for j in idx]))
-            # a block's columns run through the clusters in order
-            ids = np.tile(np.arange(counts.shape[1]), len(idx))
-            clusters.append(np.repeat(ids, counts[idx].ravel()))
-        order = np.argsort(np.concatenate(clusters), kind="stable")
-        return stacks, order, self.bounds.sum(axis=1)[:-1]
-
     def order_margins(self, q_minus, q_plus):
         """How far each leading range ``p_k`` is from ``p_k <= q_minus`` and
         from ``q_plus <= p_k``, per face and cluster count ``k``.
 
-        ``q_minus`` and ``q_plus`` hold the faces' blocks per block size
-        (``stack_blocks``), so every face's test on this frame is one
-        product per block size.  ``below[f, k]`` is the largest
-        ``|(1 - q_minus) v|`` over the columns ``v`` of the first ``k``
-        clusters, ``above[f, k]`` the largest ``|q_plus v|`` over the other
-        columns: prefix and suffix maxima of each cluster's largest column
-        norm.  Each order holds exactly when its margin is zero.
+        ``q_minus`` and ``q_plus`` stack the faces' endpoint operators per
+        size class, ``(faces, m_k, d_k, d_k)``, so every face's test on
+        this frame is one product per size class.  ``below[f, k]`` is the
+        largest ``|(1 - q_minus) v|`` over the columns ``v`` of the first
+        ``k`` clusters, ``above[f, k]`` the largest ``|q_plus v|`` over the
+        other columns: prefix and suffix maxima of each cluster's largest
+        column norm.  Each order holds exactly when its margin is zero.
         """
         self.require_orthonormal()
-        stacks, order, starts = self._by_size
         faces = len(q_minus[0])
-        outside, inside = [], []
-        for v, qm, qp in zip(stacks, q_minus, q_plus):
-            outside.append(np.linalg.norm(v - qm @ v, axis=-2).reshape(faces, -1))
-            inside.append(np.linalg.norm(qp @ v, axis=-2).reshape(faces, -1))
-
-        def per_cluster(norms):
-            columns = np.concatenate(norms, axis=1)[:, order]
-            return np.maximum.reduceat(columns, starts, axis=1)
-
-        below = np.zeros((faces, len(starts) + 1))
+        # per face and cluster, the largest norm among its columns
+        outside, inside = np.zeros((2, faces, len(self.values)))
+        for v, qm, qp, c in zip(self.vectors, q_minus, q_plus, self.clusters):
+            norms = (np.linalg.norm(x, axis=-2) for x in (v - qm @ v, qp @ v))
+            for out, x in zip((outside, inside), norms):
+                np.maximum.at(out, (slice(None), c.ravel()), x.reshape(faces, -1))
+        below = np.zeros((faces, len(self.values) + 1))
         above = np.zeros_like(below)
-        np.maximum.accumulate(per_cluster(outside), axis=1, out=below[:, 1:])
-        suffix = np.maximum.accumulate(per_cluster(inside)[:, ::-1], axis=1)
-        above[:, :-1] = suffix[:, ::-1]
+        np.maximum.accumulate(outside, axis=1, out=below[:, 1:])
+        above[:, :-1] = np.maximum.accumulate(inside[:, ::-1], axis=1)[:, ::-1]
         return below, above
-
-
-def size_classes(dims):
-    """Per distinct block size, ascending, the indices of the blocks of that size."""
-    dims = np.asarray(dims)
-    return [np.flatnonzero(dims == d) for d in np.unique(dims)]
-
-
-def stack_blocks(dims, ops):
-    """The blocks of ``ops`` per block size (``size_classes(dims)``), each
-    size stacked as ``(len(ops), m_k, d, d)``."""
-    return [
-        np.array([[op.blocks[j] for j in idx] for op in ops])
-        for idx in size_classes(dims)
-    ]
 
 
 def _scaled_tol(tol, default, norm):
@@ -252,25 +231,23 @@ def decompose(alg, a, cluster_tol=None):
     a cluster's trace is its column counts times the block weights.
     """
     alg.require(a)
-    eigenvalues, vectors = zip(*(eigh(b, j) for j, b in enumerate(a.blocks)))
-    eigenvalues = np.concatenate(eigenvalues)
+    layout = a.layout
+    solved = [eigh(s, int(idx[0])) for s, idx in zip(a.stacks, layout.members)]
+    eigenvalues = np.concatenate([w.ravel() for w, _ in solved])
     order = np.argsort(eigenvalues, kind="stable")
     ordered = eigenvalues[order]
     starts, multiplicity = cluster_starts(ordered, max_norm(a), cluster_tol)
 
-    # A block's columns leave the stable sort in column order (eigh sorts
-    # them ascending), so every cluster owns a consecutive column range of
-    # every block: bounds[k, j] counts block j's columns ranked below the
-    # start of cluster k.
-    rank = np.empty(len(order), dtype=int)
-    rank[order] = np.arange(len(order))
-    cuts = np.append(starts, len(ordered))
-    offsets = np.cumsum((0,) + alg.dims)
-    bounds = np.column_stack(
-        [np.searchsorted(rank[o:e], cuts) for o, e in zip(offsets, offsets[1:])]
-    )
+    # eigh sorts each block's columns ascending, so every cluster owns a
+    # consecutive column range of every block: bounds[k, j] counts block
+    # j's columns in clusters below k.
+    clusters = np.empty(len(order), dtype=int)
+    clusters[order] = np.repeat(np.arange(len(starts)), multiplicity)
+    counts = np.zeros((len(starts) + 1, len(layout.dims)), dtype=int)
+    np.add.at(counts, (clusters + 1, layout.entry_block), 1)
+    bounds = np.cumsum(counts, axis=0)
     values = np.add.reduceat(ordered, starts) / multiplicity
-    return SpectralFrame(vectors=vectors, bounds=bounds, values=values)
+    return SpectralFrame(layout, tuple(v for _, v in solved), bounds, values)
 
 
 def equality_band(op, eig_eq_tol=None):
@@ -305,19 +282,17 @@ class DirectionFrame:
         clusters, its trace first.
 
         Column ``v`` of block ``j`` contributes ``c_j (|v|², v*b_1v, …,
-        v*b_nv)``; a leading range is a prefix of every block's columns,
-        so row ``k`` sums the blocks' prefix sums at ``bounds[k]``.
+        v*b_nv)`` to its cluster's sum; row ``k`` adds the first ``k`` sums.
         """
         frame = self.spectrum
         frame.require_orthonormal()
         ops = self.optuple.operators
-        table = 0.0
-        for j, (v, c) in enumerate(zip(frame.vectors, self.optuple.algebra.weights)):
-            prefix = np.zeros((v.shape[1] + 1, len(ops) + 1))
-            per_column = column_psi(v, c, [b.blocks[j] for b in ops])
-            np.cumsum(per_column.T, axis=0, out=prefix[1:])
-            table = table + prefix[frame.bounds[:, j]]
-        return table
+        sums = np.zeros((len(frame.bounds), len(ops) + 1))  # cluster c at row c + 1
+        weights = self.optuple.algebra.class_weights
+        for k, (v, w, c) in enumerate(zip(frame.vectors, weights, frame.clusters)):
+            per_column = column_psi(v, w[:, None], [b.stacks[k] for b in ops])
+            np.add.at(sums, c.ravel() + 1, per_column.reshape(len(ops) + 1, -1).T)
+        return np.cumsum(sums, axis=0)
 
 
 def direction_frame(optuple, t, cluster_tol=None, eig_eq_tol=None):
@@ -398,13 +373,15 @@ class OrderInterval:
                 raise ShapeError(f"{name} endpoint is not a projection")
         if not projection_leq(lower, upper):
             raise ShapeError("interval endpoints are not ordered")
-        vectors, bounds = [], []
-        for x, y in zip(lower.blocks, upper.blocks):
+        layout = lower.layout
+        vectors, bounds = [], np.zeros((4, len(layout.dims)), dtype=int)
+        bounds[3] = layout.dims
+        for x, y, idx in zip(lower.stacks, upper.stacks, layout.members):
             w, v = np.linalg.eigh(x + y)
-            vectors.append(v[:, ::-1])
-            bounds.append((0, np.sum(w > 1.5), np.sum(w > 0.5), len(w)))
+            vectors.append(v[..., ::-1])
+            bounds[1:3, idx] = (w > 1.5).sum(-1), (w > 0.5).sum(-1)
         self.frame = SpectralFrame(
-            tuple(vectors), np.array(bounds).T, np.array([2.0, 1.0, 0.0])
+            layout, tuple(vectors), bounds, np.array([2.0, 1.0, 0.0])
         )
         self.counts = (1, 2)
         self.lower, self.upper = lower, upper
@@ -458,31 +435,36 @@ def same_range(a, b, tol):
     only the other blocks are built and compared.
     """
     (fa, ka), (fb, kb) = a, b
-    ranks = fa.bounds[ka].tolist()
-    if ranks != fb.bounds[kb].tolist():
+    ranks = fa.bounds[ka]
+    if ranks.tolist() != fb.bounds[kb].tolist():
         return False
     if fa is fb:
         return True
-    for va, vb, r in zip(fa.vectors, fb.vectors, ranks):
-        if 0 < r < va.shape[1]:
-            x, y = va[:, :r], vb[:, :r]
-            if float(np.max(np.abs(x @ x.conj().T - y @ y.conj().T))) > tol:
+    layout = fa.layout
+    for va, vb, d, idx in zip(fa.vectors, fb.vectors, layout.sizes, layout.members):
+        r = ranks[idx]
+        partial = (0 < r) & (r < d)
+        if partial.any():
+            mask = np.arange(d) < r[partial, None, None]
+            x, y = va[partial] * mask, vb[partial] * mask
+            gap = x @ x.conj().swapaxes(-1, -2) - y @ y.conj().swapaxes(-1, -2)
+            if float(np.abs(gap).max()) > tol:
                 return False
     return True
 
 
 def is_projection(p):
-    for b in p.blocks:
-        if b.size and float(np.max(np.abs(b @ b - b))) > PROJECTION_TOL:
-            return False
-    return True
+    return all(
+        not s.size or float(np.abs(s @ s - s).max()) <= PROJECTION_TOL
+        for s in p.stacks
+    )
 
 
 def projection_leq(p, q):
     """Projection order ``p <= q``, tested as ``|pq - p| <= PROJECTION_TOL``."""
     return all(
-        float(np.max(np.abs(x @ y - x))) <= PROJECTION_TOL if x.size else True
-        for x, y in zip(p.blocks, q.blocks)
+        not x.size or float(np.abs(x @ y - x).max()) <= PROJECTION_TOL
+        for x, y in zip(p.stacks, q.stacks)
     )
 
 
@@ -505,7 +487,7 @@ def interval_from_spectrum(alg, spectrum, s, eff_tol):
     interval comes from the frame and builds no projection until its
     endpoints are read.
     """
-    if tuple(v.shape[0] for v in spectrum.vectors) != alg.dims:
+    if spectrum.layout.dims != alg.dims:
         raise ShapeError("spectrum was decomposed in a different algebra")
     return OrderInterval._from_frame(spectrum, *cut_clusters(spectrum, s, eff_tol))
 

@@ -189,6 +189,47 @@ def test_hermitian_rejection():
         HermitianOperator([np.zeros((2, 3))])
 
 
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ([[[np.nan]], [[1.0]]], "block 0 has a non-finite entry"),
+        ([[[1.0, np.inf], [np.inf, 1.0]]], "block 0 has a non-finite entry"),
+        ([[[1.0]], [[1.0, 0.0], [np.inf, 1.0]]], "block 1 has a non-finite entry"),
+        ([[[np.inf]]], "block 0 has a non-finite entry"),
+    ],
+)
+def test_checked_constructor_rejects_non_finite_blocks(blocks, message):
+    with pytest.raises(HermitianError, match=message):
+        HermitianOperator(blocks)
+
+
+def test_checked_constructor_names_the_first_bad_block_in_input_order():
+    # dims (2, 1, 2, 1): blocks 0 and 2 share a stack, as do 1 and 3
+    good = [np.eye(2), [[1.0]], np.eye(2), [[2.0]]]
+    blocks = list(good)
+    blocks[2] = np.array([[1.0, np.nan], [np.nan, 1.0]])  # second of its size
+    with pytest.raises(HermitianError, match="block 2 has a non-finite entry"):
+        HermitianOperator(blocks)
+    blocks[3] = [[1j]]  # a later block of the other size is bad too
+    with pytest.raises(HermitianError, match="block 2 "):
+        HermitianOperator(blocks)
+    blocks[1] = [[np.inf]]  # an earlier one, first of the other size
+    with pytest.raises(HermitianError, match="block 1 has a non-finite entry"):
+        HermitianOperator(blocks)
+    blocks = list(good)
+    blocks[2] = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(HermitianError, match="block 2 deviates"):
+        HermitianOperator(blocks)
+
+
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+def test_algebra_rejects_non_finite_weights(weight):
+    with pytest.raises(ShapeError, match="block 0 has weight .*, not positive"):
+        FiniteAlgebra(((1, weight),))
+    with pytest.raises(ShapeError, match="block 1 has weight .*, not positive"):
+        FiniteAlgebra(((1, 0.5), (1, weight)))
+
+
 def test_hermitian_symmetrizes_roundoff():
     a = np.array([[1.0, 0.5 + 1e-12j], [0.5 - 3e-12j, 2.0]])
     op = HermitianOperator([a])

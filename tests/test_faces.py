@@ -9,6 +9,7 @@ from specscale.algebra import (
     OperatorTuple,
     max_norm,
     psi,
+    stacked,
 )
 from specscale.errors import DegenerateFaceError, MinimalFaceError
 from specscale.faces import (
@@ -585,16 +586,12 @@ def test_cut_down_never_reads_the_ambient_cache(blockpair, monkeypatch):
 
 def test_stacked_order_margins_match_one_face_at_a_time(blockpair):
     intervals = _proper_sweep_faces(blockpair, 8)
-    dims = blockpair.algebra.dims
-    lowers = spectral.stack_blocks(dims, [iv.lower for iv in intervals])
-    uppers = spectral.stack_blocks(dims, [iv.upper for iv in intervals])
+    lowers = stacked([iv.lower for iv in intervals])
+    uppers = stacked([iv.upper for iv in intervals])
     frame = spectral.direction_frame(blockpair, np.array([0.6, -0.8])).spectrum
     below, above = frame.order_margins(lowers, uppers)
     for f, iv in enumerate(intervals):
-        (b,), (a,) = frame.order_margins(
-            spectral.stack_blocks(dims, [iv.lower]),
-            spectral.stack_blocks(dims, [iv.upper]),
-        )
+        (b,), (a,) = frame.order_margins(stacked([iv.lower]), stacked([iv.upper]))
         np.testing.assert_allclose(below[f], b, rtol=0, atol=1e-15)
         np.testing.assert_allclose(above[f], a, rtol=0, atol=1e-15)
 

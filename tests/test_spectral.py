@@ -480,15 +480,14 @@ def test_frame_order_test_matches_interval_contains(name, request):
     # every level of every normal cone the face pass samples at 8 directions
     from specscale.faces import _candidate_directions, interval_contains
     from specscale.scale import _cloud_t_directions
-    from specscale.spectral import PROJECTION_TOL, stack_blocks, sweep
+    from specscale.spectral import PROJECTION_TOL, sweep
 
     optuple = request.getfixturevalue(name)
     raw = _cloud_t_directions(optuple.n, 8)
-    dims = optuple.algebra.dims
     verdicts = []
     for interval in _distinct_proper_faces(optuple, 8):
-        lowers = stack_blocks(dims, [interval.lower])
-        uppers = stack_blocks(dims, [interval.upper])
+        lowers = [s[None] for s in interval.lower.stacks]
+        uppers = [s[None] for s in interval.upper.stacks]
         for frame in sweep(optuple, _candidate_directions(optuple, interval, raw)):
             spectral_frame = frame.spectrum
             (below,), (above,) = spectral_frame.order_margins(lowers, uppers)
@@ -503,18 +502,18 @@ def test_frame_order_test_matches_interval_contains(name, request):
 
 def test_non_orthonormal_frame_raises():
     from specscale.errors import NumericalError
-    from specscale.spectral import SpectralFrame, stack_blocks
+    from specscale.spectral import SpectralFrame
 
     alg, a = _frame_cases()[0]
     frame = decompose(alg, a)
     frame.require_orthonormal()
-    vectors = list(frame.vectors)
-    vectors[2] = vectors[2].copy()
-    vectors[2][:, 1] *= 1.0 + 1e-6
-    bad = SpectralFrame(tuple(vectors), frame.bounds, frame.values)
+    vectors = [v.copy() for v in frame.vectors]
+    k, i = frame.layout.where[2]
+    vectors[k][i][:, 1] *= 1.0 + 1e-6
+    bad = SpectralFrame(frame.layout, tuple(vectors), frame.bounds, frame.values)
     with pytest.raises(NumericalError, match="block 2"):
         OrderInterval._from_frame(bad, 0, 1)
-    one = stack_blocks(alg.dims, [alg.identity()])
+    one = [s[None] for s in alg.identity().stacks]
     with pytest.raises(NumericalError):
         bad.order_margins(one, one)
 
@@ -540,7 +539,10 @@ def test_shifted_cluster_bound_trips_the_support_check():
     shifted_bounds = bounds.copy()
     shifted_bounds[k + 1, 0] += 1  # cluster k takes its successor's column
     spectrum = SpectralFrame(
-        frame.spectrum.vectors, shifted_bounds, frame.spectrum.values
+        frame.spectrum.layout,
+        frame.spectrum.vectors,
+        shifted_bounds,
+        frame.spectrum.values,
     )
     shifted = DirectionFrame(optuple, frame.t, frame.b_t, spectrum, frame.eff_tol)
     with pytest.raises(InvariantViolation):

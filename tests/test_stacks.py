@@ -1,0 +1,246 @@
+"""Operators are stored as one stack per block size.  Every stacked
+computation is checked here against a plain per-block numpy reference
+written out in the test, on random algebras whose block sizes interleave,
+and the commands are checked to run one ``eigh`` per size class for each
+direction they decompose."""
+
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from specscale import algebra, spectral
+from specscale.algebra import (
+    Compression,
+    FiniteAlgebra,
+    HermitianOperator,
+    OperatorTuple,
+)
+from specscale.cli import main
+from specscale.spectral import CLUSTER_TOL
+
+
+def _random_hermitian(rng, d):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    # a few integer spectra, so clusters span several blocks
+    if rng.random() < 0.5:
+        u, _ = np.linalg.qr(z)
+        z = (u * rng.integers(-2, 3, d)) @ u.conj().T
+        return (z + z.conj().T) / 2
+    return z + z.conj().T
+
+
+@st.composite
+def tuples(draw):
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=12))
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.uniform(0.5, 2.0, len(dims))
+    weights = raw / (raw @ dims)
+    alg = FiniteAlgebra(tuple(zip(dims, weights)))
+    ops = tuple(
+        HermitianOperator([_random_hermitian(rng, d) for d in dims]) for _ in range(n)
+    )
+    return OperatorTuple(alg, ops), rng
+
+
+def _trace(alg, blocks):
+    return sum(c * np.trace(x).real for c, x in zip(alg.weights, blocks))
+
+
+def _psi(optuple, blocks):
+    alg = optuple.algebra
+    return np.array(
+        [_trace(alg, blocks)]
+        + [
+            _trace(alg, [x @ y for x, y in zip(b.blocks, blocks)])
+            for b in optuple.operators
+        ]
+    )
+
+
+def _decompose(alg, blocks):
+    """Per-block eigenvalues, clustered as ``decompose`` documents."""
+    eigs = [np.linalg.eigvalsh(x) for x in blocks]
+    norm = max(np.abs(x).max() for x in blocks)
+    tol = CLUSTER_TOL * max(1.0, norm)
+    ordered = np.sort(np.concatenate(eigs))
+    clusters = [[ordered[0]]]
+    for prev, x in zip(ordered, ordered[1:]):
+        if x - prev <= tol:
+            clusters[-1].append(x)
+        else:
+            clusters.append([x])
+    values = np.array([np.mean(c) for c in clusters])
+    edges = [c[-1] for c in clusters]
+    bounds = np.array(
+        [[0] * len(blocks)]
+        + [[int(np.sum(w <= edge)) for w in eigs] for edge in edges]
+    )
+    return bounds, values
+
+
+@settings(max_examples=40, deadline=None)
+@given(tuples())
+def test_stacked_operator_algebra_matches_per_block(case):
+    optuple, rng = case
+    alg = optuple.algebra
+    a, b = optuple.operators[0], optuple.operators[-1]
+    assert algebra.trace(alg, a) == pytest.approx(_trace(alg, a.blocks), abs=1e-12)
+    pairs = zip(alg.weights, a.blocks, b.blocks)
+    inner = sum(c * np.sum(x.conj() * y).real for c, x, y in pairs)
+    assert alg.inner(a, b) == pytest.approx(inner, abs=1e-12)
+    want = _psi(optuple, b.blocks)
+    np.testing.assert_allclose(algebra.psi(optuple, b), want, atol=1e-12)
+    assert algebra.max_norm(a) == max(np.abs(x).max() for x in a.blocks)
+    comm = max(np.abs(x @ y - y @ x).max() for x, y in zip(a.blocks, b.blocks))
+    assert algebra.commutator_norm(a, b) == pytest.approx(comm, abs=1e-12)
+    t = rng.standard_normal(optuple.n)
+    combined = algebra.linear_combination(optuple, t)
+    for j, x in enumerate(combined.blocks):
+        want = sum(c * op.blocks[j] for c, op in zip(t, optuple.operators))
+        np.testing.assert_allclose(x, want, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tuples())
+def test_stacked_frames_match_per_block(case):
+    optuple, rng = case
+    alg = optuple.algebra
+    frame = spectral.direction_frame(optuple, rng.standard_normal(optuple.n))
+    spectrum = frame.spectrum
+    bounds, values = _decompose(alg, frame.b_t.blocks)
+    np.testing.assert_array_equal(spectrum.bounds, bounds)
+    np.testing.assert_allclose(spectrum.values, values, atol=1e-12)
+    # psi of each leading range, projection by projection
+    for k in range(len(bounds)):
+        cols = spectrum.columns(0, k)
+        proj = [V @ V.conj().T for V in cols]
+        np.testing.assert_allclose(frame.psi_table[k], _psi(optuple, proj), atol=1e-10)
+    # order margins against the frame's leading ranges as faces
+    ends = (0, len(values))
+    faces = [spectral.OrderInterval._from_frame(spectrum, 0, k) for k in ends]
+    q_minus = algebra.stacked([f.lower for f in faces])
+    q_plus = algebra.stacked([f.upper for f in faces])
+    below, above = spectrum.order_margins(q_minus, q_plus)
+    for f, face in enumerate(faces):
+        for k in range(len(bounds)):
+            inside, outside = spectrum.columns(0, k), spectrum.columns(k, len(values))
+            want_below = max(
+                [0.0]
+                + [
+                    np.linalg.norm(V - q @ V, axis=0).max()
+                    for V, q in zip(inside, face.lower.blocks)
+                    if V.size
+                ]
+            )
+            want_above = max(
+                [0.0]
+                + [
+                    np.linalg.norm(q @ V, axis=0).max()
+                    for V, q in zip(outside, face.upper.blocks)
+                    if V.size
+                ]
+            )
+            assert below[f, k] == pytest.approx(want_below, abs=1e-12)
+            assert above[f, k] == pytest.approx(want_above, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tuples())
+def test_stacked_compression_matches_per_block(case):
+    optuple, rng = case
+    alg = optuple.algebra
+    t = rng.standard_normal(optuple.n)
+    spectrum = spectral.direction_frame(optuple, t).spectrum
+    clusters = len(spectrum.values)
+    first = int(rng.integers(0, clusters))
+    stop = int(rng.integers(first + 1, clusters + 1))
+    gap = spectrum.columns(first, stop)
+    comp = Compression(optuple, gap)
+    kept = [j for j, V in enumerate(gap) if V.shape[1]]
+    assert comp.tuple.algebra.dims == tuple(gap[j].shape[1] for j in kept)
+    np.testing.assert_allclose(
+        comp.tuple.algebra.weights, alg.weights[kept] / comp.trace_r, rtol=1e-14
+    )
+    for b in optuple.operators:
+        cut = comp.restrict(b)
+        for local, j in enumerate(kept):
+            V = gap[j]
+            np.testing.assert_allclose(
+                cut.blocks[local], V.conj().T @ b.blocks[j] @ V, atol=1e-12
+            )
+        back = comp.embed(cut)
+        for j, x in enumerate(back.blocks):
+            V = gap[j]
+            np.testing.assert_allclose(
+                x, V @ V.conj().T @ b.blocks[j] @ V @ V.conj().T, atol=1e-12
+            )
+
+
+@settings(max_examples=20, deadline=None)
+@given(tuples())
+def test_blocks_are_read_only_views_in_input_order(case):
+    optuple, rng = case
+    dims = optuple.algebra.dims
+    raw = [_random_hermitian(rng, d) for d in dims]
+    op = HermitianOperator(raw)
+    assert op.dims == dims
+    for j, x in enumerate(op.blocks):
+        np.testing.assert_array_equal(x, (raw[j] + raw[j].conj().T) / 2)
+        assert not x.flags.writeable
+        k, i = op.layout.where[j]
+        assert np.shares_memory(x, op.stacks[k])
+        assert x is not op.stacks[k][i] and np.array_equal(x, op.stacks[k][i])
+    assert all(not s.flags.writeable for s in op.stacks)
+    sizes = [s.shape[1] for s in op.stacks]
+    assert sizes == sorted(set(dims))
+
+
+def _tuple_json(dims, n, seed):
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for d in dims:
+        mats = []
+        for _ in range(n):
+            x = np.diag(rng.integers(-3, 4, d).astype(float))
+            if d > 1:
+                x[0, 1] = x[1, 0] = 0.5
+            mats.append([[[v, 0.0] for v in row] for row in x.tolist()])
+        blocks.append({"weight": 1.0 / sum(dims), "dim": d, "operators": mats})
+    return {"blocks": blocks}
+
+
+@pytest.mark.parametrize(
+    "dims", [(1,) * 128, (2, 1, 2, 1)], ids=["m128", "interleaved"]
+)
+@pytest.mark.parametrize("command", ["support", "extremes"])
+def test_one_eigh_per_size_class_per_direction(tmp_path, monkeypatch, dims, command):
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps(_tuple_json(dims, 2, 7)))
+    eigh, decompose = np.linalg.eigh, spectral.decompose
+    eigh_calls = [0]
+    per_direction = []  # (size classes, eigh calls) per decomposed direction
+
+    def counting_eigh(*args, **kwargs):
+        eigh_calls[0] += 1
+        return eigh(*args, **kwargs)
+
+    def counting_decompose(alg, a, *args, **kwargs):
+        before = eigh_calls[0]
+        frame = decompose(alg, a, *args, **kwargs)
+        per_direction.append((len(a.stacks), eigh_calls[0] - before))
+        return frame
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(spectral, "decompose", counting_decompose)
+    quiet = contextlib.redirect_stdout(io.StringIO())
+    with quiet, contextlib.redirect_stderr(io.StringIO()):
+        assert main([command, "--input", str(path), "--samples", "0"]) == 0
+    # the axes of R^3 give four distinct direction parts t, +-e1 and +-e2
+    classes = len(set(dims))
+    assert per_direction == [(classes, classes)] * 4
