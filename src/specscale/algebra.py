@@ -26,6 +26,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -107,17 +108,7 @@ class HermitianOperator:
                 raise ShapeError(f"block {j} is not a square matrix: shape {a.shape}")
         layout = block_layout(tuple(a.shape[0] for a in mats))
         stacks = layout.stack(mats)
-        deviation = np.empty(len(mats))  # per block; NaN for a non-finite entry
-        for idx, s in zip(layout.members, stacks):
-            with np.errstate(invalid="ignore"):  # inf - inf is flagged below
-                dev = np.abs(s - s.conj().swapaxes(-1, -2)).max(axis=(1, 2), initial=0)
-            deviation[idx] = np.where(np.isfinite(s).all(axis=(1, 2)), dev, np.nan)
-        for j in np.flatnonzero(~(deviation <= HERMITIAN_TOL))[:1]:
-            if np.isnan(deviation[j]):
-                raise HermitianError(f"block {j} has a non-finite entry")
-            raise HermitianError(
-                f"block {j} deviates from self-adjointness by {deviation[j]:.3e}"
-            )
+        _require_hermitian(layout, stacks)
         self.layout, self._blocks = layout, None
         self.stacks = tuple(map(_frozen_hermitian_part, stacks))
 
@@ -147,6 +138,23 @@ class HermitianOperator:
 
     def __repr__(self):
         return f"HermitianOperator(dims={self.dims})"
+
+
+def _require_hermitian(layout, stacks):
+    """Raise HermitianError for the first block, in input order, of the
+    per-size ``stacks`` that has a non-finite entry or deviates from
+    self-adjointness by more than ``HERMITIAN_TOL``."""
+    deviation = np.empty(len(layout.dims))  # per block; NaN for a non-finite entry
+    for idx, s in zip(layout.members, stacks):
+        with np.errstate(invalid="ignore"):  # inf - inf is flagged below
+            dev = np.abs(s - s.conj().swapaxes(-1, -2)).max(axis=(1, 2), initial=0)
+        deviation[idx] = np.where(np.isfinite(s).all(axis=(1, 2)), dev, np.nan)
+    for j in np.flatnonzero(~(deviation <= HERMITIAN_TOL))[:1]:
+        if np.isnan(deviation[j]):
+            raise HermitianError(f"block {j} has a non-finite entry")
+        raise HermitianError(
+            f"block {j} deviates from self-adjointness by {deviation[j]:.3e}"
+        )
 
 
 def _frozen_hermitian_part(a):
@@ -541,6 +549,8 @@ def _finite(x, message, path):
 
 
 def _matrix_from_json(node, dim, path):
+    """One matrix read entry by entry, naming the first faulty field: the
+    error reporter, run only on documents the one-pass check refuses."""
     if not isinstance(node, list) or len(node) != dim:
         raise IngestError(f"expected {dim} matrix rows", path)
     out = np.empty((dim, dim), dtype=complex)
@@ -562,12 +572,96 @@ def _matrix_from_json(node, dim, path):
     return out
 
 
+def _walk_matrices(dims, op_nodes):
+    """Every block's matrices read by ``_matrix_from_json`` in document
+    order, as one ``(n, d_j, d_j)`` array per block: the first fault
+    raises."""
+    return [
+        np.array(
+            [
+                _matrix_from_json(m, d, f"blocks[{j}].operators[{i}]")
+                for i, m in enumerate(ops)
+            ]
+        )
+        for j, (d, ops) in enumerate(zip(dims, op_nodes))
+    ]
+
+
+def _same(values, expected):
+    return set(values) == {expected}
+
+
+def _stacks_from_json(dims, op_nodes):
+    """Per size class of ``block_layout(dims)``, the class's ``operators``
+    nodes (``op_nodes``, one list of n matrices per block) as one ``(n,
+    m_k, d_k, d_k)`` complex stack, read in one numpy conversion.  None
+    when some node is not a ``d_j x d_j`` list of ``[re, im]`` lists of
+    finite JSON numbers (``int`` or ``float``, not ``bool``), where only
+    ``_walk_matrices`` can say which."""
+    n = len(op_nodes[0])
+    matrices = list(chain.from_iterable(op_nodes))
+    # checked before the layout is built, which takes memory linear in sum(dims)
+    if not _same(map(type, matrices), list) or list(map(len, matrices)) != [
+        d for d in dims for _ in range(n)
+    ]:
+        return None
+    layout = block_layout(tuple(dims))
+    stacks = []
+    for idx, d in zip(layout.members, layout.sizes.tolist()):
+        nodes = list(zip(*(op_nodes[j] for j in idx)))  # operator-major
+        items = list(chain.from_iterable(nodes))  # the matrices, checked above
+        for length in (d, 2):  # their rows, then the rows' [re, im] pairs
+            items = list(chain.from_iterable(items))
+            if not (_same(map(type, items), list) and _same(map(len, items), length)):
+                return None
+        if not set(map(type, chain.from_iterable(items))) <= {int, float}:
+            return None
+        try:
+            pairs = np.array(nodes, dtype=float)
+        except OverflowError:  # an int beyond the float range
+            return None
+        if not np.isfinite(pairs).all():
+            return None
+        stacks.append(pairs.view(complex)[..., 0])
+    return stacks
+
+
+def _block_from_json(node, path, n_ops):
+    """A block's ``Block`` and its ``operators`` node, with every field
+    but the matrices checked; ``n_ops`` is the operator count, or None for
+    the first block."""
+    if not isinstance(node, dict):
+        raise IngestError("block must be an object", path)
+    for key in ("weight", "dim", "operators"):
+        if key not in node:
+            raise IngestError(f"missing field '{key}'", path)
+    dim = node["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise IngestError("dim must be a positive integer", f"{path}.dim")
+    weight = node["weight"]
+    if not _is_number(weight) or weight <= 0:
+        raise IngestError("weight must be a positive number", f"{path}.weight")
+    weight = _finite(weight, "weight must be finite", f"{path}.weight")
+    ops = node["operators"]
+    if not isinstance(ops, list) or not ops:
+        raise IngestError("operators must be a non-empty list", f"{path}.operators")
+    if n_ops is not None and len(ops) != n_ops:
+        raise IngestError(
+            f"expected {n_ops} operators, found {len(ops)}", f"{path}.operators"
+        )
+    return Block(dim, weight), ops
+
+
 def tuple_from_json(source):
     """Build an OperatorTuple from the JSON ingestion schema.
 
     ``source`` may be a JSON string or an already-decoded object.  Raises
-    IngestError with a field path on malformed input, HermitianError on
-    non-self-adjoint operator matrices.
+    IngestError with the path of the first malformed field in document
+    order, HermitianError on non-self-adjoint operator matrices.  The
+    matrices of each block size are checked and converted in one pass;
+    only data that pass refuses is walked entry by entry, to name the
+    fault (or to read what only the walker accepts, such as ``np.float64``
+    entries of a decoded object).
     """
     if isinstance(source, (str, bytes)):
         try:
@@ -582,63 +676,42 @@ def tuple_from_json(source):
     if not isinstance(raw_blocks, list) or not raw_blocks:
         raise IngestError("must be a non-empty list", "blocks")
 
-    specs, per_block_ops = [], []
-    n_ops = None
+    specs, op_nodes = [], []
     for j, node in enumerate(raw_blocks):
-        path = f"blocks[{j}]"
-        if not isinstance(node, dict):
-            raise IngestError("block must be an object", path)
-        for key in ("weight", "dim", "operators"):
-            if key not in node:
-                raise IngestError(f"missing field '{key}'", path)
-        dim = node["dim"]
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-            raise IngestError("dim must be a positive integer", f"{path}.dim")
-        weight = node["weight"]
-        if not _is_number(weight) or weight <= 0:
-            raise IngestError("weight must be a positive number", f"{path}.weight")
-        weight = _finite(weight, "weight must be finite", f"{path}.weight")
-        ops = node["operators"]
-        if not isinstance(ops, list) or not ops:
-            raise IngestError(
-                "operators must be a non-empty list", f"{path}.operators"
-            )
-        if n_ops is None:
-            n_ops = len(ops)
-        elif len(ops) != n_ops:
-            raise IngestError(
-                f"expected {n_ops} operators, found {len(ops)}",
-                f"{path}.operators",
-            )
-        mats = [
-            _matrix_from_json(m, dim, f"{path}.operators[{i}]")
-            for i, m in enumerate(ops)
-        ]
-        specs.append(Block(dim, weight))
-        per_block_ops.append(mats)
+        n_ops = len(op_nodes[0]) if op_nodes else None
+        try:
+            spec, ops = _block_from_json(node, f"blocks[{j}]", n_ops)
+        except IngestError:
+            # a fault in an earlier block's matrices comes first
+            _walk_matrices([b.dim for b in specs], op_nodes)
+            raise
+        specs.append(spec)
+        op_nodes.append(ops)
 
+    dims = [b.dim for b in specs]
+    stacks = _stacks_from_json(dims, op_nodes)
+    if stacks is None:
+        mats = _walk_matrices(dims, op_nodes)
+        layout = block_layout(tuple(dims))
+        stacks = [np.stack([mats[j] for j in idx], axis=1) for idx in layout.members]
     try:
         alg = FiniteAlgebra(tuple(specs))
     except ShapeError as exc:
         raise IngestError(str(exc), "blocks") from exc
-    operators = tuple(
-        HermitianOperator([per_block_ops[j][i] for j in range(len(specs))])
-        for i in range(n_ops)
-    )
-    return OperatorTuple(alg, operators)
+    operators = []
+    for op_stacks in zip(*stacks):  # the first operator with a bad block raises
+        _require_hermitian(alg.layout, op_stacks)
+        operators.append(_from_stacks(alg.layout, op_stacks))
+    return OperatorTuple(alg, tuple(operators))
 
 
 def tuple_to_json(optuple):
     """Serialize to the ingestion schema (plain python object)."""
     blocks = []
     for j, (d, c) in enumerate(optuple.algebra.blocks):
-        mats = []
-        for op in optuple.operators:
-            b = op.blocks[j]
-            mats.append(
-                [[[b[i, k].real, b[i, k].imag] for k in range(d)] for i in range(d)]
-            )
-        blocks.append({"weight": c, "dim": d, "operators": mats})
+        mats = np.array([op.blocks[j] for op in optuple.operators])
+        pairs = np.stack((mats.real, mats.imag), -1).tolist()
+        blocks.append({"weight": c, "dim": d, "operators": pairs})
     return {"blocks": blocks}
 
 

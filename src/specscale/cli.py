@@ -300,8 +300,7 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            optuple = algebra.tuple_from_json(fh.read())
+        optuple = algebra.load_tuple(args.input)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_JSON

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from specscale import algebra, fixtures
 from specscale.algebra import (
     FiniteAlgebra,
     HermitianOperator,
@@ -14,8 +15,10 @@ from specscale.algebra import (
     generated_algebra_basis,
     is_contraction,
     linear_combination,
+    load_tuple,
     max_norm,
     psi,
+    save_tuple,
     trace,
     tuple_from_json,
     tuple_to_json,
@@ -357,3 +360,435 @@ def test_json_diagnostics_carry_field_paths(blockpair, mangle, path_fragment):
     with pytest.raises(IngestError) as err:
         tuple_from_json(json.dumps(obj))
     assert path_fragment in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# Ingestion diagnostics: every malformed document below gives exactly this
+# exception and message.  Base document: blocks of dims (2, 1), weights
+# (0.25, 0.5), two operators.  "@@x@@" stands for the raw JSON token x.
+# ---------------------------------------------------------------------------
+
+
+def _base_doc():
+    return {
+        "blocks": [
+            {
+                "weight": 0.25,
+                "dim": 2,
+                "operators": [
+                    [[[1, 0], [0.5, -0.25]], [[0.5, 0.25], [-1, 0]]],
+                    [[[0, 0], [1.0, 0]], [[1.0, 0], [0, 0]]],
+                ],
+            },
+            {"weight": 0.5, "dim": 1, "operators": [[[[2, 0]]], [[[-0.0, 0.0]]]]},
+        ]
+    }
+
+
+def _doc_text(mangle):
+    doc = _base_doc()
+    mangle(doc)
+    text = json.dumps(doc)
+    for token in ("1e400", "Infinity", "NaN"):
+        text = text.replace(f'"@@{token}@@"', token)
+    return text
+
+
+def _ops(doc, j):
+    return doc["blocks"][j]["operators"]
+
+
+def _set(j, key, value):
+    return lambda doc: doc["blocks"][j].__setitem__(key, value)
+
+
+def _entry(j, i, r, c, value):
+    return lambda doc: _ops(doc, j)[i][r].__setitem__(c, value)
+
+
+def _both(*mangles):
+    def mangle(doc):
+        for m in mangles:
+            m(doc)
+
+    return mangle
+
+
+PAIR = "matrix entry must be a [re, im] pair"
+FINITE = "matrix entry must be finite"
+MALFORMED = {
+    "entry_true": (
+        _entry(0, 0, 0, 0, True),
+        IngestError,
+        f"blocks[0].operators[0][0][0]: {PAIR}",
+    ),
+    "component_true": (
+        _entry(0, 0, 0, 1, [True, 0]),
+        IngestError,
+        f"blocks[0].operators[0][0][1]: {PAIR}",
+    ),
+    "entry_string": (
+        _entry(0, 0, 1, 0, "1"),
+        IngestError,
+        f"blocks[0].operators[0][1][0]: {PAIR}",
+    ),
+    "component_string": (
+        _entry(0, 1, 1, 1, [0, "0"]),
+        IngestError,
+        f"blocks[0].operators[1][1][1]: {PAIR}",
+    ),
+    "pair_of_one": (
+        _entry(1, 0, 0, 0, [1.0]),
+        IngestError,
+        f"blocks[1].operators[0][0][0]: {PAIR}",
+    ),
+    "pair_of_three": (
+        _entry(0, 1, 0, 1, [1, 2, 3]),
+        IngestError,
+        f"blocks[0].operators[1][0][1]: {PAIR}",
+    ),
+    "nan": (
+        _entry(0, 0, 1, 1, ["@@NaN@@", 0]),
+        IngestError,
+        f"blocks[0].operators[0][1][1]: {FINITE}",
+    ),
+    "infinity": (
+        _entry(1, 1, 0, 0, [0, "@@Infinity@@"]),
+        IngestError,
+        f"blocks[1].operators[1][0][0]: {FINITE}",
+    ),
+    "float_1e400": (
+        _entry(0, 1, 1, 0, ["@@1e400@@", 0]),
+        IngestError,
+        f"blocks[0].operators[1][1][0]: {FINITE}",
+    ),
+    "int_10_to_400": (
+        _entry(0, 0, 0, 1, [0, 10**400]),
+        IngestError,
+        f"blocks[0].operators[0][0][1]: {FINITE}",
+    ),
+    "row_not_list": (
+        lambda d: _ops(d, 0)[1].__setitem__(1, 5),
+        IngestError,
+        "blocks[0].operators[1][1]: expected 2 entries",
+    ),
+    "short_row": (
+        lambda d: _ops(d, 0)[0][0].pop(),
+        IngestError,
+        "blocks[0].operators[0][0]: expected 2 entries",
+    ),
+    "wrong_row_count": (
+        lambda d: _ops(d, 0)[1].append([[0, 0], [0, 0]]),
+        IngestError,
+        "blocks[0].operators[1]: expected 2 matrix rows",
+    ),
+    "matrix_not_list": (
+        lambda d: _ops(d, 1).__setitem__(0, {}),
+        IngestError,
+        "blocks[1].operators[0]: expected 1 matrix rows",
+    ),
+    "dim_true": (
+        _set(1, "dim", True),
+        IngestError,
+        "blocks[1].dim: dim must be a positive integer",
+    ),
+    "weight_true": (
+        _set(0, "weight", True),
+        IngestError,
+        "blocks[0].weight: weight must be a positive number",
+    ),
+    "weight_zero": (
+        _set(1, "weight", 0),
+        IngestError,
+        "blocks[1].weight: weight must be a positive number",
+    ),
+    "weight_negative": (
+        _set(0, "weight", -1),
+        IngestError,
+        "blocks[0].weight: weight must be a positive number",
+    ),
+    "weight_1e400": (
+        _set(1, "weight", "@@1e400@@"),
+        IngestError,
+        "blocks[1].weight: weight must be finite",
+    ),
+    "operator_count": (
+        lambda d: _ops(d, 1).pop(),
+        IngestError,
+        "blocks[1].operators: expected 2 operators, found 1",
+    ),
+    "normalization": (
+        _set(1, "weight", 0.25),
+        IngestError,
+        "blocks: trace normalization sum(c_j d_j) = 0.75 is not 1",
+    ),
+    "non_hermitian": (
+        _entry(0, 1, 0, 1, [2, 0]),
+        HermitianError,
+        "block 0 deviates from self-adjointness by 1.000e+00",
+    ),
+    "non_hermitian_1x1": (
+        _entry(1, 1, 0, 0, [0, 1]),
+        HermitianError,
+        "block 1 deviates from self-adjointness by 2.000e+00",
+    ),
+    # two faults: the first in document order wins
+    "entry_then_weight": (
+        _both(_entry(0, 1, 1, 1, [0, "@@NaN@@"]), _set(1, "weight", 0)),
+        IngestError,
+        f"blocks[0].operators[1][1][1]: {FINITE}",
+    ),
+    "weight_then_entry": (
+        _both(_set(0, "weight", -1), _entry(1, 0, 0, 0, True)),
+        IngestError,
+        "blocks[0].weight: weight must be a positive number",
+    ),
+    "entry_then_operator_count": (
+        _both(_entry(0, 0, 0, 0, [1]), lambda d: _ops(d, 1).pop()),
+        IngestError,
+        f"blocks[0].operators[0][0][0]: {PAIR}",
+    ),
+    # block 1 (dim 1) is stacked before block 0 (dim 2), yet block 0 is first
+    "entries_across_size_classes": (
+        _both(_entry(1, 0, 0, 0, "x"), _entry(0, 1, 0, 0, ["@@Infinity@@", 0])),
+        IngestError,
+        f"blocks[0].operators[1][0][0]: {FINITE}",
+    ),
+    "operator_before_row": (
+        _both(_entry(0, 0, 1, 1, ["@@NaN@@", 0]), _entry(0, 1, 0, 0, True)),
+        IngestError,
+        f"blocks[0].operators[0][1][1]: {FINITE}",
+    ),
+    "entry_then_non_hermitian": (
+        _both(_entry(0, 0, 0, 1, [7, 0]), _entry(1, 1, 0, 0, [0, 0, 0])),
+        IngestError,
+        f"blocks[1].operators[1][0][0]: {PAIR}",
+    ),
+    "normalization_then_non_hermitian": (
+        _both(_entry(0, 0, 0, 1, [7, 0]), _set(0, "weight", 0.5)),
+        IngestError,
+        "blocks: trace normalization sum(c_j d_j) = 1.5 is not 1",
+    ),
+    "non_hermitian_operator_first": (
+        _both(_entry(0, 1, 0, 1, [7, 0]), _entry(1, 0, 0, 0, [2, 3])),
+        HermitianError,
+        "block 1 deviates from self-adjointness by 6.000e+00",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_messages(case):
+    mangle, kind, message = MALFORMED[case]
+    with pytest.raises(kind) as err:
+        tuple_from_json(_doc_text(mangle))
+    assert type(err.value) is kind
+    assert str(err.value) == message
+
+
+def test_base_document_is_well_formed():
+    optuple = tuple_from_json(_doc_text(lambda doc: None))
+    assert optuple.algebra.dims == (2, 1) and optuple.n == 2
+    np.testing.assert_array_equal(
+        optuple.operators[0].blocks[0], [[1, 0.5 - 0.25j], [0.5 + 0.25j, -1]]
+    )
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [
+        ("entry_true", 2),
+        ("weight_zero", 2),
+        ("entry_then_weight", 2),
+        ("non_hermitian", 3),
+    ],
+)
+def test_malformed_input_exit_codes(tmp_path, capsys, case, code):
+    from specscale.cli import main
+
+    path = tmp_path / f"{case}.json"
+    path.write_text(_doc_text(MALFORMED[case][0]))
+    assert main(["support", "--input", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {MALFORMED[case][2]}\n"
+
+
+def test_missing_input_file_exits_two(tmp_path, capsys):
+    from specscale.cli import main
+
+    path = tmp_path / "absent.json"
+    assert main(["extremes", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+# ---------------------------------------------------------------------------
+# The one-pass conversion per block size against the entry-by-entry walker.
+# ---------------------------------------------------------------------------
+
+
+def _random_entry(rng):
+    kind = rng.integers(7)
+    x = float(rng.standard_normal())
+    choices = [x, -0.0, 0, int(rng.integers(-9, 10)), 2**60 + 3, -(2**70) - 1, -5e-324]
+    return choices[kind]
+
+
+def _random_nodes(rng, dims, n):
+    """Per block, n matrices of [re, im] pairs mixing floats, ints, -0.0,
+    ints past 2**53 and subnormals (not Hermitian: no check reads that)."""
+    return [
+        [
+            [
+                [[_random_entry(rng), _random_entry(rng)] for _ in range(d)]
+                for _ in range(d)
+            ]
+            for _ in range(n)
+        ]
+        for d in dims
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacks_from_json_equal_the_walker_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    dims = [int(d) for d in rng.choice([1, 2, 3, 5], size=int(rng.integers(1, 9)))]
+    n = int(rng.integers(1, 4))
+    nodes = _random_nodes(rng, dims, n)
+    stacks = algebra._stacks_from_json(dims, nodes)
+    walked = algebra._walk_matrices(dims, nodes)
+    layout = algebra.block_layout(tuple(dims))
+    assert len(stacks) == len(layout.sizes)
+    for j, (k, slot) in enumerate(layout.where):
+        for i in range(n):
+            assert stacks[k][i, slot].tobytes() == walked[j][i].tobytes()
+    # signed zeros survive in both parts
+    assert np.signbit(np.concatenate([s.real.ravel() for s in stacks])).any()
+    assert np.signbit(np.concatenate([s.imag.ravel() for s in stacks])).any()
+
+
+def _hermitian_tuple(rng, dims, n):
+    ops = []
+    for _ in range(n):
+        blocks = []
+        for d in dims:
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            blocks.append(g + g.conj().T)
+        ops.append(HermitianOperator(blocks))
+    alg = FiniteAlgebra(tuple((d, 1.0 / sum(dims)) for d in dims))
+    return OperatorTuple(alg, ops)
+
+
+def _map_entries(doc, convert):
+    for block in doc["blocks"]:
+        block["operators"] = [
+            [[[convert(x) for x in pair] for pair in row] for row in m]
+            for m in block["operators"]
+        ]
+    return doc
+
+
+def _same_operators(a, b):
+    assert a.algebra == b.algebra
+    for x, y in zip(a.operators, b.operators):
+        assert all(s.tobytes() == t.tobytes() for s, t in zip(x.stacks, y.stacks))
+
+
+def test_decoded_numpy_and_int_entries_are_still_read():
+    rng = np.random.default_rng(2)
+    optuple = _hermitian_tuple(rng, (2, 1, 3, 1), 2)
+    expected = tuple_from_json(json.dumps(tuple_to_json(optuple)))
+    doc = _map_entries(tuple_to_json(optuple), np.float64)
+    nodes = [block["operators"] for block in doc["blocks"]]
+    assert algebra._stacks_from_json([2, 1, 3, 1], nodes) is None  # walker reads it
+    _same_operators(tuple_from_json(doc), expected)
+    integral = fixtures.commuting_diagonals()
+    doc = _map_entries(tuple_to_json(integral), int)
+    assert type(doc["blocks"][0]["operators"][0][0][0][0]) is int
+    expected = tuple_from_json(json.dumps(tuple_to_json(integral)))
+    _same_operators(tuple_from_json(doc), expected)
+
+
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (
+            lambda m: m.__setitem__(1, tuple(m[1])),
+            "blocks[0].operators[1][1]: expected 2 entries",
+        ),
+        (
+            lambda m: m[0].__setitem__(1, tuple(m[0][1])),
+            "blocks[0].operators[1][0][1]: matrix entry must be a [re, im] pair",
+        ),
+    ],
+)
+def test_tuples_in_decoded_documents_are_refused(mangle, message):
+    doc = json.loads(_doc_text(lambda doc: None))
+    mangle(doc["blocks"][0]["operators"][1])
+    with pytest.raises(IngestError) as err:
+        tuple_from_json(doc)
+    assert str(err.value) == message
+
+
+def test_well_formed_input_never_reaches_the_walker(tmp_path, monkeypatch):
+    rng = np.random.default_rng(4)
+    dense = _hermitian_tuple(rng, (64,), 2)
+    many = OperatorTuple(
+        FiniteAlgebra(((1, 1.0 / 128),) * 128),
+        [
+            HermitianOperator([[[float(x)]] for x in rng.integers(-3, 4, 128)])
+            for _ in range(2)
+        ],
+    )
+    paths = []
+    for name, optuple in (("dense", dense), ("many", many)):
+        paths.append(tmp_path / f"{name}.json")
+        save_tuple(optuple, paths[-1])
+
+    def walker(*args):
+        raise AssertionError("well-formed input reached the entry-by-entry walker")
+
+    monkeypatch.setattr(algebra, "_matrix_from_json", walker)
+    for path, optuple in zip(paths, (dense, many)):
+        _same_operators(load_tuple(path), optuple)
+
+
+def _per_entry_json(optuple):
+    """The writer ``tuple_to_json`` replaced, one entry at a time."""
+    return {
+        "blocks": [
+            {
+                "weight": c,
+                "dim": d,
+                "operators": [
+                    [[[b[i, k].real, b[i, k].imag] for k in range(d)] for i in range(d)]
+                    for b in (op.blocks[j] for op in optuple.operators)
+                ],
+            }
+            for j, (d, c) in enumerate(optuple.algebra.blocks)
+        ]
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "reciprocal_diagonal",
+        "two_point",
+        "pauli_pair",
+        "commuting_diagonals",
+        "block_with_scalars",
+        "random_d16_pair",
+    ],
+)
+def test_saved_files_match_the_per_entry_writer(tmp_path, name):
+    if name == "random_d16_pair":
+        optuple = _hermitian_tuple(np.random.default_rng(16), (16,), 2)
+    else:
+        optuple = getattr(fixtures, name)()
+    path = tmp_path / "tuple.json"
+    save_tuple(optuple, path)
+    expected = json.dumps(_per_entry_json(optuple)) + "\n"
+    assert path.read_text(encoding="utf-8") == expected
