@@ -666,7 +666,8 @@ def tuple_from_json(source):
     if isinstance(source, (str, bytes)):
         try:
             obj = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # bad syntax or encoding, an over-long integer, too deep a nesting
             raise IngestError(f"invalid JSON: {exc}") from exc
     else:
         obj = source
@@ -717,7 +718,11 @@ def tuple_to_json(optuple):
 
 def load_tuple(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return tuple_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"not UTF-8 text: {exc}") from exc
+    return tuple_from_json(text)
 
 
 def save_tuple(optuple, path):

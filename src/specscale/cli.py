@@ -1,9 +1,12 @@
-"""Command-line surface.
+"""Command-line surface: the one report path.
 
 Ingests a tuple from the JSON block schema, runs one analysis, and
-emits CSV/JSON/OBJ either to stdout or into an output directory
-(written atomically).  Exit codes: 0 success, 1 usage, 2 malformed
-input JSON, 3 non-self-adjoint input, 4 internal invariant violation.
+writes its report as CSV, JSON or OBJ, either to stdout or into an
+output directory (written atomically).  The analysis modules only
+return values; every output format is decided here, including the rule
+that no number is written as ``-0``.  Exit codes: 0 success, 1 usage,
+2 malformed or unreadable input, 3 non-self-adjoint input, 4 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ import os
 import sys
 import tempfile
 
-from . import algebra, faces, scale, spectral, structure
+import numpy as np
+
+from . import algebra, faces, oracle, scale, spectral, structure
 from .errors import (
     HermitianError,
     IngestError,
@@ -100,30 +105,88 @@ def _emit(args, name, text):
         sys.stdout.write(text)
 
 
-def cmd_support(optuple, args):
+def _number(x):
+    """Every float written out, CSV, JSON or OBJ: ``-0.0`` becomes ``0.0``."""
+    return float(x) + 0.0
+
+
+def _plain(value):
+    """``value`` as JSON data: numpy scalars and arrays become Python
+    numbers and lists, and every float goes through ``_number``."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return _number(value) if isinstance(value, float) else value
+
+
+def _fields(row):
+    """A CSV or OBJ row's fields as written: floats (numpy's included)
+    with 17 significant digits, exact; other fields as they are."""
+    return [format(_number(v), ".17g") if isinstance(v, float) else v for v in row]
+
+
+def _emit_csv(args, name, header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    n = optuple.n
-    writer.writerow(
+    writer.writerow(header)
+    writer.writerows(_fields(row) for row in rows)
+    _emit(args, name, buf.getvalue())
+
+
+def _emit_json(args, name, payload):
+    _emit(args, name, json.dumps(_plain(payload), indent=2) + "\n")
+
+
+def _emit_obj(args, optuple):
+    """Triangulated OBJ mesh of the sampled hull of the scale (n = 2 only)."""
+    if optuple.n != 2:
+        raise ValueError("OBJ export requires a two-operator tuple (3D scale)")
+    samples = max(args.samples, 1024)
+    points = oracle.sample_unit_ball(optuple, samples, seed=args.seed)
+    hull = oracle.PointCloudHull(points)
+    if hull.simplices is None:
+        raise ValueError("hull triangulation unavailable for this point cloud")
+    # qhull's simplices index the whole sampled cloud; renumber them to
+    # the written vertex list (OBJ indices are 1-based)
+    position = np.zeros(len(points), dtype=int)
+    position[hull.vertex_indices] = np.arange(1, len(hull.vertex_indices) + 1)
+    rows = [["v", *v] for v in hull.hull_points]
+    rows += [["f", *tri] for tri in position[hull.simplices]]
+    text = "".join(" ".join(map(str, _fields(row))) + "\n" for row in rows)
+    _emit(args, "hull.obj", text)
+
+
+def _traces(face):
+    """The ``trace_lower``, ``trace_upper`` and ``dimension`` of a face."""
+    trace_lower, trace_upper = face.vertices[:, 0]
+    return {
+        "trace_lower": trace_lower,
+        "trace_upper": trace_upper,
+        "dimension": face.dimension,
+    }
+
+
+def cmd_support(optuple, args):
+    header = (
         ["s"]
-        + [f"t{i + 1}" for i in range(n)]
+        + [f"t{i + 1}" for i in range(optuple.n)]
         + ["alpha", "trace_p_minus", "trace_p_plus", "face_dim"]
     )
-    for face in scale.sweep_faces(
-        optuple, args.samples, args.cluster_tol, args.eig_eq_tol
-    ):
-        numbers = (face.pair.s, *face.pair.t, face.alpha, *face.vertices[:, 0])
-        writer.writerow([scale._f17(x) for x in numbers] + [face.dimension])
-    _emit(args, "support.csv", buf.getvalue())
+    rows = (
+        (face.pair.s, *face.pair.t, face.alpha, *face.vertices[:, 0], face.dimension)
+        for face in scale.sweep_faces(
+            optuple, args.samples, args.cluster_tol, args.eig_eq_tol
+        )
+    )
+    _emit_csv(args, "support.csv", header, rows)
 
 
 def cmd_extremes(optuple, args):
     if args.format == "obj":
-        buf = io.StringIO()
-        scale.export_hull_obj(
-            optuple, buf, samples=max(args.samples, 1024), seed=args.seed
-        )
-        _emit(args, "hull.obj", buf.getvalue())
+        _emit_obj(args, optuple)
         return
     cloud = scale.extreme_point_cloud(
         optuple,
@@ -131,9 +194,13 @@ def cmd_extremes(optuple, args):
         cluster_tol=args.cluster_tol,
         eig_eq_tol=args.eig_eq_tol,
     )
-    buf = io.StringIO()
-    scale.export_extremes_csv(cloud, buf)
-    _emit(args, "extremes.csv", buf.getvalue())
+    # proj_trace is the projection's rank, its trace summed over blocks
+    header = [f"x{i}" for i in range(optuple.n + 1)] + ["proj_id", "proj_trace"]
+    rows = (
+        (*point, idx, cloud.projections.rank(idx))
+        for idx, point in enumerate(cloud.points)
+    )
+    _emit_csv(args, "extremes.csv", header, rows)
     stats = {"points": len(cloud), "directions": args.samples}
     print(json.dumps(stats), file=sys.stderr)
 
@@ -179,16 +246,10 @@ def cmd_faces(optuple, args):
     reports = []
     frames, passed = _face_pass(optuple, args)
     for face, cone in passed:
-        trace_lower, trace_upper = face.vertices[:, 0]
         entry = {
-            "pair": {
-                "s": scale._number(face.pair.s),
-                "t": [scale._number(x) for x in face.pair.t],
-            },
-            "alpha": scale._number(face.alpha),
-            "trace_lower": scale._number(trace_lower),
-            "trace_upper": scale._number(trace_upper),
-            "dimension": face.dimension,
+            "pair": {"s": face.pair.s, "t": face.pair.t},
+            "alpha": face.alpha,
+            **_traces(face),
         }
         if cone is not None:
             chain = faces._chain_from_cone(
@@ -207,76 +268,81 @@ def cmd_faces(optuple, args):
                 chain_length=len(chain),
             )
         reports.append(entry)
-    _emit(args, "faces.json", json.dumps(reports, indent=2) + "\n")
+    _emit_json(args, "faces.json", reports)
 
 
 def cmd_slice(optuple, args):
     sl = scale.isotrace_slice(
         optuple, args.level, max(args.samples, 3), args.cluster_tol
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"x{i + 1}" for i in range(optuple.n)])
-    for row in sl.points:
-        writer.writerow([scale._f17(x) for x in row])
-    _emit(args, "slice.csv", buf.getvalue())
+    header = [f"x{i + 1}" for i in range(optuple.n)]
+    _emit_csv(args, "slice.csv", header, sl.points)
 
 
 def cmd_corners(optuple, args):
-    sharp_list = []
-    gap_reports = []
+    gaps = []
+    sharp = []
     frames, passed = _face_pass(optuple, args)
     for face, cone in passed:
         if cone is None:
             continue
         if cone.degree >= 2:
-            trace_lower, trace_upper = face.vertices[:, 0]
-            sharp_list.append(
-                {
-                    "trace_lower": scale._number(trace_lower),
-                    "trace_upper": scale._number(trace_upper),
-                    "dimension": face.dimension,
-                    "degree": cone.degree,
-                }
-            )
-        gap_reports += structure.detect_gap(
+            sharp.append({**_traces(face), "degree": cone.degree})
+        for rep in structure.detect_gap(
             optuple,
             face.interval,
             cone,
             cluster_tol=args.cluster_tol,
             eig_eq_tol=args.eig_eq_tol,
             frames=frames,
-        )
-    payload = structure.report_json(gap_reports=gap_reports)
-    payload["sharp_faces"] = sharp_list
-    _emit(args, "corners.json", json.dumps(payload, indent=2) + "\n")
+        ):
+            gaps.append({"t": rep.t, "s1": rep.s1, "s2": rep.s2})
+    _emit_json(args, "corners.json", {"gaps": gaps, "sharp_faces": sharp})
 
 
 def cmd_center(optuple, args):
-    reports = []
+    central = []
     cloud = scale.ExtremePointCloud(optuple.n)
     for face, cone in _face_pass(optuple, args, cloud)[1]:
         if cone is None:
             continue
-        reports.append(structure.detect_central(optuple, face.interval, cone))
-    payload = structure.report_json(central_reports=reports)
+        rep = structure.detect_central(optuple, face.interval, cone)
+        central.append(
+            {
+                "tau_lower": rep.tau_lower,
+                "tau_upper": rep.tau_upper,
+                "rank": rep.rank,
+                "central": rep.central,
+                "commutator_norm": rep.commutator_norm,
+            }
+        )
     isolated = structure.isolated_extremes_to_center(
         optuple, cloud, iso_radius=args.iso_radius
     )
-    payload["isolated_extreme_points"] = [
-        {
-            "point": [scale._number(x) for x in rep.point],
-            "central": rep.is_central,
-        }
-        for rep in isolated
-    ]
-    _emit(args, "center.json", json.dumps(payload, indent=2) + "\n")
+    payload = {
+        "central_projections": central,
+        "isolated_extreme_points": [
+            {"point": rep.point, "central": rep.is_central} for rep in isolated
+        ],
+    }
+    _emit_json(args, "center.json", payload)
 
 
 def cmd_abelian(optuple, args):
-    verdict = structure.abelian_verdict(optuple, directions=args.samples)
-    payload = structure.report_json(verdict=verdict)
-    _emit(args, "abelian.json", json.dumps(payload, indent=2) + "\n")
+    verdict = structure.abelian_verdict(
+        optuple,
+        directions=args.samples,
+        cluster_tol=args.cluster_tol,
+        eig_eq_tol=args.eig_eq_tol,
+    )
+    payload = {
+        "abelian": {"geometric": verdict.geometric, "algebraic": verdict.algebraic},
+        "extreme_count": verdict.extreme_count,
+        "n_dim": verdict.n_dim,
+        "cloud_counts": verdict.cloud_counts,
+        "max_commutator": verdict.max_commutator,
+    }
+    _emit_json(args, "abelian.json", payload)
 
 
 HANDLERS = {
@@ -301,7 +367,7 @@ def main(argv=None):
         return EXIT_USAGE
     try:
         optuple = algebra.load_tuple(args.input)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_JSON
     except IngestError as exc:

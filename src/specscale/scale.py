@@ -30,7 +30,6 @@ clusters times their summed per-column ``psi``, with no operator built.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -469,43 +468,3 @@ def _keep_first(points, tol):
         if not np.all(np.linalg.norm(points[near] - points[i], axis=1) > tol):
             kept[i] = False
     return points[kept]
-
-
-def _number(x):
-    """Every number written out: ``x`` as a float, with ``-0.0`` as ``0.0``."""
-    return float(x) + 0.0
-
-
-def _f17(x):
-    return format(_number(x), ".17g")
-
-
-def export_extremes_csv(cloud, fh):
-    """Write the cloud as RFC-4180 CSV: x0..xn, projection id and trace
-    (``Σ Tr`` over blocks, the projection's rank)."""
-    n_plus_1 = cloud.points.shape[1]
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow([f"x{i}" for i in range(n_plus_1)] + ["proj_id", "proj_trace"])
-    for idx, point in enumerate(cloud.points):
-        trace = cloud.projections.rank(idx)
-        writer.writerow([_f17(x) for x in point] + [idx, _f17(trace)])
-
-
-def export_hull_obj(optuple, fh, samples=4096, seed=0):
-    """Triangulated OBJ mesh of the sampled hull of the scale (n = 2 only)."""
-    from . import oracle  # local import; oracle does not import this module
-
-    if optuple.n != 2:
-        raise ValueError("OBJ export requires a two-operator tuple (3D scale)")
-    points = oracle.sample_unit_ball(optuple, samples, seed=seed)
-    hull = oracle.PointCloudHull(points)
-    if hull.simplices is None:
-        raise ValueError("hull triangulation unavailable for this point cloud")
-    # qhull's simplices index the whole sampled cloud; renumber them to
-    # the written vertex list (OBJ indices are 1-based)
-    position = np.zeros(len(points), dtype=int)
-    position[hull.vertex_indices] = np.arange(1, len(hull.vertex_indices) + 1)
-    for v in hull.hull_points:
-        fh.write("v " + " ".join(_f17(x) for x in v) + "\n")
-    for tri in position[hull.simplices]:
-        fh.write("f " + " ".join(str(i) for i in tri) + "\n")

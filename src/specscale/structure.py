@@ -156,17 +156,13 @@ def detect_gap(
     return reports
 
 
-def isolated_extremes_to_center(
-    optuple, cloud, iso_radius=None, certified_complete=False
-):
+def isolated_extremes_to_center(optuple, cloud, iso_radius=None):
     """Isolated cloud points with the centrality of their projections.
 
     A point is isolated when no other cloud point lies within
     ``iso_radius`` (default: 1e-3 of the cloud diameter).  Centrality is
     checked algebraically per isolated point, so only their projections
-    are built.  With ``certified_complete`` the converse is enforced too,
-    which measures every point: a central projection imaging to a
-    non-isolated cloud point is an inconsistency.
+    are built.
     """
     points = cloud.points
     if iso_radius is None:
@@ -178,26 +174,18 @@ def isolated_extremes_to_center(
     for idx, point in enumerate(points):
         dist = np.linalg.norm(points - point, axis=1)
         dist[idx] = np.inf
-        isolated = bool(np.all(dist > iso_radius))
-        if not (isolated or certified_complete):
-            continue
-        proj = cloud.projections[idx]
-        central = _max_commutator_with_tuple(optuple, proj) <= CENTRAL_TOL
-        if isolated:
+        if np.all(dist > iso_radius):
+            proj = cloud.projections[idx]
+            central = _max_commutator_with_tuple(optuple, proj) <= CENTRAL_TOL
             reports.append(
-                IsolatedPointReport(
-                    point=point, projection=proj, is_central=central
-                )
-            )
-        elif certified_complete and central:
-            raise InvariantViolation(
-                "central projection images to a non-isolated extreme point "
-                "in a certified-complete cloud"
+                IsolatedPointReport(point=point, projection=proj, is_central=central)
             )
     return reports
 
 
-def abelian_verdict(optuple, directions=sampling.DEFAULT_DIRECTIONS):
+def abelian_verdict(
+    optuple, directions=sampling.DEFAULT_DIRECTIONS, cluster_tol=None, eig_eq_tol=None
+):
     """Decide abelian-ness geometrically and algebraically.
 
     Geometric side: the extreme point cloud is sampled at two direction
@@ -206,11 +194,16 @@ def abelian_verdict(optuple, directions=sampling.DEFAULT_DIRECTIONS):
     algebra.  Algebraic side: the generators must pairwise commute.  The
     counts at ``directions`` and ``2 * directions`` are reported as
     evidence either way.  With ``directions <= 0`` both densities are the
-    coordinate axes alone, so one cloud serves as both.
+    coordinate axes alone, so one cloud serves as both.  Both clouds
+    cluster with ``cluster_tol`` and ``eig_eq_tol``, as in
+    ``scale.extreme_point_cloud``.
     """
-    first = scale.extreme_point_cloud(optuple, directions)
+    tols = {"cluster_tol": cluster_tol, "eig_eq_tol": eig_eq_tol}
+    first = scale.extreme_point_cloud(optuple, directions, **tols)
     second = (
-        scale.extreme_point_cloud(optuple, 2 * directions) if directions > 0 else first
+        scale.extreme_point_cloud(optuple, 2 * directions, **tols)
+        if directions > 0
+        else first
     )
     counts = (len(first), len(second))
     basis = generated_algebra_basis(optuple)
@@ -236,39 +229,3 @@ def abelian_verdict(optuple, directions=sampling.DEFAULT_DIRECTIONS):
         cloud_counts=counts,
         max_commutator=max_comm,
     )
-
-
-def report_json(verdict=None, central_reports=None, gap_reports=None):
-    """Stable-schema report object for serialization, with a section for
-    each argument given."""
-    out = {}
-    if verdict is not None:
-        out["abelian"] = {
-            "geometric": verdict.geometric,
-            "algebraic": verdict.algebraic,
-        }
-        out["extreme_count"] = verdict.extreme_count
-        out["n_dim"] = verdict.n_dim
-        out["cloud_counts"] = list(verdict.cloud_counts)
-        out["max_commutator"] = scale._number(verdict.max_commutator)
-    if central_reports is not None:
-        out["central_projections"] = [
-            {
-                "tau_lower": scale._number(rep.tau_lower),
-                "tau_upper": scale._number(rep.tau_upper),
-                "rank": rep.rank,
-                "central": rep.central,
-                "commutator_norm": scale._number(rep.commutator_norm),
-            }
-            for rep in central_reports
-        ]
-    if gap_reports is not None:
-        out["gaps"] = [
-            {
-                "t": [scale._number(x) for x in rep.t],
-                "s1": scale._number(rep.s1),
-                "s2": scale._number(rep.s2),
-            }
-            for rep in gap_reports
-        ]
-    return out

@@ -60,6 +60,35 @@ def test_schema_error_exits_two(tmp_path, capsys):
     assert "weight" in err
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda p: p.write_text('{"blocks": [[' + "1" * 5000 + "]]}"),
+            "input error: invalid JSON: Exceeds the limit",
+        ),
+        (
+            lambda p: p.write_text('{"blocks": ' + "[" * 10**5 + "]" * 10**5 + "}"),
+            "input error: invalid JSON: maximum recursion depth exceeded",
+        ),
+        (
+            lambda p: p.write_bytes(b'{"blocks": []} \xff\xfe'),
+            "input error: not UTF-8 text:",
+        ),
+        (lambda p: p.mkdir(), "error: [Errno 21] Is a directory:"),
+    ],
+    ids=["over-long-integer", "deeply-nested", "not-utf8", "directory"],
+)
+def test_unreadable_input_exits_two(tmp_path, capsys, make, message):
+    bad = tmp_path / "bad.json"
+    make(bad)
+    code, out, err = run(["support", "--input", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_non_hermitian_exits_three(tmp_path, capsys):
     bad = tmp_path / "nh.json"
     bad.write_text(
@@ -132,6 +161,9 @@ def test_abelian_reports(inputs, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["abelian"] == {"geometric": True, "algebraic": True}
+    assert set(payload) == {
+        "abelian", "extreme_count", "n_dim", "cloud_counts", "max_commutator"
+    }
 
     code, out, _ = run(
         ["abelian", "--input", inputs["pauli"], "--samples", "48"], capsys
@@ -198,7 +230,8 @@ def test_extremes_csv_and_stats(inputs, capsys):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0].startswith("x0,x1,proj_id")
+    assert lines[0] == "x0,x1,proj_id,proj_trace"
+    assert lines[1] == "0,0,0,0"  # the zero projection, as 0 and never -0
     assert len(lines) == 17
     stats = json.loads(err.strip().splitlines()[-1])
     assert stats["points"] == 16
@@ -372,7 +405,7 @@ def test_nonfinite_and_boolean_input_exits_two(tmp_path, capsys, text, path):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["faces", "corners", "center", "slice"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_tolerance_flags_reach_every_decomposition(
     inputs, capsys, monkeypatch, command
 ):

@@ -86,11 +86,22 @@ def assert_run_matches(actual, expected, where):
         )
 
 
+def assert_no_negative_zero(run, where):
+    """No stream writes ``-0``: ``assert_text_close`` equates it with ``0``,
+    and some recorded files still hold it."""
+    for stream in ("stdout", "stderr"):
+        tokens = _NUMBER.findall("".join(run[stream]))
+        assert not [t for t in tokens if t.startswith("-") and float(t) == 0.0], (
+            f"{where} {stream} writes a negative zero"
+        )
+
+
 def _check_golden(name, command, directory, samples=SAMPLES):
     with open(_golden_path(name, command, samples), encoding="utf-8") as fh:
         expected = json.load(fh)
     actual = run_case(name, command, directory, samples)
     assert_run_matches(actual, expected, f"{name} {command}")
+    assert_no_negative_zero(actual, f"{name} {command}")
 
 
 @pytest.mark.parametrize("name,command", CASES)
@@ -114,6 +125,10 @@ def test_number_comparison_catches_changes():
         assert_text_close("a,1.0\n", "a,1.001\n", "number")
     with pytest.raises(AssertionError):
         assert_text_close("a,1.0\n", "b,1.0\n", "text")
+    assert_no_negative_zero({"stdout": ["x1,0,1e-300\n"], "stderr": []}, "zero")
+    for token in ("-0", "-0.0", "-0e0", "-0.000"):
+        with pytest.raises(AssertionError):
+            assert_no_negative_zero({"stdout": [f"{token}\n"], "stderr": []}, token)
 
 
 def test_support_decomposes_once_per_direction(tmp_path, monkeypatch):

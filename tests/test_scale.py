@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,6 @@ from specscale.algebra import (
 from specscale.oracle import oracle_support, sample_unit_ball
 from specscale.scale import (
     exposed_face,
-    export_extremes_csv,
     extreme_point_cloud,
     isotrace_slice,
     scale_dimension,
@@ -336,14 +333,3 @@ def test_oracle_containment_in_sampled_halfspaces(name, request):
         alpha = support_value(optuple, pair)
         vals = points @ pair.normal_vector()
         assert vals.min() >= alpha - 1e-8
-
-
-def test_extremes_csv_roundtrip(two_point):
-    cloud = extreme_point_cloud(two_point, 16)
-    buf = io.StringIO()
-    export_extremes_csv(cloud, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "x0,x1,proj_id,proj_trace"
-    assert len(lines) == 1 + len(cloud)
-    first = lines[1].split(",")
-    assert float(first[0]) in (0.0, 0.5, 1.0)

@@ -13,7 +13,6 @@ from specscale.structure import (
     detect_central,
     detect_gap,
     isolated_extremes_to_center,
-    report_json,
 )
 
 
@@ -100,9 +99,7 @@ def test_detect_gap_empty_for_facet(commuting):
 
 def test_isolated_extremes_reciprocal_all_central(reciprocal8):
     cloud = extreme_point_cloud(reciprocal8, 32)
-    reports = isolated_extremes_to_center(
-        reciprocal8, cloud, certified_complete=True
-    )
+    reports = isolated_extremes_to_center(reciprocal8, cloud)
     assert len(reports) == 16
     assert all(r.is_central for r in reports)
 
@@ -172,15 +169,6 @@ def test_abelian_verdict_single_operator(reciprocal8):
     assert verdict.extreme_count == 16
 
 
-def test_report_json_schema(commuting):
-    verdict = abelian_verdict(commuting, directions=32)
-    payload = report_json(verdict=verdict)
-    assert payload["abelian"] == {"geometric": True, "algebraic": True}
-    assert set(payload) == {
-        "abelian", "extreme_count", "n_dim", "cloud_counts", "max_commutator"
-    }
-
-
 def test_abelian_verdict_at_zero_directions_builds_one_cloud(commuting, monkeypatch):
     # 2 * 0 = 0: the "second" density is the first one
     from specscale import scale
@@ -213,9 +201,6 @@ def test_isolated_extremes_build_only_isolated_projections(pauli):
     cloud.projections = Counting(cloud.projections)
     reports = isolated_extremes_to_center(pauli, cloud, iso_radius=0.05)
     assert 0 < len(read) == len(reports) < len(cloud)
-    read.clear()
-    isolated_extremes_to_center(pauli, cloud, iso_radius=0.05, certified_complete=True)
-    assert sorted(read) == list(range(len(cloud)))
 
 
 @pytest.mark.parametrize("dims", [(3,), (2, 3), (4,)])
