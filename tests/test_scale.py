@@ -333,3 +333,18 @@ def test_oracle_containment_in_sampled_halfspaces(name, request):
         alpha = support_value(optuple, pair)
         vals = points @ pair.normal_vector()
         assert vals.min() >= alpha - 1e-8
+
+
+def test_extremes_csv_roundtrip(two_point, capsys):
+    from specscale import cli
+
+    args = cli.build_parser().parse_args(
+        ["extremes", "--input", "unused.json", "--samples", "16"]
+    )
+    cli.cmd_extremes(two_point, args)
+    cloud = extreme_point_cloud(two_point, 16)
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "x0,x1,proj_id,proj_trace"
+    assert len(lines) == 1 + len(cloud)
+    first = lines[1].split(",")
+    assert float(first[0]) in (0.0, 0.5, 1.0)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,20 @@ def test_abelian_verdict_single_operator(reciprocal8):
     verdict = abelian_verdict(reciprocal8, directions=32)
     assert verdict.geometric and verdict.algebraic
     assert verdict.extreme_count == 16
+
+
+def test_report_json_schema(commuting, capsys):
+    from specscale import cli
+
+    args = cli.build_parser().parse_args(
+        ["abelian", "--input", "unused.json", "--samples", "32"]
+    )
+    cli.cmd_abelian(commuting, args)
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["abelian"] == {"geometric": True, "algebraic": True}
+    assert set(payload) == {
+        "abelian", "extreme_count", "n_dim", "cloud_counts", "max_commutator"
+    }
 
 
 def test_abelian_verdict_at_zero_directions_builds_one_cloud(commuting, monkeypatch):
