@@ -5,7 +5,10 @@ the exit code, stdout and stderr of ``specscale <command> --input
 <fixture> --samples 8``.  The face commands (``faces``, ``corners``,
 ``center``) are also recorded on the coordinate axes alone, ``--samples
 0``, in ``tests/golden/<fixture>-<command>-s0.json``, since that is the
-setting the benchmark times.  Numbers must match within 1e-12 (relative to
+setting the benchmark times.  Two seeded many-block tuples, built here,
+are recorded for ``support --samples 8`` and ``faces --samples 0``: their
+sweeps cut many gaps of rank above one, whose face dimensions the
+support rows and the cone degrees read.  Numbers must match within 1e-12 (relative to
 ``max(1, |x|)``); everything else, the exit code included, must match
 exactly.  Re-record after an intended output change with
 
@@ -24,7 +27,7 @@ import numpy as np
 import pytest
 
 from specscale import fixtures, scale, spectral
-from specscale.algebra import save_tuple
+from specscale.algebra import FiniteAlgebra, HermitianOperator, OperatorTuple, save_tuple
 from specscale.cli import COMMANDS, main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -37,6 +40,54 @@ FIXTURES = {
     "commuting_diagonals": fixtures.commuting_diagonals,
     "block_with_scalars": fixtures.block_with_scalars,
 }
+
+
+def many_one_dim_blocks():
+    """Two operators on 64 one-dimensional blocks of seeded unequal
+    weights, whose joint values come from a 5 x 5 integer grid, so most
+    of them repeat."""
+    rng = np.random.default_rng(64)
+    values = rng.integers(-2, 3, size=(2, 64)).astype(float)
+    weights = rng.uniform(0.5, 1.5, 64)
+    alg = FiniteAlgebra(tuple((1, c) for c in weights / weights.sum()))
+    ops = [HermitianOperator([[[v]] for v in row]) for row in values]
+    return OperatorTuple(alg, tuple(ops))
+
+
+def many_two_by_two_blocks():
+    """Two operators on 24 two-by-two blocks: copies of three seeded
+    non-commuting integer pairs, each copy conjugated by the identity, the
+    swap or ``diag(1, i)`` (all exact in floating point), and scalar pairs,
+    so eigenvalues repeat across blocks and within them."""
+    rng = np.random.default_rng(22)
+    unitaries = [np.eye(2), np.array([[0, 1], [1, 0]]), np.diag([1, 1j])]
+    raw = rng.integers(-2, 3, size=(3, 2, 2, 2)) + 1j * rng.integers(
+        -1, 2, size=(3, 2, 2, 2)
+    )
+    families = raw + raw.conj().swapaxes(-1, -2)  # (family, operator, 2, 2)
+    blocks = []  # per block, its two matrices
+    for family, u in zip(rng.integers(0, 4, 24), rng.integers(0, 3, 24)):
+        if family == 3:
+            blocks.append([v * np.eye(2) for v in rng.integers(-2, 3, 2)])
+        else:
+            U = unitaries[u]
+            blocks.append([U @ b @ U.conj().T for b in families[family]])
+    weights = rng.uniform(0.5, 1.5, 24)
+    alg = FiniteAlgebra(tuple((2, c) for c in weights / (2 * weights.sum())))
+    ops = [HermitianOperator([mats[i] for mats in blocks]) for i in range(2)]
+    return OperatorTuple(alg, tuple(ops))
+
+
+MANY_BLOCKS = {
+    "many_one_dim_blocks": many_one_dim_blocks,
+    "many_two_by_two_blocks": many_two_by_two_blocks,
+}
+MANY_BLOCK_CASES = [
+    (name, cmd, samples)
+    for name in MANY_BLOCKS
+    for cmd, samples in (("support", SAMPLES), ("faces", 0))
+]
+TUPLES = {**FIXTURES, **MANY_BLOCKS}
 CASES = [(name, cmd) for name in FIXTURES for cmd in COMMANDS]
 FACE_COMMANDS = ("faces", "corners", "center")
 AXIS_CASES = [(name, cmd) for name in FIXTURES for cmd in FACE_COMMANDS]
@@ -49,7 +100,7 @@ _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
 def run_case(name, command, directory, samples=SAMPLES):
     path = os.path.join(directory, f"{name}.json")
-    save_tuple(FIXTURES[name](), path)
+    save_tuple(TUPLES[name](), path)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command, "--input", path, "--samples", str(samples)])
@@ -117,6 +168,11 @@ def test_cli_matches_axis_golden(name, command, tmp_path):
 @pytest.mark.parametrize("name,command", DENSE_CASES)
 def test_cli_matches_dense_golden(name, command, tmp_path):
     _check_golden(name, command, str(tmp_path), samples=DENSE_SAMPLES)
+
+
+@pytest.mark.parametrize("name,command,samples", MANY_BLOCK_CASES)
+def test_cli_matches_many_block_golden(name, command, samples, tmp_path):
+    _check_golden(name, command, str(tmp_path), samples=samples)
 
 
 def test_number_comparison_catches_changes():
@@ -201,6 +257,7 @@ def record():
         runs = [case + (SAMPLES,) for case in CASES]
         runs += [case + (0,) for case in AXIS_CASES]
         runs += [case + (DENSE_SAMPLES,) for case in DENSE_CASES]
+        runs += MANY_BLOCK_CASES
         for name, command, samples in runs:
             result = run_case(name, command, directory, samples)
             path = _golden_path(name, command, samples)
