@@ -232,7 +232,21 @@ class FiniteAlgebra:
                 raise ShapeError(f"block {j} has non-positive dimension {d}")
             if not 0 < c < math.inf:
                 raise ShapeError(f"block {j} has weight {c}, not positive and finite")
-        total = sum(c * d for d, c in blocks)
+        self._require_normalized()
+
+    @classmethod
+    def _from_checked(cls, dims, weights):
+        """The algebra of blocks whose ``dims`` (positive ints) and
+        ``weights`` (positive finite floats) are already checked, as
+        ingestion checks them all at once: only the trace normalization
+        is tested here."""
+        alg = object.__new__(cls)
+        object.__setattr__(alg, "blocks", tuple(map(Block, dims, weights)))
+        alg._require_normalized()
+        return alg
+
+    def _require_normalized(self):
+        total = sum(c * d for d, c in self.blocks)
         if abs(total - 1.0) > TRACE_NORMALIZATION_TOL:
             raise ShapeError(
                 f"trace normalization sum(c_j d_j) = {total!r} is not 1"
@@ -652,16 +666,68 @@ def _block_from_json(node, path, n_ops):
     return Block(dim, weight), ops
 
 
+def _walk_blocks(raw_blocks):
+    """Every block's fields read by ``_block_from_json`` in document order,
+    as ``_block_fields`` returns them: the first fault raises, after the
+    matrices of the blocks before it, which come first in the document."""
+    specs, op_nodes = [], []
+    for j, node in enumerate(raw_blocks):
+        n_ops = len(op_nodes[0]) if op_nodes else None
+        try:
+            spec, ops = _block_from_json(node, f"blocks[{j}]", n_ops)
+        except IngestError:
+            _walk_matrices([b.dim for b in specs], op_nodes)
+            raise
+        specs.append(spec)
+        op_nodes.append(ops)
+    return [int(b.dim) for b in specs], [b.weight for b in specs], op_nodes
+
+
+def _block_fields(raw_blocks):
+    """Every block's ``dim``, ``weight`` and ``operators`` fields, checked
+    as columns: ``(dims, weights, op_nodes)`` as lists (the weights as
+    floats), or None when some block is not an object holding a positive
+    ``int`` dim, a positive finite ``int`` or ``float`` weight and a
+    non-empty list of as many operators as the first block.  Only
+    ``_walk_blocks`` can then say which (or read what only it accepts,
+    such as a ``np.float64`` weight of a decoded object)."""
+    if not _same(map(type, raw_blocks), dict):
+        return None
+    try:
+        dims, weights, op_nodes = (
+            [node[key] for node in raw_blocks] for key in ("dim", "weight", "operators")
+        )
+    except KeyError:
+        return None
+    if not (
+        _same(map(type, dims), int)
+        and set(map(type, weights)) <= {int, float}
+        and _same(map(type, op_nodes), list)
+        and min(dims) >= 1
+        and op_nodes[0]
+        and _same(map(len, op_nodes), len(op_nodes[0]))
+    ):
+        return None
+    try:
+        column = np.array(weights, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        return None
+    if not np.all((column > 0) & (column < math.inf)):
+        return None
+    return dims, column.tolist(), op_nodes
+
+
 def tuple_from_json(source):
     """Build an OperatorTuple from the JSON ingestion schema.
 
     ``source`` may be a JSON string or an already-decoded object.  Raises
     IngestError with the path of the first malformed field in document
     order, HermitianError on non-self-adjoint operator matrices.  The
-    matrices of each block size are checked and converted in one pass;
-    only data that pass refuses is walked entry by entry, to name the
-    fault (or to read what only the walker accepts, such as ``np.float64``
-    entries of a decoded object).
+    block fields are checked as columns, and the matrices of each block
+    size converted, in one pass each; only data that pass refuses is
+    walked block by block and entry by entry, to name the fault (or to
+    read what only the walker accepts, such as ``np.float64`` entries of a
+    decoded object).
     """
     if isinstance(source, (str, bytes)):
         try:
@@ -677,26 +743,14 @@ def tuple_from_json(source):
     if not isinstance(raw_blocks, list) or not raw_blocks:
         raise IngestError("must be a non-empty list", "blocks")
 
-    specs, op_nodes = [], []
-    for j, node in enumerate(raw_blocks):
-        n_ops = len(op_nodes[0]) if op_nodes else None
-        try:
-            spec, ops = _block_from_json(node, f"blocks[{j}]", n_ops)
-        except IngestError:
-            # a fault in an earlier block's matrices comes first
-            _walk_matrices([b.dim for b in specs], op_nodes)
-            raise
-        specs.append(spec)
-        op_nodes.append(ops)
-
-    dims = [b.dim for b in specs]
+    dims, weights, op_nodes = _block_fields(raw_blocks) or _walk_blocks(raw_blocks)
     stacks = _stacks_from_json(dims, op_nodes)
     if stacks is None:
         mats = _walk_matrices(dims, op_nodes)
         layout = block_layout(tuple(dims))
         stacks = [np.stack([mats[j] for j in idx], axis=1) for idx in layout.members]
     try:
-        alg = FiniteAlgebra(tuple(specs))
+        alg = FiniteAlgebra._from_checked(dims, weights)
     except ShapeError as exc:
         raise IngestError(str(exc), "blocks") from exc
     operators = []

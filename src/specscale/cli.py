@@ -343,6 +343,15 @@ def cmd_abelian(optuple, args):
         "max_commutator": verdict.max_commutator,
     }
     _emit_json(args, "abelian.json", payload)
+    if verdict.geometric and not verdict.algebraic:
+        # Theorem 6.1: countably many extreme points make N abelian
+        tol = spectral.CLUSTER_TOL if args.cluster_tol is None else args.cluster_tol
+        print(
+            "warning: the geometric side reads abelian but the operators do "
+            "not commute, against Theorem 6.1; the clustering tolerance "
+            f"(--cluster-tol {tol:g}) has likely merged distinct eigenvalues",
+            file=sys.stderr,
+        )
 
 
 HANDLERS = {

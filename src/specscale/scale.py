@@ -15,11 +15,17 @@ off that one eigenframe: a level's interval is a pair of leading cluster
 counts, its endpoints' ``psi`` are rows of the frame's ``psi`` table and
 ``alpha`` is ``<(-s, t), row>``, computed and checked for all levels of a
 frame at once, so a sweep builds no d×d projection.
-A face's dimension is read off its interval's gap columns, and a
-rank-one gap is a segment, which needs no cut-down.  Extreme clouds keep
-each projection as a leading range ``(frame, count)``, merge two ranges
-by ``spectral.same_range`` and build a projection as an operator only
-when a caller reads it.
+A face's dimension is that of its cut-down scale, the tuple compressed to
+the gap of its interval.  A gap of rank zero is a point and one of rank
+one a segment; only for a larger gap are the operators rotated into the
+frame, ``Vᴴ b_i V``, once for all of its levels, and each gap's Gram
+matrix and relation residuals read off the rotated entries whose row and
+column lie in the gap (``interval_dimensions``), with no cut-down algebra
+built.  ``scale_dimension`` of a built ``Compression`` stays the
+reference it is tested against.  Extreme clouds keep each projection as
+a leading range ``(frame, count)``, merge two ranges by
+``spectral.same_range`` and build a projection as an operator only when
+a caller reads it.
 
 An isotrace slice is batched over its directions instead: per block
 size, the ``b_u`` of many directions are stacked as
@@ -36,8 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, sampling, spectral
-from .algebra import Compression
-from .errors import InvariantViolation
+from .errors import InvariantViolation, ShapeError
 from .spectral import OrderInterval, SpectralPair
 
 POINT_DEDUP_TOL = 1e-8
@@ -126,28 +131,90 @@ def face_dimension(optuple, interval):
 
     Zero for a point; otherwise the cut-down scale of ``upper - lower``
     has the same dimension as the image (the cut-down map is an affine
-    isomorphism onto it).
+    isomorphism onto it), read off the interval's frame by
+    ``interval_dimensions`` without building the cut-down.
     """
-    if interval.is_point():
-        return 0
-    gap = interval.columns("gap")
-    # a rank-one gap cuts down to a one-dimensional algebra, whose
-    # operators are all scalars: its scale is a segment
-    if sum(gap.ranks.tolist()) == 1:
-        return 1
-    return scale_dimension(Compression(optuple, gap).tuple).dimension
+    counts = [[k] for k in interval.counts]
+    return int(interval_dimensions(optuple, interval.frame, *counts)[0])
 
 
-def _face_in_frame(frame, pair, lower, upper, alpha):
+def interval_dimensions(optuple, frame, lowers, uppers):
+    """``face_dimension`` of the intervals of a ``spectral.SpectralFrame``
+    spanning its leading ``lowers[g]`` and ``uppers[g]`` clusters, all at
+    once.
+
+    A gap of rank zero is a point, and a rank-one gap cuts down to a
+    one-dimensional algebra, whose scale is a segment.  For the larger
+    gaps, ``scale_dimension(Compression(optuple, gap).tuple).dimension``
+    is computed with no cut-down built.  The operators are rotated into the
+    frame once, ``Y_i = Vᴴ b_i V`` per block stack (only blocks holding a
+    column of such a gap).  Gap ``g``'s cut-down is the entries of the
+    ``Y_i`` whose row and column clusters both lie in ``g``, over the trace
+    ``c_j / T_g`` with ``T_g = tr(gap)``.  Its diagonal is centred by the
+    cut-down's own traces before any product is formed, so no Gram entry is
+    a difference of large raw products; the Gram matrices, their null
+    directions at ``scale_dimension``'s cut and the max-abs residual of each
+    candidate relation are then batched reductions over the gaps' entries.
+    """
+    lowers, uppers = np.asarray(lowers, dtype=int), np.asarray(uppers, dtype=int)
+    ranks = (frame.bounds[uppers] - frame.bounds[lowers]).sum(axis=1)
+    dims = np.minimum(ranks, 1)
+    wide = np.flatnonzero(ranks > 1)
+    if not wide.size:
+        return dims
+    lowers, uppers = lowers[wide], uppers[wide]
+    covered = np.zeros(len(frame.bounds), dtype=bool)  # clusters inside some gap
+    for lower, upper in zip(lowers.tolist(), uppers.tolist()):
+        covered[lower:upper] = True
+    values, weight, lo, hi, diagonal = [], [], [], [], []
+    parts = zip(frame.vectors, frame.clusters, optuple.algebra.class_weights)
+    for k, (v, cluster, weights) in enumerate(parts):
+        inside = covered[cluster]
+        held = np.flatnonzero(inside.any(axis=1))
+        if not held.size:
+            continue
+        v, cluster, inside = v[held], cluster[held], inside[held]
+        vh = v.conj().swapaxes(-1, -2)
+        y = np.array([vh @ b.stacks[k][held] @ v for b in optuple.operators])
+        blk, row, col = np.nonzero(inside[:, :, None] & inside[:, None, :])
+        values.append(y[:, blk, row, col])
+        weight.append(weights[held][blk])
+        r, c = cluster[blk, row], cluster[blk, col]
+        lo.append(np.minimum(r, c))
+        hi.append(np.maximum(r, c))
+        diagonal.append(row == col)
+    values, weight, lo, hi, diagonal = (
+        np.concatenate(x, axis=-1) for x in (values, weight, lo, hi, diagonal)
+    )
+    # (gap, entry) pairs, sorted by gap; every gap holds entries
+    gap, entry = np.nonzero((lowers[:, None] <= lo) & (hi < uppers[:, None]))
+    starts = np.searchsorted(gap, np.arange(len(wide)))
+    x, w, on_diag = values[:, entry], weight[entry], diagonal[entry]
+    trace_r = np.add.reduceat(np.where(on_diag, w, 0.0), starts)
+    if np.any(trace_r <= 1e-10):
+        raise ShapeError("projection has (numerically) zero trace")
+    w = w / trace_r[gap]
+    traces = np.add.reduceat(np.where(on_diag, w * x.real, 0.0), starts, axis=1)
+    x[:, on_diag] -= traces[:, gap[on_diag]]
+    products = np.einsum("ip,jp->pij", x.conj() * w, x).real
+    eigenvalues, vectors = np.linalg.eigh(np.add.reduceat(products, starts))
+    cut = 1e-12 * np.maximum(1.0, eigenvalues[:, -1:])
+    residual = np.abs(np.einsum("ip,pik->pk", x, vectors[gap]))
+    worst = np.maximum.reduceat(residual, starts)
+    relations = (eigenvalues <= cut) & (worst <= RELATION_TOL)
+    dims[wide] = optuple.n + 1 - relations.sum(axis=1)
+    return dims
+
+
+def _face_in_frame(frame, pair, lower, upper, alpha, dimension):
     """The exposed face of ``pair`` at a level of ``frame`` whose interval
     spans the leading ``lower`` and ``upper`` clusters, with support value
-    ``alpha``."""
-    interval = OrderInterval._from_frame(frame.spectrum, lower, upper)
+    ``alpha`` and affine dimension ``dimension``."""
     return ExposedFace(
         hyperplane=SupportHyperplane(pair=pair, alpha=alpha),
-        interval=interval,
+        interval=OrderInterval._from_frame(frame.spectrum, lower, upper),
         vertices=frame.psi_table[[lower, upper]],
-        dimension=face_dimension(frame.optuple, interval),
+        dimension=dimension,
     )
 
 
@@ -162,7 +229,8 @@ def exposed_face(optuple, pair, cluster_tol=None, eig_eq_tol=None, frames=None):
     frame = spectral.frame_source(optuple, cluster_tol, eig_eq_tol, frames)(pair.t)
     lower, upper = spectral.cut_clusters(frame.spectrum, pair.s, frame.eff_tol)
     alpha = float(_support_in_frame(frame, pair.s, lower, upper))
-    return _face_in_frame(frame, pair, lower, upper, alpha)
+    (dimension,) = interval_dimensions(optuple, frame.spectrum, [lower], [upper])
+    return _face_in_frame(frame, pair, lower, upper, alpha, int(dimension))
 
 
 def sweep_frames(
@@ -187,16 +255,19 @@ def sweep_frames(
 def faces_in_frame(frame):
     """Exposed faces of every sweep level of one decomposed direction.
 
-    The levels share ``t``, checked once, and their support values are
-    computed and checked together, in one pass over the frame.
+    The levels share ``t``, checked once, and their support values and
+    face dimensions are computed (and the values checked) together, in one
+    pass over the frame.
     """
     t = SpectralPair(s=0.0, t=frame.t).t
     lowers, uppers = frame.cuts
     alphas = _support_in_frame(frame, frame.levels, lowers, uppers)
-    for s, lower, upper, alpha in zip(
-        frame.levels.tolist(), lowers, uppers, alphas.tolist()
+    dims = interval_dimensions(frame.optuple, frame.spectrum, lowers, uppers)
+    for s, lower, upper, alpha, dim in zip(
+        frame.levels.tolist(), lowers, uppers, alphas.tolist(), dims.tolist()
     ):
-        yield _face_in_frame(frame, SpectralPair._at_level(s, t), lower, upper, alpha)
+        pair = SpectralPair._at_level(s, t)
+        yield _face_in_frame(frame, pair, lower, upper, alpha, dim)
 
 
 def sweep_faces(

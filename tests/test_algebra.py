@@ -792,3 +792,94 @@ def test_saved_files_match_the_per_entry_writer(tmp_path, name):
     save_tuple(optuple, path)
     expected = json.dumps(_per_entry_json(optuple)) + "\n"
     assert path.read_text(encoding="utf-8") == expected
+
+
+# ---------------------------------------------------------------------------
+# The block fields checked as columns against the block-by-block walker.
+# ---------------------------------------------------------------------------
+
+
+def _many_block_doc():
+    rng = np.random.default_rng(9)
+    dims = [1, 2, 1, 1, 3, 1, 2, 1]
+    return json.loads(json.dumps(tuple_to_json(_hermitian_tuple(rng, dims, 2))))
+
+
+def _with(key, value):
+    return lambda block: {**block, key: value}
+
+
+def _without(key):
+    return lambda block: {k: v for k, v in block.items() if k != key}
+
+
+BLOCK_FAULTS = {
+    "not_object": lambda block: [block],
+    "no_dim": _without("dim"),
+    "no_weight": _without("weight"),
+    "no_operators": _without("operators"),
+    "dim_true": _with("dim", True),
+    "dim_zero": _with("dim", 0),
+    "dim_float": _with("dim", 1.0),
+    "dim_string": _with("dim", "1"),
+    "weight_true": _with("weight", True),
+    "weight_zero": _with("weight", 0),
+    "weight_negative": _with("weight", -0.5),
+    "weight_nan": _with("weight", float("nan")),
+    "weight_inf": _with("weight", float("inf")),
+    "weight_10_to_400": _with("weight", 10**400),
+    "weight_string": _with("weight", "0.5"),
+    "weight_numpy": lambda block: {**block, "weight": np.float64(block["weight"])},
+    "operators_empty": _with("operators", []),
+    "operators_object": _with("operators", {}),
+    "operator_missing": lambda block: {**block, "operators": block["operators"][1:]},
+    "operator_extra": lambda block: {
+        **block, "operators": block["operators"] + block["operators"][:1]
+    },
+}
+
+
+def _walked_fields(blocks):
+    try:
+        return algebra._walk_blocks(blocks)
+    except IngestError:
+        return None
+
+
+@pytest.mark.parametrize("where", [0, 3, 7])
+@pytest.mark.parametrize("fault", sorted(BLOCK_FAULTS))
+def test_block_field_columns_agree_with_the_walker(fault, where):
+    doc = _many_block_doc()
+    blocks = doc["blocks"]
+    blocks[where] = BLOCK_FAULTS[fault](blocks[where])
+    columns, walked = algebra._block_fields(blocks), _walked_fields(blocks)
+    if walked is None:
+        assert columns is None
+    elif columns is not None:
+        assert columns == walked
+        assert [type(x) for x in columns[1]] == [float] * len(blocks)
+    else:  # only the walker reads a numpy weight
+        assert fault == "weight_numpy"
+
+
+def test_block_field_columns_of_a_well_formed_document():
+    blocks = _many_block_doc()["blocks"]
+    dims, weights, op_nodes = algebra._block_fields(blocks)
+    assert (dims, weights, op_nodes) == _walked_fields(blocks)
+    assert dims == [1, 2, 1, 1, 3, 1, 2, 1] and op_nodes[4] is blocks[4]["operators"]
+
+
+def test_well_formed_blocks_are_checked_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    many = _hermitian_tuple(rng, (1,) * 96 + (2,) * 32, 2)
+    path = tmp_path / "many.json"
+    save_tuple(many, path)
+
+    def refuse(*args):
+        raise AssertionError("a well-formed block was checked one at a time")
+
+    monkeypatch.setattr(algebra, "_block_from_json", refuse)
+    monkeypatch.setattr(FiniteAlgebra, "__post_init__", refuse)
+    loaded = load_tuple(path)
+    assert loaded.algebra.blocks == many.algebra.blocks
+    _same_operators(loaded, many)

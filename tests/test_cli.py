@@ -174,6 +174,22 @@ def test_abelian_reports(inputs, capsys):
     assert payload["cloud_counts"][1] > payload["cloud_counts"][0]
 
 
+def test_abelian_warns_when_the_two_sides_disagree(inputs, capsys):
+    # --cluster-tol 10 merges every b_t into one cluster, so the geometric
+    # side reads abelian for the non-commuting Pauli pair
+    argv = ["abelian", "--input", inputs["pauli"], "--samples", "8"]
+    code, out, err = run(argv + ["--cluster-tol", "10"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["abelian"] == {"geometric": True, "algebraic": False}
+    assert payload["extreme_count"] == 2
+    (line,) = err.splitlines()
+    assert line.startswith("warning: ") and "--cluster-tol 10" in line
+    code, out, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["abelian"] == {"geometric": False, "algebraic": False}
+
+
 def test_slice_level_zero_single_point(inputs, capsys):
     code, out, _ = run(
         ["slice", "--input", inputs["pauli"], "--level", "0", "--samples", "16"],

@@ -26,8 +26,13 @@ import re
 import numpy as np
 import pytest
 
-from specscale import fixtures, scale, spectral
-from specscale.algebra import FiniteAlgebra, HermitianOperator, OperatorTuple, save_tuple
+from specscale import algebra, fixtures, scale, spectral
+from specscale.algebra import (
+    FiniteAlgebra,
+    HermitianOperator,
+    OperatorTuple,
+    save_tuple,
+)
 from specscale.cli import COMMANDS, main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -201,6 +206,21 @@ def test_support_decomposes_once_per_direction(tmp_path, monkeypatch):
         calls.clear()
         assert run_case(name, "support", str(tmp_path))["exit_code"] == 0
         assert len(calls) == len(scale._cloud_t_directions(optuple.n, SAMPLES))
+
+
+@pytest.mark.parametrize("name", sorted(MANY_BLOCKS))
+def test_support_builds_no_cut_down(name, tmp_path, monkeypatch):
+    # every sweep level's face dimension is read off its frame
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(1)
+        raise AssertionError("support built a cut-down")
+
+    monkeypatch.setattr(algebra.Compression, "__init__", refuse)
+    monkeypatch.setattr(scale, "scale_dimension", refuse)
+    assert run_case(name, "support", str(tmp_path))["exit_code"] == 0
+    assert calls == []
 
 
 def test_slice_stacks_one_eigh_per_block_size(tmp_path, monkeypatch):

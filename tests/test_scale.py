@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import lower_hull, lower_tail_points, reciprocal_weights
 from specscale import fixtures, sampling
 from specscale.algebra import (
+    Compression,
     FiniteAlgebra,
     HermitianOperator,
     OperatorTuple,
@@ -11,16 +14,20 @@ from specscale.algebra import (
     max_norm,
     psi,
 )
+from specscale.errors import ShapeError
 from specscale.oracle import oracle_support, sample_unit_ball
 from specscale.scale import (
+    RELATION_TOL,
     exposed_face,
     extreme_point_cloud,
+    face_dimension,
     isotrace_slice,
     scale_dimension,
     support_value,
+    sweep_faces,
     waterfill,
 )
-from specscale.spectral import SpectralPair
+from specscale.spectral import OrderInterval, SpectralPair
 
 
 def test_support_value_zero_operators():
@@ -348,3 +355,129 @@ def test_extremes_csv_roundtrip(two_point, capsys):
     assert len(lines) == 1 + len(cloud)
     first = lines[1].split(",")
     assert float(first[0]) in (0.0, 0.5, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Face dimensions read off the frame against the built cut-down.
+# ---------------------------------------------------------------------------
+
+
+def _reference_dimension(optuple, interval):
+    """``face_dimension`` the literal way: the cut-down's ``scale_dimension``."""
+    gap = interval.columns("gap")
+    rank = int(gap.ranks.sum())
+    if rank <= 1:
+        return rank
+    return scale_dimension(Compression(optuple, gap).tuple).dimension
+
+
+def _diagonal_tuple(values):
+    """Operators on equally weighted one-dimensional blocks: ``values[i]``
+    holds operator ``i``'s value on each block."""
+    values = np.asarray(values, dtype=float)
+    m = values.shape[1]
+    alg = FiniteAlgebra(((1, 1.0 / m),) * m)
+    return OperatorTuple(alg, tuple(alg.diagonal(row) for row in values))
+
+
+def _dimension_three_ways(optuple):
+    """The face dimension at level 0 of ``b_1`` (a gap of rank two or
+    more), from the sweep, from ``face_dimension`` and from the cut-down."""
+    t = np.eye(optuple.n)[0]
+    (face,) = [f for f in sweep_faces(optuple, [t]) if f.pair.s == 0.0]
+    assert int(face.interval.columns("gap").ranks.sum()) >= 2
+    return (
+        face.dimension,
+        face_dimension(optuple, face.interval),
+        _reference_dimension(optuple, face.interval),
+    )
+
+
+@pytest.mark.parametrize(
+    "half_spread, expected",
+    [(0.99 * RELATION_TOL, 1), (1.01 * RELATION_TOL, 2)],
+)
+def test_relation_residual_either_side_of_the_tolerance(half_spread, expected):
+    # b_2 is 0 and 2 * half_spread on the gap: centred, its residual as a
+    # relation is half_spread, tested against RELATION_TOL
+    optuple = _diagonal_tuple([[0.0, 0.0, 1.0], [0.0, 2 * half_spread, 1.0]])
+    assert _dimension_three_ways(optuple) == (expected,) * 3
+
+
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
+@pytest.mark.parametrize("spread", [0.0, 1e3])
+def test_gram_eigenvalue_either_side_of_the_cut(ratio, spread):
+    # On the gap (blocks 0-2), centred b_2 is (-2, 4, -2) h / 3 and
+    # centred b_3 is (1, 0, -1) spread: orthogonal, with Gram eigenvalues
+    # 8 h^2 / 9 and 2 spread^2 / 3.  b_2's is ratio times the cut
+    # 1e-12 * max(1, w_max); its residual 4 h / 3 is far above RELATION_TOL.
+    cut = 1e-12 * max(1.0, 2 * spread**2 / 3)
+    h = np.sqrt(9 * ratio * cut / 8)
+    optuple = _diagonal_tuple(
+        [[0, 0, 0, 1], [0, 2 * h, 0, 1], [spread, 0, -spread, 0]]
+    )
+    expected = 2 if spread == 0.0 else 3  # b_1, and b_3 when it is zero
+    assert _dimension_three_ways(optuple) == (expected,) * 3
+
+
+def test_small_gap_among_wide_clusters_keeps_its_relation():
+    # b_1 pairs 4,096 blocks into 2,048 clusters; b_2 and b_3 spread by 50
+    # inside every cluster but one late one, where b_2 + b_3 = 0 and the
+    # spread is 1e-3.  Summed with the wide clusters before it (as prefix
+    # sums over clusters would), that gap's Gram loses the relation to
+    # rounding; read on the gap alone, it keeps it, as the cut-down does.
+    rng = np.random.default_rng(7)
+    spread = rng.uniform(-50, 50, (2, 4096))
+    values = np.vstack([np.repeat(np.arange(2048.0), 2), spread])
+    values[1:, 4080:4082] = [[1e-3, -1e-3], [-1e-3, 1e-3]]
+    optuple = _diagonal_tuple(values)
+    (face,) = [f for f in sweep_faces(optuple, [[1.0, 0.0, 0.0]]) if f.pair.s == 2040]
+    assert face.dimension == _reference_dimension(optuple, face.interval) == 2
+
+
+@st.composite
+def _tuples_with_repeats(draw):
+    """One to three operators on up to six blocks of size 1 or 2 with small
+    integer entries; a block may copy an earlier one, so eigenvalues repeat
+    within and across blocks."""
+    n = draw(st.integers(1, 3))
+    entries = st.lists(st.integers(-2, 2), min_size=8, max_size=8)
+    blocks = []
+    for _ in range(draw(st.integers(1, 6))):
+        if blocks and draw(st.booleans()):
+            blocks.append(blocks[draw(st.integers(0, len(blocks) - 1))])
+            continue
+        d = draw(st.sampled_from([1, 2]))
+        mats = []
+        for _ in range(n):
+            raw = np.array(draw(entries), dtype=float).reshape(2, 2, 2)
+            a = raw[0, :d, :d] + 1j * raw[1, :d, :d]
+            mats.append(a + a.conj().T)
+        blocks.append((d, mats))
+    count = len(blocks)
+    weights = st.lists(st.integers(1, 3), min_size=count, max_size=count)
+    weights = np.array(draw(weights), dtype=float)
+    dims = [d for d, _ in blocks]
+    weights /= weights @ dims
+    alg = FiniteAlgebra(tuple(zip(dims, weights)))
+    ops = [HermitianOperator([mats[i] for _, mats in blocks]) for i in range(n)]
+    return OperatorTuple(alg, tuple(ops))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_tuples_with_repeats())
+def test_sweep_dimensions_match_the_cut_down(optuple):
+    for face in sweep_faces(optuple, 4):
+        expected = _reference_dimension(optuple, face.interval)
+        assert face.dimension == expected
+        # the checked interval, framed by the eigenvectors of lower + upper
+        checked = OrderInterval(face.interval.lower, face.interval.upper)
+        assert face_dimension(optuple, checked) == expected
+
+
+def test_zero_trace_gap_raises():
+    # a rank-two gap of trace 5e-11, below Compression's 1e-10 floor
+    alg = FiniteAlgebra(((1, 2.5e-11), (1, 2.5e-11), (1, 1.0 - 5e-11)))
+    optuple = OperatorTuple(alg, (alg.diagonal([0.0, 0.0, 1.0]),))
+    with pytest.raises(ShapeError, match="zero trace"):
+        exposed_face(optuple, SpectralPair(0.0, np.array([1.0])))
