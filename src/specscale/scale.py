@@ -168,7 +168,7 @@ def interval_dimensions(optuple, frame, lowers, uppers):
         covered[lower:upper] = True
     values, weight, lo, hi, diagonal = [], [], [], [], []
     parts = zip(frame.vectors, frame.clusters, optuple.algebra.class_weights)
-    for k, (v, cluster, weights) in enumerate(parts):
+    for k, (v, cluster, c) in enumerate(parts):
         inside = covered[cluster]
         held = np.flatnonzero(inside.any(axis=1))
         if not held.size:
@@ -178,10 +178,10 @@ def interval_dimensions(optuple, frame, lowers, uppers):
         y = np.array([vh @ b.stacks[k][held] @ v for b in optuple.operators])
         blk, row, col = np.nonzero(inside[:, :, None] & inside[:, None, :])
         values.append(y[:, blk, row, col])
-        weight.append(weights[held][blk])
-        r, c = cluster[blk, row], cluster[blk, col]
-        lo.append(np.minimum(r, c))
-        hi.append(np.maximum(r, c))
+        weight.append(c[held][blk])
+        ends = cluster[blk, row], cluster[blk, col]
+        lo.append(np.minimum(*ends))
+        hi.append(np.maximum(*ends))
         diagonal.append(row == col)
     values, weight, lo, hi, diagonal = (
         np.concatenate(x, axis=-1) for x in (values, weight, lo, hi, diagonal)
