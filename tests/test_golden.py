@@ -8,7 +8,10 @@ the exit code, stdout and stderr of ``specscale <command> --input
 setting the benchmark times.  Two seeded many-block tuples, built here,
 are recorded for ``support --samples 8`` and ``faces --samples 0``: their
 sweeps cut many gaps of rank above one, whose face dimensions the
-support rows and the cone degrees read.  Numbers must match within 1e-12 (relative to
+support rows and the cone degrees read.  A seeded generic tuple on one
+dense 16 x 16 block is recorded for the face commands at ``--samples 0``:
+its faces' commutant directions differ from their sweep rays in the last
+bits.  Numbers must match within 1e-12 (relative to
 ``max(1, |x|)``); everything else, the exit code included, must match
 exactly.  Re-record after an intended output change with
 
@@ -83,6 +86,20 @@ def many_two_by_two_blocks():
     return OperatorTuple(alg, tuple(ops))
 
 
+def dense_block(d, n, seed):
+    """``n`` seeded generic Hermitian operators on one dense ``d x d`` block."""
+    rng = np.random.default_rng(seed)
+    ops = []
+    for _ in range(n):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        ops.append(HermitianOperator([(g + g.conj().T) / 2]))
+    return OperatorTuple(FiniteAlgebra(((d, 1.0 / d),)), tuple(ops))
+
+
+def dense_d16_n2():
+    return dense_block(16, 2, 16)
+
+
 MANY_BLOCKS = {
     "many_one_dim_blocks": many_one_dim_blocks,
     "many_two_by_two_blocks": many_two_by_two_blocks,
@@ -92,7 +109,8 @@ MANY_BLOCK_CASES = [
     for name in MANY_BLOCKS
     for cmd, samples in (("support", SAMPLES), ("faces", 0))
 ]
-TUPLES = {**FIXTURES, **MANY_BLOCKS}
+DENSE_BLOCKS = {"dense_d16_n2": dense_d16_n2}
+TUPLES = {**FIXTURES, **MANY_BLOCKS, **DENSE_BLOCKS}
 CASES = [(name, cmd) for name in FIXTURES for cmd in COMMANDS]
 FACE_COMMANDS = ("faces", "corners", "center")
 AXIS_CASES = [(name, cmd) for name in FIXTURES for cmd in FACE_COMMANDS]
@@ -100,6 +118,7 @@ DENSE_SAMPLES = 64
 DENSE_CASES = [
     (name, cmd) for name in ("pauli_pair", "block_with_scalars") for cmd in FACE_COMMANDS
 ]
+DENSE_BLOCK_CASES = [(name, cmd) for name in DENSE_BLOCKS for cmd in FACE_COMMANDS]
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
 
@@ -173,6 +192,11 @@ def test_cli_matches_axis_golden(name, command, tmp_path):
 @pytest.mark.parametrize("name,command", DENSE_CASES)
 def test_cli_matches_dense_golden(name, command, tmp_path):
     _check_golden(name, command, str(tmp_path), samples=DENSE_SAMPLES)
+
+
+@pytest.mark.parametrize("name,command", DENSE_BLOCK_CASES)
+def test_cli_matches_dense_block_golden(name, command, tmp_path):
+    _check_golden(name, command, str(tmp_path), samples=0)
 
 
 @pytest.mark.parametrize("name,command,samples", MANY_BLOCK_CASES)
@@ -278,6 +302,7 @@ def record():
         runs += [case + (0,) for case in AXIS_CASES]
         runs += [case + (DENSE_SAMPLES,) for case in DENSE_CASES]
         runs += MANY_BLOCK_CASES
+        runs += [case + (0,) for case in DENSE_BLOCK_CASES]
         for name, command, samples in runs:
             result = run_case(name, command, directory, samples)
             path = _golden_path(name, command, samples)
