@@ -210,8 +210,9 @@ def _face_pass(optuple, args, cloud=None):
     sweep face, the cone None for the whole scale.
 
     The sweep fills the cache, and the cones of all proper faces are
-    sampled together from it (``faces.normal_cones``), so each direction
-    part is decomposed once per run.  A ``cloud`` given gets the extreme
+    sampled together from it (``faces.normal_cones``), each given its
+    face's sweep direction and dimension, so each direction part is
+    decomposed once per run.  A ``cloud`` given gets the extreme
     points of every swept direction.  Kept faces are bucketed by rank, as
     faces of different ranks never match.
     """
@@ -229,14 +230,17 @@ def _face_pass(optuple, args, cloud=None):
                 bucket.append(face.interval)
                 distinct.append(face)
     proper = [faces._is_proper(optuple, f.interval) for f in distinct]
+    tested = [f for f, p in zip(distinct, proper) if p]
     cones = iter(
         faces.normal_cones(
             optuple,
-            [f.interval for f, p in zip(distinct, proper) if p],
+            [f.interval for f in tested],
             args.samples,
             args.cluster_tol,
             args.eig_eq_tol,
             frames,
+            rays=[f.pair.t for f in tested],
+            dimensions=[f.dimension for f in tested],
         )
     )
     return frames, [(f, next(cones) if p else None) for f, p in zip(distinct, proper)]
@@ -244,23 +248,14 @@ def _face_pass(optuple, args, cloud=None):
 
 def cmd_faces(optuple, args):
     reports = []
-    frames, passed = _face_pass(optuple, args)
-    for face, cone in passed:
+    for face, cone in _face_pass(optuple, args)[1]:
         entry = {
             "pair": {"s": face.pair.s, "t": face.pair.t},
             "alpha": face.alpha,
             **_traces(face),
         }
         if cone is not None:
-            chain = faces._chain_from_cone(
-                optuple,
-                face.interval,
-                cone,
-                args.samples,
-                args.cluster_tol,
-                args.eig_eq_tol,
-                frames,
-            )
+            chain = faces.sweep_face_chain(face, cone)
             entry.update(
                 degree=cone.degree,
                 degree_exact=cone.exact,

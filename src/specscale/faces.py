@@ -14,11 +14,20 @@ order test: ``(-s, t)`` supports the face exactly when ``p_minus <=
 q_minus`` and ``q_plus <= p_plus`` for the interval projections of
 ``b_t`` at ``s``, which the sweep reads per direction off the eigenframe
 of ``b_t`` as prefix and suffix maxima of column norms.
-``normal_cones`` samples the cones of many faces in one pass: each
-distinct candidate ``t`` is decomposed once, through a
-``spectral.FrameCache`` that the CLI fills from its sweep and keeps for
-the run, and every face that tests ``t`` is tested together, its
-endpoints stacked per block size into one product.
+``normal_cones`` samples the cones of many faces in one pass.  Candidate
+directions lie in the face's commutant directions, which are read off the
+face's frame: the tuple is rotated into each distinct frame once, and
+every face's commutator matrix is the rotated entries crossing its cuts,
+all faces going through one stacked SVD.  A one-ray cone is tested on the
+face's own sweep direction when the sweep hands it over.  Each distinct
+candidate ``t`` is decomposed once, through a ``spectral.FrameCache``
+that the CLI fills from its sweep and keeps for the run, and every face
+that tests ``t`` is tested together, its endpoints stacked per block size
+into one product.  Member normals and degrees are stacked over all faces.
+A sweep face is exposed by its own pair, so its minimal exposed chain is
+the face itself once that pair is found in its cone
+(``sweep_face_chain``); ``minimal_exposed_chain`` builds the chain of any
+face from its cone sample.
 """
 
 from __future__ import annotations
@@ -37,6 +46,10 @@ from .errors import (
 )
 from .scale import face_dimension
 from .spectral import PROJECTION_TOL, OrderInterval, SpectralPair
+
+# Bound on one stacked (faces, rows, n) commutator matrix of the cone pass;
+# the faces of one frame are decomposed in chunks of at most this size.
+COMMUTANT_CHUNK_BYTES = 2**22
 
 
 @dataclass(frozen=True)
@@ -179,44 +192,106 @@ def _commutant_directions(optuple, interval):
     Commutation with both endpoints is necessary for ``(-s, t)`` to
     support the face, so restricting candidate directions to this
     subspace loses no members and finds one-ray cones exactly.
-
-    The null space comes from a thin SVD of the ``(4·Σd², n)`` commutator
-    matrix, padded with zero rows to at least ``n`` so that it is complete.
-    The basis does not depend on last-bit noise in the endpoints: the
-    whole space is returned as the coordinate axes, and every other row
-    is signed so that its largest entry (the first, on a near tie) is
-    positive.
+    ``_commutant_bases`` of ``[interval]``.
     """
-    cols = []
-    for b in optuple.operators:
-        ends = (interval.lower, interval.upper)
-        pairs = [(x, y) for q in ends for x, y in zip(b.stacks, q.stacks)]
-        c = np.concatenate([(x @ y - y @ x).ravel() for x, y in pairs])
-        cols.append(np.concatenate([c.real, c.imag]))
-    mat = np.column_stack(cols)
-    if len(mat) < optuple.n:
-        mat = np.vstack([mat, np.zeros((optuple.n - len(mat), optuple.n))])
-    _, svals, vt = np.linalg.svd(mat, full_matrices=False)
+    (basis,) = _commutant_bases(optuple, [interval])
+    return basis
+
+
+def _commutant_bases(optuple, intervals):
+    """``_commutant_directions`` of every interval, in order.
+
+    The null space is that of the ``(4·Σd², n)`` matrix whose column ``i``
+    holds the real and imaginary parts of ``[b_i, q_minus]`` and ``[b_i,
+    q_plus]``, read off the interval's frame ``V``.  An endpoint ``q`` is a
+    leading column range of ``V``, so ``Vᴴ [b_i, q] V`` is ``±Y_i[r, c]``,
+    ``Y_i = Vᴴ b_i V``, where row ``r`` and column ``c`` lie on opposite
+    sides of the cut, and zero elsewhere.  A unitary change of basis keeps
+    the singular values, and so does keeping only the entries below the
+    diagonal, Hermitian mirrors of those above, with the singular values
+    scaled back by ``√2``.  The tuple is rotated once per distinct frame
+    (``SpectralFrame.rotate``).  The matrix is padded with zero rows to at
+    least ``n`` so that its thin SVD is complete; the faces' matrices go
+    through one stacked QR and one stacked SVD of the ``R`` factors per
+    chunk of at most ``COMMUTANT_CHUNK_BYTES``.  Null directions are the
+    singular values ``<= 1e-9·max(1, s_0)``.  The basis does not depend on
+    last-bit noise in the endpoints: the whole space is returned as the
+    coordinate axes, and every other row is signed so that its largest
+    entry (the first, on a near tie) is positive.
+    """
+    n = optuple.n
+    by_frame = {}  # id of a frame -> (frame, positions of its intervals)
+    for f, interval in enumerate(intervals):
+        by_frame.setdefault(id(interval.frame), (interval.frame, []))[1].append(f)
+    bases = [None] * len(intervals)
+    for frame, which in by_frame.values():
+        below = []  # per size class, the rotated entries below the diagonal
+        for k, (d, idx) in enumerate(zip(frame.layout.sizes, frame.layout.members)):
+            row, col = np.tril_indices(d, -1)
+            y = frame.rotate(optuple.operators, k)[..., row, col]  # (n, m, entries)
+            below.append((y, row, col, d, idx))
+        rows = 4 * sum(y[0].size for y, *_ in below)  # both endpoints, re and im
+        # per interval, both endpoints' column counts in every block
+        ranks = frame.bounds[np.array([intervals[f].counts for f in which])]
+        step = max(1, COMMUTANT_CHUNK_BYTES // (8 * n * max(rows, n)))
+        for first in range(0, len(which), step):
+            chunk = ranks[first : first + step]
+            crossing = []
+            for y, row, col, d, idx in below:
+                inside = np.arange(d) < chunk[:, :, idx, None]  # (faces, 2, m, d)
+                cross = inside[..., row] != inside[..., col]
+                crossing.append((y[:, None, None] * cross).reshape(n, len(chunk), -1))
+            c = np.concatenate(crossing, axis=-1)
+            mats = np.concatenate([c.real, c.imag], axis=-1).transpose(1, 2, 0)
+            if rows < n:
+                mats = np.concatenate(
+                    [mats, np.zeros((len(chunk), n - rows, n))], axis=1
+                )
+            r_factors = np.linalg.qr(mats, mode="r")
+            _, svals, vt = np.linalg.svd(r_factors, full_matrices=False)
+            for f, sv, v in zip(which[first : first + step], svals, vt):
+                bases[f] = _null_rows(np.sqrt(2.0) * sv, v)
+    return bases
+
+
+def _null_rows(svals, vt):
+    """The rows of ``vt`` whose singular values are ``<= 1e-9·max(1, s_0)``,
+    signed, or the coordinate axes when all of them are."""
     null_mask = svals <= 1e-9 * max(1.0, float(svals[0]))
     if null_mask.all():
-        return np.eye(optuple.n)
+        return np.eye(len(svals))
     basis = vt[null_mask]
     mags = np.abs(basis)
     lead = np.argmax(mags >= mags.max(axis=1, keepdims=True) - 1e-9, axis=1)
     return basis * np.sign(basis[np.arange(len(basis)), lead])[:, None]
 
 
-def _candidate_directions(optuple, interval, raw):
+def _candidate_directions(optuple, interval, raw, basis=None):
     """Candidate direction parts for the face's cone: the commutant basis
-    and the sampled direction parts ``raw``, projected onto the commutant,
-    with both signs."""
-    basis = _commutant_directions(optuple, interval)
+    (``basis``, computed when not given) and the sampled direction parts
+    ``raw``, projected onto the commutant, with both signs."""
+    if basis is None:
+        basis = _commutant_directions(optuple, interval)
     if basis.shape[0] == 0:
         return []
     projected = np.vstack([basis, *raw]) @ basis.T @ basis  # one row per t
     # (-p)/|p| is -(p/|p|) bit for bit: both signs are exact negatives
     signed = np.stack([projected, -projected], axis=1).reshape(-1, optuple.n)
     return sampling.distinct_unit_vectors(signed)
+
+
+def _ray_candidates(basis, ray):
+    """The candidates of a one-dimensional commutant ``b`` that is the line
+    of the face's sweep direction ``ray``: the exact bytes of ``±ray``,
+    ``b``'s sign first, so the frames the sweep decomposed serve them.
+    None when there is no ray, the commutant has another dimension, or the
+    ray is not parallel to ``b`` within 1e-9."""
+    if ray is None or len(basis) != 1:
+        return None
+    signed = ray if basis[0] @ ray >= 0 else -ray
+    if np.abs(signed - basis[0]).max() > 1e-9:
+        return None
+    return [signed, -signed]
 
 
 def normal_cones(
@@ -226,6 +301,8 @@ def normal_cones(
     cluster_tol=None,
     eig_eq_tol=None,
     frames=None,
+    rays=None,
+    dimensions=None,
 ):
     """Sample the normal cones of proper faces through the order test.
 
@@ -234,9 +311,14 @@ def normal_cones(
     of the face (a necessary condition for membership, and what pins down
     one-ray cones exactly); for every ``t`` the cut level sweeps the
     spectrum of ``b_t`` including gap midpoints, which is what picks up
-    multiple supporting levels across a spectral gap.
+    multiple supporting levels across a spectral gap.  A sweep that found
+    the faces may pass each one's direction part as ``rays``, which a
+    one-ray cone is tested on (``_ray_candidates``), and its dimension as
+    ``dimensions``, which the ``exact`` flag reads.  Faces with the same
+    commutant basis share its candidates.
 
-    All cones are sampled in one pass.  Each distinct ``t`` is decomposed
+    All cones are sampled in one pass.  The commutants come from one
+    stacked SVD (``_commutant_bases``).  Each distinct ``t`` is decomposed
     once, by ``frames`` (a ``spectral.FrameCache`` of this tuple, which
     may already hold it) or by a cache of this call, and the order test
     ``p_minus <= q_minus``, ``q_plus <= p_plus`` of every face whose
@@ -251,7 +333,19 @@ def normal_cones(
         frames = spectral.FrameCache(optuple, cluster_tol, eig_eq_tol)
     source = spectral.frame_source(optuple, cluster_tol, eig_eq_tol, frames)
     raw = scale._cloud_t_directions(optuple.n, directions)
-    candidates = [_candidate_directions(optuple, iv, raw) for iv in intervals]
+    if rays is None:
+        rays = [None] * len(intervals)
+    bases = _commutant_bases(optuple, intervals)
+    candidates = []
+    shared = {}  # exact bytes of a commutant basis -> its candidates
+    for interval, basis, ray in zip(intervals, bases, rays):
+        ts = _ray_candidates(basis, ray)
+        if ts is None:
+            key = basis.tobytes()
+            if key not in shared:
+                shared[key] = _candidate_directions(optuple, interval, raw, basis)
+            ts = shared[key]
+        candidates.append(ts)
     testers = {}  # exact bytes of t -> (t, [(face, candidate position)])
     for f, ts in enumerate(candidates):
         for k, t in enumerate(ts):
@@ -270,33 +364,50 @@ def normal_cones(
         member = (below[:, lower] <= PROJECTION_TOL) & (
             above[:, upper] <= PROJECTION_TOL
         )
+        t = SpectralPair(s=0.0, t=frame.t).t  # checked once for its pairs
         for (f, k), row in zip(tests, member):
-            found[f][k] = (frame.t, frame.levels[row])
+            found[f][k] = (t, frame.levels[row])
+    return _cone_samples(optuple, intervals, found, dimensions)
+
+
+def _cone_samples(optuple, intervals, found, dimensions=None):
+    """The ``NormalConeSample`` of every face, from its member levels
+    ``found[f]``, one ``(t, levels)`` per candidate direction part in order,
+    ``t`` held by a checked ``SpectralPair``.
+
+    All members are normalized together, and every face's degree is one
+    stacked ``matrix_rank`` over its members padded with zero rows, which
+    leave the rank as it is.  ``exact`` reads ``dimensions[f]`` when given.
+    """
+    n = optuple.n
+    hits = [(f, t, s) for f, ts in enumerate(found) for t, s in ts if len(s)]
+    sizes = [len(s) for _, _, s in hits]
+    owner = np.repeat([f for f, _, _ in hits], sizes).astype(int)
+    members = np.empty((len(owner), n + 1))
+    if hits:
+        members[:, 0] = -np.concatenate([s for _, _, s in hits])
+        members[:, 1:] = np.repeat([t for _, t, _ in hits], sizes, axis=0)
+    members /= np.linalg.norm(members, axis=1, keepdims=True)
+    pairs = [[] for _ in found]
+    for f, t, levels in hits:
+        pairs[f] += [SpectralPair._at_level(s, t) for s in levels.tolist()]
+    counts = np.bincount(owner, minlength=len(found))
+    starts = np.cumsum(counts) - counts
+    padded = np.zeros((len(found), max(counts, default=0), n + 1))
+    padded[owner, np.arange(len(owner)) - starts[owner]] = members
+    degrees = np.linalg.matrix_rank(padded, tol=1e-8) if padded.size else counts
+    diagonal = all(d == 1 for d in optuple.algebra.dims)
+    if diagonal and dimensions is None:
+        dimensions = [face_dimension(optuple, iv) for iv in intervals]
     return [
-        _cone_sample(optuple, interval, hits)
-        for interval, hits in zip(intervals, found)
+        NormalConeSample(
+            members=members[starts[f] : starts[f] + counts[f]],
+            pairs=tuple(pairs[f]),
+            degree=int(degrees[f]),
+            exact=bool(diagonal and degrees[f] == n + 1 - dimensions[f]),
+        )
+        for f in range(len(intervals))
     ]
-
-
-def _cone_sample(optuple, interval, hits):
-    """The ``NormalConeSample`` of member levels ``hits``, one
-    ``(t, levels)`` per candidate direction part in order."""
-    members = []
-    pairs = []
-    for t, levels in hits:
-        for s in levels:
-            normal = np.concatenate(([-s], t))
-            members.append(normal / np.linalg.norm(normal))
-            pairs.append(SpectralPair(s=s, t=t))
-    members = np.array(members) if members else np.empty((0, optuple.n + 1))
-    degree = int(np.linalg.matrix_rank(members, tol=1e-8)) if len(members) else 0
-    exact = False
-    if all(d == 1 for d in optuple.algebra.dims):
-        polytope_degree = optuple.n + 1 - face_dimension(optuple, interval)
-        exact = degree == polytope_degree
-    return NormalConeSample(
-        members=members, pairs=tuple(pairs), degree=degree, exact=exact
-    )
 
 
 def normal_cone(
@@ -402,6 +513,27 @@ def _exposed_by_cone(optuple, interval, cone, cluster_tol, eig_eq_tol, frames=No
             "input face is not inside the exposed face of its combined normal"
         )
     return face
+
+
+def sweep_face_chain(face, cone):
+    """``minimal_exposed_chain`` of a face a sweep exposed (a
+    ``scale.ExposedFace``), from its sampled normal cone: the face alone.
+
+    The face is exposed by its own pair, and the combined normal of cone
+    members ``u_i`` exposes ``face(Σ u_i) = ∩ face(u_i)``, so once that pair
+    is a member the smallest exposed face containing the face is the face
+    itself.  Membership is checked, not assumed: some member pair must
+    match the face's within 1e-9 in ``s`` and in (unit) ``t``, or
+    ``InvariantViolation`` is raised.
+    """
+    s, t = face.pair.s, face.pair.t
+    if any(
+        abs(p.s - s) <= 1e-9 and np.abs(p.t - t).max() <= 1e-9 for p in cone.pairs
+    ):
+        return [face.interval]
+    raise InvariantViolation(
+        "the pair that exposes a sweep face is not a member of its normal cone"
+    )
 
 
 def minimal_exposed_chain(

@@ -147,14 +147,15 @@ def interval_dimensions(optuple, frame, lowers, uppers):
     one-dimensional algebra, whose scale is a segment.  For the larger
     gaps, ``scale_dimension(Compression(optuple, gap).tuple).dimension``
     is computed with no cut-down built.  The operators are rotated into the
-    frame once, ``Y_i = Vᴴ b_i V`` per block stack (only blocks holding a
-    column of such a gap).  Gap ``g``'s cut-down is the entries of the
-    ``Y_i`` whose row and column clusters both lie in ``g``, over the trace
-    ``c_j / T_g`` with ``T_g = tr(gap)``.  Its diagonal is centred by the
-    cut-down's own traces before any product is formed, so no Gram entry is
-    a difference of large raw products; the Gram matrices, their null
-    directions at ``scale_dimension``'s cut and the max-abs residual of each
-    candidate relation are then batched reductions over the gaps' entries.
+    frame once, ``Y_i = Vᴴ b_i V`` per block stack (``SpectralFrame.rotate``,
+    only blocks holding a column of such a gap).  Gap ``g``'s cut-down is the
+    entries of the ``Y_i`` whose row and column clusters both lie in ``g``,
+    over the trace ``c_j / T_g`` with ``T_g = tr(gap)``.  Its diagonal is
+    centred by the cut-down's own traces before any product is formed, so no
+    Gram entry is a difference of large raw products; the Gram matrices,
+    their null directions at ``scale_dimension``'s cut and the max-abs
+    residual of each candidate relation are then batched reductions over the
+    gaps' entries.
     """
     lowers, uppers = np.asarray(lowers, dtype=int), np.asarray(uppers, dtype=int)
     ranks = (frame.bounds[uppers] - frame.bounds[lowers]).sum(axis=1)
@@ -167,15 +168,14 @@ def interval_dimensions(optuple, frame, lowers, uppers):
     for lower, upper in zip(lowers.tolist(), uppers.tolist()):
         covered[lower:upper] = True
     values, weight, lo, hi, diagonal = [], [], [], [], []
-    parts = zip(frame.vectors, frame.clusters, optuple.algebra.class_weights)
-    for k, (v, cluster, c) in enumerate(parts):
+    parts = zip(frame.clusters, optuple.algebra.class_weights)
+    for k, (cluster, c) in enumerate(parts):
         inside = covered[cluster]
         held = np.flatnonzero(inside.any(axis=1))
         if not held.size:
             continue
-        v, cluster, inside = v[held], cluster[held], inside[held]
-        vh = v.conj().swapaxes(-1, -2)
-        y = np.array([vh @ b.stacks[k][held] @ v for b in optuple.operators])
+        cluster, inside = cluster[held], inside[held]
+        y = frame.rotate(optuple.operators, k, held)
         blk, row, col = np.nonzero(inside[:, :, None] & inside[:, None, :])
         values.append(y[:, blk, row, col])
         weight.append(c[held][blk])

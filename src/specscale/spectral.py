@@ -126,6 +126,13 @@ class SpectralFrame:
         coeffs[first:stop] = 1.0
         return self.combination(coeffs)
 
+    def rotate(self, operators, k, held=slice(None)):
+        """Each operator in this frame's basis, ``Vᴴ b V``, on size class
+        ``k``'s blocks ``held``: stacked ``(len(operators), m, d_k, d_k)``."""
+        v = self.vectors[k][held]
+        vh = v.conj().swapaxes(-1, -2)
+        return np.array([vh @ b.stacks[k][held] @ v for b in operators])
+
     @cached_property
     def deviation(self):
         """Per block, ``max|VᴴV - I|``: how far the columns are from orthonormal."""

@@ -490,10 +490,10 @@ def test_samples_needs_an_integer_at_least_zero(inputs, capsys, command, value):
 @pytest.mark.parametrize("samples", ["0", "8"])
 @pytest.mark.parametrize("name", ["commuting", "blockpair"])
 def test_faces_samples_each_cone_once(inputs, capsys, monkeypatch, name, samples):
-    # the chain starts from the cone the face pass sampled, so only
-    # cut-down levels (none here: sweep faces are exposed) sample again;
-    # every cone, one face's or many faces' together, goes through
-    # normal_cones, which counts each face it samples
+    # a sweep face's chain is the face itself, read off the cone the face
+    # pass sampled, so no cone is sampled again; every cone, one face's or
+    # many faces' together, goes through normal_cones, which counts each
+    # face it samples
     from specscale import faces
     from specscale.algebra import load_tuple
 
@@ -553,8 +553,7 @@ def test_face_commands_decompose_each_direction_once(
     inputs, capsys, monkeypatch, name, command, samples
 ):
     # one frame cache per run: the ambient tuple (the sweep's, the first
-    # decomposed) never decomposes the same t twice; cut-downs of the
-    # chains are other tuples
+    # decomposed) never decomposes the same t twice
     calls = _counting_direction_frames(monkeypatch)
     code, _, err = run(
         [command, "--input", inputs[name], "--samples", samples], capsys
@@ -562,6 +561,49 @@ def test_face_commands_decompose_each_direction_once(
     assert code == 0, err
     ambient = [t for optuple, t in calls if optuple is calls[0][0]]
     assert ambient and len(ambient) == len(set(ambient))
+
+
+@pytest.mark.parametrize("command", ["faces", "corners", "center"])
+def test_face_commands_on_a_dense_block_decompose_only_the_sweep(
+    tmp_path, capsys, monkeypatch, command
+):
+    # every proper face of a generic tuple has a one-ray cone (tested on
+    # the face's own sweep ray) or the whole space (tested on the axes),
+    # and no sweep face is exposed again for its chain, so the six axis
+    # directions of the sweep are all the run decomposes
+    from test_golden import dense_block
+
+    from specscale.scale import _cloud_t_directions
+
+    path = tmp_path / "dense.json"
+    save_tuple(dense_block(16, 3, 3), path)
+    calls = _counting_direction_frames(monkeypatch)
+    code, _, err = run([command, "--input", str(path), "--samples", "0"], capsys)
+    assert code == 0, err
+    axes = [t.tobytes() for t in _cloud_t_directions(3, 0)]
+    assert len(axes) == 6
+    assert sorted(t for _, t in calls) == sorted(axes)
+
+
+def test_faces_exits_four_when_a_sweep_pair_is_not_in_its_cone(
+    inputs, capsys, monkeypatch
+):
+    from dataclasses import replace
+
+    from specscale import faces
+
+    original = faces.normal_cones
+
+    def memberless(*args, **kwargs):
+        return [replace(c, pairs=()) for c in original(*args, **kwargs)]
+
+    monkeypatch.setattr(faces, "normal_cones", memberless)
+    code, out, err = run(
+        ["faces", "--input", inputs["commuting"], "--samples", "0"], capsys
+    )
+    assert code == 4
+    assert out == ""
+    assert "invariant violation" in err and "not a member" in err
 
 
 @pytest.mark.parametrize("samples", ["0", "8", "64"])

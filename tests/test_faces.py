@@ -13,6 +13,7 @@ from specscale.algebra import (
 )
 from specscale.errors import DegenerateFaceError, MinimalFaceError
 from specscale.faces import (
+    _commutant_bases,
     _commutant_directions,
     block_decomposition_checks,
     build_facial_complex,
@@ -636,3 +637,122 @@ def test_thin_commutant_svd_keeps_the_null_space_complete(pauli, blockpair):
             if len(full) < optuple.n:  # the whole space reads as the axes
                 thin = _commutant_directions(optuple, iv)
                 np.testing.assert_allclose(thin.T @ thin, full.T @ full, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["many_two_by_two_blocks", "dense_d16_n2"])
+def test_frame_read_commutant_matches_the_full_svd(name):
+    # the commutator matrices are read off each face's frame and stacked;
+    # the reference builds every commutator ambiently, one face at a time;
+    # checked intervals carry last-bit noise and frames of their own
+    from test_golden import TUPLES
+
+    from specscale.faces import _is_proper
+    from specscale.scale import sweep_faces
+
+    optuple = TUPLES[name]()
+    rng = np.random.default_rng(5)
+    intervals = [
+        face.interval
+        for face in sweep_faces(optuple, 2)
+        if _is_proper(optuple, face.interval)
+    ][::3]  # the reference's full SVD is slow at d = 16
+    intervals += [_jiggled(iv, 1e-15, rng) for iv in intervals[::4]]
+    one_ray = 0
+    for interval, basis in zip(intervals, _commutant_bases(optuple, intervals)):
+        full = _full_svd_commutant(optuple, interval)
+        if len(full) < optuple.n:  # the whole space reads as the axes
+            assert basis.shape == full.shape
+        np.testing.assert_allclose(basis.T @ basis, full.T @ full, atol=1e-12)
+        np.testing.assert_array_equal(
+            basis, _commutant_directions(optuple, interval)
+        )
+        one_ray += len(basis) == 1
+    assert one_ray > len(intervals) // 2
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "two_point",
+        "reciprocal_diagonal",
+        "pauli_pair",
+        "commuting_diagonals",
+        "block_with_scalars",
+        "dense_d16_n2",
+    ],
+)
+@pytest.mark.parametrize("directions", [0, 8])
+def test_normal_cones_on_sweep_rays_match_the_sampled_cones(name, directions):
+    # a one-ray cone tested on its face's sweep ray, with the sweep's face
+    # dimension, is the cone sampled from the commutant basis alone
+    from test_golden import TUPLES
+
+    from specscale.faces import _is_proper
+    from specscale.scale import sweep_faces
+
+    optuple = TUPLES[name]()
+    swept = []
+    for face in sweep_faces(optuple, directions):
+        if _is_proper(optuple, face.interval) and not any(
+            intervals_equal(face.interval, f.interval) for f in swept
+        ):
+            swept.append(face)
+    cones = normal_cones(
+        optuple,
+        [f.interval for f in swept],
+        directions,
+        rays=[f.pair.t for f in swept],
+        dimensions=[f.dimension for f in swept],
+    )
+    for face, cone in zip(swept, cones):
+        alone = normal_cone(optuple, face.interval, directions)
+        assert (cone.degree, cone.exact) == (alone.degree, alone.exact)
+        assert len(cone.pairs) == len(alone.pairs)
+        np.testing.assert_allclose(cone.members, alone.members, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            [(p.s, *p.t) for p in cone.pairs],
+            [(p.s, *p.t) for p in alone.pairs],
+            rtol=0,
+            atol=1e-12 * max([1.0, *(abs(p.s) for p in alone.pairs)]),
+        )
+
+
+def test_sweep_face_chain_needs_its_own_pair_in_the_cone(commuting):
+    # the chain is read off the cone only when the sweep pair is a member
+    from dataclasses import replace
+
+    from specscale.errors import InvariantViolation
+    from specscale.faces import sweep_face_chain
+    from specscale.scale import sweep_faces
+
+    face = next(f for f in sweep_faces(commuting, 0) if f.dimension == 1)
+    cone = normal_cone(commuting, face.interval, 0)
+    assert sweep_face_chain(face, cone) == [face.interval]
+    for moved in (1e-8, -1e-8):
+        shifted = [SpectralPair(s=p.s + moved, t=p.t) for p in cone.pairs]
+        with pytest.raises(InvariantViolation, match="not a member"):
+            sweep_face_chain(face, replace(cone, pairs=tuple(shifted)))
+    turned = [SpectralPair(s=p.s, t=p.t + [0.0, 1e-8]) for p in cone.pairs]
+    with pytest.raises(InvariantViolation, match="not a member"):
+        sweep_face_chain(face, replace(cone, pairs=tuple(turned)))
+    near = tuple(SpectralPair(s=p.s + 5e-10, t=p.t) for p in cone.pairs)
+    assert sweep_face_chain(face, replace(cone, pairs=near)) == [face.interval]
+
+
+@pytest.mark.parametrize("ratio", [0.8, 1.25])
+def test_frame_read_commutant_keeps_the_null_cut(ratio):
+    # [b_1, q] and [b_2, q] are orthogonal, so the commutator matrix has
+    # singular values 0.6 and 2δ; the cut is 1e-9 (s_0 < 1), and 2δ sits
+    # just below or just above it
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sigma_y = np.array([[0.0, -1j], [1j, 0.0]])
+    delta = ratio * 1e-9 / 2
+    ops = (HermitianOperator([0.3 * sigma_x]), HermitianOperator([delta * sigma_y]))
+    optuple = OperatorTuple(FiniteAlgebra(((2, 0.5),)), ops)
+    p = HermitianOperator([np.diag([1.0, 0.0])])
+    interval = OrderInterval(p, p)
+    full = _full_svd_commutant(optuple, interval)
+    assert len(full) == (1 if ratio < 1 else 0)
+    basis = _commutant_directions(optuple, interval)
+    assert basis.shape == full.shape
+    np.testing.assert_allclose(basis.T @ basis, full.T @ full, atol=1e-12)

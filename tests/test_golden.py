@@ -25,18 +25,19 @@ import io
 import json
 import os
 import re
+from argparse import Namespace
 
 import numpy as np
 import pytest
 
-from specscale import algebra, fixtures, scale, spectral
+from specscale import algebra, faces, fixtures, scale, spectral
 from specscale.algebra import (
     FiniteAlgebra,
     HermitianOperator,
     OperatorTuple,
     save_tuple,
 )
-from specscale.cli import COMMANDS, main
+from specscale.cli import COMMANDS, _face_pass, main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SAMPLES = 8
@@ -245,6 +246,28 @@ def test_support_builds_no_cut_down(name, tmp_path, monkeypatch):
     monkeypatch.setattr(scale, "scale_dimension", refuse)
     assert run_case(name, "support", str(tmp_path))["exit_code"] == 0
     assert calls == []
+
+
+@pytest.mark.parametrize("samples", [0, 8])
+@pytest.mark.parametrize("name", [*FIXTURES, "many_two_by_two_blocks"])
+def test_faces_chain_length_matches_the_library_chain(name, samples, tmp_path):
+    # the CLI reads a sweep face's chain off its cone; the library chain,
+    # which exposes the combined normal of the face's own cone sample and
+    # cuts down from there, is the independent reference
+    optuple = TUPLES[name]()
+    args = Namespace(samples=samples, cluster_tol=None, eig_eq_tol=None)
+    _, passed = _face_pass(optuple, args)
+    result = run_case(name, "faces", str(tmp_path), samples)
+    assert result["exit_code"] == 0
+    reports = json.loads("".join(result["stdout"]))
+    assert len(reports) == len(passed)
+    assert any(cone for _, cone in passed)
+    for report, (face, cone) in zip(reports, passed):
+        if cone is None:  # the whole scale
+            assert "chain_length" not in report
+            continue
+        chain = faces.minimal_exposed_chain(optuple, face.interval, samples)
+        assert report["chain_length"] == len(chain)
 
 
 def test_slice_stacks_one_eigh_per_block_size(tmp_path, monkeypatch):
