@@ -7,12 +7,15 @@ return values; every output format is decided here, including the rule
 that no number is written as ``-0``.  Exit codes: 0 success, 1 usage,
 2 malformed or unreadable input, 3 non-self-adjoint input, 4 internal
 invariant violation.
+
+``main`` may be called repeatedly in one process; its parser is built once.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -66,7 +69,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
-    parser = _Parser(prog="specscale", description=__doc__)
+    # --help leaves out the docstring's last paragraph (None under -OO)
+    summary = __doc__ and __doc__.rsplit("\n\n", 1)[0]
+    parser = _Parser(prog="specscale", description=summary)
     sub = parser.add_subparsers(dest="command")
     for name in COMMANDS:
         p = sub.add_parser(name)
@@ -81,6 +86,14 @@ def build_parser():
         p.add_argument("--level", type=float, default=0.5)
         p.add_argument("--format", choices=("csv", "obj"), default=None)
     return parser
+
+
+@functools.cache
+def _parser():
+    """The parser ``main`` reuses, built on its first call, not at import:
+    ``parse_args`` makes a new namespace per call and help is formatted
+    when printed, so nothing carries from one call to the next."""
+    return build_parser()
 
 
 def _write_atomic(out_dir, name, text):
@@ -361,7 +374,7 @@ HANDLERS = {
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

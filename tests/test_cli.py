@@ -2,11 +2,14 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from specscale import fixtures
+from specscale import cli, fixtures
 from specscale.algebra import save_tuple
 from specscale.cli import COMMANDS, main
 
@@ -672,3 +675,127 @@ def test_center_fills_its_cloud_from_the_face_sweep(
     assert code == 0
     got = [entry["point"] for entry in json.loads(out)["isolated_extreme_points"]]
     assert got == want and want
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _fresh(argv, capsys, monkeypatch):
+    """``run(argv)`` with ``main`` parsing on a newly built parser."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        return run(argv, capsys)
+
+
+def test_reused_parser_carries_no_state(inputs, capsys, monkeypatch):
+    pauli = inputs["pauli"]
+    handled = {}
+
+    def recording(handler):
+        def record(optuple, args):
+            handled["args"] = args
+            handler(optuple, args)
+
+        return record
+
+    for name in ("support", "extremes", "slice"):
+        monkeypatch.setitem(cli.HANDLERS, name, recording(cli.HANDLERS[name]))
+    sequence = [
+        ["support", "--input", pauli, "--samples", "-1"],
+        ["--help"],
+        [],
+        ["frobnicate", "--input", pauli],
+        ["extremes", "--input", pauli, "--samples", "8", "--format", "obj"],
+        ["extremes", "--input", pauli, "--samples", "8"],
+        ["slice", "--input", pauli, "--samples", "8", "--level", "0.25"],
+        ["slice", "--input", pauli, "--samples", "8"],
+        ["support", "--input", pauli, "--samples", "3"],
+        ["support", "--input", pauli],
+    ]
+    results = []
+    reused_args = []
+    cli._parser()
+    for argv in sequence:
+        expected = _fresh(argv, capsys, monkeypatch)
+        handled.clear()
+        results.append(run(argv, capsys))
+        assert results[-1] == expected, argv
+        reused_args.append(handled.get("args"))
+    assert [code for code, _, _ in results] == [1, 0, 1, 1, 0, 0, 0, 0, 0, 0]
+    # no default leaks from the call before: extremes writes CSV again,
+    # slice cuts at 0.5 and support sweeps 256 directions
+    assert (reused_args[4].format, reused_args[5].format) == ("obj", None)
+    assert results[5][1].startswith("x0,x1,x2,proj_id,proj_trace\n")
+    assert (reused_args[6].level, reused_args[7].level) == (0.25, 0.5)
+    assert (reused_args[8].samples, reused_args[9].samples) == (3, 256)
+
+
+_COUNT_IMPORT_BUILDS = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(type(self).__name__)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import specscale.cli
+print(built)
+"""
+
+
+def test_main_builds_its_parser_once(inputs, capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cli._parser.cache_clear()
+    argvs = [
+        ["support", "--input", inputs["pauli"], "--samples", "0"],
+        ["slice", "--input", inputs["reciprocal"], "--samples", "0"],
+        ["support", "--input", inputs["pauli"], "--samples", "-1"],
+        ["--help"],
+    ]
+    counts = []
+    for k in range(20):
+        run(argvs[k % len(argvs)], capsys)
+        counts.append(len(built))
+    # one top-level parser and one per command, all on the first call
+    assert counts == [1 + len(COMMANDS)] * 20
+    # a fresh interpreter, so no parser another test built can count
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_IMPORT_BUILDS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_help_wraps_at_print_time(capsys, monkeypatch):
+    cli._parser()
+    helps = {}
+    for columns in (60, 150):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        helps[columns] = run(["support", "--help"], capsys)
+        assert helps[columns] == _fresh(["support", "--help"], capsys, monkeypatch)
+    assert helps[60][0] == 0
+    assert helps[60][1].splitlines() != helps[150][1].splitlines()
+
+
+def test_one_shot_process_matches_main(inputs, capsys):
+    argv = ["support", "--input", inputs["pauli"], "--samples", "0"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "specscale.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    code, out, _ = run(argv, capsys)
+    assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+    assert code == 0 and out
