@@ -16,18 +16,18 @@ q_minus`` and ``q_plus <= p_plus`` for the interval projections of
 of ``b_t`` as prefix and suffix maxima of column norms.
 ``normal_cones`` samples the cones of many faces in one pass.  Candidate
 directions lie in the face's commutant directions, which are read off the
-face's frame: the tuple is rotated into each distinct frame once, and
-every face's commutator matrix is the rotated entries crossing its cuts,
-all faces going through one stacked SVD.  A one-ray cone is tested on the
-face's own sweep direction when the sweep hands it over.  Each distinct
-candidate ``t`` is decomposed once, through a ``spectral.FrameCache``
-that the CLI fills from its sweep and keeps for the run, and every face
-that tests ``t`` is tested together, its endpoints stacked per block size
-into one product.  Member normals and degrees are stacked over all faces.
-A sweep face is exposed by its own pair, so its minimal exposed chain is
-the face itself once that pair is found in its cone
-(``sweep_face_chain``); ``minimal_exposed_chain`` builds the chain of any
-face from its cone sample.
+face's frame: every face's commutator matrix is the entries of its
+frame's table (``SpectralFrame.entries``, built once per distinct frame)
+that cross its cuts, all faces going through one stacked SVD.  A one-ray
+cone is tested on the face's own sweep direction when the sweep hands it
+over.  Each distinct candidate ``t`` is decomposed once, through a
+``spectral.FrameCache`` that the CLI fills from its sweep and keeps for
+the run, and every face that tests ``t`` is tested together, its
+endpoints stacked per block size into one product.  Member normals and
+degrees are stacked over all faces.  A sweep face is exposed by its own
+pair, so its minimal exposed chain is the face itself once that pair is
+found in its cone (``sweep_face_chain``); ``minimal_exposed_chain`` builds
+the chain of any face from its cone sample.
 """
 
 from __future__ import annotations
@@ -186,38 +186,31 @@ def face_from_complex(optuple, fcomplex):
     return _lift(*fcomplex.levels[-1])
 
 
-def _commutant_directions(optuple, interval):
-    """Orthonormal basis of ``{t : [b_t, q_minus] = [b_t, q_plus] = 0}``.
+def _commutant_bases(optuple, intervals):
+    """Per interval, in order, an orthonormal basis of ``{t : [b_t, q_minus]
+    = [b_t, q_plus] = 0}``.
 
     Commutation with both endpoints is necessary for ``(-s, t)`` to
     support the face, so restricting candidate directions to this
-    subspace loses no members and finds one-ray cones exactly.
-    ``_commutant_bases`` of ``[interval]``.
-    """
-    (basis,) = _commutant_bases(optuple, [interval])
-    return basis
-
-
-def _commutant_bases(optuple, intervals):
-    """``_commutant_directions`` of every interval, in order.
-
-    The null space is that of the ``(4·Σd², n)`` matrix whose column ``i``
-    holds the real and imaginary parts of ``[b_i, q_minus]`` and ``[b_i,
+    subspace loses no members and finds one-ray cones exactly.  The basis
+    is the null space of the ``(4·Σd², n)`` matrix whose column ``i`` holds
+    the real and imaginary parts of ``[b_i, q_minus]`` and ``[b_i,
     q_plus]``, read off the interval's frame ``V``.  An endpoint ``q`` is a
     leading column range of ``V``, so ``Vᴴ [b_i, q] V`` is ``±Y_i[r, c]``,
     ``Y_i = Vᴴ b_i V``, where row ``r`` and column ``c`` lie on opposite
-    sides of the cut, and zero elsewhere.  A unitary change of basis keeps
-    the singular values, and so does keeping only the entries below the
-    diagonal, Hermitian mirrors of those above, with the singular values
-    scaled back by ``√2``.  The tuple is rotated once per distinct frame
-    (``SpectralFrame.rotate``).  The matrix is padded with zero rows to at
-    least ``n`` so that its thin SVD is complete; the faces' matrices go
-    through one stacked QR and one stacked SVD of the ``R`` factors per
-    chunk of at most ``COMMUTANT_CHUNK_BYTES``.  Null directions are the
-    singular values ``<= 1e-9·max(1, s_0)``.  The basis does not depend on
-    last-bit noise in the endpoints: the whole space is returned as the
-    coordinate axes, and every other row is signed so that its largest
-    entry (the first, on a near tie) is positive.
+    sides of the cut, and zero elsewhere: the entries of the frame's table
+    (``SpectralFrame.entries``, built once per distinct frame) with ``lo <
+    count <= hi``.  A unitary change of basis keeps the singular values,
+    and so does keeping only the entries below the diagonal, Hermitian
+    mirrors of those above, with the singular values scaled back by
+    ``√2``.  The matrix is padded with zero rows to at least ``n`` so that
+    its thin SVD is complete; the faces' matrices go through one stacked QR
+    and one stacked SVD of the ``R`` factors per chunk of at most
+    ``COMMUTANT_CHUNK_BYTES``.  Null directions are the singular values
+    ``<= 1e-9·max(1, s_0)``.  The basis does not depend on last-bit noise
+    in the endpoints: the whole space is returned as the coordinate axes,
+    and every other row is signed so that its largest entry (the first, on
+    a near tie) is positive.
     """
     n = optuple.n
     by_frame = {}  # id of a frame -> (frame, positions of its intervals)
@@ -225,23 +218,16 @@ def _commutant_bases(optuple, intervals):
         by_frame.setdefault(id(interval.frame), (interval.frame, []))[1].append(f)
     bases = [None] * len(intervals)
     for frame, which in by_frame.values():
-        below = []  # per size class, the rotated entries below the diagonal
-        for k, (d, idx) in enumerate(zip(frame.layout.sizes, frame.layout.members)):
-            row, col = np.tril_indices(d, -1)
-            y = frame.rotate(optuple.operators, k)[..., row, col]  # (n, m, entries)
-            below.append((y, row, col, d, idx))
-        rows = 4 * sum(y[0].size for y, *_ in below)  # both endpoints, re and im
-        # per interval, both endpoints' column counts in every block
-        ranks = frame.bounds[np.array([intervals[f].counts for f in which])]
+        table = frame.entries(optuple)
+        below = table.row > table.col
+        y, lo, hi = table.values[:, below], table.lo[below], table.hi[below]
+        rows = 4 * y.shape[1]  # both endpoints, re and im
+        counts = np.array([intervals[f].counts for f in which])[:, :, None]
         step = max(1, COMMUTANT_CHUNK_BYTES // (8 * n * max(rows, n)))
         for first in range(0, len(which), step):
-            chunk = ranks[first : first + step]
-            crossing = []
-            for y, row, col, d, idx in below:
-                inside = np.arange(d) < chunk[:, :, idx, None]  # (faces, 2, m, d)
-                cross = inside[..., row] != inside[..., col]
-                crossing.append((y[:, None, None] * cross).reshape(n, len(chunk), -1))
-            c = np.concatenate(crossing, axis=-1)
+            chunk = counts[first : first + step]
+            crossing = (lo < chunk) & (chunk <= hi)  # (faces, 2, entries)
+            c = (y[:, None, None] * crossing).reshape(n, len(chunk), -1)
             mats = np.concatenate([c.real, c.imag], axis=-1).transpose(1, 2, 0)
             if rows < n:
                 mats = np.concatenate(
@@ -266,17 +252,15 @@ def _null_rows(svals, vt):
     return basis * np.sign(basis[np.arange(len(basis)), lead])[:, None]
 
 
-def _candidate_directions(optuple, interval, raw, basis=None):
-    """Candidate direction parts for the face's cone: the commutant basis
-    (``basis``, computed when not given) and the sampled direction parts
-    ``raw``, projected onto the commutant, with both signs."""
-    if basis is None:
-        basis = _commutant_directions(optuple, interval)
+def _candidate_directions(basis, raw):
+    """Candidate direction parts for a face's cone: its commutant ``basis``
+    and the sampled direction parts ``raw``, projected onto the commutant,
+    with both signs."""
     if basis.shape[0] == 0:
         return []
     projected = np.vstack([basis, *raw]) @ basis.T @ basis  # one row per t
     # (-p)/|p| is -(p/|p|) bit for bit: both signs are exact negatives
-    signed = np.stack([projected, -projected], axis=1).reshape(-1, optuple.n)
+    signed = np.stack([projected, -projected], axis=1).reshape(-1, basis.shape[1])
     return sampling.distinct_unit_vectors(signed)
 
 
@@ -338,12 +322,12 @@ def normal_cones(
     bases = _commutant_bases(optuple, intervals)
     candidates = []
     shared = {}  # exact bytes of a commutant basis -> its candidates
-    for interval, basis, ray in zip(intervals, bases, rays):
+    for basis, ray in zip(bases, rays):
         ts = _ray_candidates(basis, ray)
         if ts is None:
             key = basis.tobytes()
             if key not in shared:
-                shared[key] = _candidate_directions(optuple, interval, raw, basis)
+                shared[key] = _candidate_directions(basis, raw)
             ts = shared[key]
         candidates.append(ts)
     testers = {}  # exact bytes of t -> (t, [(face, candidate position)])

@@ -17,15 +17,15 @@ counts, its endpoints' ``psi`` are rows of the frame's ``psi`` table and
 frame at once, so a sweep builds no d×d projection.
 A face's dimension is that of its cut-down scale, the tuple compressed to
 the gap of its interval.  A gap of rank zero is a point and one of rank
-one a segment; only for a larger gap are the operators rotated into the
-frame, ``Vᴴ b_i V``, once for all of its levels, and each gap's Gram
-matrix and relation residuals read off the rotated entries whose row and
-column lie in the gap (``interval_dimensions``), with no cut-down algebra
-built.  ``scale_dimension`` of a built ``Compression`` stays the
-reference it is tested against.  Extreme clouds keep each projection as
-a leading range ``(frame, count)``, merge two ranges by
-``spectral.same_range`` and build a projection as an operator only when
-a caller reads it.
+one a segment; only for a larger gap is the frame's entry table built
+(``SpectralFrame.entries``, the operators rotated into the frame once for
+all of its levels), and each gap's Gram matrix and relation residuals are
+read off the entries whose row and column clusters lie in the gap
+(``interval_dimensions``), with no cut-down algebra built.
+``scale_dimension`` of a built ``Compression`` stays the reference it is
+tested against.  Extreme clouds keep each projection as a leading range
+``(frame, count)``, merge two ranges by ``spectral.same_range`` and build
+a projection as an operator only when a caller reads it.
 
 An isotrace slice is batched over its directions instead: per block
 size, the ``b_u`` of many directions are stacked as
@@ -146,16 +146,14 @@ def interval_dimensions(optuple, frame, lowers, uppers):
     A gap of rank zero is a point, and a rank-one gap cuts down to a
     one-dimensional algebra, whose scale is a segment.  For the larger
     gaps, ``scale_dimension(Compression(optuple, gap).tuple).dimension``
-    is computed with no cut-down built.  The operators are rotated into the
-    frame once, ``Y_i = Vᴴ b_i V`` per block stack (``SpectralFrame.rotate``,
-    only blocks holding a column of such a gap).  Gap ``g``'s cut-down is the
-    entries of the ``Y_i`` whose row and column clusters both lie in ``g``,
-    over the trace ``c_j / T_g`` with ``T_g = tr(gap)``.  Its diagonal is
-    centred by the cut-down's own traces before any product is formed, so no
-    Gram entry is a difference of large raw products; the Gram matrices,
-    their null directions at ``scale_dimension``'s cut and the max-abs
-    residual of each candidate relation are then batched reductions over the
-    gaps' entries.
+    is computed with no cut-down built, from the frame's entry table
+    (``SpectralFrame.entries``).  Gap ``g``'s cut-down is the entries with
+    ``lowers[g] <= lo`` and ``hi < uppers[g]``, over the trace ``c_j / T_g``
+    with ``T_g = tr(gap)``.  Its diagonal is centred by the cut-down's own
+    traces before any product is formed, so no Gram entry is a difference
+    of large raw products; the Gram matrices, their eigenvectors and the
+    max-abs residual of each as a relation are then batched reductions
+    over the gaps' entries.
     """
     lowers, uppers = np.asarray(lowers, dtype=int), np.asarray(uppers, dtype=int)
     ranks = (frame.bounds[uppers] - frame.bounds[lowers]).sum(axis=1)
@@ -163,33 +161,14 @@ def interval_dimensions(optuple, frame, lowers, uppers):
     wide = np.flatnonzero(ranks > 1)
     if not wide.size:
         return dims
-    lowers, uppers = lowers[wide], uppers[wide]
-    covered = np.zeros(len(frame.bounds), dtype=bool)  # clusters inside some gap
-    for lower, upper in zip(lowers.tolist(), uppers.tolist()):
-        covered[lower:upper] = True
-    values, weight, lo, hi, diagonal = [], [], [], [], []
-    parts = zip(frame.clusters, optuple.algebra.class_weights)
-    for k, (cluster, c) in enumerate(parts):
-        inside = covered[cluster]
-        held = np.flatnonzero(inside.any(axis=1))
-        if not held.size:
-            continue
-        cluster, inside = cluster[held], inside[held]
-        y = frame.rotate(optuple.operators, k, held)
-        blk, row, col = np.nonzero(inside[:, :, None] & inside[:, None, :])
-        values.append(y[:, blk, row, col])
-        weight.append(c[held][blk])
-        ends = cluster[blk, row], cluster[blk, col]
-        lo.append(np.minimum(*ends))
-        hi.append(np.maximum(*ends))
-        diagonal.append(row == col)
-    values, weight, lo, hi, diagonal = (
-        np.concatenate(x, axis=-1) for x in (values, weight, lo, hi, diagonal)
-    )
+    table = frame.entries(optuple)
     # (gap, entry) pairs, sorted by gap; every gap holds entries
-    gap, entry = np.nonzero((lowers[:, None] <= lo) & (hi < uppers[:, None]))
+    gap, entry = np.nonzero(
+        (lowers[wide, None] <= table.lo) & (table.hi < uppers[wide, None])
+    )
     starts = np.searchsorted(gap, np.arange(len(wide)))
-    x, w, on_diag = values[:, entry], weight[entry], diagonal[entry]
+    x, w = table.values[:, entry], table.weight[entry]
+    on_diag = table.row[entry] == table.col[entry]
     trace_r = np.add.reduceat(np.where(on_diag, w, 0.0), starts)
     if np.any(trace_r <= 1e-10):
         raise ShapeError("projection has (numerically) zero trace")
@@ -197,11 +176,9 @@ def interval_dimensions(optuple, frame, lowers, uppers):
     traces = np.add.reduceat(np.where(on_diag, w * x.real, 0.0), starts, axis=1)
     x[:, on_diag] -= traces[:, gap[on_diag]]
     products = np.einsum("ip,jp->pij", x.conj() * w, x).real
-    eigenvalues, vectors = np.linalg.eigh(np.add.reduceat(products, starts))
-    cut = 1e-12 * np.maximum(1.0, eigenvalues[:, -1:])
+    _, vectors = np.linalg.eigh(np.add.reduceat(products, starts))
     residual = np.abs(np.einsum("ip,pik->pk", x, vectors[gap]))
-    worst = np.maximum.reduceat(residual, starts)
-    relations = (eigenvalues <= cut) & (worst <= RELATION_TOL)
+    relations = np.maximum.reduceat(residual, starts) <= RELATION_TOL
     dims[wide] = optuple.n + 1 - relations.sum(axis=1)
     return dims
 
@@ -285,10 +262,11 @@ def sweep_faces(
 def scale_dimension(optuple):
     """Dimension of the linear span of the scale, with the affine relations.
 
-    Relations ``b_t = s 1`` are read off the null space of the Gram matrix
-    of the trace-centered operators; each candidate is verified directly
-    in operator norm before it is counted.  Every relation flattens the
-    scale by one dimension.
+    Relations ``b_t = s 1`` are the eigenvectors of the Gram matrix of the
+    trace-centered operators whose ``b_t - s`` has no entry above
+    ``RELATION_TOL``; such a ``t`` has a Gram eigenvalue of at most
+    ``RELATION_TOL²`` times the largest block size, so only the null space
+    passes.  Every relation flattens the scale by one dimension.
     """
     alg = optuple.algebra
     n = optuple.n
@@ -296,16 +274,13 @@ def scale_dimension(optuple):
     traces = alg._sum(np.einsum("imaa->mi", x).real for x in ops)
     centered = [x - traces[:, None, None, None] * np.eye(x.shape[-1]) for x in ops]
     gram = alg._sum(np.einsum("imab,jmab->mij", x.conj(), x).real for x in centered)
-    w, v = np.linalg.eigh(gram)
-    scale_ref = max(1.0, float(w[-1]) if n else 1.0)
+    _, v = np.linalg.eigh(gram)
     relations = []
-    for k in range(n):
-        if w[k] <= 1e-12 * scale_ref:
-            t = v[:, k]
-            # b_t - s = sum_i t_i (b_i - tr(b_i)), with s = <traces, t>
-            residual = (np.einsum("i,imab->mab", t, x) for x in centered)
-            if algebra._max_abs(residual) <= RELATION_TOL:
-                relations.append((t, float(traces @ t)))
+    for t in v.T:
+        # b_t - s = sum_i t_i (b_i - tr(b_i)), with s = <traces, t>
+        residual = (np.einsum("i,imab->mab", t, x) for x in centered)
+        if algebra._max_abs(residual) <= RELATION_TOL:
+            relations.append((t, float(traces @ t)))
     return ScaleDimension(
         dimension=n + 1 - len(relations), relations=tuple(relations)
     )

@@ -22,7 +22,10 @@ reads off a level comes from the frame without a d×d matrix: ``psi`` and
 the trace of an endpoint are rows of a cumulative table, the support
 value is a dot product with a row, and the order test against fixed
 intervals is a prefix (or suffix) maximum of column norms, for many
-intervals at once, one product per block size.  A
+intervals at once, one product per block size.  What a face reads of the
+operators themselves, a gap's cut-down or the commutators with a cut, is
+entries of ``Vᴴ b_i V``: ``SpectralFrame.entries`` rotates the tuple once
+and tables every block entry with the clusters of its row and column.  A
 ``FrameCache`` keeps the frame of every direction one command decomposes,
 bound to one tuple and its tolerances and keyed on the exact bytes of
 ``t``, so a face command decomposes each direction once.  Every
@@ -36,6 +39,7 @@ leading range a projection and the ranges nested.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,6 +52,8 @@ from .errors import NumericalError, ShapeError, ZeroDirectionError
 CLUSTER_TOL = 1e-9
 EIG_EQ_TOL = 1e-8
 PROJECTION_TOL = 1e-8
+
+FrameEntries = namedtuple("FrameEntries", "values weight row col lo hi")
 
 
 @dataclass(frozen=True)
@@ -126,12 +132,28 @@ class SpectralFrame:
         coeffs[first:stop] = 1.0
         return self.combination(coeffs)
 
-    def rotate(self, operators, k, held=slice(None)):
-        """Each operator in this frame's basis, ``Vᴴ b V``, on size class
-        ``k``'s blocks ``held``: stacked ``(len(operators), m, d_k, d_k)``."""
-        v = self.vectors[k][held]
-        vh = v.conj().swapaxes(-1, -2)
-        return np.array([vh @ b.stacks[k][held] @ v for b in operators])
+    def entries(self, optuple):
+        """Every block entry of the tuple rotated into this frame, ``Y_i =
+        Vᴴ b_i V``, rotated once per size class: a flat ``FrameEntries``
+        over size classes, blocks, rows and columns, in that order.
+
+        ``values[i, e]`` is entry ``e`` of ``Y_i``; ``weight``, ``row`` and
+        ``col`` are its block's weight and its place in the block; ``lo`` and
+        ``hi`` the smaller and larger cluster of its row and column.  The
+        entry lies in the gap of clusters ``lower .. upper-1`` exactly when
+        ``lower <= lo`` and ``hi < upper``, and crosses the cut at ``k``
+        clusters exactly when ``lo < k <= hi``.
+        """
+        parts = []
+        weights = optuple.algebra.class_weights
+        for k, (v, c, w) in enumerate(zip(self.vectors, self.clusters, weights)):
+            vh = v.conj().swapaxes(-1, -2)
+            y = np.array([vh @ b.stacks[k] @ v for b in optuple.operators])
+            blk, row, col = np.indices(y.shape[1:]).reshape(3, -1)
+            ends = c[blk, row], c[blk, col]
+            fields = w[blk], row, col, np.minimum(*ends), np.maximum(*ends)
+            parts.append((y.reshape(len(y), -1), *fields))
+        return FrameEntries(*(np.concatenate(x, axis=-1) for x in zip(*parts)))
 
     @cached_property
     def deviation(self):

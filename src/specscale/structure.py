@@ -193,25 +193,26 @@ def abelian_verdict(
     central and the count within the projection count of the generated
     algebra.  Algebraic side: the generators must pairwise commute.  The
     counts at ``directions`` and ``2 * directions`` are reported as
-    evidence either way.  With ``directions <= 0`` both densities are the
-    coordinate axes alone, so one cloud serves as both.  Both clouds
-    cluster with ``cluster_tol`` and ``eig_eq_tol``, as in
-    ``scale.extreme_point_cloud``.
+    evidence either way.  The sample is extensible, so the denser one
+    starts with the sparser one's direction parts: one sweep of the denser
+    sample fills one cloud, counted once after those parts and once at the
+    end, each direction decomposed once.  The clouds cluster with
+    ``cluster_tol`` and ``eig_eq_tol``, as in ``scale.extreme_point_cloud``.
     """
-    tols = {"cluster_tol": cluster_tol, "eig_eq_tol": eig_eq_tol}
-    first = scale.extreme_point_cloud(optuple, directions, **tols)
-    second = (
-        scale.extreme_point_cloud(optuple, 2 * directions, **tols)
-        if directions > 0
-        else first
-    )
-    counts = (len(first), len(second))
+    ts = scale._cloud_t_directions(optuple.n, 2 * directions)
+    first = len(scale._cloud_t_directions(optuple.n, directions))
+    cloud = scale.ExtremePointCloud(optuple.n)
+    counts = []
+    for part in (ts[:first], ts[first:]):
+        for frame in spectral.sweep(optuple, part, cluster_tol, eig_eq_tol):
+            cloud.add_frame(frame)
+        counts.append(len(cloud))
     basis = generated_algebra_basis(optuple)
     n_dim = len(basis)
     stabilized = counts[0] == counts[1]
     all_central = all(
         _max_commutator_with_tuple(optuple, proj) <= CENTRAL_TOL
-        for _, proj in second
+        for _, proj in cloud
     )
     geometric = stabilized and all_central and counts[1] <= 2**n_dim
     max_comm = 0.0
@@ -226,6 +227,6 @@ def abelian_verdict(
         algebraic=algebraic,
         extreme_count=extreme_count,
         n_dim=n_dim,
-        cloud_counts=counts,
+        cloud_counts=tuple(counts),
         max_commutator=max_comm,
     )

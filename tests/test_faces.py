@@ -14,7 +14,6 @@ from specscale.algebra import (
 from specscale.errors import DegenerateFaceError, MinimalFaceError
 from specscale.faces import (
     _commutant_bases,
-    _commutant_directions,
     block_decomposition_checks,
     build_facial_complex,
     cut_down,
@@ -473,8 +472,8 @@ def test_gap_report_order_ignores_last_bit_noise(name, request):
     for interval in sampled_face_inventory(optuple, 8):
         noisy = _jiggled(interval, 1e-15, rng)
         np.testing.assert_allclose(
-            _commutant_directions(optuple, noisy),
-            _commutant_directions(optuple, interval),
+            _commutant_bases(optuple, [noisy])[0],
+            _commutant_bases(optuple, [interval])[0],
             atol=1e-9,
         )
         rows = [
@@ -494,10 +493,10 @@ def test_gap_report_order_ignores_last_bit_noise(name, request):
 
 
 def test_commutant_basis_is_signed_and_whole_space_is_the_axes(pauli, commuting):
-    whole = _commutant_directions(commuting, sampled_face_inventory(commuting, 8)[0])
+    whole = _commutant_bases(commuting, [sampled_face_inventory(commuting, 8)[0]])[0]
     np.testing.assert_array_equal(whole, np.eye(2))
     for interval in sampled_face_inventory(pauli, 8):
-        for row in _commutant_directions(pauli, interval):
+        for row in _commutant_bases(pauli, [interval])[0]:
             lead = np.flatnonzero(np.abs(row) >= np.abs(row).max() - 1e-9)[0]
             assert row[lead] > 0
 
@@ -627,7 +626,7 @@ def test_thin_commutant_svd_keeps_the_null_space_complete(pauli, blockpair):
         ops.append(HermitianOperator([block]))
     optuple = OperatorTuple(FiniteAlgebra(((2, 0.5),)), tuple(ops))
     p = HermitianOperator([np.diag([1.0, 0.0])])
-    thin = _commutant_directions(optuple, OrderInterval(p, p))
+    thin = _commutant_bases(optuple, [OrderInterval(p, p)])[0]
     full = _full_svd_commutant(optuple, OrderInterval(p, p))
     assert thin.shape == full.shape == (15, 17)
     np.testing.assert_allclose(thin.T @ thin, full.T @ full, rtol=0, atol=1e-12)
@@ -635,7 +634,7 @@ def test_thin_commutant_svd_keeps_the_null_space_complete(pauli, blockpair):
         for iv in sampled_face_inventory(optuple, 8):
             full = _full_svd_commutant(optuple, iv)
             if len(full) < optuple.n:  # the whole space reads as the axes
-                thin = _commutant_directions(optuple, iv)
+                thin = _commutant_bases(optuple, [iv])[0]
                 np.testing.assert_allclose(thin.T @ thin, full.T @ full, atol=1e-12)
 
 
@@ -664,7 +663,7 @@ def test_frame_read_commutant_matches_the_full_svd(name):
             assert basis.shape == full.shape
         np.testing.assert_allclose(basis.T @ basis, full.T @ full, atol=1e-12)
         np.testing.assert_array_equal(
-            basis, _commutant_directions(optuple, interval)
+            basis, _commutant_bases(optuple, [interval])[0]
         )
         one_ray += len(basis) == 1
     assert one_ray > len(intervals) // 2
@@ -753,6 +752,6 @@ def test_frame_read_commutant_keeps_the_null_cut(ratio):
     interval = OrderInterval(p, p)
     full = _full_svd_commutant(optuple, interval)
     assert len(full) == (1 if ratio < 1 else 0)
-    basis = _commutant_directions(optuple, interval)
+    basis = _commutant_bases(optuple, [interval])[0]
     assert basis.shape == full.shape
     np.testing.assert_allclose(basis.T @ basis, full.T @ full, atol=1e-12)

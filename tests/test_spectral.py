@@ -478,7 +478,11 @@ def _distinct_proper_faces(optuple, directions):
 )
 def test_frame_order_test_matches_interval_contains(name, request):
     # every level of every normal cone the face pass samples at 8 directions
-    from specscale.faces import _candidate_directions, interval_contains
+    from specscale.faces import (
+        _candidate_directions,
+        _commutant_bases,
+        interval_contains,
+    )
     from specscale.scale import _cloud_t_directions
     from specscale.spectral import PROJECTION_TOL, sweep
 
@@ -488,7 +492,8 @@ def test_frame_order_test_matches_interval_contains(name, request):
     for interval in _distinct_proper_faces(optuple, 8):
         lowers = [s[None] for s in interval.lower.stacks]
         uppers = [s[None] for s in interval.upper.stacks]
-        for frame in sweep(optuple, _candidate_directions(optuple, interval, raw)):
+        basis = _commutant_bases(optuple, [interval])[0]
+        for frame in sweep(optuple, _candidate_directions(basis, raw)):
             spectral_frame = frame.spectrum
             (below,), (above,) = spectral_frame.order_margins(lowers, uppers)
             for lower, upper in zip(*frame.cuts):
@@ -687,3 +692,83 @@ def test_face_pass_dedup_builds_no_projection(commuting, monkeypatch):
     assert len(cli._face_pass(commuting, args)[1]) > 1
     assert before_first_cone == [0]
     assert built
+
+
+def _mixed_block_tuple():
+    """Blocks of sizes 1, 2, 3, 2, 3, 1 whose 3x3 blocks repeat one matrix
+    triple, so every ``b_t`` repeats their eigenvalues; ``b_1`` has integer
+    eigenvalues repeated across blocks, ``b_2`` is generic and ``b_3 =
+    b_1 / 2 - b_2 + 1/4``."""
+    rng = np.random.default_rng(7)
+    dims = (1, 2, 3, 2, 3, 1)
+    weights = np.array([3.0, 1.0, 2.0, 1.5, 1.0, 2.0])
+    weights /= weights @ dims
+    blocks = {}
+    for j in (0, 1, 2, 3, 5):
+        d = dims[j]
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        u, _ = np.linalg.qr(g)
+        b1 = u @ np.diag(rng.integers(-1, 2, d).astype(float)) @ u.conj().T
+        b2 = g + g.conj().T
+        blocks[j] = (b1, b2, b1 / 2 - b2 + np.eye(d) / 4)
+    blocks[4] = blocks[2]
+    ops = tuple(HermitianOperator([blocks[j][i] for j in range(6)]) for i in range(3))
+    return OperatorTuple(FiniteAlgebra(tuple(zip(dims, weights.tolist()))), ops)
+
+
+def test_entry_table_matches_compression_and_commutators():
+    # gap entries against the reference cut-down, crossing entries against
+    # ambient commutators with the endpoints, rotated into the frame; sweep
+    # frames and the frames of checked intervals
+    from specscale.algebra import Compression
+    from specscale.scale import interval_dimensions, scale_dimension, sweep_frames
+
+    optuple = _mixed_block_tuple()
+    layout = optuple.algebra.layout
+    intervals = []
+    for frame in sweep_frames(optuple, 4):
+        for lower, upper in zip(*frame.cuts):
+            intervals.append(OrderInterval._from_frame(frame.spectrum, lower, upper))
+    intervals += [OrderInterval(iv.lower, iv.upper) for iv in intervals[::5]]
+    block = np.concatenate(
+        [np.repeat(idx, d * d) for d, idx in zip(layout.sizes, layout.members)]
+    )
+    wide = 0
+    for interval in intervals:
+        frame, (lower, upper) = interval.frame, interval.counts
+        table = frame.entries(optuple)
+        gap = (lower <= table.lo) & (table.hi < upper)
+        ranks = frame.bounds[upper] - frame.bounds[lower]
+        if ranks.sum() > 1:
+            wide += 1
+            comp = Compression(optuple, interval.columns("gap"))
+            assert set(block[gap]) == set(comp.kept_blocks.tolist())
+            for local, j in enumerate(comp.kept_blocks):
+                mine = gap & (block == j)
+                r = ranks[j]
+                assert mine.sum() == r * r
+                np.testing.assert_allclose(
+                    table.weight[mine] / comp.trace_r,
+                    comp.tuple.algebra.weights[local],
+                    rtol=1e-12,
+                )
+                for y, op in zip(table.values, comp.tuple.operators):
+                    np.testing.assert_allclose(
+                        y[mine].reshape(r, r), op.blocks[local], rtol=0, atol=1e-12
+                    )
+            (dim,) = interval_dimensions(optuple, frame, [lower], [upper])
+            assert dim == scale_dimension(comp.tuple).dimension
+        for k, q in zip(interval.counts, (interval.lower, interval.upper)):
+            straddle = (table.lo < k) & (k <= table.hi)
+            for j, (cls, slot) in enumerate(layout.where):
+                v, d = frame.vectors[cls][slot], optuple.algebra.dims[j]
+                inside = np.arange(d) < frame.bounds[k, j]
+                crossing = inside[:, None] != inside[None, :]
+                assert np.array_equal(straddle[block == j].reshape(d, d), crossing)
+                sign = inside[None, :].astype(int) - inside[:, None]
+                for y, b in zip(table.values, optuple.operators):
+                    x, p = b.blocks[j], q.blocks[j]
+                    rotated = v.conj().T @ (x @ p - p @ x) @ v
+                    expected = y[block == j].reshape(d, d) * sign
+                    np.testing.assert_allclose(rotated, expected, rtol=0, atol=1e-12)
+    assert wide > 10

@@ -186,23 +186,40 @@ def test_report_json_schema(commuting, capsys):
 
 
 def test_abelian_verdict_at_zero_directions_builds_one_cloud(commuting, monkeypatch):
-    # 2 * 0 = 0: the "second" density is the first one
-    from specscale import scale
+    # 2 * 0 = 0: both densities are the axes, swept once into one cloud; at
+    # any density every direction of the denser sample is decomposed once
+    from specscale import spectral
+    from specscale.scale import _cloud_t_directions
 
     calls = []
-    original = scale.extreme_point_cloud
+    original = spectral.direction_frame
 
-    def counting(*args, **kwargs):
-        calls.append(args[1:])
-        return original(*args, **kwargs)
+    def counting(optuple, t, *args):
+        calls.append(np.asarray(t).tobytes())
+        return original(optuple, t, *args)
 
-    monkeypatch.setattr(scale, "extreme_point_cloud", counting)
+    monkeypatch.setattr(spectral, "direction_frame", counting)
     verdict = abelian_verdict(commuting, directions=0)
-    assert calls == [(0,)]
+    assert len(calls) == len(set(calls)) == len(_cloud_t_directions(2, 0))
     assert verdict.cloud_counts == (8, 8)
     calls.clear()
     assert abelian_verdict(commuting, directions=4).cloud_counts[1] >= 8
-    assert calls == [(4,), (8,)]
+    assert len(calls) == len(set(calls)) == len(_cloud_t_directions(2, 8))
+
+
+@pytest.mark.parametrize(
+    "name", ["pauli_pair", "commuting_diagonals", "block_with_scalars", "two_point"]
+)
+@pytest.mark.parametrize("directions", [0, 1, 3, 8, 16, 40])
+def test_abelian_verdict_counts_match_two_clouds(name, directions):
+    # the one sweep reads the clouds of both densities
+    optuple = getattr(fixtures, name)()
+    verdict = abelian_verdict(optuple, directions)
+    first = extreme_point_cloud(optuple, directions)
+    second = extreme_point_cloud(optuple, 2 * directions)
+    assert verdict.cloud_counts == (len(first), len(second))
+    expected = len(second) if len(first) == len(second) else SAMPLING_INCOMPLETE
+    assert verdict.extreme_count == expected
 
 
 def test_isolated_extremes_build_only_isolated_projections(pauli):
