@@ -11,7 +11,9 @@ sweeps cut many gaps of rank above one, whose face dimensions the
 support rows and the cone degrees read.  A seeded generic tuple on one
 dense 16 x 16 block is recorded for the face commands at ``--samples 0``:
 its faces' commutant directions differ from their sweep rays in the last
-bits.  Numbers must match within 1e-12 (relative to
+bits.  ``extremes`` and ``abelian`` are recorded on the generated tuples
+at ``--samples 8``, and ``extremes`` on the fixtures at ``--samples 32``,
+the density the benchmark times.  Numbers must match within 1e-12 (relative to
 ``max(1, |x|)``); everything else, the exit code included, must match
 exactly.  Re-record after an intended output change with
 
@@ -113,6 +115,15 @@ MANY_BLOCK_CASES = [
 DENSE_BLOCKS = {"dense_d16_n2": dense_d16_n2}
 TUPLES = {**FIXTURES, **MANY_BLOCKS, **DENSE_BLOCKS}
 CASES = [(name, cmd) for name in FIXTURES for cmd in COMMANDS]
+# the extreme clouds of the generated tuples, and the abelian verdict that
+# reads them, at the default golden density
+CLOUD_CASES = [
+    (name, cmd)
+    for name in (*MANY_BLOCKS, *DENSE_BLOCKS)
+    for cmd in ("extremes", "abelian")
+]
+# extremes at the density the benchmark times on the fixtures
+BENCH_EXTREMES_SAMPLES = 32
 FACE_COMMANDS = ("faces", "corners", "center")
 AXIS_CASES = [(name, cmd) for name in FIXTURES for cmd in FACE_COMMANDS]
 DENSE_SAMPLES = 64
@@ -203,6 +214,16 @@ def test_cli_matches_dense_block_golden(name, command, tmp_path):
 @pytest.mark.parametrize("name,command,samples", MANY_BLOCK_CASES)
 def test_cli_matches_many_block_golden(name, command, samples, tmp_path):
     _check_golden(name, command, str(tmp_path), samples=samples)
+
+
+@pytest.mark.parametrize("name,command", CLOUD_CASES)
+def test_cli_matches_cloud_golden(name, command, tmp_path):
+    _check_golden(name, command, str(tmp_path))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_cli_matches_bench_extremes_golden(name, tmp_path):
+    _check_golden(name, "extremes", str(tmp_path), samples=BENCH_EXTREMES_SAMPLES)
 
 
 def test_number_comparison_catches_changes():
@@ -326,6 +347,8 @@ def record():
         runs += [case + (DENSE_SAMPLES,) for case in DENSE_CASES]
         runs += MANY_BLOCK_CASES
         runs += [case + (0,) for case in DENSE_BLOCK_CASES]
+        runs += [case + (SAMPLES,) for case in CLOUD_CASES]
+        runs += [(name, "extremes", BENCH_EXTREMES_SAMPLES) for name in FIXTURES]
         for name, command, samples in runs:
             result = run_case(name, command, directory, samples)
             path = _golden_path(name, command, samples)
