@@ -368,14 +368,27 @@ def psi(optuple, a, check_membership=False):
 
 def linear_combination(optuple, t):
     """The operator ``t_1 b_1 + ... + t_n b_n``."""
-    t = np.asarray(t, dtype=float)
-    if t.shape != (optuple.n,):
-        raise ShapeError(f"direction has shape {t.shape}, expected ({optuple.n},)")
-    stacks = optuple.algebra.layout.zeros()
-    for coeff, op in zip(t, optuple.operators):
+    (b_t,) = linear_combinations(optuple, [t])
+    return b_t
+
+
+def linear_combinations(optuple, ts):
+    """``linear_combination`` of every row ``t`` of ``ts``, all accumulated
+    together: per size class, ``t_i b_i`` is added to one zero
+    ``(rows, m_k, d_k, d_k)`` stack for ``i = 1 .. n`` in turn, so every
+    row's bits are those of that row alone."""
+    layout = optuple.algebra.layout
+    for t in ts:
+        if np.shape(t) != (optuple.n,):
+            raise ShapeError(
+                f"direction has shape {np.shape(t)}, expected ({optuple.n},)"
+            )
+    ts = np.asarray(ts, dtype=float).reshape(-1, optuple.n)
+    stacks = [np.zeros((len(ts), *shape), dtype=complex) for shape in layout.shapes]
+    for coeffs, op in zip(ts.T, optuple.operators):
         for acc, s in zip(stacks, op.stacks):
-            acc += coeff * s
-    return _from_stacks(optuple.algebra.layout, stacks)
+            acc += coeffs[:, None, None, None] * s
+    return [_from_stacks(layout, [s[r] for s in stacks]) for r in range(len(ts))]
 
 
 def _span_residual(alg, stacks, blocks):

@@ -188,12 +188,18 @@ def cmd_support(optuple, args):
         + [f"t{i + 1}" for i in range(optuple.n)]
         + ["alpha", "trace_p_minus", "trace_p_plus", "face_dim"]
     )
-    rows = (
-        (face.pair.s, *face.pair.t, face.alpha, *face.vertices[:, 0], face.dimension)
-        for face in scale.sweep_faces(
-            optuple, args.samples, args.cluster_tol, args.eig_eq_tol
-        )
-    )
+    rows = []
+    for frame in scale.sweep_frames(
+        optuple, args.samples, args.cluster_tol, args.eig_eq_tol
+    ):
+        t = spectral.SpectralPair(s=0.0, t=frame.t).t
+        alphas, dims = scale.level_supports(frame)
+        traces = frame.psi_table[:, 0]
+        levels = frame.levels.tolist(), alphas.tolist(), dims.tolist()
+        rows += [
+            (s, *t, alpha, traces[lower], traces[upper], dim)
+            for lower, upper, s, alpha, dim in zip(*frame.cuts, *levels)
+        ]
     _emit_csv(args, "support.csv", header, rows)
 
 
@@ -232,11 +238,12 @@ def _face_pass(optuple, args, cloud=None):
     frames = spectral.FrameCache(optuple, args.cluster_tol, args.eig_eq_tol)
     distinct = []
     by_ranks = {}
-    for frame in scale.sweep_frames(
+    swept = scale.sweep_frames(
         optuple, args.samples, args.cluster_tol, args.eig_eq_tol, frames
-    ):
-        if cloud is not None:
-            cloud.add_frame(frame)
+    )
+    if cloud is not None:
+        cloud.add_frames(swept)
+    for frame in swept:
         for face in scale.faces_in_frame(frame):
             bucket = by_ranks.setdefault(faces.ranks(face.interval).tobytes(), [])
             if not any(faces.intervals_equal(face.interval, f) for f in bucket):

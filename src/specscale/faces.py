@@ -313,8 +313,6 @@ def normal_cones(
     intervals = list(intervals)
     for interval in intervals:
         _require_proper(optuple, interval)
-    if frames is None:
-        frames = spectral.FrameCache(optuple, cluster_tol, eig_eq_tol)
     source = spectral.frame_source(optuple, cluster_tol, eig_eq_tol, frames)
     raw = scale._cloud_t_directions(optuple.n, directions)
     if rays is None:
@@ -334,6 +332,7 @@ def normal_cones(
     for f, ts in enumerate(candidates):
         for k, t in enumerate(ts):
             testers.setdefault(t.tobytes(), (t, []))[1].append((f, k))
+    source.fill(t for t, _ in testers.values())
     lowers = algebra.stacked([iv.lower for iv in intervals])
     uppers = algebra.stacked([iv.upper for iv in intervals])
     found = [[None] * len(ts) for ts in candidates]

@@ -61,10 +61,8 @@ def eigenvalue_sweep(values):
     maximum, each 1 away.
     """
     values = np.sort(np.asarray(values, dtype=float))
-    levels = [values[0] - 1.0]
-    for i, v in enumerate(values):
-        levels.append(v)
-        if i + 1 < len(values):
-            levels.append(0.5 * (v + values[i + 1]))
-    levels.append(values[-1] + 1.0)
-    return np.array(levels)
+    levels = np.empty(2 * len(values) + 1)
+    levels[0], levels[-1] = values[0] - 1.0, values[-1] + 1.0
+    levels[1:-1:2] = values
+    levels[2:-1:2] = 0.5 * (values[:-1] + values[1:])
+    return levels

@@ -9,12 +9,13 @@ supports the scale from below, touching it exactly on the image of the
 order interval ``[p_minus, p_plus]`` of the interval projections of
 ``b_t`` at ``s``.  Sweeping ``s`` across the spectrum of ``b_t`` for a
 direction sample therefore enumerates extreme points and exposed faces
-without ever building the body itself.  Each sampled direction is
-decomposed once (``spectral.sweep``) and all of its cut levels are read
-off that one eigenframe: a level's interval is a pair of leading cluster
-counts, its endpoints' ``psi`` are rows of the frame's ``psi`` table and
-``alpha`` is ``<(-s, t), row>``, computed and checked for all levels of a
-frame at once, so a sweep builds no d×d projection.
+without ever building the body itself.  The sampled directions are
+decomposed together, each once (``spectral.sweep``), and all cut levels
+of a direction are read off its one eigenframe: a level's interval is a
+pair of leading cluster counts, its endpoints' ``psi`` are rows of the
+frame's ``psi`` table and ``alpha`` is ``<(-s, t), row>``, computed and
+checked for all levels of a frame at once, so a sweep builds no d×d
+projection.
 A face's dimension is that of its cut-down scale, the tuple compressed to
 the gap of its interval.  A gap of rank zero is a point and one of rank
 one a segment; only for a larger gap is the frame's entry table built
@@ -24,14 +25,18 @@ read off the entries whose row and column clusters lie in the gap
 (``interval_dimensions``), with no cut-down algebra built.
 ``scale_dimension`` of a built ``Compression`` stays the reference it is
 tested against.  Extreme clouds keep each projection as a leading range
-``(frame, count)``, merge two ranges by ``spectral.same_range`` and build
-a projection as an operator only when a caller reads it.
+``(frame, count)`` and build a projection as an operator only when a
+caller reads it.  They take the points of all swept frames at once: the
+near pairs come from one sort on the first coordinate (``_near_pairs``),
+and only a pair within ``POINT_DEDUP_TOL`` compares its two ranges
+(``spectral.same_range``).
 
-An isotrace slice is batched over its directions instead: per block
-size, the ``b_u`` of many directions are stacked as
+An isotrace slice is batched over its directions too, by its own
+water-filling: per block size, the ``b_u`` of many directions are stacked as
 ``(directions, m_k, d, d)`` and decomposed by one ``eigh``, and each
 boundary point is the water-filling coefficients of a direction's
 clusters times their summed per-column ``psi``, with no operator built.
+Its points are deduplicated on the same near pairs as a cloud's.
 """
 
 from __future__ import annotations
@@ -48,10 +53,6 @@ from .spectral import OrderInterval, SpectralPair
 POINT_DEDUP_TOL = 1e-8
 PROJECTION_MATCH_TOL = 1e-6
 RELATION_TOL = 1e-8
-# Bound on one stacked (directions, m_k, d, d) array of an isotrace slice.
-# About three are alive at once; larger stacks run no faster, since eigh
-# then dominates, but raise the peak memory.
-SLICE_CHUNK_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -229,19 +230,26 @@ def sweep_frames(
     )
 
 
-def faces_in_frame(frame):
-    """Exposed faces of every sweep level of one decomposed direction.
-
-    The levels share ``t``, checked once, and their support values and
-    face dimensions are computed (and the values checked) together, in one
-    pass over the frame.
-    """
-    t = SpectralPair(s=0.0, t=frame.t).t
+def level_supports(frame):
+    """The support values and face dimensions of every sweep level of one
+    decomposed direction, computed (and the values checked) together, in
+    one pass over the frame."""
     lowers, uppers = frame.cuts
     alphas = _support_in_frame(frame, frame.levels, lowers, uppers)
     dims = interval_dimensions(frame.optuple, frame.spectrum, lowers, uppers)
+    return alphas, dims
+
+
+def faces_in_frame(frame):
+    """Exposed faces of every sweep level of one decomposed direction.
+
+    The levels share ``t``, checked once, and read their support values
+    and dimensions off ``level_supports``.
+    """
+    t = SpectralPair(s=0.0, t=frame.t).t
+    alphas, dims = level_supports(frame)
     for s, lower, upper, alpha, dim in zip(
-        frame.levels.tolist(), lowers, uppers, alphas.tolist(), dims.tolist()
+        frame.levels.tolist(), *frame.cuts, alphas.tolist(), dims.tolist()
     ):
         pair = SpectralPair._at_level(s, t)
         yield _face_in_frame(frame, pair, lower, upper, alpha, dim)
@@ -320,52 +328,69 @@ class _LeadingRanges(Sequence):
 class ExtremePointCloud:
     """Deduplicated extreme points ``psi(p)`` with their projections.
 
-    ``points`` fill a buffer that doubles when full.  ``add`` takes each
-    projection as a leading range ``(frame, count)`` of a
-    ``spectral.SpectralFrame``, and ``projections[i]`` builds it as an
-    operator only when read.  A point merges into an earlier one only when
-    the coordinates agree within ``POINT_DEDUP_TOL`` and the projections
-    within ``PROJECTION_MATCH_TOL``.
+    ``add`` takes each projection as a leading range ``(frame, count)`` of
+    a ``spectral.SpectralFrame``, and ``projections[i]`` builds it as an
+    operator only when read.  A point merges into the first earlier point
+    whose coordinates agree within ``POINT_DEDUP_TOL`` and whose
+    projection agrees within ``PROJECTION_MATCH_TOL``.  ``add_frames``
+    adds the points of many sweep frames at once, by the same rule.
     """
 
     def __init__(self, n):
-        self._buffer = np.empty((16, n + 1))
-        self._size = 0
+        self.points = np.empty((0, n + 1))
         self.projections = _LeadingRanges()
 
-    @property
-    def points(self):
-        return self._buffer[: self._size]
-
-    @points.setter
-    def points(self, points):
-        self._buffer = np.asarray(points, dtype=float)
-        self._size = len(self._buffer)
-
     def add(self, point, projection):
-        count = self._size
-        if count:
-            dist = np.linalg.norm(self._buffer[:count] - point, axis=1)
-            for idx in np.flatnonzero(dist <= POINT_DEDUP_TOL):
-                source = self.projections.sources[idx]
-                if spectral.same_range(source, projection, PROJECTION_MATCH_TOL):
-                    return int(idx)
-        if count == len(self._buffer):
-            self._buffer = np.concatenate([self._buffer, np.empty_like(self._buffer)])
-        self._buffer[count] = point
-        self._size += 1
-        self.projections.sources.append(projection)
-        return count
+        """Add one point with its projection; its id, or the id it merges
+        into."""
+        return int(self._merge(np.asarray(point, dtype=float)[None], [projection])[0])
 
-    def add_frame(self, frame):
-        """Add ``psi(p_minus)`` and ``psi(p_plus)`` of every sweep level of a
-        ``spectral.DirectionFrame``, level by level."""
-        seen = set()  # a repeated count is the same projection, kept or merged
-        for lower, upper in zip(*frame.cuts):
-            for k in (lower, upper):
-                if k not in seen:
-                    seen.add(k)
-                    self.add(frame.psi_table[k], (frame.spectrum, k))
+    def add_frames(self, frames):
+        """Add ``psi(p_minus)`` and ``psi(p_plus)`` of every sweep level of
+        every ``spectral.DirectionFrame`` in ``frames``, in order, as
+        ``add`` would one by one; returns the id of each.
+
+        A repeated count of one frame is the same projection, kept or
+        merged, so each frame offers every count once, at its first level.
+        """
+        points, sources = [self.points[:0]], []
+        for frame in frames:
+            counts = list(dict.fromkeys(np.stack(frame.cuts, axis=1).ravel().tolist()))
+            points.append(frame.psi_table[counts])
+            sources += [(frame.spectrum, k) for k in counts]
+        return self._merge(np.concatenate(points), sources)
+
+    def _merge(self, points, sources):
+        """Add candidate ``points`` with their projections ``sources`` in
+        order: each merges into the first earlier kept point (one already
+        held or an earlier candidate) within ``POINT_DEDUP_TOL``
+        (``_near_pairs``) whose projection matches, and is kept otherwise.
+        Returns each candidate's id."""
+        held = len(self.points)
+        every = np.concatenate([self.points, points])
+        i, j = _near_pairs(every, POINT_DEDUP_TOL, start=held)
+        starts = np.searchsorted(i, np.arange(held, len(every) + 1)).tolist()
+        j = j.tolist()
+        kept = self.projections.sources
+        ids = list(range(held)) + [None] * len(points)  # None: merged
+        out = []
+        news = zip(range(held, len(every)), sources, starts, starts[1:])
+        for x, source, a, b in news:
+            match = next(
+                (
+                    ids[y]
+                    for y in j[a:b]
+                    if ids[y] is not None
+                    and spectral.same_range(kept[ids[y]], source, PROJECTION_MATCH_TOL)
+                ),
+                None,
+            )
+            if match is None:
+                match = ids[x] = len(kept)
+                kept.append(source)
+            out.append(match)
+        self.points = every[[True] * held + [x is not None for x in ids[held:]]]
+        return np.array(out, dtype=int)
 
     def __len__(self):
         return len(self.projections)
@@ -383,11 +408,11 @@ def extreme_point_cloud(
     eigenvalue clusters of ``b_t`` and the gap midpoints, so every
     distinct interval projection for that ``t`` is reached.  Points are
     deduplicated; a pair merges only when both the coordinates and the
-    projections agree.
+    projections agree.  All directions are decomposed together and their
+    points merged in one pass (``ExtremePointCloud.add_frames``).
     """
     cloud = ExtremePointCloud(optuple.n)
-    for frame in sweep_frames(optuple, directions, cluster_tol, eig_eq_tol):
-        cloud.add_frame(frame)
+    cloud.add_frames(sweep_frames(optuple, directions, cluster_tol, eig_eq_tol))
     return cloud
 
 
@@ -468,8 +493,8 @@ def isotrace_slice(optuple, level, resolution=720, cluster_tol=None):
     along one direction in R^n; for ``n = 2`` the angular sweep returns
     the boundary polygon in order, for other ``n`` the result is a point
     sample of the boundary.  All directions are filled together: per
-    block size, the ``b_u`` of up to ``SLICE_CHUNK_BYTES`` worth of
-    directions are stacked as ``(directions, m_k, d, d)`` and decomposed
+    block size, the ``b_u`` of up to ``spectral.STACK_CHUNK_BYTES`` worth
+    of directions are stacked as ``(directions, m_k, d, d)`` and decomposed
     by one ``eigh`` (``_waterfill_points``).  Points repeating an earlier
     one within 1e-12 are dropped.
     """
@@ -484,33 +509,70 @@ def isotrace_slice(optuple, level, resolution=720, cluster_tol=None):
     else:
         dirs = sampling.unit_directions(n, resolution)
     classes = algebra.stacked(optuple.operators)
-    # one direction stacks 16 bytes per complex entry of every block
-    step = max(1, SLICE_CHUNK_BYTES // (16 * sum(d * d for d in optuple.algebra.dims)))
     points = np.concatenate(
         [
-            _waterfill_points(optuple, classes, dirs[k : k + step], level, cluster_tol)
-            for k in range(0, len(dirs), step)
+            _waterfill_points(optuple, classes, dirs[chunk], level, cluster_tol)
+            for chunk in spectral._row_chunks(len(dirs), optuple.algebra.dims)
         ]
     )
     return IsotraceSlice(level=float(level), points=_keep_first(points, 1e-12))
 
 
-def _keep_first(points, tol):
-    """``points`` without each one within ``tol`` of an earlier kept point.
+def _near_pairs(points, tol, start=0):
+    """Every pair ``(i, j)``, ``start <= i`` and ``j < i``, of rows of
+    ``points`` within ``tol`` of each other, sorted by ``i`` and then ``j``.
 
-    Only points whose first coordinates lie within ``2 tol`` of each other
+    Only rows whose first coordinates lie within ``2 tol`` of each other
     can be that close (the factor 2 absorbs rounding in the window), so
-    they are sorted by that coordinate and each point is compared only
-    with its neighbours there, in input order.
+    the rows are sorted by that coordinate and each is compared only with
+    its window there, the windows of many rows at once: as many as hold
+    ``spectral.STACK_CHUNK_BYTES`` of row indices.  The distance is
+    ``np.linalg.norm`` of the difference, bit for bit.
     """
     order = np.argsort(points[:, 0], kind="stable")
     first = points[order, 0]
     lo = np.searchsorted(first, points[:, 0] - 2 * tol, side="left")
-    hi = np.searchsorted(first, points[:, 0] + 2 * tol, side="right")
+    sizes = np.searchsorted(first, points[:, 0] + 2 * tol, side="right") - lo
+    ends = np.cumsum(sizes)
+    step = spectral.STACK_CHUNK_BYTES // 8
+    found = [(np.empty(0, dtype=int), np.empty(0, dtype=int))]
+    while start < len(points):
+        done = ends[start] - sizes[start]  # window entries of the rows before
+        stop = max(start + 1, int(np.searchsorted(ends, done + step, side="right")))
+        rows = np.arange(start, stop)
+        i = np.repeat(rows, sizes[rows])
+        shift = lo[rows] - ends[rows] + sizes[rows] + done
+        j = order[np.arange(len(i)) + np.repeat(shift, sizes[rows])]
+        i, j = i[j < i], j[j < i]
+        near = np.linalg.norm(points[j] - points[i], axis=1) <= tol
+        found.append((i[near], j[near]))
+        start = stop
+    i, j = (np.concatenate(x) for x in zip(*found))
+    by_pair = np.lexsort((j, i))
+    return i[by_pair], j[by_pair]
+
+
+def _keep_first(points, tol):
+    """``points`` without each one within ``tol`` of an earlier kept point.
+
+    A repeat of an earlier point is dropped first: it is within ``tol`` of
+    whichever kept point that one is or merged into.  Of the rest, a point
+    with no earlier point within ``tol`` (``_near_pairs``) is kept, and the
+    others are decided in rounds: a point is dropped once an earlier point
+    near it is kept, and kept once all of those are dropped.  Each round
+    decides at least the first point left open.
+    """
+    _, first = np.unique(points, axis=0, return_index=True)
+    points = points[np.sort(first)]
+    i, j = _near_pairs(points, tol)
     kept = np.ones(len(points), dtype=bool)
-    for i in np.flatnonzero(hi - lo > 1):
-        near = order[lo[i] : hi[i]]
-        near = near[(near < i) & kept[near]]
-        if not np.all(np.linalg.norm(points[near] - points[i], axis=1) > tol):
-            kept[i] = False
+    kept[i] = False
+    open_ = ~kept  # not yet decided
+    while open_.any():
+        dropped = np.zeros_like(open_)
+        dropped[i[kept[j]]] = True
+        waiting = dropped.copy()
+        waiting[i[open_[j]]] = True
+        kept |= open_ & ~waiting
+        open_ &= waiting & ~dropped
     return points[kept]

@@ -13,12 +13,18 @@ the isotrace slice to a stack of operators, one row each.
 stacks and returns its eigenframe, one ``SpectralFrame``: the eigenvector
 stacks and, per cluster, its value and the range of columns it owns in
 every block; a cluster's trace is those column counts times the block
-weights, with no pass over the columns.  Clusters take consecutive
-columns of every block, so a spectral projection onto the leading ``k``
-clusters is a leading column range of every block, named by the count
-``k`` alone.  ``sweep`` yields one decomposed direction at a
-time with all its cut levels as such counts, and everything a sweep
-reads off a level comes from the frame without a d×d matrix: ``psi`` and
+weights, with no pass over the columns.  It is the one-row case of
+``_decompose_rows``, which decomposes many operators with one ``eigh``
+per block size and checks all their columns orthonormal at once.
+Clusters take consecutive columns of every block, so a spectral
+projection onto the leading ``k`` clusters is a leading column range of
+every block, named by the count ``k`` alone.  ``sweep`` decomposes all of
+its directions together (``direction_frames``, in chunks bounded by
+``STACK_CHUNK_BYTES``), each ``b_t`` with the bits it has alone, and
+returns one frame per direction with all its cut levels as such counts;
+every frame's ``psi`` table comes from one per-column ``psi`` per block
+size.  Everything a sweep reads off a level comes from the frame without
+a d×d matrix: ``psi`` and
 the trace of an endpoint are rows of a cumulative table, the support
 value is a dot product with a row, and the order test against fixed
 intervals is a prefix (or suffix) maximum of column norms, for many
@@ -28,7 +34,8 @@ entries of ``Vᴴ b_i V``: ``SpectralFrame.entries`` rotates the tuple once
 and tables every block entry with the clusters of its row and column.  A
 ``FrameCache`` keeps the frame of every direction one command decomposes,
 bound to one tuple and its tolerances and keyed on the exact bytes of
-``t``, so a face command decomposes each direction once.  Every
+``t``, so a face command decomposes each direction once; ``fill``
+decomposes many new directions in one batch.  Every
 ``OrderInterval`` is a frame with two leading counts (an interval from
 outside is framed by the eigenvectors of ``lower + upper``), so the bases
 of ``lower``, of the gap and of ``1 - upper`` are column ranges, and two
@@ -52,6 +59,10 @@ from .errors import NumericalError, ShapeError, ZeroDirectionError
 CLUSTER_TOL = 1e-9
 EIG_EQ_TOL = 1e-8
 PROJECTION_TOL = 1e-8
+# Bound on one stacked (rows, m_k, d, d) array of a batched decomposition
+# or isotrace slice.  About three are alive at once; larger stacks run no
+# faster, since eigh then dominates, but raise the peak memory.
+STACK_CHUNK_BYTES = 2**18
 
 FrameEntries = namedtuple("FrameEntries", "values weight row col lo hi")
 
@@ -158,11 +169,7 @@ class SpectralFrame:
     @cached_property
     def deviation(self):
         """Per block, ``max|VᴴV - I|``: how far the columns are from orthonormal."""
-        out = np.empty(len(self.layout.dims))
-        for v, idx in zip(self.vectors, self.layout.members):
-            gram = v.conj().swapaxes(-1, -2) @ v - np.eye(v.shape[-1])
-            out[idx] = np.abs(gram).max(axis=(1, 2))
-        return out
+        return _deviations(self.layout, self.vectors)
 
     def require_orthonormal(self):
         """Raise unless every block's ``max|VᴴV - I| <= PROJECTION_TOL``.
@@ -202,6 +209,16 @@ class SpectralFrame:
         np.maximum.accumulate(outside, axis=1, out=below[:, 1:])
         above[:, :-1] = np.maximum.accumulate(inside[:, ::-1], axis=1)[:, ::-1]
         return below, above
+
+
+def _deviations(layout, vectors):
+    """Per block, ``max|VᴴV - I|`` of eigenvector stacks ``vectors``, one
+    per size class, shaped ``(..., m_k, d_k, d_k)``: ``(..., blocks)``."""
+    out = np.empty((*vectors[0].shape[:-3], len(layout.dims)))
+    for v, idx in zip(vectors, layout.members):
+        gram = v.conj().swapaxes(-1, -2) @ v - np.eye(v.shape[-1])
+        out[..., idx] = np.abs(gram).max(axis=(-2, -1))
+    return out
 
 
 def _scaled_tol(tol, default, norm):
@@ -257,26 +274,66 @@ def decompose(alg, a, cluster_tol=None):
     Eigenvalues of all blocks are sorted together (stably) and chained
     into clusters by ``cluster_starts``.  Returns the ``SpectralFrame``
     whose values, the means of the clusters' eigenvalues, ascend strictly;
-    a cluster's trace is its column counts times the block weights.
+    a cluster's trace is its column counts times the block weights.  It is
+    the one-row case of ``_decompose_rows``.
     """
     alg.require(a)
-    layout = a.layout
-    solved = [eigh(s, int(idx[0])) for s, idx in zip(a.stacks, layout.members)]
-    eigenvalues = np.concatenate([w.ravel() for w, _ in solved])
-    order = np.argsort(eigenvalues, kind="stable")
-    ordered = eigenvalues[order]
-    starts, multiplicity = cluster_starts(ordered, max_norm(a), cluster_tol)
+    stacks = [s[None] for s in a.stacks]
+    return _decompose_rows(a.layout, stacks, np.array([max_norm(a)]), cluster_tol)[0]
+
+
+def _decompose_rows(layout, stacks, norms, cluster_tol=None):
+    """``decompose`` of many operators at once, one ``SpectralFrame`` per
+    row: ``stacks`` holds each size class's blocks of every operator as
+    ``(rows, m_k, d_k, d_k)`` and ``norms`` their ``max_norm``s.
+
+    One ``eigh`` per size class solves every row, and one ``max|VᴴV - I|``
+    per size class measures every row's columns; each frame is checked
+    (``require_orthonormal``) as it is made.  Per row, the eigenvalues of
+    all blocks are sorted together and clustered; each frame is handed its
+    columns' clusters and deviations, so neither is computed again.
+    """
+    rows = len(norms)
+    solved = [eigh(s, int(idx[0])) for s, idx in zip(stacks, layout.members)]
+    deviation = _deviations(layout, [v for _, v in solved])
+    eigenvalues = np.concatenate([w.reshape(rows, -1) for w, _ in solved], axis=1)
+    order = np.argsort(eigenvalues, axis=1, kind="stable")
+    ordered = np.take_along_axis(eigenvalues, order, axis=1)
+    starts, multiplicity = cluster_starts(ordered, norms[:, None], cluster_tol)
+    values = np.add.reduceat(ordered.ravel(), starts) / multiplicity
 
     # eigh sorts each block's columns ascending, so every cluster owns a
     # consecutive column range of every block: bounds[k, j] counts block
-    # j's columns in clusters below k.
-    clusters = np.empty(len(order), dtype=int)
-    clusters[order] = np.repeat(np.arange(len(starts)), multiplicity)
-    counts = np.zeros((len(starts) + 1, len(layout.dims)), dtype=int)
-    np.add.at(counts, (clusters + 1, layout.entry_block), 1)
-    bounds = np.cumsum(counts, axis=0)
-    values = np.add.reduceat(ordered, starts) / multiplicity
-    return SpectralFrame(layout, tuple(v for _, v in solved), bounds, values)
+    # j's columns in clusters below k.  Cluster numbers count from each
+    # row's first, in each row's own column order.
+    first = np.zeros(ordered.shape, dtype=int)
+    first.flat[starts] = 1
+    sizes = first.sum(axis=1)
+    clusters = np.empty_like(order)
+    np.put_along_axis(clusters, order, np.cumsum(first, axis=1) - 1, axis=1)
+    counts = np.zeros((rows, sizes.max() + 1, len(layout.dims)), dtype=int)
+    row = np.arange(rows)[:, None]
+    np.add.at(counts, (row, clusters + 1, layout.entry_block), 1)
+    bounds = np.cumsum(counts, axis=1)
+    offsets = np.cumsum([0, *(m * d for m, d, _ in layout.shapes)])
+    per_class = [
+        clusters[:, lo:hi].reshape(rows, m, d)
+        for lo, hi, (m, d, _) in zip(offsets, offsets[1:], layout.shapes)
+    ]
+    frames = []
+    ends = np.cumsum(sizes)
+    for r in range(rows):
+        frame = SpectralFrame(
+            layout,
+            tuple(v[r] for _, v in solved),
+            bounds[r, : sizes[r] + 1],
+            values[ends[r] - sizes[r] : ends[r]],
+        )
+        frame.__dict__["clusters"] = [c[r] for c in per_class]
+        frame.__dict__["deviation"] = deviation[r]
+        frame.require_orthonormal()
+        frames.append(frame)
+    return frames
 
 
 def equality_band(op, eig_eq_tol=None):
@@ -308,27 +365,77 @@ class DirectionFrame:
     @cached_property
     def psi_table(self):
         """Row ``k`` is ``psi`` of the projection onto the leading ``k``
-        clusters, its trace first.
+        clusters, its trace first (``_psi_tables`` of this frame alone)."""
+        self.spectrum.require_orthonormal()
+        stacks = [v[None] for v in self.spectrum.vectors]
+        clusters = [c[None] for c in self.spectrum.clusters]
+        sizes = [len(self.spectrum.values)]
+        return _psi_tables(self.optuple, stacks, clusters, sizes)[0]
 
-        Column ``v`` of block ``j`` contributes ``c_j (|v|², v*b_1v, …,
-        v*b_nv)`` to its cluster's sum; row ``k`` adds the first ``k`` sums.
-        """
-        frame = self.spectrum
-        frame.require_orthonormal()
-        ops = self.optuple.operators
-        sums = np.zeros((len(frame.bounds), len(ops) + 1))  # cluster c at row c + 1
-        weights = self.optuple.algebra.class_weights
-        for k, (v, w, c) in enumerate(zip(frame.vectors, weights, frame.clusters)):
-            per_column = column_psi(v, w[:, None], [b.stacks[k] for b in ops])
-            np.add.at(sums, c.ravel() + 1, per_column.reshape(len(ops) + 1, -1).T)
-        return np.cumsum(sums, axis=0)
+
+def _psi_tables(optuple, vectors, clusters, sizes):
+    """The ``psi`` table of every row's frame, from one ``column_psi`` per
+    size class: ``vectors`` and ``clusters`` stack the frames' eigenvectors
+    and their columns' clusters as ``(rows, m_k, d_k, d_k)`` and ``(rows,
+    m_k, d_k)``, and ``sizes`` counts each frame's clusters.
+
+    Column ``v`` of block ``j`` contributes ``c_j (|v|², v*b_1v, …,
+    v*b_nv)`` to its cluster's sum, size class by size class and in column
+    order within one; row ``k`` of a table adds its first ``k`` sums.
+    """
+    ops = optuple.operators
+    rows = len(sizes)
+    sums = np.zeros((rows, max(sizes) + 1, len(ops) + 1))  # cluster c at c + 1
+    row = np.arange(rows)[:, None]
+    weights = optuple.algebra.class_weights
+    for k, (v, w, c) in enumerate(zip(vectors, weights, clusters)):
+        per_column = column_psi(v, w[:, None], [b.stacks[k] for b in ops])
+        per_column = per_column.reshape(len(ops) + 1, rows, -1).transpose(1, 2, 0)
+        np.add.at(sums, (row, c.reshape(rows, -1) + 1), per_column)
+    tables = np.cumsum(sums, axis=1)
+    return [tables[r, : size + 1] for r, size in enumerate(sizes)]
+
+
+def _row_chunks(rows, dims):
+    """Slices of ``range(rows)`` that stack at most ``STACK_CHUNK_BYTES``
+    per ``(rows, m_k, d_k, d_k)`` array: one row holds 16 bytes per complex
+    entry of every block."""
+    step = max(1, STACK_CHUNK_BYTES // (16 * sum(d * d for d in dims)))
+    return [slice(k, k + step) for k in range(0, rows, step)]
+
+
+def direction_frames(optuple, ts, cluster_tol=None, eig_eq_tol=None):
+    """The ``DirectionFrame`` of every direction part ``t`` in ``ts``,
+    decomposed together: per chunk of directions (``_row_chunks``), the
+    ``b_t`` are built by one ``linear_combinations``, decomposed by one
+    ``eigh`` per size class (``_decompose_rows``) and their ``psi`` tables
+    read off one ``column_psi`` per size class.  Every frame's bits are
+    those it has decomposed alone."""
+    alg = optuple.algebra
+    ts = [np.asarray(t, dtype=float) for t in ts]
+    out = []
+    for chunk in _row_chunks(len(ts), alg.dims):
+        b_ts = algebra.linear_combinations(optuple, ts[chunk])
+        stacks = algebra.stacked(b_ts)
+        norms = np.max([np.abs(s).max(axis=(1, 2, 3)) for s in stacks], axis=0)
+        spectra = _decompose_rows(alg.layout, stacks, norms, cluster_tol)
+        vectors = [np.array(v) for v in zip(*(sp.vectors for sp in spectra))]
+        clusters = [np.array(c) for c in zip(*(sp.clusters for sp in spectra))]
+        sizes = [len(sp.values) for sp in spectra]
+        tables = _psi_tables(optuple, vectors, clusters, sizes)
+        for t, b_t, spectrum, table in zip(ts[chunk], b_ts, spectra, tables):
+            frame = DirectionFrame(
+                optuple, t, b_t, spectrum, equality_band(b_t, eig_eq_tol)
+            )
+            frame.__dict__["psi_table"] = table
+            out.append(frame)
+    return out
 
 
 def direction_frame(optuple, t, cluster_tol=None, eig_eq_tol=None):
-    """Build ``b_t`` and decompose it once."""
-    b_t = algebra.linear_combination(optuple, t)
-    spectrum = decompose(optuple.algebra, b_t, cluster_tol=cluster_tol)
-    return DirectionFrame(optuple, t, b_t, spectrum, equality_band(b_t, eig_eq_tol))
+    """Build ``b_t`` and decompose it once: ``direction_frames`` of ``[t]``."""
+    (frame,) = direction_frames(optuple, [t], cluster_tol, eig_eq_tol)
+    return frame
 
 
 class FrameCache:
@@ -339,7 +446,7 @@ class FrameCache:
     exact bytes of ``t``: a rounded key could hand back a frame whose ``t``
     differs in the last bits.  It lives as long as the command that made
     it; ``frame_source`` refuses it for any other tuple, a cut-down of the
-    same tuple included.
+    same tuple included.  ``fill`` decomposes many directions together.
     """
 
     def __init__(self, optuple, cluster_tol=None, eig_eq_tol=None):
@@ -347,36 +454,48 @@ class FrameCache:
         self.tols = (cluster_tol, eig_eq_tol)
         self._frames = {}
 
+    def fill(self, ts):
+        """Decompose every distinct ``t`` of ``ts`` not held yet, together
+        (``direction_frames``)."""
+        missing = {}
+        for t in ts:
+            key = np.asarray(t, dtype=float).tobytes()
+            if key not in self._frames:
+                missing.setdefault(key, t)
+        frames = direction_frames(self.optuple, list(missing.values()), *self.tols)
+        self._frames.update(zip(missing, frames))
+
     def __call__(self, t):
         key = np.asarray(t, dtype=float).tobytes()
-        frame = self._frames.get(key)
-        if frame is None:
-            frame = direction_frame(self.optuple, t, *self.tols)
-            self._frames[key] = frame
-        return frame
+        if key not in self._frames:
+            self.fill([t])
+        return self._frames[key]
 
 
 def frame_source(optuple, cluster_tol=None, eig_eq_tol=None, frames=None):
-    """What decomposes a direction ``t`` of ``optuple``: ``frames``, a
-    ``FrameCache`` bound to this tuple and these tolerances, or with none
-    given, ``direction_frame`` afresh on every call.  A cache bound to
-    another tuple or other tolerances raises ``ValueError``."""
+    """The ``FrameCache`` that decomposes directions ``t`` of ``optuple``:
+    ``frames``, a cache bound to this tuple and these tolerances, or with
+    none given, a new one.  A cache bound to another tuple or other
+    tolerances raises ``ValueError``."""
     if frames is None:
-        return lambda t: direction_frame(optuple, t, cluster_tol, eig_eq_tol)
+        return FrameCache(optuple, cluster_tol, eig_eq_tol)
     if frames.optuple is not optuple or frames.tols != (cluster_tol, eig_eq_tol):
         raise ValueError("frame cache is bound to another tuple or other tolerances")
     return frames
 
 
 def sweep(optuple, directions, cluster_tol=None, eig_eq_tol=None, frames=None):
-    """Lazily, one ``DirectionFrame`` per direction part ``t``.
+    """One ``DirectionFrame`` per direction part ``t``, in order.
 
-    Each direction is decomposed once (and kept by ``frames``, a
-    ``FrameCache``, when given); its ``levels`` hit every interval
-    projection of ``b_t``, all read off the same frame.
+    The directions are decomposed together (``FrameCache.fill``), each
+    once, and kept by ``frames``, a ``FrameCache``, when given; a frame's
+    ``levels`` hit every interval projection of ``b_t``, all read off the
+    same frame.
     """
     source = frame_source(optuple, cluster_tol, eig_eq_tol, frames)
-    return (source(t) for t in directions)
+    directions = list(directions)
+    source.fill(directions)
+    return [source(t) for t in directions]
 
 
 class OrderInterval:

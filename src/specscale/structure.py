@@ -122,8 +122,9 @@ def detect_gap(
     cut levels spread beyond the eigenvalue-equality band witnesses a gap
     ``(s1, s2)`` in the spectrum of ``b_t``, and the face must be a
     single exposed point.  Both facts are verified before reporting.
-    ``b_t`` is decomposed by ``frames`` (a ``spectral.FrameCache`` of the
-    tuple, which holds every ``t`` its cones tested) when given.
+    Every group's ``b_t`` is decomposed together, by ``frames`` (a
+    ``spectral.FrameCache`` of the tuple, which holds every ``t`` its cones
+    tested) when given.
     """
     _require_proper(optuple, interval)
     source = spectral.frame_source(optuple, cluster_tol, eig_eq_tol, frames)
@@ -131,6 +132,7 @@ def detect_gap(
     for pair in cone.pairs:
         key = tuple(np.round(pair.t, 8))
         groups.setdefault(key, []).append(pair)
+    source.fill(members[0].t for members in groups.values())
     reports = []
     for members in groups.values():
         levels = [p.s for p in members]
@@ -201,11 +203,11 @@ def abelian_verdict(
     """
     ts = scale._cloud_t_directions(optuple.n, 2 * directions)
     first = len(scale._cloud_t_directions(optuple.n, directions))
+    frames = spectral.sweep(optuple, ts, cluster_tol, eig_eq_tol)
     cloud = scale.ExtremePointCloud(optuple.n)
     counts = []
-    for part in (ts[:first], ts[first:]):
-        for frame in spectral.sweep(optuple, part, cluster_tol, eig_eq_tol):
-            cloud.add_frame(frame)
+    for part in (frames[:first], frames[first:]):
+        cloud.add_frames(part)
         counts.append(len(cloud))
     basis = generated_algebra_basis(optuple)
     n_dim = len(basis)

@@ -524,17 +524,19 @@ def test_faces_samples_each_cone_once(inputs, capsys, monkeypatch, name, samples
 
 
 def _counting_direction_frames(monkeypatch):
-    """Record ``(tuple, bytes of t)`` of every ``direction_frame`` call."""
+    """Record ``(tuple, bytes of t)`` of every direction decomposed, through
+    ``direction_frames``, which every decomposition of a direction calls."""
     from specscale import spectral
 
     calls = []
-    direction_frame = spectral.direction_frame
+    direction_frames = spectral.direction_frames
 
-    def counting(optuple, t, *args):
-        calls.append((optuple, np.asarray(t, dtype=float).tobytes()))
-        return direction_frame(optuple, t, *args)
+    def counting(optuple, ts, *args):
+        ts = list(ts)
+        calls.extend((optuple, np.asarray(t, dtype=float).tobytes()) for t in ts)
+        return direction_frames(optuple, ts, *args)
 
-    monkeypatch.setattr(spectral, "direction_frame", counting)
+    monkeypatch.setattr(spectral, "direction_frames", counting)
     return calls
 
 

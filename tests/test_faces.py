@@ -534,13 +534,14 @@ def test_normal_cones_equal_one_cone_per_face(name, request):
 def test_normal_cones_decompose_each_direction_once(commuting, monkeypatch):
     intervals = _proper_sweep_faces(commuting, 8)
     calls = []
-    direction_frame = spectral.direction_frame
+    direction_frames = spectral.direction_frames
 
-    def counting(optuple, t, *args):
-        calls.append(np.asarray(t).tobytes())
-        return direction_frame(optuple, t, *args)
+    def counting(optuple, ts, *args):
+        ts = list(ts)
+        calls.extend(np.asarray(t).tobytes() for t in ts)
+        return direction_frames(optuple, ts, *args)
 
-    monkeypatch.setattr(spectral, "direction_frame", counting)
+    monkeypatch.setattr(spectral, "direction_frames", counting)
     cones = normal_cones(commuting, intervals, 8)
     assert sum(len(c.pairs) for c in cones) and len(calls) == len(set(calls))
 
@@ -555,13 +556,14 @@ def test_cut_down_never_reads_the_ambient_cache(blockpair, monkeypatch):
     frames = spectral.FrameCache(blockpair)
     cone = normal_cone(blockpair, interval, 128, frames=frames)
     seen = []
-    direction_frame = spectral.direction_frame
+    direction_frames = spectral.direction_frames
 
-    def noting(optuple, t, *args):
-        seen.append((optuple, np.asarray(t).tobytes()))
-        return direction_frame(optuple, t, *args)
+    def noting(optuple, ts, *args):
+        ts = list(ts)
+        seen.extend((optuple, np.asarray(t).tobytes()) for t in ts)
+        return direction_frames(optuple, ts, *args)
 
-    monkeypatch.setattr(spectral, "direction_frame", noting)
+    monkeypatch.setattr(spectral, "direction_frames", noting)
     _chain_from_cone(blockpair, interval, cone, 128, None, None, frames)
     cut_ts = [np.frombuffer(t) for op, t in seen if op is not blockpair]
     assert cut_ts

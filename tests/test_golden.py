@@ -239,14 +239,15 @@ def test_number_comparison_catches_changes():
 
 
 def test_support_decomposes_once_per_direction(tmp_path, monkeypatch):
-    calls = []
-    original = spectral.decompose
+    calls = []  # one entry per direction decomposed
+    original = spectral.direction_frames
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(optuple, ts, *args, **kwargs):
+        ts = list(ts)
+        calls.extend(ts)
+        return original(optuple, ts, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "decompose", counting)
+    monkeypatch.setattr(spectral, "direction_frames", counting)
     for name in ("reciprocal_diagonal", "pauli_pair", "block_with_scalars"):
         optuple = FIXTURES[name]()
         calls.clear()

@@ -1,4 +1,5 @@
-"""The vectorized direction dedup against the plain loop it replaces."""
+"""The vectorized direction dedup and sweep levels against the plain
+loops they replace."""
 
 import numpy as np
 import pytest
@@ -38,3 +39,29 @@ def test_signed_zeros_share_one_key():
     assert [v.tobytes() for v in got] == [rows[0].tobytes(), rows[2].tobytes()]
     assert sampling.distinct_unit_vectors([np.zeros(2)]) == []
     assert sampling.distinct_unit_vectors([]) == []
+
+
+def _sweep_by_loop(values):
+    values = np.sort(np.asarray(values, dtype=float))
+    levels = [values[0] - 1.0]
+    for i, v in enumerate(values):
+        levels.append(v)
+        if i + 1 < len(values):
+            levels.append(0.5 * (v + values[i + 1]))
+    levels.append(values[-1] + 1.0)
+    return np.array(levels)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_eigenvalue_sweep_matches_the_loop_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    spectra = [
+        [rng.standard_normal()],  # one value
+        np.repeat(rng.integers(-3, 4, 4), rng.integers(1, 4, 4)),  # repeats
+        rng.standard_normal(int(rng.integers(2, 40))) * 10.0 ** rng.integers(-3, 4),
+        [0.1, 0.1 + 1e-16, -0.0, 0.0],
+    ]
+    for values in spectra:
+        got = sampling.eigenvalue_sweep(values)
+        want = _sweep_by_loop(values)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -252,7 +252,7 @@ def test_isotrace_slice_matches_per_direction_waterfill(name, level):
 
 
 def test_isotrace_slice_chunks_give_the_same_points(monkeypatch):
-    import specscale.scale as scale_module
+    from specscale import spectral
 
     optuple = SLICE_TUPLES["mixed-n2"]
     whole = isotrace_slice(optuple, 0.37, 50).points
@@ -265,7 +265,7 @@ def test_isotrace_slice_chunks_give_the_same_points(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     # 16 bytes per entry of the 19 block entries: 7 directions per chunk
-    monkeypatch.setattr(scale_module, "SLICE_CHUNK_BYTES", 16 * 19 * 7)
+    monkeypatch.setattr(spectral, "STACK_CHUNK_BYTES", 16 * 19 * 7)
     chunked = isotrace_slice(optuple, 0.37, 50).points
     np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-15)
     # 8 chunks of at most 7 directions, one eigh per block size (1, 2, 3)
@@ -306,6 +306,79 @@ def test_slice_dedup_matches_the_keep_first_loop(n):
     np.testing.assert_array_equal(
         _keep_first(points, 1e-12), _keep_first_loop(points, 1e-12)
     )
+
+
+def _close_blocks():
+    """Two light one-dimensional blocks whose joint values differ by 1e-6:
+    the leading projection onto either one is a point of the cloud, the
+    two within 1e-9 of each other, with different projections."""
+    alg = FiniteAlgebra(((1, 0.001), (1, 0.001), (1, 0.499), (1, 0.499)))
+    ops = (alg.diagonal([0.0, 1e-6, 1.0, -1.0]), alg.diagonal([0.0, 0.0, 1.0, 2.0]))
+    return OperatorTuple(alg, ops)
+
+
+def _cloud_by_loop(frames):
+    """Points, projections and ids of every sweep level's endpoints, added
+    one at a time: compared with every point kept so far, merged into the
+    first within POINT_DEDUP_TOL whose projection matches."""
+    from specscale.scale import POINT_DEDUP_TOL, PROJECTION_MATCH_TOL
+    from specscale.spectral import same_range
+
+    points, sources, ids = [], [], []
+    for frame in frames:
+        seen = set()
+        for k in np.stack(frame.cuts, axis=1).ravel().tolist():
+            if k in seen:
+                continue
+            seen.add(k)
+            point, source = frame.psi_table[k], (frame.spectrum, k)
+            dist = np.linalg.norm(np.reshape(points, (-1, len(point))) - point, axis=1)
+            near = np.flatnonzero(dist <= POINT_DEDUP_TOL)
+            match = next(
+                (
+                    int(i)
+                    for i in near
+                    if same_range(sources[i], source, PROJECTION_MATCH_TOL)
+                ),
+                None,
+            )
+            if match is None:
+                match = len(points)
+                points.append(point)
+                sources.append(source)
+            ids.append(match)
+    return np.array(points), sources, ids
+
+
+@pytest.mark.parametrize(
+    "name", ["pauli_pair", "commuting_diagonals", "block_with_scalars", "close"]
+)
+def test_add_frames_equals_adding_one_point_at_a_time(name):
+    from specscale.scale import ExtremePointCloud, sweep_frames
+
+    optuple = _close_blocks() if name == "close" else getattr(fixtures, name)()
+    frames = sweep_frames(optuple, 32)
+    want_points, want_sources, want_ids = _cloud_by_loop(frames)
+    assert len(want_ids) > len(want_points)  # some points merge
+    batched = ExtremePointCloud(optuple.n)
+    half = len(frames) // 2  # the second batch merges into a held cloud
+    ids = [*batched.add_frames(frames[:half]), *batched.add_frames(frames[half:])]
+    one = ExtremePointCloud(optuple.n)
+    one_ids = [
+        one.add(frame.psi_table[k], (frame.spectrum, k))
+        for frame in frames
+        for k in dict.fromkeys(np.stack(frame.cuts, axis=1).ravel().tolist())
+    ]
+    assert ids == one_ids == want_ids
+    for cloud in (batched, one):
+        assert cloud.points.tobytes() == want_points.tobytes()
+        assert len(cloud) == len(want_sources)
+        for i, (frame, k) in enumerate(want_sources):
+            assert cloud.projections.sources[i][0] is frame
+            assert cloud.projections.rank(i) == int(frame.bounds[k].sum())
+    if name == "close":  # near points that did not merge
+        i, j = np.triu_indices(len(want_points), 1)
+        assert np.any(np.linalg.norm(want_points[i] - want_points[j], axis=1) <= 1e-8)
 
 
 @pytest.mark.parametrize("name", ["reciprocal8", "two_point", "pauli", "commuting"])

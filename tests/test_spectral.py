@@ -523,6 +523,38 @@ def test_non_orthonormal_frame_raises():
         bad.order_margins(one, one)
 
 
+def test_non_orthonormal_row_of_a_batch_raises(monkeypatch):
+    # dims (3, 1, 2): block 2 sits alone in the size-2 class; the fourth
+    # direction decomposed is bent there, in a batch of all directions or
+    # of one direction each, and only that direction raises
+    from specscale import spectral
+    from specscale.errors import NumericalError
+    from specscale.scale import _cloud_t_directions
+
+    optuple = _frame_tuples()[0]
+    ts = _cloud_t_directions(optuple.n, 6)
+    solve = spectral.eigh
+    rows = [0]  # directions of the size-2 class solved so far
+
+    def bent(stack, block):
+        w, v = solve(stack, block)
+        if stack.shape[-1] == 2:
+            first, rows[0] = rows[0], rows[0] + len(stack)
+            if first <= 3 < rows[0]:
+                v = v.copy()
+                v[3 - first, 0, :, 1] *= 1.0 + 1e-6
+        return w, v
+
+    monkeypatch.setattr(spectral, "eigh", bent)
+    for chunk in (spectral.STACK_CHUNK_BYTES, 1):  # 1: one direction a chunk
+        monkeypatch.setattr(spectral, "STACK_CHUNK_BYTES", chunk)
+        rows[0] = 0
+        spectral.direction_frames(optuple, ts[:3])
+        rows[0] = 0
+        with pytest.raises(NumericalError, match="block 2"):
+            spectral.direction_frames(optuple, ts)
+
+
 def test_shifted_cluster_bound_trips_the_support_check():
     from specscale.errors import InvariantViolation
     from specscale.scale import _support_in_frame

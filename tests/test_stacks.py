@@ -48,6 +48,30 @@ def tuples(draw):
     return OperatorTuple(alg, ops), rng
 
 
+@st.composite
+def repeating_tuples(draw):
+    """Tuples on blocks of sizes 1 to 3 where some blocks repeat an
+    earlier block's operators and half the operators have integer spectra,
+    so eigenvalues repeat within and across blocks; and direction parts
+    through every axis (whose ``b_t`` keep those repeats) and at random."""
+    optuple, rng = draw(tuples())
+    dims = list(optuple.algebra.dims)
+    blocks = [[op.blocks[j] for op in optuple.operators] for j in range(len(dims))]
+    for _ in range(draw(st.integers(0, 4))):
+        j = int(rng.integers(len(dims)))
+        dims.append(dims[j])
+        blocks.append(blocks[j])
+    raw = rng.uniform(0.5, 2.0, len(dims))
+    alg = FiniteAlgebra(tuple(zip(dims, raw / (raw @ dims))))
+    ops = tuple(
+        HermitianOperator([mats[i] for mats in blocks]) for i in range(optuple.n)
+    )
+    from specscale.scale import _cloud_t_directions
+
+    ts = _cloud_t_directions(optuple.n, draw(st.integers(0, 12)))
+    return OperatorTuple(alg, ops), ts
+
+
 def _trace(alg, blocks):
     return sum(c * np.trace(x).real for c, x in zip(alg.weights, blocks))
 
@@ -222,25 +246,80 @@ def _tuple_json(dims, n, seed):
 def test_one_eigh_per_size_class_per_direction(tmp_path, monkeypatch, dims, command):
     path = tmp_path / "tuple.json"
     path.write_text(json.dumps(_tuple_json(dims, 2, 7)))
-    eigh, decompose = np.linalg.eigh, spectral.decompose
+    eigh, direction_frames = np.linalg.eigh, spectral.direction_frames
     eigh_calls = [0]
-    per_direction = []  # (size classes, eigh calls) per decomposed direction
+    batches = []  # (directions, eigh calls) per batch of decomposed directions
 
     def counting_eigh(*args, **kwargs):
         eigh_calls[0] += 1
         return eigh(*args, **kwargs)
 
-    def counting_decompose(alg, a, *args, **kwargs):
+    def counting_frames(optuple, ts, *args, **kwargs):
         before = eigh_calls[0]
-        frame = decompose(alg, a, *args, **kwargs)
-        per_direction.append((len(a.stacks), eigh_calls[0] - before))
-        return frame
+        frames = direction_frames(optuple, ts, *args, **kwargs)
+        batches.append((len(frames), eigh_calls[0] - before))
+        return frames
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(spectral, "decompose", counting_decompose)
+    monkeypatch.setattr(spectral, "direction_frames", counting_frames)
     quiet = contextlib.redirect_stdout(io.StringIO())
     with quiet, contextlib.redirect_stderr(io.StringIO()):
         assert main([command, "--input", str(path), "--samples", "0"]) == 0
-    # the axes of R^3 give four distinct direction parts t, +-e1 and +-e2
+    # the axes of R^3 give four distinct direction parts t, +-e1 and +-e2,
+    # all decomposed in one batch: one eigh per size class for all four
     classes = len(set(dims))
-    assert per_direction == [(classes, classes)] * 4
+    assert batches == [(4, classes)]
+
+
+def _frame_fields(frame):
+    """Everything a frame reads off its decomposition, as arrays."""
+    spectrum = frame.spectrum
+    return [
+        *spectrum.vectors,
+        spectrum.bounds,
+        spectrum.values,
+        np.float64(frame.eff_tol),
+        frame.levels,
+        *frame.cuts,
+        frame.psi_table,
+    ]
+
+
+@pytest.mark.parametrize("chunk", ["one direction", "default"])
+@settings(max_examples=30, deadline=None)
+@given(repeating_tuples())
+def test_batched_frames_equal_one_direction_at_a_time(chunk, case):
+    optuple, ts = case
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk == "one direction":
+            patch.setattr(spectral, "STACK_CHUNK_BYTES", 1)
+        batched = spectral.direction_frames(optuple, ts)
+    assert len(batched) == len(ts)
+    for t, frame in zip(ts, batched):
+        alone = spectral.direction_frame(optuple, t)
+        for got, want in zip(_frame_fields(frame), _frame_fields(alone), strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_extremes_makes_one_eigh_per_size_class(tmp_path, monkeypatch):
+    from specscale import fixtures
+    from specscale.algebra import save_tuple
+
+    path = tmp_path / "block_with_scalars.json"
+    optuple = fixtures.block_with_scalars()
+    save_tuple(optuple, path)
+    eigh = np.linalg.eigh
+    shapes = []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    quiet = contextlib.redirect_stdout(io.StringIO())
+    with quiet, contextlib.redirect_stderr(io.StringIO()):
+        assert main(["extremes", "--input", str(path), "--samples", "32"]) == 0
+    # every direction part of the sample in one stack per block size
+    assert sorted(shape[-1] for shape in shapes) == sorted(set(optuple.algebra.dims))
+    assert len(shapes) == len(set(optuple.algebra.dims)) == 2

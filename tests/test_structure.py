@@ -192,13 +192,14 @@ def test_abelian_verdict_at_zero_directions_builds_one_cloud(commuting, monkeypa
     from specscale.scale import _cloud_t_directions
 
     calls = []
-    original = spectral.direction_frame
+    original = spectral.direction_frames
 
-    def counting(optuple, t, *args):
-        calls.append(np.asarray(t).tobytes())
-        return original(optuple, t, *args)
+    def counting(optuple, ts, *args):
+        ts = list(ts)
+        calls.extend(np.asarray(t).tobytes() for t in ts)
+        return original(optuple, ts, *args)
 
-    monkeypatch.setattr(spectral, "direction_frame", counting)
+    monkeypatch.setattr(spectral, "direction_frames", counting)
     verdict = abelian_verdict(commuting, directions=0)
     assert len(calls) == len(set(calls)) == len(_cloud_t_directions(2, 0))
     assert verdict.cloud_counts == (8, 8)
