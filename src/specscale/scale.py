@@ -369,8 +369,8 @@ class ExtremePointCloud:
         held = len(self.points)
         every = np.concatenate([self.points, points])
         i, j = _near_pairs(every, POINT_DEDUP_TOL, start=held)
+        j = j[np.lexsort((j, i))].tolist()  # each point's near points in order
         starts = np.searchsorted(i, np.arange(held, len(every) + 1)).tolist()
-        j = j.tolist()
         kept = self.projections.sources
         ids = list(range(held)) + [None] * len(points)  # None: merged
         out = []
@@ -520,7 +520,7 @@ def isotrace_slice(optuple, level, resolution=720, cluster_tol=None):
 
 def _near_pairs(points, tol, start=0):
     """Every pair ``(i, j)``, ``start <= i`` and ``j < i``, of rows of
-    ``points`` within ``tol`` of each other, sorted by ``i`` and then ``j``.
+    ``points`` within ``tol`` of each other, in ascending ``i``.
 
     Only rows whose first coordinates lie within ``2 tol`` of each other
     can be that close (the factor 2 absorbs rounding in the window), so
@@ -547,9 +547,7 @@ def _near_pairs(points, tol, start=0):
         near = np.linalg.norm(points[j] - points[i], axis=1) <= tol
         found.append((i[near], j[near]))
         start = stop
-    i, j = (np.concatenate(x) for x in zip(*found))
-    by_pair = np.lexsort((j, i))
-    return i[by_pair], j[by_pair]
+    return tuple(np.concatenate(x) for x in zip(*found))
 
 
 def _keep_first(points, tol):
@@ -562,8 +560,10 @@ def _keep_first(points, tol):
     near it is kept, and kept once all of those are dropped.  Each round
     decides at least the first point left open.
     """
-    _, first = np.unique(points, axis=0, return_index=True)
-    points = points[np.sort(first)]
+    order = np.lexsort(points.T[::-1])  # equal rows adjacent, earliest first
+    repeat = np.zeros(len(points), dtype=bool)
+    repeat[1:] = np.all(points[order[1:]] == points[order[:-1]], axis=1)
+    points = points[np.sort(order[~repeat])]
     i, j = _near_pairs(points, tol)
     kept = np.ones(len(points), dtype=bool)
     kept[i] = False
