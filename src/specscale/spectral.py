@@ -6,8 +6,8 @@ whether a cut level ``s`` counts as an eigenvalue, which is what
 separates the closed-interval projection ``p_plus`` (spectrum in
 ``(-inf, s]``) from the open-interval projection ``p_minus`` (spectrum in
 ``(-inf, s)``).  Both scale with ``max(1, |a|)``.  ``cluster_starts`` is
-the one clustering rule: ``decompose`` applies it to one operator, and
-the isotrace slice to a stack of operators, one row each.
+the one clustering rule, applied to a stack of operators, one row each:
+by every decomposition and by the isotrace slice.
 
 ``decompose`` runs one batched ``eigh`` per block size on the operator's
 stacks and returns its eigenframe, one ``SpectralFrame``: the eigenvector
@@ -24,24 +24,25 @@ its directions together (``direction_frames``, in chunks bounded by
 returns one frame per direction with all its cut levels as such counts;
 every frame's ``psi`` table comes from one per-column ``psi`` per block
 size.  Everything a sweep reads off a level comes from the frame without
-a d×d matrix: ``psi`` and
-the trace of an endpoint are rows of a cumulative table, the support
-value is a dot product with a row, and the order test against fixed
-intervals is a prefix (or suffix) maximum of column norms, for many
-intervals at once, one product per block size.  What a face reads of the
-operators themselves, a gap's cut-down or the commutators with a cut, is
-entries of ``Vᴴ b_i V``: ``SpectralFrame.entries`` rotates the tuple once
-and tables every block entry with the clusters of its row and column.  A
-``FrameCache`` keeps the frame of every direction one command decomposes,
-bound to one tuple and its tolerances and keyed on the exact bytes of
-``t``, so a face command decomposes each direction once; ``fill``
-decomposes many new directions in one batch.  Every
-``OrderInterval`` is a frame with two leading counts (an interval from
-outside is framed by the eigenvectors of ``lower + upper``), so the bases
-of ``lower``, of the gap and of ``1 - upper`` are column ranges, and two
-ranges compare ranks before any ``V Vᴴ`` is built (``same_range``).  A
-frame checks once that its columns are orthonormal, which makes every
-leading range a projection and the ranges nested.
+a d×d matrix: ``psi`` and the trace of an endpoint are rows of a
+cumulative table, the support value is a dot product with a row, and the
+order test against fixed intervals is a prefix (or suffix) maximum of
+column norms, for many intervals at once, one product per block size.
+What a face reads of the operators themselves, a gap's cut-down or the
+commutators with a cut, is entries of ``Vᴴ b_i V``:
+``SpectralFrame.entries`` rotates the tuple once and tables every block
+entry with the clusters of its row and column.  A ``FrameCache`` keeps
+the frame of every direction one command decomposes, bound to one tuple
+and its tolerances and keyed on the exact bytes of ``t``, so a face
+command decomposes each direction once; ``fill`` decomposes many new
+directions in one batch.  Every ``OrderInterval`` is a frame with two
+leading counts (an interval from outside is framed by the eigenvectors
+of ``lower + upper``), so the bases of ``lower``, of the gap and of
+``1 - upper`` are column ranges, and two ranges compare ranks before any
+``V Vᴴ`` is built (``same_range``).  A frame's columns are checked
+orthonormal once, when it is decomposed (or, for a frame built
+otherwise, when first read), which makes every leading range a
+projection and the ranges nested.
 """
 
 from __future__ import annotations

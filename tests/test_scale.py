@@ -296,16 +296,18 @@ def test_slice_dedup_compares_with_kept_points_only():
 def test_slice_dedup_matches_the_keep_first_loop(n):
     from specscale.scale import _keep_first
 
-    rng = np.random.default_rng(n)
-    base = rng.standard_normal((40, n))
-    # near-repeats at 0.2e-12 .. 1.6e-12, along the sort axis and across it
-    steps = rng.integers(0, 9, (200, 1)) * 0.2e-12
-    points = base[rng.integers(0, 40, 200)] + steps * rng.choice(
-        [np.eye(n)[0], np.ones(n) / np.sqrt(n)], 200
-    )
-    np.testing.assert_array_equal(
-        _keep_first(points, 1e-12), _keep_first_loop(points, 1e-12)
-    )
+    for seed in range(n, 200 + n, 3):  # 200 sets over the three n
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal((int(rng.integers(1, 41)), n))
+        # exact and near repeats at 0.2e-12 .. 1.6e-12, along the sort axis
+        # and across it
+        steps = rng.integers(0, 9, (200, 1)) * 0.2e-12
+        points = base[rng.integers(0, len(base), 200)] + steps * rng.choice(
+            [np.eye(n)[0], np.ones(n) / np.sqrt(n)], 200
+        )
+        np.testing.assert_array_equal(
+            _keep_first(points, 1e-12), _keep_first_loop(points, 1e-12)
+        )
 
 
 def _close_blocks():
