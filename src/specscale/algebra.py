@@ -160,7 +160,8 @@ def _require_hermitian(layout, stacks):
 def _frozen_hermitian_part(a):
     """``(A + A*)/2`` of a stack of matrices as a new read-only array;
     ``A`` bit for bit when ``A`` is exactly Hermitian."""
-    h = (a + a.conj().swapaxes(-1, -2)) / 2.0
+    h = a + a.conj().swapaxes(-1, -2)
+    h /= 2.0
     h.flags.writeable = False
     return h
 
@@ -368,27 +369,28 @@ def psi(optuple, a, check_membership=False):
 
 def linear_combination(optuple, t):
     """The operator ``t_1 b_1 + ... + t_n b_n``."""
-    (b_t,) = linear_combinations(optuple, [t])
-    return b_t
+    stacks = linear_combinations(optuple, [t])
+    return _from_stacks(optuple.algebra.layout, [s[0] for s in stacks])
 
 
 def linear_combinations(optuple, ts):
-    """``linear_combination`` of every row ``t`` of ``ts``, all accumulated
-    together: per size class, ``t_i b_i`` is added to one zero
-    ``(rows, m_k, d_k, d_k)`` stack for ``i = 1 .. n`` in turn, so every
+    """The stacks of ``linear_combination`` of every row ``t`` of ``ts``, as
+    ``(rows, m_k, d_k, d_k)`` per size class, symmetrized as
+    ``_from_stacks`` would.  One ``einsum`` per size class sums each
+    entry's products ``t_i b_i`` over ``i = 1 .. n`` in turn, so every
     row's bits are those of that row alone."""
-    layout = optuple.algebra.layout
-    for t in ts:
-        if np.shape(t) != (optuple.n,):
-            raise ShapeError(
-                f"direction has shape {np.shape(t)}, expected ({optuple.n},)"
-            )
-    ts = np.asarray(ts, dtype=float).reshape(-1, optuple.n)
-    stacks = [np.zeros((len(ts), *shape), dtype=complex) for shape in layout.shapes]
-    for coeffs, op in zip(ts.T, optuple.operators):
-        for acc, s in zip(stacks, op.stacks):
-            acc += coeffs[:, None, None, None] * s
-    return [_from_stacks(layout, [s[r] for s in stacks]) for r in range(len(ts))]
+    try:
+        ts = np.asarray(ts, dtype=float)
+    except ValueError as exc:  # rows of different lengths
+        raise ShapeError(f"directions differ in shape: {exc}") from exc
+    if ts.ndim != 2 or ts.shape[1] != optuple.n:
+        raise ShapeError(
+            f"direction has shape {ts.shape[1:]}, expected ({optuple.n},)"
+        )
+    return [
+        _frozen_hermitian_part(np.einsum("rn,nmij->rmij", ts, s))
+        for s in stacked(optuple.operators)
+    ]
 
 
 def _span_residual(alg, stacks, blocks):

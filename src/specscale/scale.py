@@ -27,16 +27,15 @@ read off the entries whose row and column clusters lie in the gap
 tested against.  Extreme clouds keep each projection as a leading range
 ``(frame, count)`` and build a projection as an operator only when a
 caller reads it.  They take the points of all swept frames at once: the
-near pairs come from one sort on the first coordinate (``_near_pairs``),
-and only a pair within ``POINT_DEDUP_TOL`` compares its two ranges
-(``spectral.same_range``).
+near pairs come from one sort on the coordinate of widest spread
+(``_near_pairs``; the trace takes few values), and only a pair within
+``POINT_DEDUP_TOL`` compares its two ranges (``spectral.same_range``).
 
-An isotrace slice is batched over its directions too, by its own
-water-filling: per block size, the ``b_u`` of many directions are stacked as
-``(directions, m_k, d, d)`` and decomposed by one ``eigh``, and each
-boundary point is the water-filling coefficients of a direction's
-clusters times their summed per-column ``psi``, with no operator built.
-Its points are deduplicated on the same near pairs as a cloud's.
+An isotrace slice reads the same batched decomposition as a sweep
+(``spectral._chunks``): each boundary point is the water-filling
+coefficients of a direction's clusters, from the top, times their summed
+``psi``, with no operator built.  Its points are deduplicated on the same
+near pairs as a cloud's.
 """
 
 from __future__ import annotations
@@ -446,57 +445,17 @@ def waterfill(optuple, direction, level, cluster_tol=None):
     return spectrum.combination(_fill(weights[::-1], level)[::-1])
 
 
-def _waterfill_points(optuple, classes, dirs, level, cluster_tol):
-    """``psi(waterfill(optuple, u, level))[1:]`` for every row ``u`` of
-    ``dirs``, with one stacked ``eigh`` per block size.
-
-    Each column of each ``b_u`` block contributes ``psi`` of its rank-one
-    projection (``spectral.column_psi``); columns are clustered per row by
-    ``decompose``'s rule, and a row's point is its fill coefficients times
-    its cluster sums, so no operator is built.
-    """
-    rows, n = len(dirs), optuple.n
-    norms = np.zeros(rows)
-    eigenvalues, per_column = [], []
-    alg = optuple.algebra
-    for idx, weights, ops in zip(alg.layout.members, alg.class_weights, classes):
-        b_u = np.einsum("un,nmij->umij", dirs, ops)
-        b_u = b_u.conj().swapaxes(-1, -2) + b_u
-        b_u /= 2  # (b + b*) / 2, as _raw symmetrizes
-        norms = np.maximum(norms, np.abs(b_u).max(axis=(1, 2, 3)))
-        w, v = spectral.eigh(b_u, int(idx[0]))
-        del b_u  # free the stack before the per-column products
-        eigenvalues.append(w.reshape(rows, -1))
-        psi_v = spectral.column_psi(v, weights[:, None], ops)
-        per_column.append(psi_v.reshape(n + 1, rows, -1))
-    eigenvalues = np.concatenate(eigenvalues, axis=1)
-    per_column = np.concatenate(per_column, axis=2)  # (n + 1, rows, columns)
-    order = np.argsort(eigenvalues, axis=1, kind="stable")
-    ordered = np.take_along_axis(eigenvalues, order, axis=1)
-    starts, _ = spectral.cluster_starts(ordered, norms[:, None], cluster_tol)
-    per_column = np.take_along_axis(per_column, order[None], axis=2)
-    sums = np.add.reduceat(per_column.reshape(n + 1, -1), starts, axis=1)
-    # cluster sums per row, the top cluster first and zeros after the last
-    row = starts // ordered.shape[1]
-    count = np.bincount(row, minlength=rows)
-    from_top = np.cumsum(count)[row] - 1 - np.arange(len(starts))
-    table = np.zeros((n + 1, rows, count.max()))
-    table[:, row, from_top] = sums
-    takes = _fill(table[0], level)
-    return np.einsum("rk,irk->ri", takes, table[1:])
-
-
 def isotrace_slice(optuple, level, resolution=720, cluster_tol=None):
     """Cross-section of the scale at trace coordinate ``level``.
 
     Each boundary point is found exactly by the water-filling maximizer
-    along one direction in R^n; for ``n = 2`` the angular sweep returns
-    the boundary polygon in order, for other ``n`` the result is a point
-    sample of the boundary.  All directions are filled together: per
-    block size, the ``b_u`` of up to ``spectral.STACK_CHUNK_BYTES`` worth
-    of directions are stacked as ``(directions, m_k, d, d)`` and decomposed
-    by one ``eigh`` (``_waterfill_points``).  Points repeating an earlier
-    one within 1e-12 are dropped.
+    along one direction ``u`` in R^n; for ``n = 2`` the angular sweep
+    returns the boundary polygon in order, for other ``n`` the result is a
+    point sample of the boundary.  All directions are decomposed together,
+    as a sweep's are (``spectral._chunks``), and each point is the fill
+    coefficients of ``b_u``'s clusters, from the top, times their summed
+    ``psi``, so no operator is built.  Points repeating an earlier one
+    within 1e-12 are dropped.
     """
     if not 0.0 <= level <= 1.0:
         raise ValueError(f"trace level must be in [0, 1], got {level}")
@@ -508,31 +467,40 @@ def isotrace_slice(optuple, level, resolution=720, cluster_tol=None):
         dirs = np.column_stack([np.cos(theta), np.sin(theta)])
     else:
         dirs = sampling.unit_directions(n, resolution)
-    classes = algebra.stacked(optuple.operators)
-    points = np.concatenate(
-        [
-            _waterfill_points(optuple, classes, dirs[chunk], level, cluster_tol)
-            for chunk in spectral._row_chunks(len(dirs), optuple.algebra.dims)
-        ]
+    points = []
+    for _, spectra in spectral._chunks(optuple, dirs, cluster_tol):
+        sizes = spectra.sizes
+        # cluster sums per row, the top cluster first and zeros after the last
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        from_top = np.cumsum(sizes)[owner] - 1 - np.arange(len(owner))
+        table = np.zeros((n + 1, len(sizes), sizes.max()))
+        table[:, owner, from_top] = spectra.sums
+        points.append(np.einsum("rk,irk->ri", _fill(table[0], level), table[1:]))
+        del spectra  # free its eigenvectors before the next chunk is solved
+    return IsotraceSlice(
+        level=float(level), points=_keep_first(np.concatenate(points), 1e-12)
     )
-    return IsotraceSlice(level=float(level), points=_keep_first(points, 1e-12))
 
 
 def _near_pairs(points, tol, start=0):
     """Every pair ``(i, j)``, ``start <= i`` and ``j < i``, of rows of
     ``points`` within ``tol`` of each other, in ascending ``i``.
 
-    Only rows whose first coordinates lie within ``2 tol`` of each other
-    can be that close (the factor 2 absorbs rounding in the window), so
-    the rows are sorted by that coordinate and each is compared only with
-    its window there, the windows of many rows at once: as many as hold
-    ``spectral.STACK_CHUNK_BYTES`` of row indices.  The distance is
-    ``np.linalg.norm`` of the difference, bit for bit.
+    Only rows whose coordinates on any one axis lie within ``2 tol`` of
+    each other can be that close (the factor 2 absorbs rounding in the
+    window), so the rows are sorted on the axis of widest spread, where
+    windows hold fewest rows (the trace takes few values), and each is
+    compared only with its window there, the windows of many rows at once:
+    as many as hold ``spectral.STACK_CHUNK_BYTES`` of row indices.  The
+    distance is ``np.linalg.norm`` of the difference, bit for bit.
     """
-    order = np.argsort(points[:, 0], kind="stable")
-    first = points[order, 0]
-    lo = np.searchsorted(first, points[:, 0] - 2 * tol, side="left")
-    sizes = np.searchsorted(first, points[:, 0] + 2 * tol, side="right") - lo
+    columns = points.T.copy()  # one contiguous row per coordinate
+    spread = columns.max(axis=1, initial=-np.inf) - columns.min(axis=1, initial=np.inf)
+    key = columns[int(np.argmax(spread))]
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    lo = np.searchsorted(ranked, key - 2 * tol, side="left")
+    sizes = np.searchsorted(ranked, key + 2 * tol, side="right") - lo
     ends = np.cumsum(sizes)
     step = spectral.STACK_CHUNK_BYTES // 8
     found = [(np.empty(0, dtype=int), np.empty(0, dtype=int))]

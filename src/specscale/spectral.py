@@ -6,25 +6,28 @@ whether a cut level ``s`` counts as an eigenvalue, which is what
 separates the closed-interval projection ``p_plus`` (spectrum in
 ``(-inf, s]``) from the open-interval projection ``p_minus`` (spectrum in
 ``(-inf, s)``).  Both scale with ``max(1, |a|)``.  ``cluster_starts`` is
-the one clustering rule, applied to a stack of operators, one row each:
-by every decomposition and by the isotrace slice.
+the one clustering rule.
 
-``decompose`` runs one batched ``eigh`` per block size on the operator's
-stacks and returns its eigenframe, one ``SpectralFrame``: the eigenvector
-stacks and, per cluster, its value and the range of columns it owns in
-every block; a cluster's trace is those column counts times the block
-weights, with no pass over the columns.  It is the one-row case of
-``_decompose_rows``, which decomposes many operators with one ``eigh``
-per block size and checks all their columns orthonormal at once.
+One core, ``_decompose_stacks``, does every decomposition: of a stack of
+operators, one row each, it runs one batched ``eigh`` per block size,
+sorts each row's eigenvalues of all blocks together and clusters them,
+and, for the ``b_t`` of a tuple, sums each cluster's per-column ``psi``.
+``_chunks`` feeds it the ``b_t`` of many directions, in chunks bounded by
+``STACK_CHUNK_BYTES``, each ``b_t`` with the bits it has alone; the sweep
+and the isotrace slice both read its rows.  ``_frames`` makes each row an
+eigenframe, one ``SpectralFrame``, and checks all of a chunk's columns
+orthonormal at once; ``decompose`` of one operator is the one-row case.
+A frame holds the eigenvector stacks and, per cluster, its value and the
+range of columns it owns in every block; a cluster's trace is those
+column counts times the block weights, with no pass over the columns.
 Clusters take consecutive columns of every block, so a spectral
 projection onto the leading ``k`` clusters is a leading column range of
-every block, named by the count ``k`` alone.  ``sweep`` decomposes all of
-its directions together (``direction_frames``, in chunks bounded by
-``STACK_CHUNK_BYTES``), each ``b_t`` with the bits it has alone, and
-returns one frame per direction with all its cut levels as such counts;
-every frame's ``psi`` table comes from one per-column ``psi`` per block
-size.  Everything a sweep reads off a level comes from the frame without
-a d×d matrix: ``psi`` and the trace of an endpoint are rows of a
+every block, named by the count ``k`` alone.  ``sweep``
+(``direction_frames``) returns one frame per direction with all its cut
+levels as such counts, its equality band scaled by its ``b_t``'s
+``max_norm`` and its ``psi`` table the running sums of its clusters'
+``psi``.  Everything a sweep reads off a level comes from the frame
+without a d×d matrix: ``psi`` and the trace of an endpoint are rows of a
 cumulative table, the support value is a dot product with a row, and the
 order test against fixed intervals is a prefix (or suffix) maximum of
 column norms, for many intervals at once, one product per block size.
@@ -40,9 +43,9 @@ leading counts (an interval from outside is framed by the eigenvectors
 of ``lower + upper``), so the bases of ``lower``, of the gap and of
 ``1 - upper`` are column ranges, and two ranges compare ranks before any
 ``V Vᴴ`` is built (``same_range``).  A frame's columns are checked
-orthonormal once, when it is decomposed (or, for a frame built
-otherwise, when first read), which makes every leading range a
-projection and the ranges nested.
+orthonormal once, with the rest of its chunk when it is decomposed (or,
+for a frame built otherwise, when first read), which makes every leading
+range a projection and the ranges nested.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from . import algebra, sampling
-from .algebra import ColumnRanges, HermitianOperator, _from_stacks, max_norm
+from .algebra import ColumnRanges, _from_stacks, max_norm
 from .errors import NumericalError, ShapeError, ZeroDirectionError
 
 CLUSTER_TOL = 1e-9
@@ -66,6 +69,7 @@ PROJECTION_TOL = 1e-8
 STACK_CHUNK_BYTES = 2**18
 
 FrameEntries = namedtuple("FrameEntries", "values weight row col lo hi")
+Decomposed = namedtuple("Decomposed", "norms vectors order starts sizes values sums")
 
 
 @dataclass(frozen=True)
@@ -178,12 +182,7 @@ class SpectralFrame:
         Then every leading column range spans a projection and the ranges
         are nested, which is what frame-backed intervals do not re-check.
         """
-        j = int(np.argmax(self.deviation))  # the worst block
-        if self.deviation[j] > PROJECTION_TOL:
-            raise NumericalError(
-                f"eigenvectors deviate from orthonormal by {self.deviation[j]:.3e}",
-                block=j,
-            )
+        _require_orthonormal(self.deviation[None])
 
     def order_margins(self, q_minus, q_plus):
         """How far each leading range ``p_k`` is from ``p_k <= q_minus`` and
@@ -220,6 +219,19 @@ def _deviations(layout, vectors):
         gram = v.conj().swapaxes(-1, -2) @ v - np.eye(v.shape[-1])
         out[..., idx] = np.abs(gram).max(axis=(-2, -1))
     return out
+
+
+def _require_orthonormal(deviation):
+    """Raise unless every row of ``deviation``, per block ``max|VᴴV - I|``
+    shaped ``(rows, blocks)``, is within ``PROJECTION_TOL``: a
+    ``NumericalError`` at the worst block of the first row that is not."""
+    worst = deviation.max(axis=1)
+    bad = np.flatnonzero(worst > PROJECTION_TOL)
+    if bad.size:
+        j = int(np.argmax(deviation[bad[0]]))
+        raise NumericalError(
+            f"eigenvectors deviate from orthonormal by {worst[bad[0]]:.3e}", block=j
+        )
 
 
 def _scaled_tol(tol, default, norm):
@@ -276,45 +288,75 @@ def decompose(alg, a, cluster_tol=None):
     into clusters by ``cluster_starts``.  Returns the ``SpectralFrame``
     whose values, the means of the clusters' eigenvalues, ascend strictly;
     a cluster's trace is its column counts times the block weights.  It is
-    the one-row case of ``_decompose_rows``.
+    the one-row case of ``_decompose_stacks``.
     """
     alg.require(a)
-    stacks = [s[None] for s in a.stacks]
-    return _decompose_rows(a.layout, stacks, np.array([max_norm(a)]), cluster_tol)[0]
+    spectra = _decompose_stacks(a.layout, [s[None] for s in a.stacks], cluster_tol)
+    return _frames(a.layout, spectra)[0]
 
 
-def _decompose_rows(layout, stacks, norms, cluster_tol=None):
-    """``decompose`` of many operators at once, one ``SpectralFrame`` per
-    row: ``stacks`` holds each size class's blocks of every operator as
-    ``(rows, m_k, d_k, d_k)`` and ``norms`` their ``max_norm``s.
+def _decompose_stacks(layout, stacks, cluster_tol=None, optuple=None):
+    """The one batched decomposition: of many operators, one row each,
+    whose size class ``k`` blocks ``stacks[k]`` holds as ``(rows, m_k, d_k,
+    d_k)``.
 
-    One ``eigh`` per size class solves every row, and one ``max|VᴴV - I|``
-    per size class measures every row's columns; each frame is checked
-    (``require_orthonormal``) as it is made.  Per row, the eigenvalues of
-    all blocks are sorted together and clustered; each frame is handed its
-    columns' clusters and deviations, so neither is computed again.
+    One ``eigh`` per size class solves every row.  Per row, the
+    eigenvalues of all blocks are sorted together (stably) and clustered
+    by ``cluster_starts`` on the row's ``max_norm``.  Returns a
+    ``Decomposed``: the rows' ``norms`` and eigenvector stacks, each row's
+    columns in sorted ``order``, the flat indices of that order where
+    clusters ``starts``, each row's cluster count and the clusters' mean
+    values, flat in row order.  Given the ``optuple`` the rows combine,
+    ``sums`` also holds per cluster the sum of its columns' ``column_psi``,
+    taken in sorted order, as ``(n + 1, clusters)``.
     """
-    rows = len(norms)
+    rows = len(stacks[0])
+    norms = np.max([np.abs(s).max(axis=(1, 2, 3)) for s in stacks], axis=0)
     solved = [eigh(s, int(idx[0])) for s, idx in zip(stacks, layout.members)]
-    deviation = _deviations(layout, [v for _, v in solved])
+    del stacks  # free the stacks before the per-column products
+    vectors = [v for _, v in solved]
     eigenvalues = np.concatenate([w.reshape(rows, -1) for w, _ in solved], axis=1)
     order = np.argsort(eigenvalues, axis=1, kind="stable")
     ordered = np.take_along_axis(eigenvalues, order, axis=1)
     starts, multiplicity = cluster_starts(ordered, norms[:, None], cluster_tol)
     values = np.add.reduceat(ordered.ravel(), starts) / multiplicity
+    sizes = np.bincount(starts // ordered.shape[1], minlength=rows)
+    sums = None
+    if optuple is not None:
+        ops = optuple.operators
+        weights = optuple.algebra.class_weights
+        per_column = np.concatenate(
+            [
+                column_psi(v, w[:, None], [b.stacks[k] for b in ops]).reshape(
+                    len(ops) + 1, rows, -1
+                )
+                for k, (v, w) in enumerate(zip(vectors, weights))
+            ],
+            axis=2,
+        )
+        per_column = np.take_along_axis(per_column, order[None], axis=2)
+        sums = np.add.reduceat(per_column.reshape(len(ops) + 1, -1), starts, axis=1)
+    return Decomposed(norms, vectors, order, starts, sizes, values, sums)
 
+
+def _frames(layout, spectra):
+    """One ``SpectralFrame`` per row of a ``Decomposed``, handed its
+    columns' clusters and deviations, so neither is computed again: one
+    ``max|VᴴV - I|`` per size class measures every row's columns, checked
+    once for all rows."""
+    deviation = _deviations(layout, spectra.vectors)
+    _require_orthonormal(deviation)
     # eigh sorts each block's columns ascending, so every cluster owns a
     # consecutive column range of every block: bounds[k, j] counts block
     # j's columns in clusters below k.  Cluster numbers count from each
     # row's first, in each row's own column order.
-    first = np.zeros(ordered.shape, dtype=int)
-    first.flat[starts] = 1
-    sizes = first.sum(axis=1)
-    clusters = np.empty_like(order)
-    np.put_along_axis(clusters, order, np.cumsum(first, axis=1) - 1, axis=1)
-    counts = np.zeros((rows, sizes.max() + 1, len(layout.dims)), dtype=int)
-    row = np.arange(rows)[:, None]
-    np.add.at(counts, (row, clusters + 1, layout.entry_block), 1)
+    first = np.zeros(spectra.order.shape, dtype=int)
+    first.flat[spectra.starts] = 1
+    clusters = np.empty_like(spectra.order)
+    np.put_along_axis(clusters, spectra.order, np.cumsum(first, axis=1) - 1, axis=1)
+    rows = len(spectra.sizes)
+    counts = np.zeros((rows, spectra.sizes.max() + 1, len(layout.dims)), dtype=int)
+    np.add.at(counts, (np.arange(rows)[:, None], clusters + 1, layout.entry_block), 1)
     bounds = np.cumsum(counts, axis=1)
     offsets = np.cumsum([0, *(m * d for m, d, _ in layout.shapes)])
     per_class = [
@@ -322,19 +364,33 @@ def _decompose_rows(layout, stacks, norms, cluster_tol=None):
         for lo, hi, (m, d, _) in zip(offsets, offsets[1:], layout.shapes)
     ]
     frames = []
-    ends = np.cumsum(sizes)
-    for r in range(rows):
+    ends = np.cumsum(spectra.sizes)
+    for r, size in enumerate(spectra.sizes.tolist()):
         frame = SpectralFrame(
             layout,
-            tuple(v[r] for _, v in solved),
-            bounds[r, : sizes[r] + 1],
-            values[ends[r] - sizes[r] : ends[r]],
+            tuple(v[r] for v in spectra.vectors),
+            bounds[r, : size + 1],
+            spectra.values[ends[r] - size : ends[r]],
         )
         frame.__dict__["clusters"] = [c[r] for c in per_class]
         frame.__dict__["deviation"] = deviation[r]
-        frame.require_orthonormal()
         frames.append(frame)
     return frames
+
+
+def _chunks(optuple, ts, cluster_tol=None):
+    """``_decompose_stacks`` of the ``b_t`` of every row ``t`` of ``ts``,
+    ``psi`` sums included, one chunk of rows (``_row_chunks``) at a time:
+    yields each chunk's slice of ``ts`` and its ``Decomposed``."""
+    alg = optuple.algebra
+    for chunk in _row_chunks(len(ts), alg.dims):
+        # no name here holds the b_t stacks, so the core frees them once solved
+        yield chunk, _decompose_stacks(
+            alg.layout,
+            algebra.linear_combinations(optuple, ts[chunk]),
+            cluster_tol,
+            optuple,
+        )
 
 
 def equality_band(op, eig_eq_tol=None):
@@ -344,14 +400,16 @@ def equality_band(op, eig_eq_tol=None):
 
 @dataclass(frozen=True, eq=False)
 class DirectionFrame:
-    """One decomposed direction: ``b_t``, its spectrum and equality band,
-    with the sweep levels and what each level reads off the frame."""
+    """One decomposed direction ``t``: the spectrum of ``b_t`` and its
+    equality band, with the sweep levels and what each level reads off the
+    frame.  Row ``k`` of ``psi_table`` is ``psi`` of the projection onto
+    the leading ``k`` clusters, its trace first."""
 
     optuple: algebra.OperatorTuple
     t: np.ndarray
-    b_t: HermitianOperator
     spectrum: SpectralFrame
     eff_tol: float
+    psi_table: np.ndarray
 
     @cached_property
     def levels(self):
@@ -362,39 +420,6 @@ class DirectionFrame:
     def cuts(self):
         """Per level, the cluster counts of ``p_minus`` and ``p_plus``."""
         return cut_clusters(self.spectrum, self.levels, self.eff_tol)
-
-    @cached_property
-    def psi_table(self):
-        """Row ``k`` is ``psi`` of the projection onto the leading ``k``
-        clusters, its trace first (``_psi_tables`` of this frame alone)."""
-        self.spectrum.require_orthonormal()
-        stacks = [v[None] for v in self.spectrum.vectors]
-        clusters = [c[None] for c in self.spectrum.clusters]
-        sizes = [len(self.spectrum.values)]
-        return _psi_tables(self.optuple, stacks, clusters, sizes)[0]
-
-
-def _psi_tables(optuple, vectors, clusters, sizes):
-    """The ``psi`` table of every row's frame, from one ``column_psi`` per
-    size class: ``vectors`` and ``clusters`` stack the frames' eigenvectors
-    and their columns' clusters as ``(rows, m_k, d_k, d_k)`` and ``(rows,
-    m_k, d_k)``, and ``sizes`` counts each frame's clusters.
-
-    Column ``v`` of block ``j`` contributes ``c_j (|v|², v*b_1v, …,
-    v*b_nv)`` to its cluster's sum, size class by size class and in column
-    order within one; row ``k`` of a table adds its first ``k`` sums.
-    """
-    ops = optuple.operators
-    rows = len(sizes)
-    sums = np.zeros((rows, max(sizes) + 1, len(ops) + 1))  # cluster c at c + 1
-    row = np.arange(rows)[:, None]
-    weights = optuple.algebra.class_weights
-    for k, (v, w, c) in enumerate(zip(vectors, weights, clusters)):
-        per_column = column_psi(v, w[:, None], [b.stacks[k] for b in ops])
-        per_column = per_column.reshape(len(ops) + 1, rows, -1).transpose(1, 2, 0)
-        np.add.at(sums, (row, c.reshape(rows, -1) + 1), per_column)
-    tables = np.cumsum(sums, axis=1)
-    return [tables[r, : size + 1] for r, size in enumerate(sizes)]
 
 
 def _row_chunks(rows, dims):
@@ -407,29 +432,25 @@ def _row_chunks(rows, dims):
 
 def direction_frames(optuple, ts, cluster_tol=None, eig_eq_tol=None):
     """The ``DirectionFrame`` of every direction part ``t`` in ``ts``,
-    decomposed together: per chunk of directions (``_row_chunks``), the
-    ``b_t`` are built by one ``linear_combinations``, decomposed by one
-    ``eigh`` per size class (``_decompose_rows``) and their ``psi`` tables
-    read off one ``column_psi`` per size class.  Every frame's bits are
-    those it has decomposed alone."""
-    alg = optuple.algebra
+    decomposed together (``_chunks``): a frame's band is scaled by the
+    ``max_norm`` of its ``b_t`` and its ``psi`` table adds up its clusters'
+    ``psi`` sums.  Every frame's bits are those it has decomposed alone."""
     ts = [np.asarray(t, dtype=float) for t in ts]
     out = []
-    for chunk in _row_chunks(len(ts), alg.dims):
-        b_ts = algebra.linear_combinations(optuple, ts[chunk])
-        stacks = algebra.stacked(b_ts)
-        norms = np.max([np.abs(s).max(axis=(1, 2, 3)) for s in stacks], axis=0)
-        spectra = _decompose_rows(alg.layout, stacks, norms, cluster_tol)
-        vectors = [np.array(v) for v in zip(*(sp.vectors for sp in spectra))]
-        clusters = [np.array(c) for c in zip(*(sp.clusters for sp in spectra))]
-        sizes = [len(sp.values) for sp in spectra]
-        tables = _psi_tables(optuple, vectors, clusters, sizes)
-        for t, b_t, spectrum, table in zip(ts[chunk], b_ts, spectra, tables):
-            frame = DirectionFrame(
-                optuple, t, b_t, spectrum, equality_band(b_t, eig_eq_tol)
-            )
-            frame.__dict__["psi_table"] = table
-            out.append(frame)
+    for chunk, spectra in _chunks(optuple, ts, cluster_tol):
+        sizes = spectra.sizes
+        bands = _scaled_tol(eig_eq_tol, EIG_EQ_TOL, spectra.norms).tolist()
+        # cluster c's sums at c + 1, so row k of a table adds the first k
+        tables = np.zeros((len(sizes), sizes.max() + 1, optuple.n + 1))
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        place = np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
+        tables[owner, place + 1] = spectra.sums.T
+        tables = np.cumsum(tables, axis=1)
+        frames = _frames(optuple.algebra.layout, spectra)
+        for t, spectrum, band, table, size in zip(
+            ts[chunk], frames, bands, tables, sizes.tolist()
+        ):
+            out.append(DirectionFrame(optuple, t, spectrum, band, table[: size + 1]))
     return out
 
 

@@ -431,15 +431,21 @@ def test_tolerance_flags_reach_every_decomposition(
     import inspect
 
     from specscale import spectral
+    from specscale.algebra import linear_combination, max_norm
 
     seen = {"cluster_tol": [], "eig_eq_tol": []}
+    frames = []
 
     def recording(fn, name):
         signature = inspect.signature(fn)
+        made_frames = fn is spectral.direction_frames
 
         def wrapper(*args, **kwargs):
             seen[name].append(signature.bind(*args, **kwargs).arguments.get(name))
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            if made_frames:
+                frames.extend(out)
+            return out
 
         return wrapper
 
@@ -450,8 +456,11 @@ def test_tolerance_flags_reach_every_decomposition(
     monkeypatch.setattr(
         spectral, "cluster_starts", recording(spectral.cluster_starts, "cluster_tol")
     )
+    # every sweep frame, and its equality band, is made here
     monkeypatch.setattr(
-        spectral, "equality_band", recording(spectral.equality_band, "eig_eq_tol")
+        spectral,
+        "direction_frames",
+        recording(spectral.direction_frames, "eig_eq_tol"),
     )
     argv = [command, "--input", inputs["reciprocal"], "--samples", "4"]
     code, _, _ = run(argv + ["--cluster-tol", "1e-7", "--eig-eq-tol", "1e-6"], capsys)
@@ -459,6 +468,10 @@ def test_tolerance_flags_reach_every_decomposition(
     assert seen["cluster_tol"] and set(seen["cluster_tol"]) == {1e-7}
     if command != "slice":  # water-filling has no equality band
         assert seen["eig_eq_tol"] and set(seen["eig_eq_tol"]) == {1e-6}
+        assert frames
+        for frame in frames:
+            b_t = linear_combination(frame.optuple, frame.t)
+            assert frame.eff_tol == 1e-6 * max(1.0, max_norm(b_t))
 
 
 @pytest.mark.parametrize(

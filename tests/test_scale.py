@@ -310,6 +310,33 @@ def test_slice_dedup_matches_the_keep_first_loop(n):
         )
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_near_pairs_match_all_pairs(seed):
+    # the first column, like a cloud's trace, takes few values (or one);
+    # near repeats sit 0 .. 2.4 tol apart across the other columns
+    from specscale.scale import _near_pairs
+
+    rng = np.random.default_rng(seed)
+    n, tol = int(rng.integers(1, 4)), 1e-8
+    first = rng.integers(0, 1 + seed % 4, (40, 1)) / 4
+    base = np.hstack([first, rng.standard_normal((40, n))])
+    across = rng.standard_normal((300, n + 1)) * (np.arange(n + 1) > 0)
+    across /= np.linalg.norm(across, axis=1, keepdims=True)
+    steps = rng.integers(0, 9, (300, 1)) * 0.3 * tol
+    points = base[rng.integers(0, len(base), 300)] + steps * across
+    start = int(rng.integers(0, 150))
+    i, j = _near_pairs(points, tol, start)
+    want = [
+        (a, b)
+        for a in range(start, len(points))
+        for b in np.flatnonzero(np.linalg.norm(points[:a] - points[a], axis=1) <= tol)
+    ]
+    assert np.all(np.diff(i) >= 0)
+    assert sorted(zip(i.tolist(), j.tolist())) == want
+    # pairs that are near but not equal, across the first column
+    assert np.any(np.any(points[i] != points[j], axis=1))
+
+
 def _close_blocks():
     """Two light one-dimensional blocks whose joint values differ by 1e-6:
     the leading projection onto either one is a point of the cloud, the

@@ -202,6 +202,15 @@ def test_order_interval_validation(pauli):
         OrderInterval(0.5 * one, one)  # not a projection
 
 
+def test_directions_of_the_wrong_shape_raise(pauli):
+    from specscale import spectral
+    from specscale.errors import ShapeError
+
+    for ts in ([np.ones(3)], [np.ones(2), np.ones(3)], [np.ones((2, 1))]):
+        with pytest.raises(ShapeError):
+            spectral.direction_frames(pauli, ts)
+
+
 def test_interval_from_spectrum_rejects_another_algebra(pauli):
     # the same block count, another block size
     from specscale.errors import ShapeError
@@ -358,7 +367,8 @@ def test_sweep_intervals_match_interval_projections(index):
         np.testing.assert_array_equal(
             frame.levels, sampling.eigenvalue_sweep(frame.spectrum.values)
         )
-        reference = _reference_clusters(optuple.algebra, frame.b_t)
+        b_t = linear_combination(optuple, frame.t)
+        reference = _reference_clusters(optuple.algebra, b_t)
         for s in frame.levels:
             got = interval_from_spectrum(
                 optuple.algebra, frame.spectrum, s, frame.eff_tol
@@ -450,7 +460,7 @@ def test_psi_table_matches_the_built_endpoints(case):
         for s, lower, upper in zip(frame.levels, *frame.cuts):
             interval = OrderInterval._from_frame(frame.spectrum, lower, upper)
             normal = np.concatenate(([-s], frame.t))
-            shifted = frame.b_t - s * alg.identity()
+            shifted = linear_combination(optuple, frame.t) - s * alg.identity()
             alphas = []
             for k, p in ((lower, interval.lower), (upper, interval.upper)):
                 row = frame.psi_table[k]
@@ -555,7 +565,40 @@ def test_non_orthonormal_row_of_a_batch_raises(monkeypatch):
             spectral.direction_frames(optuple, ts)
 
 
+def test_direction_frames_build_no_operator_and_check_each_chunk_once(monkeypatch):
+    # the b_t stay stacks, and one orthonormality measurement (and check)
+    # covers every direction of a chunk
+    from specscale import algebra, spectral
+
+    optuple = _frame_tuples()[0]
+    ts = np.random.default_rng(7).standard_normal((64, optuple.n))
+    # 16 bytes per entry of the 14 block entries: 16 directions a chunk
+    monkeypatch.setattr(spectral, "STACK_CHUNK_BYTES", 16 * 14 * 16)
+    calls = {"_from_stacks": 0, "_deviations": 0, "require_orthonormal": 0}
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in (
+        (algebra, "_from_stacks"),
+        (spectral, "_from_stacks"),
+        (spectral, "_deviations"),
+        (spectral.SpectralFrame, "require_orthonormal"),
+    ):
+        counting(owner, name)
+    frames = spectral.direction_frames(optuple, ts)
+    assert [np.array_equal(f.t, t) for f, t in zip(frames, ts)] == [True] * 64
+    assert calls == {"_from_stacks": 0, "_deviations": 4, "require_orthonormal": 0}
+
+
 def test_shifted_cluster_bound_trips_the_support_check():
+    from specscale.algebra import psi
     from specscale.errors import InvariantViolation
     from specscale.scale import _support_in_frame
     from specscale.spectral import (
@@ -581,7 +624,8 @@ def test_shifted_cluster_bound_trips_the_support_check():
         shifted_bounds,
         frame.spectrum.values,
     )
-    shifted = DirectionFrame(optuple, frame.t, frame.b_t, spectrum, frame.eff_tol)
+    table = [psi(optuple, spectrum.projection(0, c)) for c in range(len(bounds))]
+    shifted = DirectionFrame(optuple, frame.t, spectrum, frame.eff_tol, np.array(table))
     with pytest.raises(InvariantViolation):
         _support_in_frame(shifted, s, k, k + 1)
 

@@ -137,7 +137,8 @@ def test_stacked_frames_match_per_block(case):
     alg = optuple.algebra
     frame = spectral.direction_frame(optuple, rng.standard_normal(optuple.n))
     spectrum = frame.spectrum
-    bounds, values = _decompose(alg, frame.b_t.blocks)
+    b_t = algebra.linear_combination(optuple, frame.t)
+    bounds, values = _decompose(alg, b_t.blocks)
     np.testing.assert_array_equal(spectrum.bounds, bounds)
     np.testing.assert_allclose(spectrum.values, values, atol=1e-12)
     # psi of each leading range, projection by projection
