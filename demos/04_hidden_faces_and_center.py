@@ -32,7 +32,7 @@ print("\nlevel-1 face dimension:", face1.dimension)
 complex_ = ss.build_facial_complex(
     optuple, [level1, ss.SpectralPair(2.0, np.array([1.0, 0.0]))]
 )
-hidden = ss.face_from_complex(optuple, complex_)
+hidden = ss.face_from_complex(complex_)
 w = ss.psi(optuple, hidden.lower)
 print("hidden vertex:", np.round(w, 6))
 

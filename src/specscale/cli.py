@@ -225,13 +225,13 @@ def cmd_extremes(optuple, args):
 
 
 def _face_pass(optuple, args, cloud=None):
-    """The run's ``spectral.FrameCache`` and ``(face, cone)`` per distinct
-    sweep face, the cone None for the whole scale.
+    """``(face, cone)`` per distinct sweep face, the cone None for the
+    whole scale.
 
-    The sweep fills the cache, and the cones of all proper faces are
-    sampled together from it (``faces.normal_cones``), each given its
-    face's sweep direction and dimension, so each direction part is
-    decomposed once per run.  A ``cloud`` given gets the extreme
+    The sweep fills one ``spectral.FrameCache``, and the cones of all
+    proper faces are sampled together from it (``faces.normal_cones``),
+    each given its face's sweep direction and dimension, so each direction
+    part is decomposed once per run.  A ``cloud`` given gets the extreme
     points of every swept direction.  Kept faces are bucketed by rank, as
     faces of different ranks never match.
     """
@@ -263,12 +263,12 @@ def _face_pass(optuple, args, cloud=None):
             dimensions=[f.dimension for f in tested],
         )
     )
-    return frames, [(f, next(cones) if p else None) for f, p in zip(distinct, proper)]
+    return [(f, next(cones) if p else None) for f, p in zip(distinct, proper)]
 
 
 def cmd_faces(optuple, args):
     reports = []
-    for face, cone in _face_pass(optuple, args)[1]:
+    for face, cone in _face_pass(optuple, args):
         entry = {
             "pair": {"s": face.pair.s, "t": face.pair.t},
             "alpha": face.alpha,
@@ -297,20 +297,12 @@ def cmd_slice(optuple, args):
 def cmd_corners(optuple, args):
     gaps = []
     sharp = []
-    frames, passed = _face_pass(optuple, args)
-    for face, cone in passed:
+    for face, cone in _face_pass(optuple, args):
         if cone is None:
             continue
         if cone.degree >= 2:
             sharp.append({**_traces(face), "degree": cone.degree})
-        for rep in structure.detect_gap(
-            optuple,
-            face.interval,
-            cone,
-            cluster_tol=args.cluster_tol,
-            eig_eq_tol=args.eig_eq_tol,
-            frames=frames,
-        ):
+        for rep in structure.detect_gap(optuple, face.interval, cone):
             gaps.append({"t": rep.t, "s1": rep.s1, "s2": rep.s2})
     _emit_json(args, "corners.json", {"gaps": gaps, "sharp_faces": sharp})
 
@@ -318,7 +310,7 @@ def cmd_corners(optuple, args):
 def cmd_center(optuple, args):
     central = []
     cloud = scale.ExtremePointCloud(optuple.n)
-    for face, cone in _face_pass(optuple, args, cloud)[1]:
+    for face, cone in _face_pass(optuple, args, cloud):
         if cone is None:
             continue
         rep = structure.detect_central(optuple, face.interval, cone)

@@ -24,7 +24,10 @@ over.  Each distinct candidate ``t`` is decomposed once, through a
 ``spectral.FrameCache`` that the CLI fills from its sweep and keeps for
 the run, and every face that tests ``t`` is tested together, its
 endpoints stacked per block size into one product.  Member normals and
-degrees are stacked over all faces.  A sweep face is exposed by its own
+degrees are stacked over all faces.  A cone keeps its members grouped by
+tested direction, each group with the frame it was tested on
+(``ConeGroup``), which gap detection and the pure-trace step of a chain
+read instead of decomposing again.  A sweep face is exposed by its own
 pair, so its minimal exposed chain is the face itself once that pair is
 found in its cone (``sweep_face_chain``); ``minimal_exposed_chain`` builds
 the chain of any face from its cone sample.
@@ -32,6 +35,7 @@ the chain of any face from its cone sample.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +69,12 @@ class FacialComplex:
         return self.termination_level is not None
 
 
+# The members of a normal cone on one tested direction part: the checked
+# ``t``, the member levels ``s`` and the ``spectral.DirectionFrame`` of
+# ``b_t`` they were read off.
+ConeGroup = namedtuple("ConeGroup", "t levels frame")
+
+
 @dataclass(frozen=True)
 class NormalConeSample:
     """Members of the normal cone found by sampling, with the degree.
@@ -75,9 +85,18 @@ class NormalConeSample:
     """
 
     members: np.ndarray  # (k, n+1) unit normals (-s, t)
-    pairs: tuple
+    groups: tuple  # ConeGroups, one per tested t with members, in order
     degree: int
     exact: bool
+
+    @property
+    def pairs(self):
+        """Every member as a ``SpectralPair``, group by group."""
+        return tuple(
+            SpectralPair._at_level(s, g.t)
+            for g in self.groups
+            for s in g.levels.tolist()
+        )
 
 
 def in_generated_algebra(optuple, op, basis=None):
@@ -181,7 +200,7 @@ def _lift(comp, interval):
     return OrderInterval(comp.lift(interval.lower), comp.lift(interval.upper))
 
 
-def face_from_complex(optuple, fcomplex):
+def face_from_complex(fcomplex):
     """The ambient interval of a facial complex: its last level, lifted."""
     return _lift(*fcomplex.levels[-1])
 
@@ -308,7 +327,8 @@ def normal_cones(
     ``p_minus <= q_minus``, ``q_plus <= p_plus`` of every face whose
     candidates hold ``t`` is one stacked ``order_margins`` on its frame,
     read at each level's cluster counts, so no candidate interval is
-    built.  Each face's members keep the order of its candidates.
+    built.  Each face's members are grouped by candidate, in order, each
+    ``ConeGroup`` holding the frame its levels were read off.
     """
     intervals = list(intervals)
     for interval in intervals:
@@ -349,34 +369,30 @@ def normal_cones(
         )
         t = SpectralPair(s=0.0, t=frame.t).t  # checked once for its pairs
         for (f, k), row in zip(tests, member):
-            found[f][k] = (t, frame.levels[row])
-    return _cone_samples(optuple, intervals, found, dimensions)
+            found[f][k] = ConeGroup(t, frame.levels[row], frame)
+    groups = [tuple(g for g in gs if len(g.levels)) for gs in found]
+    return _cone_samples(optuple, intervals, groups, dimensions)
 
 
-def _cone_samples(optuple, intervals, found, dimensions=None):
-    """The ``NormalConeSample`` of every face, from its member levels
-    ``found[f]``, one ``(t, levels)`` per candidate direction part in order,
-    ``t`` held by a checked ``SpectralPair``.
+def _cone_samples(optuple, intervals, groups, dimensions=None):
+    """The ``NormalConeSample`` of every face from its ``ConeGroup``s.
 
     All members are normalized together, and every face's degree is one
     stacked ``matrix_rank`` over its members padded with zero rows, which
     leave the rank as it is.  ``exact`` reads ``dimensions[f]`` when given.
     """
     n = optuple.n
-    hits = [(f, t, s) for f, ts in enumerate(found) for t, s in ts if len(s)]
-    sizes = [len(s) for _, _, s in hits]
-    owner = np.repeat([f for f, _, _ in hits], sizes).astype(int)
+    hits = [(f, g) for f, gs in enumerate(groups) for g in gs]
+    sizes = [len(g.levels) for _, g in hits]
+    owner = np.repeat([f for f, _ in hits], sizes).astype(int)
     members = np.empty((len(owner), n + 1))
     if hits:
-        members[:, 0] = -np.concatenate([s for _, _, s in hits])
-        members[:, 1:] = np.repeat([t for _, t, _ in hits], sizes, axis=0)
+        members[:, 0] = -np.concatenate([g.levels for _, g in hits])
+        members[:, 1:] = np.repeat([g.t for _, g in hits], sizes, axis=0)
     members /= np.linalg.norm(members, axis=1, keepdims=True)
-    pairs = [[] for _ in found]
-    for f, t, levels in hits:
-        pairs[f] += [SpectralPair._at_level(s, t) for s in levels.tolist()]
-    counts = np.bincount(owner, minlength=len(found))
+    counts = np.bincount(owner, minlength=len(groups))
     starts = np.cumsum(counts) - counts
-    padded = np.zeros((len(found), max(counts, default=0), n + 1))
+    padded = np.zeros((len(groups), max(counts, default=0), n + 1))
     padded[owner, np.arange(len(owner)) - starts[owner]] = members
     degrees = np.linalg.matrix_rank(padded, tol=1e-8) if padded.size else counts
     diagonal = all(d == 1 for d in optuple.algebra.dims)
@@ -385,7 +401,7 @@ def _cone_samples(optuple, intervals, found, dimensions=None):
     return [
         NormalConeSample(
             members=members[starts[f] : starts[f] + counts[f]],
-            pairs=tuple(pairs[f]),
+            groups=groups[f],
             degree=int(degrees[f]),
             exact=bool(diagonal and degrees[f] == n + 1 - dimensions[f]),
         )
@@ -399,12 +415,9 @@ def normal_cone(
     directions=sampling.DEFAULT_DIRECTIONS,
     cluster_tol=None,
     eig_eq_tol=None,
-    frames=None,
 ):
     """The normal cone of one proper face: ``normal_cones`` of ``[interval]``."""
-    (cone,) = normal_cones(
-        optuple, [interval], directions, cluster_tol, eig_eq_tol, frames
-    )
+    (cone,) = normal_cones(optuple, [interval], directions, cluster_tol, eig_eq_tol)
     return cone
 
 
@@ -466,9 +479,9 @@ def minimal_exposed_face(
     return _exposed_by_cone(optuple, interval, cone, cluster_tol, eig_eq_tol)
 
 
-def _exposed_by_cone(optuple, interval, cone, cluster_tol, eig_eq_tol, frames=None):
-    """``minimal_exposed_face`` from the face's sampled normal cone, with
-    directions decomposed by ``frames`` (a ``spectral.FrameCache``) when given."""
+def _exposed_by_cone(optuple, interval, cone, cluster_tol, eig_eq_tol):
+    """``minimal_exposed_face`` from the face's sampled normal cone; a
+    member's face is read off the frame its group was tested on."""
     if not len(cone.members):
         raise MinimalFaceError(
             "no supporting directions found; refine the direction sample"
@@ -477,11 +490,12 @@ def _exposed_by_cone(optuple, interval, cone, cluster_tol, eig_eq_tol, frames=No
     t_bar = combined[1:]
     if np.linalg.norm(t_bar) > 1e-10:
         pair = SpectralPair(s=-combined[0], t=t_bar)
-        face = scale.exposed_face(optuple, pair, cluster_tol, eig_eq_tol, frames)
+        face = scale.exposed_face(optuple, pair, cluster_tol, eig_eq_tol)
     else:
         exposing = (
-            scale.exposed_face(optuple, pair, cluster_tol, eig_eq_tol, frames)
-            for pair in cone.pairs
+            scale.exposed_in_frame(g.frame, SpectralPair._at_level(s, g.t))
+            for g in cone.groups
+            for s in g.levels.tolist()
         )
         face = next(
             (f for f in exposing if intervals_equal(f.interval, interval)), None
@@ -511,7 +525,8 @@ def sweep_face_chain(face, cone):
     """
     s, t = face.pair.s, face.pair.t
     if any(
-        abs(p.s - s) <= 1e-9 and np.abs(p.t - t).max() <= 1e-9 for p in cone.pairs
+        np.abs(g.t - t).max() <= 1e-9 and (np.abs(g.levels - s) <= 1e-9).any()
+        for g in cone.groups
     ):
         return [face.interval]
     raise InvariantViolation(
@@ -539,27 +554,19 @@ def minimal_exposed_chain(
     )
 
 
-def _chain_from_cone(
-    optuple, interval, cone, directions, cluster_tol, eig_eq_tol, frames=None
-):
+def _chain_from_cone(optuple, interval, cone, directions, cluster_tol, eig_eq_tol):
     """``minimal_exposed_chain`` from the face's sampled normal cone, which
     serves the first level; each later level samples the cone of its
-    cut-down target.  The first level is exposed in ``optuple`` itself,
-    its directions decomposed by ``frames`` (a ``spectral.FrameCache`` of
-    ``optuple``) when given; each cut-down is a tuple of its own and gets
-    a cache of its own."""
+    cut-down target in the cut-down tuple."""
     comp = _whole(optuple)
     current, target = optuple, interval
     chain = []
     for level in range(optuple.n + 2):
         if level:
             current = comp.tuple
-            frames = spectral.FrameCache(current, cluster_tol, eig_eq_tol)
-            cone = normal_cone(
-                current, target, directions, cluster_tol, eig_eq_tol, frames
-            )
+            cone = normal_cone(current, target, directions, cluster_tol, eig_eq_tol)
         exposed = _exposed_by_cone(
-            current, target, cone, cluster_tol, eig_eq_tol, frames
+            current, target, cone, cluster_tol, eig_eq_tol
         ).interval
         # the first level is exposed in the ambient tuple already
         chain.append(_lift(comp, exposed) if level else exposed)

@@ -195,18 +195,23 @@ def _face_in_frame(frame, pair, lower, upper, alpha, dimension):
     )
 
 
-def exposed_face(optuple, pair, cluster_tol=None, eig_eq_tol=None, frames=None):
+def exposed_face(optuple, pair, cluster_tol=None, eig_eq_tol=None):
     """The face cut out by the supporting hyperplane of ``(s, t)``.
 
     The face is the image of the order interval of the interval
     projections; it is a single exposed point exactly when the two
-    projections coincide.  ``frames``, a ``spectral.FrameCache`` of the
-    tuple, decomposes ``t`` when given.
+    projections coincide.
     """
-    frame = spectral.frame_source(optuple, cluster_tol, eig_eq_tol, frames)(pair.t)
+    frame = spectral.direction_frame(optuple, pair.t, cluster_tol, eig_eq_tol)
+    return exposed_in_frame(frame, pair)
+
+
+def exposed_in_frame(frame, pair):
+    """``exposed_face`` of ``pair`` read off ``frame``, the decomposed
+    direction (a ``spectral.DirectionFrame``) of ``pair.t``."""
     lower, upper = spectral.cut_clusters(frame.spectrum, pair.s, frame.eff_tol)
     alpha = float(_support_in_frame(frame, pair.s, lower, upper))
-    (dimension,) = interval_dimensions(optuple, frame.spectrum, [lower], [upper])
+    (dimension,) = interval_dimensions(frame.optuple, frame.spectrum, [lower], [upper])
     return _face_in_frame(frame, pair, lower, upper, alpha, int(dimension))
 
 

@@ -57,7 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from . import algebra, sampling
-from .algebra import ColumnRanges, _from_stacks, max_norm
+from .algebra import ColumnRanges, _from_stacks
 from .errors import NumericalError, ShapeError, ZeroDirectionError
 
 CLUSTER_TOL = 1e-9
@@ -391,11 +391,6 @@ def _chunks(optuple, ts, cluster_tol=None):
             cluster_tol,
             optuple,
         )
-
-
-def equality_band(op, eig_eq_tol=None):
-    """The scaled band within which a cut level counts as an eigenvalue of ``op``."""
-    return float(_scaled_tol(eig_eq_tol, EIG_EQ_TOL, max_norm(op)))
 
 
 @dataclass(frozen=True, eq=False)

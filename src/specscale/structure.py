@@ -3,11 +3,13 @@
 A face supported by hyperplanes whose direction parts span R^n forces
 its endpoint projections to commute with every operator of the tuple,
 i.e. to be central in the generated algebra.  Two supporting levels
-along one direction signal a spectral gap.  Isolated extreme points are
-images of central projections, and a finite extreme point set is
-equivalent to the generated algebra being abelian and finite
-dimensional.  Every geometric detection here is re-verified with
-commutators; geometry is never trusted alone.
+along one direction signal a spectral gap.  Both are read off a cone's
+groups (``faces.ConeGroup``, one per tested direction): one rank test
+per group, and a gap checked on the frame its group was tested on.
+Isolated extreme points are images of central projections, and a finite
+extreme point set is equivalent to the generated algebra being abelian
+and finite dimensional.  Every geometric detection here is re-verified
+with commutators; geometry is never trusted alone.
 """
 
 from __future__ import annotations
@@ -75,16 +77,18 @@ def detect_central(optuple, interval, cone):
     direction parts, both endpoints must be central; the commutators are
     measured and enforced rather than assumed.  Fewer independent
     directions produce a report with ``central=False``, which only means
-    the geometric evidence is insufficient.
+    the geometric evidence is insufficient.  The members of one group
+    share their direction part, so each group offers its first member.
     """
     _require_proper(optuple, interval)
     n = optuple.n
     chosen = []
     t_stack = np.empty((0, n))
-    for pair in cone.pairs:
-        cand = np.vstack([t_stack, pair.t])
+    for group in cone.groups:
+        cand = np.vstack([t_stack, group.t])
         if np.linalg.matrix_rank(cand, tol=1e-8) > len(chosen):
-            chosen.append(pair)
+            s = float(group.levels[0])
+            chosen.append(spectral.SpectralPair._at_level(s, group.t))
             t_stack = cand
         if len(chosen) == n:
             break
@@ -113,38 +117,25 @@ def detect_central(optuple, interval, cone):
     )
 
 
-def detect_gap(
-    optuple, interval, cone, cluster_tol=None, eig_eq_tol=None, frames=None
-):
+def detect_gap(optuple, interval, cone):
     """Spectral gaps read off cone members sharing a direction part.
 
-    Members are grouped by ``t`` (angular tolerance 1e-8); a group whose
-    cut levels spread beyond the eigenvalue-equality band witnesses a gap
-    ``(s1, s2)`` in the spectrum of ``b_t``, and the face must be a
-    single exposed point.  Both facts are verified before reporting.
-    Every group's ``b_t`` is decomposed together, by ``frames`` (a
-    ``spectral.FrameCache`` of the tuple, which holds every ``t`` its cones
-    tested) when given.
+    A group of the cone (one tested ``t``) whose cut levels spread beyond
+    the eigenvalue-equality band of its frame witnesses a gap ``(s1, s2)``
+    in the spectrum of ``b_t``, and the face must be a single exposed
+    point.  Both facts are verified, on the frame the group was tested on,
+    before reporting.
     """
     _require_proper(optuple, interval)
-    source = spectral.frame_source(optuple, cluster_tol, eig_eq_tol, frames)
-    groups = {}
-    for pair in cone.pairs:
-        key = tuple(np.round(pair.t, 8))
-        groups.setdefault(key, []).append(pair)
-    source.fill(members[0].t for members in groups.values())
     reports = []
-    for members in groups.values():
-        levels = [p.s for p in members]
-        s1, s2 = min(levels), max(levels)
-        t = members[0].t
-        frame = source(t)
+    for group in cone.groups:
+        s1, s2 = float(group.levels.min()), float(group.levels.max())
         # the spread's endpoints may themselves be eigenvalues; only the
         # interior beyond the equality band must be spectrum-free
-        band = frame.eff_tol
+        band = group.frame.eff_tol
         if s2 - s1 <= 2 * band:
             continue
-        values = frame.spectrum.values
+        values = group.frame.spectrum.values
         if np.any((values > s1 + band) & (values < s2 - band)):
             raise InvariantViolation(
                 f"support levels spread over ({s1}, {s2}) but the spectrum "
@@ -154,7 +145,7 @@ def detect_gap(
             raise InvariantViolation(
                 "a face supported across a spectral gap must be a point"
             )
-        reports.append(GapReport(t=t, s1=s1, s2=s2, interval=interval))
+        reports.append(GapReport(t=group.t, s1=s1, s2=s2, interval=interval))
     return reports
 
 
@@ -195,11 +186,13 @@ def abelian_verdict(
     central and the count within the projection count of the generated
     algebra.  Algebraic side: the generators must pairwise commute.  The
     counts at ``directions`` and ``2 * directions`` are reported as
-    evidence either way.  The sample is extensible, so the denser one
-    starts with the sparser one's direction parts: one sweep of the denser
-    sample fills one cloud, counted once after those parts and once at the
-    end, each direction decomposed once.  The clouds cluster with
-    ``cluster_tol`` and ``eig_eq_tol``, as in ``scale.extreme_point_cloud``.
+    evidence either way; equal counts stabilize only when the denser
+    sample adds a direction part, or when ``n = 1``, where ``±1`` are all
+    of them.  The sample is extensible, so the denser one starts with the
+    sparser one's direction parts: one sweep of the denser sample fills
+    one cloud, counted once after those parts and once at the end, each
+    direction decomposed once.  The clouds cluster with ``cluster_tol``
+    and ``eig_eq_tol``, as in ``scale.extreme_point_cloud``.
     """
     ts = scale._cloud_t_directions(optuple.n, 2 * directions)
     first = len(scale._cloud_t_directions(optuple.n, directions))
@@ -211,7 +204,8 @@ def abelian_verdict(
         counts.append(len(cloud))
     basis = generated_algebra_basis(optuple)
     n_dim = len(basis)
-    stabilized = counts[0] == counts[1]
+    grew = len(ts) > first or optuple.n == 1
+    stabilized = grew and counts[0] == counts[1]
     all_central = all(
         _max_commutator_with_tuple(optuple, proj) <= CENTRAL_TOL
         for _, proj in cloud

@@ -71,7 +71,7 @@ def inventories(all_fixtures):
                     SpectralPair(2.0, np.array([1.0, 0.0])),
                 ],
             )
-            intervals.append(face_from_complex(optuple, cx))
+            intervals.append(face_from_complex(cx))
         out[name] = intervals
     return out
 

@@ -613,7 +613,7 @@ def test_faces_exits_four_when_a_sweep_pair_is_not_in_its_cone(
     original = faces.normal_cones
 
     def memberless(*args, **kwargs):
-        return [replace(c, pairs=()) for c in original(*args, **kwargs)]
+        return [replace(c, groups=()) for c in original(*args, **kwargs)]
 
     monkeypatch.setattr(faces, "normal_cones", memberless)
     code, out, err = run(

@@ -47,7 +47,7 @@ def fd_hidden_vertex_interval(fd):
         fd,
         [SpectralPair(-s, -t_tan), SpectralPair(2.0, np.array([1.0, 0.0]))],
     )
-    return face_from_complex(fd, cx), t_tan
+    return face_from_complex(cx), t_tan
 
 
 # ---------------------------------------------------------------- cut-downs
@@ -203,7 +203,7 @@ def test_two_level_cut_matches_two_step_compression(name, request):
 def test_single_pair_complex_degenerates(reciprocal8):
     pair = SpectralPair(1.0 / 3.0, np.array([1.0]))
     cx = build_facial_complex(reciprocal8, [pair])
-    face = face_from_complex(reciprocal8, cx)
+    face = face_from_complex(cx)
     direct = interval_projections(reciprocal8, pair)
     assert intervals_equal(face, direct)
 
@@ -219,20 +219,20 @@ def test_two_level_scalar_cutdown(reciprocal8):
         reciprocal8, [first, SpectralPair(1.0 / 3.0, np.array([1.0]))]
     )
     assert not at.terminated_early and at.termination_level is None
-    face_at = face_from_complex(reciprocal8, at)
+    face_at = face_from_complex(at)
     assert intervals_equal(face_at, direct)
 
     high = build_facial_complex(
         reciprocal8, [first, SpectralPair(0.4, np.array([1.0]))]
     )
-    face_high = face_from_complex(reciprocal8, high)
+    face_high = face_from_complex(high)
     assert face_high.is_point()
     assert max_norm(face_high.lower - direct.upper) <= 1e-10
 
     low = build_facial_complex(
         reciprocal8, [first, SpectralPair(0.2, np.array([1.0]))]
     )
-    face_low = face_from_complex(reciprocal8, low)
+    face_low = face_from_complex(low)
     assert face_low.is_point()
     assert max_norm(face_low.lower - direct.lower) <= 1e-10
 
@@ -246,7 +246,7 @@ def test_complex_terminates_early_in_a_gap(reciprocal8):
     assert cx.termination_level == 1
     assert len(cx.levels) == 1
     # the face is level one's point, not a cut of it
-    face = face_from_complex(reciprocal8, cx)
+    face = face_from_complex(cx)
     direct = interval_projections(reciprocal8, first)
     assert face.is_point()
     assert max_norm(face.lower - direct.lower) <= 1e-10
@@ -438,7 +438,7 @@ def test_chain_of_hidden_segment_has_length_two(blockpair):
             SpectralPair(np.cos(np.arctan2(t_tan[1], t_tan[0])), np.array([1.0, 0.0])),
         ],
     )
-    face = face_from_complex(blockpair, cx)
+    face = face_from_complex(cx)
     # level-two cut level equals the compressed eigenvalue cos(theta), so
     # the face is the ruling segment
     assert not face.is_point()
@@ -531,6 +531,56 @@ def test_normal_cones_equal_one_cone_per_face(name, request):
         assert (cone.degree, cone.exact) == (alone.degree, alone.exact)
 
 
+@pytest.mark.parametrize(
+    "name", ["two_point", "reciprocal8", "pauli", "commuting", "blockpair"]
+)
+def test_cone_groups_hold_the_members_and_their_frames(name, request):
+    # each group is one tested t, in candidate order, with its member
+    # levels and the cache's own frame of b_t they were read off
+    optuple = request.getfixturevalue(name)
+    frames = spectral.FrameCache(optuple)
+    intervals = _proper_sweep_faces(optuple, 8)
+    for cone in normal_cones(optuple, intervals, 8, frames=frames):
+        flat = [(s, g.t.tolist()) for g in cone.groups for s in g.levels.tolist()]
+        assert flat == [(p.s, p.t.tolist()) for p in cone.pairs]
+        normals = np.array([(-s, *t) for s, t in flat]).reshape(-1, optuple.n + 1)
+        np.testing.assert_allclose(
+            cone.members * np.linalg.norm(normals, axis=1, keepdims=True),
+            normals,
+            rtol=0,
+            atol=1e-12,
+        )
+        for g in cone.groups:
+            assert len(g.levels) and np.isin(g.levels, g.frame.levels).all()
+            assert g.frame is frames(g.t)
+            np.testing.assert_array_equal(g.t, g.frame.t)
+
+
+def test_pure_trace_fallback_reads_the_cone_frames(pauli, monkeypatch):
+    # the apex psi(0) has a cone symmetric about the trace axis: its summed
+    # normal has no t part, so a member exposing the apex alone is sought,
+    # each member's face read off the frame its group was tested on
+    from specscale.faces import _exposed_by_cone
+
+    apex = OrderInterval(pauli.algebra.zero(), pauli.algebra.zero())
+    cone = normal_cone(pauli, apex, 16)
+    assert np.linalg.norm(cone.members.sum(axis=0)[1:]) <= 1e-10
+    calls = []
+    direction_frames = spectral.direction_frames
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return direction_frames(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "direction_frames", counting)
+    face = _exposed_by_cone(pauli, apex, cone, None, None)
+    assert calls == []
+    assert intervals_equal(face.interval, apex)
+    assert any(
+        p.s == face.pair.s and np.array_equal(p.t, face.pair.t) for p in cone.pairs
+    )
+
+
 def test_normal_cones_decompose_each_direction_once(commuting, monkeypatch):
     intervals = _proper_sweep_faces(commuting, 8)
     calls = []
@@ -546,40 +596,19 @@ def test_normal_cones_decompose_each_direction_once(commuting, monkeypatch):
     assert sum(len(c.pairs) for c in cones) and len(calls) == len(set(calls))
 
 
-def test_cut_down_never_reads_the_ambient_cache(blockpair, monkeypatch):
-    # the hidden vertex's chain cuts the tuple down once; the cut-down
-    # decomposes its own directions even when the ambient cache holds
-    # the same t
-    from specscale.faces import _chain_from_cone
-
+def test_cut_down_never_reads_the_ambient_cache(blockpair):
+    # a cache refuses any tuple but its own, a cut-down of it included,
+    # and other tolerances
     interval, _ = fd_hidden_vertex_interval(blockpair)
     frames = spectral.FrameCache(blockpair)
-    cone = normal_cone(blockpair, interval, 128, frames=frames)
-    seen = []
-    direction_frames = spectral.direction_frames
-
-    def noting(optuple, ts, *args):
-        ts = list(ts)
-        seen.extend((optuple, np.asarray(t).tobytes()) for t in ts)
-        return direction_frames(optuple, ts, *args)
-
-    monkeypatch.setattr(spectral, "direction_frames", noting)
-    _chain_from_cone(blockpair, interval, cone, 128, None, None, frames)
-    cut_ts = [np.frombuffer(t) for op, t in seen if op is not blockpair]
-    assert cut_ts
-    for t in cut_ts:
-        frames(t)  # now the ambient cache holds every t the cut-down reads
-    seen.clear()
-    chain = _chain_from_cone(blockpair, interval, cone, 128, None, None, frames)
-    assert len(chain) == 2
-    assert {t for op, t in seen if op is not blockpair} == {
-        t.tobytes() for t in cut_ts
-    }
+    normal_cones(blockpair, [interval], 128, frames=frames)
     assert all(f.optuple is blockpair for f in frames._frames.values())
-    # a cache refuses any tuple but its own, and other tolerances
+    chain = minimal_exposed_chain(blockpair, interval, 128)
+    assert len(chain) == 2
     comp = cut_down(blockpair, chain[0])
+    cut_face = sampled_face_inventory(comp.tuple, 0)[0]
     with pytest.raises(ValueError, match="another tuple"):
-        normal_cone(comp.tuple, sampled_face_inventory(comp.tuple, 0)[0], 8, frames=frames)
+        normal_cones(comp.tuple, [cut_face], 8, frames=frames)
     with pytest.raises(ValueError, match="another tuple"):
         spectral.frame_source(comp.tuple, frames=frames)
     with pytest.raises(ValueError, match="other tolerances"):
@@ -729,15 +758,23 @@ def test_sweep_face_chain_needs_its_own_pair_in_the_cone(commuting):
     face = next(f for f in sweep_faces(commuting, 0) if f.dimension == 1)
     cone = normal_cone(commuting, face.interval, 0)
     assert sweep_face_chain(face, cone) == [face.interval]
+
+    def altered(**change):
+        groups = tuple(
+            g._replace(**{k: f(getattr(g, k)) for k, f in change.items()})
+            for g in cone.groups
+        )
+        return replace(cone, groups=groups)
+
     for moved in (1e-8, -1e-8):
-        shifted = [SpectralPair(s=p.s + moved, t=p.t) for p in cone.pairs]
+        shifted = altered(levels=lambda levels: levels + moved)
         with pytest.raises(InvariantViolation, match="not a member"):
-            sweep_face_chain(face, replace(cone, pairs=tuple(shifted)))
-    turned = [SpectralPair(s=p.s, t=p.t + [0.0, 1e-8]) for p in cone.pairs]
+            sweep_face_chain(face, shifted)
+    turned = altered(t=lambda t: t + [0.0, 1e-8])
     with pytest.raises(InvariantViolation, match="not a member"):
-        sweep_face_chain(face, replace(cone, pairs=tuple(turned)))
-    near = tuple(SpectralPair(s=p.s + 5e-10, t=p.t) for p in cone.pairs)
-    assert sweep_face_chain(face, replace(cone, pairs=near)) == [face.interval]
+        sweep_face_chain(face, turned)
+    near = altered(levels=lambda levels: levels + 5e-10)
+    assert sweep_face_chain(face, near) == [face.interval]
 
 
 @pytest.mark.parametrize("ratio", [0.8, 1.25])

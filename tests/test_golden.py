@@ -278,7 +278,7 @@ def test_faces_chain_length_matches_the_library_chain(name, samples, tmp_path):
     # cuts down from there, is the independent reference
     optuple = TUPLES[name]()
     args = Namespace(samples=samples, cluster_tol=None, eig_eq_tol=None)
-    _, passed = _face_pass(optuple, args)
+    passed = _face_pass(optuple, args)
     result = run_case(name, "faces", str(tmp_path), samples)
     assert result["exit_code"] == 0
     reports = json.loads("".join(result["stdout"]))

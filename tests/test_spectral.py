@@ -14,8 +14,8 @@ from specscale.spectral import (
     OrderInterval,
     SpectralPair,
     decompose,
+    direction_frame,
     eigengap_of,
-    equality_band,
     interval_projections,
     is_projection,
     projection_leq,
@@ -100,7 +100,7 @@ def test_interval_projections_at_the_band_edge(eig_eq_tol):
     # 2 counts as "at s" strictly inside the band and nowhere outside it
     alg, b = one_block(np.diag([-1.0, 2.0, 2.0, 5.0]), 4)
     optuple = OperatorTuple(alg, (b,))
-    band = equality_band(b, eig_eq_tol)
+    band = direction_frame(optuple, np.array([1.0]), eig_eq_tol=eig_eq_tol).eff_tol
     assert band == 5 * (eig_eq_tol or 1e-8)
 
     def diagonals(s):
@@ -765,7 +765,7 @@ def test_face_pass_dedup_builds_no_projection(commuting, monkeypatch):
     monkeypatch.setattr(SpectralFrame, "projection", counting_projection)
     monkeypatch.setattr(faces, "normal_cones", noting_cones)
     args = Namespace(samples=8, cluster_tol=None, eig_eq_tol=None)
-    assert len(cli._face_pass(commuting, args)[1]) > 1
+    assert len(cli._face_pass(commuting, args)) > 1
     assert before_first_cone == [0]
     assert built
 

@@ -7,7 +7,12 @@ from specscale import fixtures
 from specscale.algebra import max_norm
 from specscale.errors import DegenerateFaceError
 from specscale.faces import normal_cone
-from specscale.scale import ExtremePointCloud, exposed_face, extreme_point_cloud
+from specscale.scale import (
+    ExtremePointCloud,
+    _cloud_t_directions,
+    exposed_face,
+    extreme_point_cloud,
+)
 from specscale.spectral import OrderInterval, SpectralPair
 from specscale.structure import (
     SAMPLING_INCOMPLETE,
@@ -72,6 +77,56 @@ def test_detect_central_rejects_whole_scale(blockpair):
     )
     with pytest.raises(DegenerateFaceError):
         cone = normal_cone(blockpair, whole, 16)
+
+
+def test_detect_central_tests_the_rank_once_per_group(monkeypatch):
+    # a group's members share their t, so only its first can raise the rank
+    from conftest import sampled_face_inventory
+    from specscale.faces import _is_proper, normal_cones
+
+    optuple = fixtures.block_with_scalars()
+    intervals = [
+        iv for iv in sampled_face_inventory(optuple, 8) if _is_proper(optuple, iv)
+    ]
+    cones = normal_cones(optuple, intervals, 8)
+    interval, cone = next(
+        (iv, c) for iv, c in zip(intervals, cones) if len(c.members) == 40
+    )
+    assert len(cone.groups) == 20
+    ts = np.array([g.t for g in cone.groups])
+    examined = next(
+        k
+        for k in range(1, len(ts) + 1)
+        if np.linalg.matrix_rank(ts[:k], tol=1e-8) == optuple.n
+    )
+    calls = []
+    matrix_rank = np.linalg.matrix_rank
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return matrix_rank(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counting)
+    report = detect_central(optuple, interval, cone)
+    assert report.central and report.rank == optuple.n
+    assert len(calls) == examined < len(cone.members)
+
+
+def test_detect_gap_reads_the_frames_its_cone_was_tested_on(reciprocal8, monkeypatch):
+    from specscale import spectral
+
+    face = exposed_face(reciprocal8, SpectralPair(5.0 / 12.0, np.array([1.0])))
+    cone = normal_cone(reciprocal8, face.interval, 64)
+    calls = []
+    direction_frames = spectral.direction_frames
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return direction_frames(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "direction_frames", counting)
+    assert detect_gap(reciprocal8, face.interval, cone)
+    assert calls == []
 
 
 def test_detect_gap_two_point(two_point):
@@ -189,7 +244,6 @@ def test_abelian_verdict_at_zero_directions_builds_one_cloud(commuting, monkeypa
     # 2 * 0 = 0: both densities are the axes, swept once into one cloud; at
     # any density every direction of the denser sample is decomposed once
     from specscale import spectral
-    from specscale.scale import _cloud_t_directions
 
     calls = []
     original = spectral.direction_frames
@@ -219,8 +273,24 @@ def test_abelian_verdict_counts_match_two_clouds(name, directions):
     first = extreme_point_cloud(optuple, directions)
     second = extreme_point_cloud(optuple, 2 * directions)
     assert verdict.cloud_counts == (len(first), len(second))
-    expected = len(second) if len(first) == len(second) else SAMPLING_INCOMPLETE
+    grew = len(_cloud_t_directions(optuple.n, 2 * directions)) > len(
+        _cloud_t_directions(optuple.n, directions)
+    )
+    stabilized = len(first) == len(second) and (grew or optuple.n == 1)
+    expected = len(second) if stabilized else SAMPLING_INCOMPLETE
     assert verdict.extreme_count == expected
+
+
+def test_abelian_verdict_at_zero_directions_certifies_no_count(commuting):
+    # at 0 both densities are the axis directions: equal counts say nothing
+    # for n >= 2, where the axes miss most of the zonotope's 14 vertices
+    verdict = abelian_verdict(commuting, 0)
+    assert verdict.cloud_counts == (8, 8)
+    assert verdict.extreme_count == SAMPLING_INCOMPLETE
+    assert not verdict.geometric and verdict.algebraic
+    # for n = 1, ±1 are all the direction parts there are
+    two_point = abelian_verdict(fixtures.two_point(), 0)
+    assert two_point.extreme_count == 4 and two_point.geometric
 
 
 def test_isolated_extremes_build_only_isolated_projections(pauli):
