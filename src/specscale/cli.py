@@ -224,51 +224,12 @@ def cmd_extremes(optuple, args):
     print(json.dumps(stats), file=sys.stderr)
 
 
-def _face_pass(optuple, args, cloud=None):
-    """``(face, cone)`` per distinct sweep face, the cone None for the
-    whole scale.
-
-    The sweep fills one ``spectral.FrameCache``, and the cones of all
-    proper faces are sampled together from it (``faces.normal_cones``),
-    each given its face's sweep direction and dimension, so each direction
-    part is decomposed once per run.  A ``cloud`` given gets the extreme
-    points of every swept direction.  Kept faces are bucketed by rank, as
-    faces of different ranks never match.
-    """
-    frames = spectral.FrameCache(optuple, args.cluster_tol, args.eig_eq_tol)
-    distinct = []
-    by_ranks = {}
-    swept = scale.sweep_frames(
-        optuple, args.samples, args.cluster_tol, args.eig_eq_tol, frames
-    )
-    if cloud is not None:
-        cloud.add_frames(swept)
-    for frame in swept:
-        for face in scale.faces_in_frame(frame):
-            bucket = by_ranks.setdefault(faces.ranks(face.interval).tobytes(), [])
-            if not any(faces.intervals_equal(face.interval, f) for f in bucket):
-                bucket.append(face.interval)
-                distinct.append(face)
-    proper = [faces._is_proper(optuple, f.interval) for f in distinct]
-    tested = [f for f, p in zip(distinct, proper) if p]
-    cones = iter(
-        faces.normal_cones(
-            optuple,
-            [f.interval for f in tested],
-            args.samples,
-            args.cluster_tol,
-            args.eig_eq_tol,
-            frames,
-            rays=[f.pair.t for f in tested],
-            dimensions=[f.dimension for f in tested],
-        )
-    )
-    return [(f, next(cones) if p else None) for f, p in zip(distinct, proper)]
-
-
 def cmd_faces(optuple, args):
     reports = []
-    for face, cone in _face_pass(optuple, args):
+    _, passed = faces.sweep_face_cones(
+        optuple, args.samples, args.cluster_tol, args.eig_eq_tol
+    )
+    for face, cone in passed:
         entry = {
             "pair": {"s": face.pair.s, "t": face.pair.t},
             "alpha": face.alpha,
@@ -297,7 +258,10 @@ def cmd_slice(optuple, args):
 def cmd_corners(optuple, args):
     gaps = []
     sharp = []
-    for face, cone in _face_pass(optuple, args):
+    _, passed = faces.sweep_face_cones(
+        optuple, args.samples, args.cluster_tol, args.eig_eq_tol
+    )
+    for face, cone in passed:
         if cone is None:
             continue
         if cone.degree >= 2:
@@ -309,8 +273,12 @@ def cmd_corners(optuple, args):
 
 def cmd_center(optuple, args):
     central = []
+    swept, passed = faces.sweep_face_cones(
+        optuple, args.samples, args.cluster_tol, args.eig_eq_tol
+    )
     cloud = scale.ExtremePointCloud(optuple.n)
-    for face, cone in _face_pass(optuple, args, cloud):
+    cloud.add_frames(swept)
+    for face, cone in passed:
         if cone is None:
             continue
         rep = structure.detect_central(optuple, face.interval, cone)

@@ -18,14 +18,14 @@ of ``b_t`` as prefix and suffix maxima of column norms.
 directions lie in the face's commutant directions, which are read off the
 face's frame: every face's commutator matrix is the entries of its
 frame's table (``SpectralFrame.entries``, built once per distinct frame)
-that cross its cuts, all faces going through one stacked SVD.  A one-ray
-cone is tested on the face's own sweep direction when the sweep hands it
-over.  Each distinct candidate ``t`` is decomposed once, through a
-``spectral.FrameCache`` that the CLI fills from its sweep and keeps for
-the run, and every face that tests ``t`` is tested together, its
-endpoints stacked per block size into one product.  Member normals and
-degrees are stacked over all faces.  A cone keeps its members grouped by
-tested direction, each group with the frame it was tested on
+that cross its cuts, all faces going through one stacked SVD.  The face
+pass (``sweep_face_cones``) sweeps, keeps the distinct sweep faces and
+samples their cones through one ``spectral.FrameCache`` of its own, so
+each distinct ``t`` is decomposed once per pass, and tests a one-ray cone
+on its face's own sweep direction.  Every face that tests ``t`` is tested
+together, its endpoints stacked per block size into one product.  Member
+normals and degrees are stacked over all faces.  A cone keeps its members
+grouped by tested direction, each group with the frame it was tested on
 (``ConeGroup``), which gap detection and the pure-trace step of a chain
 read instead of decomposing again.  A sweep face is exposed by its own
 pair, so its minimal exposed chain is the face itself once that pair is
@@ -297,15 +297,50 @@ def _ray_candidates(basis, ray):
     return [signed, -signed]
 
 
+def sweep_face_cones(
+    optuple, directions=sampling.DEFAULT_DIRECTIONS, cluster_tol=None, eig_eq_tol=None
+):
+    """The frames of a sweep and ``(face, cone)`` per distinct sweep face,
+    the cone None for the whole scale.
+
+    The sweep's direction parts (as for ``scale.sweep_frames``) fill one
+    ``spectral.FrameCache`` of this call, and the cones of all proper faces
+    are sampled together from it on the same direction parts, each on its
+    face's sweep ray and with its dimension, so each direction part is
+    decomposed once.  A sweep face is kept unless an earlier kept face
+    spans the same interval; faces are bucketed by rank first, as faces of
+    different ranks never match.
+    """
+    frames = spectral.FrameCache(optuple, cluster_tol, eig_eq_tol)
+    raw = scale._cloud_t_directions(optuple.n, directions)
+    frames.fill(raw)
+    swept = [frames(t) for t in raw]
+    distinct, by_ranks = [], {}
+    for frame in swept:
+        for face in scale.faces_in_frame(frame):
+            bucket = by_ranks.setdefault(ranks(face.interval).tobytes(), [])
+            if not any(intervals_equal(face.interval, f) for f in bucket):
+                bucket.append(face.interval)
+                distinct.append(face)
+    tested = [f for f in distinct if _is_proper(optuple, f.interval)]
+    cones = _sample_cones(
+        optuple,
+        [f.interval for f in tested],
+        raw,
+        frames,
+        rays=[f.pair.t for f in tested],
+        dimensions=[f.dimension for f in tested],
+    )
+    cone_of = dict(zip(map(id, tested), cones))
+    return swept, [(f, cone_of.get(id(f))) for f in distinct]
+
+
 def normal_cones(
     optuple,
     intervals,
     directions=sampling.DEFAULT_DIRECTIONS,
     cluster_tol=None,
     eig_eq_tol=None,
-    frames=None,
-    rays=None,
-    dimensions=None,
 ):
     """Sample the normal cones of proper faces through the order test.
 
@@ -314,27 +349,36 @@ def normal_cones(
     of the face (a necessary condition for membership, and what pins down
     one-ray cones exactly); for every ``t`` the cut level sweeps the
     spectrum of ``b_t`` including gap midpoints, which is what picks up
-    multiple supporting levels across a spectral gap.  A sweep that found
-    the faces may pass each one's direction part as ``rays``, which a
-    one-ray cone is tested on (``_ray_candidates``), and its dimension as
-    ``dimensions``, which the ``exact`` flag reads.  Faces with the same
-    commutant basis share its candidates.
+    multiple supporting levels across a spectral gap.  Faces with the same
+    commutant basis share its candidates.  All cones are sampled in one
+    pass (``_sample_cones``), each distinct ``t`` decomposed once.
+    """
+    intervals = list(intervals)
+    for interval in intervals:
+        _require_proper(optuple, interval)
+    return _sample_cones(
+        optuple,
+        intervals,
+        scale._cloud_t_directions(optuple.n, directions),
+        spectral.FrameCache(optuple, cluster_tol, eig_eq_tol),
+    )
 
-    All cones are sampled in one pass.  The commutants come from one
-    stacked SVD (``_commutant_bases``).  Each distinct ``t`` is decomposed
-    once, by ``frames`` (a ``spectral.FrameCache`` of this tuple, which
-    may already hold it) or by a cache of this call, and the order test
-    ``p_minus <= q_minus``, ``q_plus <= p_plus`` of every face whose
+
+def _sample_cones(optuple, intervals, raw, frames, rays=None, dimensions=None):
+    """``normal_cones`` of proper faces ``intervals`` on the sampled direction
+    parts ``raw``, decomposed through ``frames``, a ``spectral.FrameCache``
+    of the tuple, which may already hold some of them.
+
+    A sweep that found the faces may pass each one's direction part as
+    ``rays``, which a one-ray cone is tested on (``_ray_candidates``), and
+    its dimension as ``dimensions``, which the ``exact`` flag reads.  The
+    commutants come from one stacked SVD (``_commutant_bases``).  The order
+    test ``p_minus <= q_minus``, ``q_plus <= p_plus`` of every face whose
     candidates hold ``t`` is one stacked ``order_margins`` on its frame,
     read at each level's cluster counts, so no candidate interval is
     built.  Each face's members are grouped by candidate, in order, each
     ``ConeGroup`` holding the frame its levels were read off.
     """
-    intervals = list(intervals)
-    for interval in intervals:
-        _require_proper(optuple, interval)
-    source = spectral.frame_source(optuple, cluster_tol, eig_eq_tol, frames)
-    raw = scale._cloud_t_directions(optuple.n, directions)
     if rays is None:
         rays = [None] * len(intervals)
     bases = _commutant_bases(optuple, intervals)
@@ -352,12 +396,12 @@ def normal_cones(
     for f, ts in enumerate(candidates):
         for k, t in enumerate(ts):
             testers.setdefault(t.tobytes(), (t, []))[1].append((f, k))
-    source.fill(t for t, _ in testers.values())
+    frames.fill(t for t, _ in testers.values())
     lowers = algebra.stacked([iv.lower for iv in intervals])
     uppers = algebra.stacked([iv.upper for iv in intervals])
     found = [[None] * len(ts) for ts in candidates]
     for t, tests in testers.values():
-        frame = source(t)
+        frame = frames(t)
         q_minus, q_plus = lowers, uppers
         if len(tests) < len(intervals):  # only some faces test this t
             which = [f for f, _ in tests]

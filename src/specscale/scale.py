@@ -10,12 +10,12 @@ order interval ``[p_minus, p_plus]`` of the interval projections of
 ``b_t`` at ``s``.  Sweeping ``s`` across the spectrum of ``b_t`` for a
 direction sample therefore enumerates extreme points and exposed faces
 without ever building the body itself.  The sampled directions are
-decomposed together, each once (``spectral.sweep``), and all cut levels
-of a direction are read off its one eigenframe: a level's interval is a
-pair of leading cluster counts, its endpoints' ``psi`` are rows of the
-frame's ``psi`` table and ``alpha`` is ``<(-s, t), row>``, computed and
-checked for all levels of a frame at once, so a sweep builds no d×d
-projection.
+decomposed together, each once (``spectral.direction_frames``), and all
+cut levels of a direction are read off its one eigenframe: a level's
+interval is a pair of leading cluster counts, its endpoints' ``psi`` are
+rows of the frame's ``psi`` table and ``alpha`` is ``<(-s, t), row>``,
+computed and checked for all levels of a frame at once, so a sweep
+builds no d×d projection.
 A face's dimension is that of its cut-down scale, the tuple compressed to
 the gap of its interval.  A gap of rank zero is a point and one of rank
 one a segment; only for a larger gap is the frame's entry table built
@@ -216,21 +216,12 @@ def exposed_in_frame(frame, pair):
 
 
 def sweep_frames(
-    optuple,
-    directions=sampling.DEFAULT_DIRECTIONS,
-    cluster_tol=None,
-    eig_eq_tol=None,
-    frames=None,
+    optuple, directions=sampling.DEFAULT_DIRECTIONS, cluster_tol=None, eig_eq_tol=None
 ):
     """One ``spectral.DirectionFrame`` per distinct direction part of a
-    sphere sample (as for ``extreme_point_cloud``), kept by ``frames`` (a
-    ``spectral.FrameCache`` of the tuple) when given."""
-    return spectral.sweep(
-        optuple,
-        _cloud_t_directions(optuple.n, directions),
-        cluster_tol,
-        eig_eq_tol,
-        frames,
+    sphere sample (as for ``extreme_point_cloud``), decomposed together."""
+    return spectral.direction_frames(
+        optuple, _cloud_t_directions(optuple.n, directions), cluster_tol, eig_eq_tol
     )
 
 

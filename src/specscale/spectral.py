@@ -22,30 +22,30 @@ range of columns it owns in every block; a cluster's trace is those
 column counts times the block weights, with no pass over the columns.
 Clusters take consecutive columns of every block, so a spectral
 projection onto the leading ``k`` clusters is a leading column range of
-every block, named by the count ``k`` alone.  ``sweep``
-(``direction_frames``) returns one frame per direction with all its cut
-levels as such counts, its equality band scaled by its ``b_t``'s
-``max_norm`` and its ``psi`` table the running sums of its clusters'
-``psi``.  Everything a sweep reads off a level comes from the frame
-without a d×d matrix: ``psi`` and the trace of an endpoint are rows of a
-cumulative table, the support value is a dot product with a row, and the
-order test against fixed intervals is a prefix (or suffix) maximum of
-column norms, for many intervals at once, one product per block size.
-What a face reads of the operators themselves, a gap's cut-down or the
-commutators with a cut, is entries of ``Vᴴ b_i V``:
-``SpectralFrame.entries`` rotates the tuple once and tables every block
-entry with the clusters of its row and column.  A ``FrameCache`` keeps
-the frame of every direction one command decomposes, bound to one tuple
-and its tolerances and keyed on the exact bytes of ``t``, so a face
-command decomposes each direction once; ``fill`` decomposes many new
-directions in one batch.  Every ``OrderInterval`` is a frame with two
-leading counts (an interval from outside is framed by the eigenvectors
-of ``lower + upper``), so the bases of ``lower``, of the gap and of
-``1 - upper`` are column ranges, and two ranges compare ranks before any
-``V Vᴴ`` is built (``same_range``).  A frame's columns are checked
-orthonormal once, with the rest of its chunk when it is decomposed (or,
-for a frame built otherwise, when first read), which makes every leading
-range a projection and the ranges nested.
+every block, named by the count ``k`` alone.  ``direction_frames``
+returns one frame per direction with all its cut levels as such counts,
+its equality band scaled by its ``b_t``'s ``max_norm`` and its ``psi``
+table the running sums of its clusters' ``psi``.  Everything a sweep
+reads off a level comes from the frame without a d×d matrix: ``psi`` and
+the trace of an endpoint are rows of a cumulative table, the support
+value is a dot product with a row, and the order test against fixed
+intervals is a prefix (or suffix) maximum of column norms, for many
+intervals at once, one product per block size.  What a face reads of the
+operators themselves, a gap's cut-down or the commutators with a cut, is
+entries of ``Vᴴ b_i V``: ``SpectralFrame.entries`` rotates the tuple once
+and tables every block entry with the clusters of its row and column.  A
+``FrameCache`` keeps the frame of every direction one pass decomposes,
+bound to one tuple and its tolerances and keyed on the exact bytes of
+``t``, so the face pass (``faces.sweep_face_cones``) decomposes each
+direction once; ``fill`` decomposes many new directions in one batch.
+Every ``OrderInterval`` is a frame with two leading counts (an interval
+from outside is framed by the eigenvectors of ``lower + upper``), so the
+bases of ``lower``, of the gap and of ``1 - upper`` are column ranges,
+and two ranges compare ranks before any ``V Vᴴ`` is built
+(``same_range``).  A frame's columns are checked orthonormal once, with
+the rest of its chunk when it is decomposed (or, for a frame built
+otherwise, when first read), which makes every leading range a
+projection and the ranges nested.
 """
 
 from __future__ import annotations
@@ -461,9 +461,8 @@ class FrameCache:
 
     A cache is bound to one tuple and its two tolerances, and keyed on the
     exact bytes of ``t``: a rounded key could hand back a frame whose ``t``
-    differs in the last bits.  It lives as long as the command that made
-    it; ``frame_source`` refuses it for any other tuple, a cut-down of the
-    same tuple included.  ``fill`` decomposes many directions together.
+    differs in the last bits.  It lives as long as the one pass that made
+    it.  ``fill`` decomposes many directions together.
     """
 
     def __init__(self, optuple, cluster_tol=None, eig_eq_tol=None):
@@ -487,32 +486,6 @@ class FrameCache:
         if key not in self._frames:
             self.fill([t])
         return self._frames[key]
-
-
-def frame_source(optuple, cluster_tol=None, eig_eq_tol=None, frames=None):
-    """The ``FrameCache`` that decomposes directions ``t`` of ``optuple``:
-    ``frames``, a cache bound to this tuple and these tolerances, or with
-    none given, a new one.  A cache bound to another tuple or other
-    tolerances raises ``ValueError``."""
-    if frames is None:
-        return FrameCache(optuple, cluster_tol, eig_eq_tol)
-    if frames.optuple is not optuple or frames.tols != (cluster_tol, eig_eq_tol):
-        raise ValueError("frame cache is bound to another tuple or other tolerances")
-    return frames
-
-
-def sweep(optuple, directions, cluster_tol=None, eig_eq_tol=None, frames=None):
-    """One ``DirectionFrame`` per direction part ``t``, in order.
-
-    The directions are decomposed together (``FrameCache.fill``), each
-    once, and kept by ``frames``, a ``FrameCache``, when given; a frame's
-    ``levels`` hit every interval projection of ``b_t``, all read off the
-    same frame.
-    """
-    source = frame_source(optuple, cluster_tol, eig_eq_tol, frames)
-    directions = list(directions)
-    source.fill(directions)
-    return [source(t) for t in directions]
 
 
 class OrderInterval:

@@ -153,9 +153,9 @@ def isolated_extremes_to_center(optuple, cloud, iso_radius=None):
     """Isolated cloud points with the centrality of their projections.
 
     A point is isolated when no other cloud point lies within
-    ``iso_radius`` (default: 1e-3 of the cloud diameter).  Centrality is
-    checked algebraically per isolated point, so only their projections
-    are built.
+    ``iso_radius`` (default: 1e-3 of the cloud diameter): it is in no near
+    pair (``scale._near_pairs``).  Centrality is checked algebraically per
+    isolated point, so only their projections are built.
     """
     points = cloud.points
     if iso_radius is None:
@@ -163,16 +163,16 @@ def isolated_extremes_to_center(optuple, cloud, iso_radius=None):
         rows = (np.sqrt(((points - p) ** 2).sum(axis=1)).max() for p in points)
         diam = float(max(rows, default=0.0))
         iso_radius = ISO_RADIUS_FACTOR * max(diam, 1e-12)
+    near = np.zeros(len(points), dtype=bool)
+    for ends in scale._near_pairs(points, iso_radius):
+        near[ends] = True
     reports = []
-    for idx, point in enumerate(points):
-        dist = np.linalg.norm(points - point, axis=1)
-        dist[idx] = np.inf
-        if np.all(dist > iso_radius):
-            proj = cloud.projections[idx]
-            central = _max_commutator_with_tuple(optuple, proj) <= CENTRAL_TOL
-            reports.append(
-                IsolatedPointReport(point=point, projection=proj, is_central=central)
-            )
+    for idx in np.flatnonzero(~near).tolist():
+        proj = cloud.projections[idx]
+        central = _max_commutator_with_tuple(optuple, proj) <= CENTRAL_TOL
+        reports.append(
+            IsolatedPointReport(point=points[idx], projection=proj, is_central=central)
+        )
     return reports
 
 
@@ -196,7 +196,7 @@ def abelian_verdict(
     """
     ts = scale._cloud_t_directions(optuple.n, 2 * directions)
     first = len(scale._cloud_t_directions(optuple.n, directions))
-    frames = spectral.sweep(optuple, ts, cluster_tol, eig_eq_tol)
+    frames = spectral.direction_frames(optuple, ts, cluster_tol, eig_eq_tol)
     cloud = scale.ExtremePointCloud(optuple.n)
     counts = []
     for part in (frames[:first], frames[first:]):

@@ -508,13 +508,13 @@ def test_samples_needs_an_integer_at_least_zero(inputs, capsys, command, value):
 def test_faces_samples_each_cone_once(inputs, capsys, monkeypatch, name, samples):
     # a sweep face's chain is the face itself, read off the cone the face
     # pass sampled, so no cone is sampled again; every cone, one face's or
-    # many faces' together, goes through normal_cones, which counts each
-    # face it samples
+    # many faces' together, goes through the one cone sampler, which counts
+    # each face it samples
     from specscale import faces
     from specscale.algebra import load_tuple
 
     ambient = load_tuple(inputs[name])
-    original = faces.normal_cones
+    original = faces._sample_cones
     ambient_calls = []
 
     def counting(optuple, intervals, *args, **kwargs):
@@ -527,7 +527,7 @@ def test_faces_samples_each_cone_once(inputs, capsys, monkeypatch, name, samples
             ambient_calls.extend(intervals)
         return original(optuple, intervals, *args, **kwargs)
 
-    monkeypatch.setattr(faces, "normal_cones", counting)
+    monkeypatch.setattr(faces, "_sample_cones", counting)
     code, out, err = run(
         ["faces", "--input", inputs[name], "--samples", samples], capsys
     )
@@ -582,6 +582,27 @@ def test_face_commands_decompose_each_direction_once(
 
 
 @pytest.mark.parametrize("command", ["faces", "corners", "center"])
+@pytest.mark.parametrize("name", ["pauli", "blockpair"])
+def test_face_commands_expand_the_sample_once(
+    inputs, capsys, monkeypatch, name, command
+):
+    # the cones are sampled on the direction parts the sweep expanded
+    from specscale import scale
+
+    calls = []
+    expand = scale._cloud_t_directions
+
+    def counting(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(scale, "_cloud_t_directions", counting)
+    code, _, err = run([command, "--input", inputs[name], "--samples", "8"], capsys)
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["faces", "corners", "center"])
 def test_face_commands_on_a_dense_block_decompose_only_the_sweep(
     tmp_path, capsys, monkeypatch, command
 ):
@@ -610,12 +631,12 @@ def test_faces_exits_four_when_a_sweep_pair_is_not_in_its_cone(
 
     from specscale import faces
 
-    original = faces.normal_cones
+    original = faces._sample_cones
 
     def memberless(*args, **kwargs):
         return [replace(c, groups=()) for c in original(*args, **kwargs)]
 
-    monkeypatch.setattr(faces, "normal_cones", memberless)
+    monkeypatch.setattr(faces, "_sample_cones", memberless)
     code, out, err = run(
         ["faces", "--input", inputs["commuting"], "--samples", "0"], capsys
     )

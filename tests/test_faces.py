@@ -536,11 +536,12 @@ def test_normal_cones_equal_one_cone_per_face(name, request):
 )
 def test_cone_groups_hold_the_members_and_their_frames(name, request):
     # each group is one tested t, in candidate order, with its member
-    # levels and the cache's own frame of b_t they were read off
+    # levels and the one frame of b_t they were read off, which every face
+    # testing that t shares
     optuple = request.getfixturevalue(name)
-    frames = spectral.FrameCache(optuple)
     intervals = _proper_sweep_faces(optuple, 8)
-    for cone in normal_cones(optuple, intervals, 8, frames=frames):
+    shared = {}  # exact bytes of a tested t -> the frame its groups hold
+    for cone in normal_cones(optuple, intervals, 8):
         flat = [(s, g.t.tolist()) for g in cone.groups for s in g.levels.tolist()]
         assert flat == [(p.s, p.t.tolist()) for p in cone.pairs]
         normals = np.array([(-s, *t) for s, t in flat]).reshape(-1, optuple.n + 1)
@@ -552,7 +553,7 @@ def test_cone_groups_hold_the_members_and_their_frames(name, request):
         )
         for g in cone.groups:
             assert len(g.levels) and np.isin(g.levels, g.frame.levels).all()
-            assert g.frame is frames(g.t)
+            assert shared.setdefault(g.t.tobytes(), g.frame) is g.frame
             np.testing.assert_array_equal(g.t, g.frame.t)
 
 
@@ -596,23 +597,26 @@ def test_normal_cones_decompose_each_direction_once(commuting, monkeypatch):
     assert sum(len(c.pairs) for c in cones) and len(calls) == len(set(calls))
 
 
-def test_cut_down_never_reads_the_ambient_cache(blockpair):
-    # a cache refuses any tuple but its own, a cut-down of it included,
-    # and other tolerances
+def test_cut_down_never_reads_the_ambient_cache(blockpair, monkeypatch):
+    # each cone pass decomposes directions of its own tuple only: the
+    # cones of a cut-down face, the tuple's or a cut-down's
     interval, _ = fd_hidden_vertex_interval(blockpair)
-    frames = spectral.FrameCache(blockpair)
-    normal_cones(blockpair, [interval], 128, frames=frames)
-    assert all(f.optuple is blockpair for f in frames._frames.values())
     chain = minimal_exposed_chain(blockpair, interval, 128)
     assert len(chain) == 2
     comp = cut_down(blockpair, chain[0])
     cut_face = sampled_face_inventory(comp.tuple, 0)[0]
-    with pytest.raises(ValueError, match="another tuple"):
-        normal_cones(comp.tuple, [cut_face], 8, frames=frames)
-    with pytest.raises(ValueError, match="another tuple"):
-        spectral.frame_source(comp.tuple, frames=frames)
-    with pytest.raises(ValueError, match="other tolerances"):
-        spectral.frame_source(blockpair, cluster_tol=1e-6, frames=frames)
+    owners = []
+    direction_frames = spectral.direction_frames
+
+    def noting(optuple, ts, *args):
+        owners.append(optuple)
+        return direction_frames(optuple, ts, *args)
+
+    monkeypatch.setattr(spectral, "direction_frames", noting)
+    for optuple, face in ((blockpair, interval), (comp.tuple, cut_face)):
+        owners.clear()
+        normal_cones(optuple, [face], 8)
+        assert owners and all(o is optuple for o in owners)
 
 
 def test_stacked_order_margins_match_one_face_at_a_time(blockpair):
@@ -717,24 +721,13 @@ def test_normal_cones_on_sweep_rays_match_the_sampled_cones(name, directions):
     # dimension, is the cone sampled from the commutant basis alone
     from test_golden import TUPLES
 
-    from specscale.faces import _is_proper
-    from specscale.scale import sweep_faces
+    from specscale.faces import sweep_face_cones
 
     optuple = TUPLES[name]()
-    swept = []
-    for face in sweep_faces(optuple, directions):
-        if _is_proper(optuple, face.interval) and not any(
-            intervals_equal(face.interval, f.interval) for f in swept
-        ):
-            swept.append(face)
-    cones = normal_cones(
-        optuple,
-        [f.interval for f in swept],
-        directions,
-        rays=[f.pair.t for f in swept],
-        dimensions=[f.dimension for f in swept],
-    )
-    for face, cone in zip(swept, cones):
+    _, passed = sweep_face_cones(optuple, directions)
+    passed = [(f, c) for f, c in passed if c is not None]
+    assert passed
+    for face, cone in passed:
         alone = normal_cone(optuple, face.interval, directions)
         assert (cone.degree, cone.exact) == (alone.degree, alone.exact)
         assert len(cone.pairs) == len(alone.pairs)

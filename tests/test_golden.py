@@ -27,7 +27,6 @@ import io
 import json
 import os
 import re
-from argparse import Namespace
 
 import numpy as np
 import pytest
@@ -39,7 +38,7 @@ from specscale.algebra import (
     OperatorTuple,
     save_tuple,
 )
-from specscale.cli import COMMANDS, _face_pass, main
+from specscale.cli import COMMANDS, main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SAMPLES = 8
@@ -277,8 +276,7 @@ def test_faces_chain_length_matches_the_library_chain(name, samples, tmp_path):
     # which exposes the combined normal of the face's own cone sample and
     # cuts down from there, is the independent reference
     optuple = TUPLES[name]()
-    args = Namespace(samples=samples, cluster_tol=None, eig_eq_tol=None)
-    passed = _face_pass(optuple, args)
+    _, passed = faces.sweep_face_cones(optuple, samples)
     result = run_case(name, "faces", str(tmp_path), samples)
     assert result["exit_code"] == 0
     reports = json.loads("".join(result["stdout"]))

@@ -356,11 +356,11 @@ def _sweep_tuples():
 def test_sweep_intervals_match_interval_projections(index):
     from specscale import sampling
     from specscale.scale import _cloud_t_directions
-    from specscale.spectral import interval_from_spectrum, sweep
+    from specscale.spectral import direction_frames, interval_from_spectrum
 
     optuple = _sweep_tuples()[index]
     directions = _cloud_t_directions(optuple.n, 6)
-    frames = list(sweep(optuple, directions))
+    frames = direction_frames(optuple, directions)
     assert len(frames) == len(directions)
     for frame, t in zip(frames, directions):
         assert np.array_equal(frame.t, t)
@@ -433,9 +433,9 @@ def _frame_tuples():
 
 def _frames(optuple):
     from specscale.scale import _cloud_t_directions
-    from specscale.spectral import sweep
+    from specscale.spectral import direction_frames
 
-    return sweep(optuple, _cloud_t_directions(optuple.n, 6))
+    return direction_frames(optuple, _cloud_t_directions(optuple.n, 6))
 
 
 @pytest.mark.parametrize("case", range(len(_frame_cases())))
@@ -494,7 +494,7 @@ def test_frame_order_test_matches_interval_contains(name, request):
         interval_contains,
     )
     from specscale.scale import _cloud_t_directions
-    from specscale.spectral import PROJECTION_TOL, sweep
+    from specscale.spectral import PROJECTION_TOL, direction_frames
 
     optuple = request.getfixturevalue(name)
     raw = _cloud_t_directions(optuple.n, 8)
@@ -503,7 +503,7 @@ def test_frame_order_test_matches_interval_contains(name, request):
         lowers = [s[None] for s in interval.lower.stacks]
         uppers = [s[None] for s in interval.upper.stacks]
         basis = _commutant_bases(optuple, [interval])[0]
-        for frame in sweep(optuple, _candidate_directions(basis, raw)):
+        for frame in direction_frames(optuple, _candidate_directions(basis, raw)):
             spectral_frame = frame.spectrum
             (below,), (above,) = spectral_frame.order_margins(lowers, uppers)
             for lower, upper in zip(*frame.cuts):
@@ -744,14 +744,12 @@ def test_interval_columns_rebuild_the_three_projections(name, case, request):
 def test_face_pass_dedup_builds_no_projection(commuting, monkeypatch):
     # the dedup and the proper-face test read ranks off the frames; only
     # the normal cones need the endpoints as operators
-    from argparse import Namespace
-
-    from specscale import cli, faces
+    from specscale import faces
     from specscale.spectral import SpectralFrame
 
     built = []
     before_first_cone = []
-    projection, normal_cones = SpectralFrame.projection, faces.normal_cones
+    projection, sample_cones = SpectralFrame.projection, faces._sample_cones
 
     def counting_projection(self, first, stop):
         built.append((first, stop))
@@ -760,12 +758,12 @@ def test_face_pass_dedup_builds_no_projection(commuting, monkeypatch):
     def noting_cones(*args, **kwargs):
         if not before_first_cone:
             before_first_cone.append(len(built))
-        return normal_cones(*args, **kwargs)
+        return sample_cones(*args, **kwargs)
 
     monkeypatch.setattr(SpectralFrame, "projection", counting_projection)
-    monkeypatch.setattr(faces, "normal_cones", noting_cones)
-    args = Namespace(samples=8, cluster_tol=None, eig_eq_tol=None)
-    assert len(cli._face_pass(commuting, args)) > 1
+    monkeypatch.setattr(faces, "_sample_cones", noting_cones)
+    _, passed = faces.sweep_face_cones(commuting, 8)
+    assert len(passed) > 1
     assert before_first_cone == [0]
     assert built
 

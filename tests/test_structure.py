@@ -198,6 +198,64 @@ def test_isolated_extremes_diameter_memory_is_linear():
     assert reports and all(r.is_central for r in reports)
 
 
+def _isolated_by_point(points, iso_radius):
+    """Reference: the rows of ``points`` with no other row within
+    ``iso_radius``, each compared with every row."""
+    if iso_radius is None:
+        rows = (np.sqrt(((points - p) ** 2).sum(axis=1)).max() for p in points)
+        iso_radius = 1e-3 * max(float(max(rows, default=0.0)), 1e-12)
+    out = []
+    for idx, point in enumerate(points):
+        dist = np.linalg.norm(points - point, axis=1)
+        dist[idx] = np.inf
+        if np.all(dist > iso_radius):
+            out.append(idx)
+    return out
+
+
+def _identity_cloud(optuple, points):
+    cloud = ExtremePointCloud(optuple.n)
+    cloud.points = points
+    cloud.projections = [optuple.algebra.identity()] * len(points)
+    return cloud
+
+
+@pytest.mark.parametrize("iso_radius", [0.0, None, 0.25])
+@pytest.mark.parametrize("seed", range(4))
+def test_isolated_extremes_match_the_per_point_reference(seed, iso_radius):
+    # random points with exact repeats, and grid points whose distances tie
+    # with the radius
+    zt = fixtures.zero_tuple(n=2, dim=1)
+    rng = np.random.default_rng(seed)
+    spread = rng.standard_normal((40, zt.n + 1))
+    grid = rng.integers(0, 5, (40, zt.n + 1)) * 0.25
+    points = np.concatenate([spread, spread[rng.integers(0, 40, 6)], grid])
+    points = points[rng.permutation(len(points))]
+    want = _isolated_by_point(points, iso_radius)
+    reports = isolated_extremes_to_center(
+        zt, _identity_cloud(zt, points), iso_radius=iso_radius
+    )
+    assert [r.point.tolist() for r in reports] == points[want].tolist()
+    assert 0 < len(want) < len(points)
+
+
+def test_isolated_extremes_find_near_points_in_one_pass(pauli, monkeypatch):
+    from specscale import scale
+
+    calls = []
+    near_pairs = scale._near_pairs
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return near_pairs(*args, **kwargs)
+
+    monkeypatch.setattr(scale, "_near_pairs", counting)
+    cloud = extreme_point_cloud(pauli, 64)
+    calls.clear()  # the cloud's own dedup
+    assert isolated_extremes_to_center(pauli, cloud)
+    assert len(calls) == 1
+
+
 def test_abelian_verdict_commuting(commuting):
     verdict = abelian_verdict(commuting, directions=64)
     assert verdict.geometric and verdict.algebraic
