@@ -52,7 +52,8 @@ class BlockLayout:
     ``k`` (``sizes`` ascend) stacks the input blocks ``members[k]`` in
     order as one ``shapes[k] = (m_k, d_k, d_k)`` array, block ``j`` at
     slot ``slot[j]`` of class ``klass[j]`` (``where[j]``).  ``entry_block``
-    names the block of every row of the classes' stacks, concatenated."""
+    names the block of every row of the classes' stacks, concatenated, and
+    ``reversed_entry`` the row of the same block in reverse order."""
 
     def __init__(self, dims):
         self.dims = dims
@@ -68,8 +69,14 @@ class BlockLayout:
         self.slot[order] = np.arange(len(dims)) - starts[self.klass[order]]
         self.where = tuple(zip(self.klass.tolist(), self.slot.tolist()))
         self.entry_block = np.repeat(order, sizes[order])
+        # block j's rows are ends[j] - d_j .. ends[j] - 1, and row i's mirror
+        # is the row as far from the block's end as i is from its start
+        ends = np.cumsum(sizes[order])
+        self.reversed_entry = np.repeat(2 * ends - sizes[order] - 1, sizes[order])
+        self.reversed_entry -= np.arange(len(self.reversed_entry))
         # one layout serves every operator of these sizes: nobody may write to it
-        for a in (self.sizes, self.klass, self.slot, self.entry_block, *self.members):
+        arrays = (self.sizes, self.klass, self.slot, *self.members)
+        for a in (*arrays, self.entry_block, self.reversed_entry):
             a.flags.writeable = False
 
     def stack(self, blocks):
@@ -373,12 +380,9 @@ def linear_combination(optuple, t):
     return _from_stacks(optuple.algebra.layout, [s[0] for s in stacks])
 
 
-def linear_combinations(optuple, ts):
-    """The stacks of ``linear_combination`` of every row ``t`` of ``ts``, as
-    ``(rows, m_k, d_k, d_k)`` per size class, symmetrized as
-    ``_from_stacks`` would.  One ``einsum`` per size class sums each
-    entry's products ``t_i b_i`` over ``i = 1 .. n`` in turn, so every
-    row's bits are those of that row alone."""
+def direction_rows(optuple, ts):
+    """``ts`` as a float array of one row per direction, ``(rows, n)``, or a
+    ``ShapeError`` when a row is not a vector of the tuple's ``n``."""
     try:
         ts = np.asarray(ts, dtype=float)
     except ValueError as exc:  # rows of different lengths
@@ -387,6 +391,16 @@ def linear_combinations(optuple, ts):
         raise ShapeError(
             f"direction has shape {ts.shape[1:]}, expected ({optuple.n},)"
         )
+    return ts
+
+
+def linear_combinations(optuple, ts):
+    """The stacks of ``linear_combination`` of every row ``t`` of ``ts``, as
+    ``(rows, m_k, d_k, d_k)`` per size class, symmetrized as
+    ``_from_stacks`` would.  One ``einsum`` per size class sums each
+    entry's products ``t_i b_i`` over ``i = 1 .. n`` in turn, so every
+    row's bits are those of that row alone."""
+    ts = direction_rows(optuple, ts)
     return [
         _frozen_hermitian_part(np.einsum("rn,nmij->rmij", ts, s))
         for s in stacked(optuple.operators)

@@ -450,8 +450,13 @@ def isotrace_slice(optuple, level, resolution=720, cluster_tol=None):
     point sample of the boundary.  All directions are decomposed together,
     as a sweep's are (``spectral._chunks``), and each point is the fill
     coefficients of ``b_u``'s clusters, from the top, times their summed
-    ``psi``, so no operator is built.  Points repeating an earlier one
-    within 1e-12 are dropped.
+    ``psi``, so no operator is built.  A direction that negates an earlier
+    one shares its decomposition: the two directions ``+1`` and ``-1`` for
+    ``n = 1``, the coordinate axes of the sample for ``n >= 3``, and for
+    ``n = 2`` at an even ``resolution`` every angle past pi, which is built
+    as the exact negation of the angle pi before it.  An odd resolution
+    shares nothing.  Points repeating an earlier one within 1e-12 are
+    dropped.
     """
     if not 0.0 <= level <= 1.0:
         raise ValueError(f"trace level must be in [0, 1], got {level}")
@@ -461,21 +466,21 @@ def isotrace_slice(optuple, level, resolution=720, cluster_tol=None):
     elif n == 2:
         theta = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
         dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+        if resolution % 2 == 0:  # the angles past pi, as exact negations
+            dirs[resolution // 2 :] = -dirs[: resolution // 2]
     else:
         dirs = sampling.unit_directions(n, resolution)
-    points = []
-    for _, spectra in spectral._chunks(optuple, dirs, cluster_tol):
+    points = np.empty((len(dirs), n))
+    for rows, spectra in spectral._chunks(optuple, dirs, cluster_tol):
         sizes = spectra.sizes
         # cluster sums per row, the top cluster first and zeros after the last
         owner = np.repeat(np.arange(len(sizes)), sizes)
         from_top = np.cumsum(sizes)[owner] - 1 - np.arange(len(owner))
         table = np.zeros((n + 1, len(sizes), sizes.max()))
         table[:, owner, from_top] = spectra.sums
-        points.append(np.einsum("rk,irk->ri", _fill(table[0], level), table[1:]))
+        points[rows] = np.einsum("rk,irk->ri", _fill(table[0], level), table[1:])
         del spectra  # free its eigenvectors before the next chunk is solved
-    return IsotraceSlice(
-        level=float(level), points=_keep_first(np.concatenate(points), 1e-12)
-    )
+    return IsotraceSlice(level=float(level), points=_keep_first(points, 1e-12))
 
 
 def _near_pairs(points, tol, start=0):

@@ -13,10 +13,15 @@ operators, one row each, it runs one batched ``eigh`` per block size,
 sorts each row's eigenvalues of all blocks together and clusters them,
 and, for the ``b_t`` of a tuple, sums each cluster's per-column ``psi``.
 ``_chunks`` feeds it the ``b_t`` of many directions, in chunks bounded by
-``STACK_CHUNK_BYTES``, each ``b_t`` with the bits it has alone; the sweep
-and the isotrace slice both read its rows.  ``_frames`` makes each row an
-eigenframe, one ``SpectralFrame``, and checks all of a chunk's columns
-orthonormal at once; ``decompose`` of one operator is the one-row case.
+``STACK_CHUNK_BYTES``; the sweep and the isotrace slice both read its
+rows.  A direction whose negation comes earlier is not solved: ``b_{-t} =
+-b_t`` has the same eigenvectors in reverse order, so its row mirrors
+its partner's, in the same chunk, with the eigenvalues negated and
+reversed and the columns and their ``psi`` reversed (``Ψ(1 - p) = Ψ(1) -
+Ψ(p)``).  A solved row has the bits it has decomposed alone.  ``_frames``
+makes each row an eigenframe, one ``SpectralFrame``, and checks all of a
+chunk's solved columns orthonormal at once; ``decompose`` of one
+operator is the one-row case.
 A frame holds the eigenvector stacks and, per cluster, its value and the
 range of columns it owns in every block; a cluster's trace is those
 column counts times the block weights, with no pass over the columns.
@@ -69,7 +74,9 @@ PROJECTION_TOL = 1e-8
 STACK_CHUNK_BYTES = 2**18
 
 FrameEntries = namedtuple("FrameEntries", "values weight row col lo hi")
-Decomposed = namedtuple("Decomposed", "norms vectors order starts sizes values sums")
+Decomposed = namedtuple(
+    "Decomposed", "norms vectors order starts sizes values sums partners"
+)
 
 
 @dataclass(frozen=True)
@@ -295,27 +302,37 @@ def decompose(alg, a, cluster_tol=None):
     return _frames(a.layout, spectra)[0]
 
 
-def _decompose_stacks(layout, stacks, cluster_tol=None, optuple=None):
+def _decompose_stacks(layout, stacks, cluster_tol=None, optuple=None, partners=()):
     """The one batched decomposition: of many operators, one row each,
     whose size class ``k`` blocks ``stacks[k]`` holds as ``(rows, m_k, d_k,
-    d_k)``.
+    d_k)``, and of the mirror rows after them.
 
-    One ``eigh`` per size class solves every row.  Per row, the
-    eigenvalues of all blocks are sorted together (stably) and clustered
-    by ``cluster_starts`` on the row's ``max_norm``.  Returns a
-    ``Decomposed``: the rows' ``norms`` and eigenvector stacks, each row's
-    columns in sorted ``order``, the flat indices of that order where
-    clusters ``starts``, each row's cluster count and the clusters' mean
-    values, flat in row order.  Given the ``optuple`` the rows combine,
-    ``sums`` also holds per cluster the sum of its columns' ``column_psi``,
-    taken in sorted order, as ``(n + 1, clusters)``.
+    One ``eigh`` per size class solves every row of ``stacks``.  Mirror
+    row ``i`` is the negation of solved row ``partners[i]``, so it is not
+    solved: within each block its eigenvalues are the partner's negated
+    and reversed, its eigenvector columns and their ``column_psi`` the
+    partner's reversed.  Per row, solved or mirrored, the eigenvalues of
+    all blocks are sorted together (stably) and clustered by
+    ``cluster_starts`` on the row's ``max_norm``.  Returns a
+    ``Decomposed``: the rows' ``norms``, the solved rows' eigenvector
+    stacks, each row's columns in sorted ``order``, the flat indices of
+    that order where clusters ``starts``, each row's cluster count, the
+    clusters' mean values, flat in row order, and the ``partners``.  Given
+    the ``optuple`` the rows combine, ``sums`` also holds per cluster the
+    sum of its columns' ``column_psi``, taken in sorted order, as ``(n +
+    1, clusters)``.
     """
-    rows = len(stacks[0])
+    partners = np.asarray(partners, dtype=int)
+    rows = len(stacks[0]) + len(partners)
     norms = np.max([np.abs(s).max(axis=(1, 2, 3)) for s in stacks], axis=0)
+    norms = np.concatenate([norms, norms[partners]])
     solved = [eigh(s, int(idx[0])) for s, idx in zip(stacks, layout.members)]
     del stacks  # free the stacks before the per-column products
+    # a mirror row's columns: its partner's, each block's in reverse order
+    flip = partners[:, None], layout.reversed_entry
     vectors = [v for _, v in solved]
-    eigenvalues = np.concatenate([w.reshape(rows, -1) for w, _ in solved], axis=1)
+    eigenvalues = np.concatenate([w.reshape(len(w), -1) for w, _ in solved], axis=1)
+    eigenvalues = np.concatenate([eigenvalues, -eigenvalues[flip]])
     order = np.argsort(eigenvalues, axis=1, kind="stable")
     ordered = np.take_along_axis(eigenvalues, order, axis=1)
     starts, multiplicity = cluster_starts(ordered, norms[:, None], cluster_tol)
@@ -328,24 +345,29 @@ def _decompose_stacks(layout, stacks, cluster_tol=None, optuple=None):
         per_column = np.concatenate(
             [
                 column_psi(v, w[:, None], [b.stacks[k] for b in ops]).reshape(
-                    len(ops) + 1, rows, -1
+                    len(ops) + 1, len(v), -1
                 )
                 for k, (v, w) in enumerate(zip(vectors, weights))
             ],
             axis=2,
         )
+        mirrored = per_column[:, flip[0], flip[1]]
+        per_column = np.concatenate([per_column, mirrored], axis=1)
         per_column = np.take_along_axis(per_column, order[None], axis=2)
         sums = np.add.reduceat(per_column.reshape(len(ops) + 1, -1), starts, axis=1)
-    return Decomposed(norms, vectors, order, starts, sizes, values, sums)
+    return Decomposed(norms, vectors, order, starts, sizes, values, sums, partners)
 
 
 def _frames(layout, spectra):
     """One ``SpectralFrame`` per row of a ``Decomposed``, handed its
     columns' clusters and deviations, so neither is computed again: one
-    ``max|VᴴV - I|`` per size class measures every row's columns, checked
-    once for all rows."""
+    ``max|VᴴV - I|`` per size class measures every solved row's columns,
+    checked once for all rows.  A mirror row's columns are its partner's
+    reversed, as views, and its deviation is its partner's."""
+    solved = len(spectra.vectors[0])
     deviation = _deviations(layout, spectra.vectors)
     _require_orthonormal(deviation)
+    source = np.concatenate([np.arange(solved), spectra.partners]).tolist()
     # eigh sorts each block's columns ascending, so every cluster owns a
     # consecutive column range of every block: bounds[k, j] counts block
     # j's columns in clusters below k.  Cluster numbers count from each
@@ -366,30 +388,72 @@ def _frames(layout, spectra):
     frames = []
     ends = np.cumsum(spectra.sizes)
     for r, size in enumerate(spectra.sizes.tolist()):
+        step = 1 if r < solved else -1
         frame = SpectralFrame(
             layout,
-            tuple(v[r] for v in spectra.vectors),
+            tuple(v[source[r]][..., ::step] for v in spectra.vectors),
             bounds[r, : size + 1],
             spectra.values[ends[r] - size : ends[r]],
         )
         frame.__dict__["clusters"] = [c[r] for c in per_class]
-        frame.__dict__["deviation"] = deviation[r]
+        frame.__dict__["deviation"] = deviation[source[r]]
         frames.append(frame)
     return frames
 
 
+def _antipodes(ts):
+    """Which rows of ``ts`` (a ``(rows, n)`` array) to solve and which to
+    mirror: a row is mirrored when the first row equal to it or to its
+    negation is its negation, and is paired with that row, which is
+    solved.
+
+    Rows are put in sign-canonical form, the first nonzero entry
+    positive and no zero negative, and grouped by one ``np.lexsort``; a
+    row whose sign differs from its group's first row is that row
+    negated.  Returns the solved rows, the mirror rows and, per
+    mirror row, its partner's place among the solved rows.
+    """
+    lead = ts[np.arange(len(ts)), np.argmax(ts != 0, axis=1)]
+    sign = np.where(lead < 0, -1.0, 1.0)
+    canonical = ts * sign[:, None] + 0.0
+    order = np.lexsort(canonical.T[::-1])  # equal rows adjacent, earliest first
+    ranked = canonical[order]
+    first = np.ones(len(ts), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    head = np.empty_like(order)
+    head[order] = order[first][np.cumsum(first) - 1]
+    mirror = sign != sign[head]
+    solved = np.flatnonzero(~mirror)
+    mirrors = np.flatnonzero(mirror)
+    return solved, mirrors, np.searchsorted(solved, head[mirrors])
+
+
 def _chunks(optuple, ts, cluster_tol=None):
     """``_decompose_stacks`` of the ``b_t`` of every row ``t`` of ``ts``,
-    ``psi`` sums included, one chunk of rows (``_row_chunks``) at a time:
-    yields each chunk's slice of ``ts`` and its ``Decomposed``."""
+    ``psi`` sums included, one chunk at a time: yields each chunk's row
+    indices into ``ts`` and its ``Decomposed``, whose rows they name in
+    order.
+
+    Only the rows ``_antipodes`` solves are stacked, in chunks of
+    ``_row_chunks``; each row whose ``t`` negates a solved row's rides in
+    its partner's chunk as a mirror row (``_decompose_stacks``), so the
+    ``b_t`` of ``t`` and ``-t`` take one ``eigh``.  A solved row's bits
+    are those it has decomposed alone; a mirror row's are its partner's,
+    mirrored."""
     alg = optuple.algebra
-    for chunk in _row_chunks(len(ts), alg.dims):
+    if not len(ts):
+        return
+    ts = algebra.direction_rows(optuple, ts)
+    solved, mirrors, partners = _antipodes(ts)
+    for chunk in _row_chunks(len(solved), alg.dims):
+        mine = (chunk.start <= partners) & (partners < chunk.stop)
         # no name here holds the b_t stacks, so the core frees them once solved
-        yield chunk, _decompose_stacks(
+        yield np.concatenate([solved[chunk], mirrors[mine]]), _decompose_stacks(
             alg.layout,
-            algebra.linear_combinations(optuple, ts[chunk]),
+            algebra.linear_combinations(optuple, ts[solved[chunk]]),
             cluster_tol,
             optuple,
+            partners[mine] - chunk.start,
         )
 
 
@@ -429,10 +493,12 @@ def direction_frames(optuple, ts, cluster_tol=None, eig_eq_tol=None):
     """The ``DirectionFrame`` of every direction part ``t`` in ``ts``,
     decomposed together (``_chunks``): a frame's band is scaled by the
     ``max_norm`` of its ``b_t`` and its ``psi`` table adds up its clusters'
-    ``psi`` sums.  Every frame's bits are those it has decomposed alone."""
+    ``psi`` sums.  The frame of a ``t`` whose negation comes earlier in
+    ``ts`` is that direction's mirrored: its columns reversed, as views,
+    and its values, bands and table read off them as any frame's are."""
     ts = [np.asarray(t, dtype=float) for t in ts]
-    out = []
-    for chunk, spectra in _chunks(optuple, ts, cluster_tol):
+    out = [None] * len(ts)
+    for rows, spectra in _chunks(optuple, ts, cluster_tol):
         sizes = spectra.sizes
         bands = _scaled_tol(eig_eq_tol, EIG_EQ_TOL, spectra.norms).tolist()
         # cluster c's sums at c + 1, so row k of a table adds the first k
@@ -442,10 +508,10 @@ def direction_frames(optuple, ts, cluster_tol=None, eig_eq_tol=None):
         tables[owner, place + 1] = spectra.sums.T
         tables = np.cumsum(tables, axis=1)
         frames = _frames(optuple.algebra.layout, spectra)
-        for t, spectrum, band, table, size in zip(
-            ts[chunk], frames, bands, tables, sizes.tolist()
+        for r, spectrum, band, table, size in zip(
+            rows.tolist(), frames, bands, tables, sizes.tolist()
         ):
-            out.append(DirectionFrame(optuple, t, spectrum, band, table[: size + 1]))
+            out[r] = DirectionFrame(optuple, ts[r], spectrum, band, table[: size + 1])
     return out
 
 

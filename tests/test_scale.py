@@ -268,9 +268,11 @@ def test_isotrace_slice_chunks_give_the_same_points(monkeypatch):
     monkeypatch.setattr(spectral, "STACK_CHUNK_BYTES", 16 * 19 * 7)
     chunked = isotrace_slice(optuple, 0.37, 50).points
     np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-15)
-    # 8 chunks of at most 7 directions, one eigh per block size (1, 2, 3)
-    assert len(calls) == 8 * 3
-    assert sorted(set(calls)) == [1, 7]
+    # the 25 directions before pi are solved, in 4 chunks of at most 7,
+    # each carrying the negations of its own; one eigh per block size
+    # (1, 2, 3) a chunk
+    assert len(calls) == 4 * 3
+    assert sorted(set(calls)) == [4, 7]
 
 
 def _keep_first_loop(points, tol):

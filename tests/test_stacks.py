@@ -1,8 +1,8 @@
 """Operators are stored as one stack per block size.  Every stacked
 computation is checked here against a plain per-block numpy reference
 written out in the test, on random algebras whose block sizes interleave,
-and the commands are checked to run one ``eigh`` per size class for each
-direction they decompose."""
+and the commands are checked to run one ``eigh`` per size class for the
+directions they decompose, solving one row per pair ``t``, ``-t``."""
 
 import contextlib
 import io
@@ -240,6 +240,25 @@ def _tuple_json(dims, n, seed):
     return {"blocks": blocks}
 
 
+def _counting_rows(monkeypatch):
+    """The rows each batched ``eigh`` of the spectral core solves (its
+    stack's leading dimension), in call order."""
+    eigh, rows = spectral.eigh, []
+
+    def counting(stack, block):
+        rows.append(len(stack))
+        return eigh(stack, block)
+
+    monkeypatch.setattr(spectral, "eigh", counting)
+    return rows
+
+
+def _run_quietly(argv):
+    quiet = contextlib.redirect_stdout(io.StringIO())
+    with quiet, contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+
+
 @pytest.mark.parametrize(
     "dims", [(1,) * 128, (2, 1, 2, 1)], ids=["m128", "interleaved"]
 )
@@ -247,29 +266,41 @@ def _tuple_json(dims, n, seed):
 def test_one_eigh_per_size_class_per_direction(tmp_path, monkeypatch, dims, command):
     path = tmp_path / "tuple.json"
     path.write_text(json.dumps(_tuple_json(dims, 2, 7)))
-    eigh, direction_frames = np.linalg.eigh, spectral.direction_frames
-    eigh_calls = [0]
-    batches = []  # (directions, eigh calls) per batch of decomposed directions
-
-    def counting_eigh(*args, **kwargs):
-        eigh_calls[0] += 1
-        return eigh(*args, **kwargs)
+    direction_frames = spectral.direction_frames
+    sizes = []  # directions per batch of decomposed directions
+    rows = _counting_rows(monkeypatch)
 
     def counting_frames(optuple, ts, *args, **kwargs):
-        before = eigh_calls[0]
         frames = direction_frames(optuple, ts, *args, **kwargs)
-        batches.append((len(frames), eigh_calls[0] - before))
+        sizes.append(len(frames))
         return frames
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(spectral, "direction_frames", counting_frames)
-    quiet = contextlib.redirect_stdout(io.StringIO())
-    with quiet, contextlib.redirect_stderr(io.StringIO()):
-        assert main([command, "--input", str(path), "--samples", "0"]) == 0
+    _run_quietly([command, "--input", str(path), "--samples", "0"])
     # the axes of R^3 give four distinct direction parts t, +-e1 and +-e2,
-    # all decomposed in one batch: one eigh per size class for all four
+    # all decomposed in one batch: one eigh per size class for all four,
+    # each solving the two rows e1 and e2, whose negations are mirrored
     classes = len(set(dims))
-    assert batches == [(4, classes)]
+    assert sizes == [4]
+    assert rows == [2] * classes
+
+
+@pytest.mark.parametrize(
+    "n, samples, rows",
+    [(2, 32, 16), (2, 9, 9), (1, 32, 1)],
+    ids=["n2-even", "n2-odd", "n1"],
+)
+def test_slice_solves_one_row_per_antipodal_pair(
+    tmp_path, monkeypatch, n, samples, rows
+):
+    # an even n = 2 resolution negates its first half of angles, and n = 1
+    # slices along +-1; an odd resolution holds no antipodal pair
+    path = tmp_path / "tuple.json"
+    dims = (2, 1, 2, 1)
+    path.write_text(json.dumps(_tuple_json(dims, n, 7)))
+    solved = _counting_rows(monkeypatch)
+    _run_quietly(["slice", "--input", str(path), "--samples", str(samples)])
+    assert solved == [rows] * len(set(dims))
 
 
 def _frame_fields(frame):
@@ -279,6 +310,7 @@ def _frame_fields(frame):
         *spectrum.vectors,
         spectrum.bounds,
         spectrum.values,
+        spectrum.deviation,
         np.float64(frame.eff_tol),
         frame.levels,
         *frame.cuts,
@@ -286,21 +318,100 @@ def _frame_fields(frame):
     ]
 
 
+def _earlier_negation(ts, i):
+    """The first row before ``i`` of ``ts`` equal to ``-ts[i]``, or None."""
+    return next((j for j in range(i) if np.array_equal(ts[j], -ts[i])), None)
+
+
+def _close(got, want):
+    """``got`` and ``want`` agree within ``1e-12 * max(1, |want|)``."""
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
 @pytest.mark.parametrize("chunk", ["one direction", "default"])
 @settings(max_examples=30, deadline=None)
 @given(repeating_tuples())
 def test_batched_frames_equal_one_direction_at_a_time(chunk, case):
+    # a solved direction's frame has the bits it has decomposed alone; a
+    # direction whose negation came earlier is mirrored, and has the bits
+    # of its partner's mirror decomposed alone, and the frame of its b_t
+    # decomposed directly, to rounding
     optuple, ts = case
     with pytest.MonkeyPatch.context() as patch:
         if chunk == "one direction":
             patch.setattr(spectral, "STACK_CHUNK_BYTES", 1)
         batched = spectral.direction_frames(optuple, ts)
     assert len(batched) == len(ts)
-    for t, frame in zip(ts, batched):
-        alone = spectral.direction_frame(optuple, t)
+    for i, (t, frame) in enumerate(zip(ts, batched)):
+        partner = _earlier_negation(ts, i)
+        direct = spectral.direction_frame(optuple, t)
+        if partner is None:
+            alone = direct
+        else:
+            alone = spectral.direction_frames(optuple, [ts[partner], t])[1]
         for got, want in zip(_frame_fields(frame), _frame_fields(alone), strict=True):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+        if partner is None:
+            continue
+        solved = spectral.direction_frame(optuple, ts[partner]).spectrum
+        for got, want in zip(frame.spectrum.vectors, solved.vectors, strict=True):
+            assert got.tobytes() == want[..., ::-1].tobytes()
+        bounds = frame.spectrum.bounds
+        np.testing.assert_array_equal(bounds, solved.bounds[-1] - solved.bounds[::-1])
+        np.testing.assert_array_equal(bounds, direct.spectrum.bounds)
+        assert frame.eff_tol == direct.eff_tol
+        _close(frame.levels, direct.levels)
+        _close(frame.psi_table, direct.psi_table)
+
+
+@st.composite
+def dense_tuples(draw):
+    """Tuples on one dense block of size 2 to 8, with the direction parts
+    of a sphere sample, the signed axes among them."""
+    d, n = draw(st.integers(2, 8)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alg = FiniteAlgebra(((d, 1.0 / d),))
+    ops = tuple(HermitianOperator([_random_hermitian(rng, d)]) for _ in range(n))
+    from specscale.scale import _cloud_t_directions
+
+    return OperatorTuple(alg, ops), _cloud_t_directions(n, draw(st.integers(0, 12)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(repeating_tuples(), dense_tuples()), st.floats(0.0, 1.0))
+def test_mirror_frames_reflect_their_partners(case, level):
+    # Psi(1 - a) = Psi(1) - Psi(a): the leading k clusters of b_{-t} are
+    # the complement of the leading K - k of b_t
+    from specscale import scale
+    from specscale.oracle import oracle_support
+
+    optuple, ts = case
+    one = algebra.psi(optuple, optuple.algebra.identity())
+    frames = spectral.direction_frames(optuple, ts)
+    for i, (t, frame) in enumerate(zip(ts, frames)):
+        partner = _earlier_negation(ts, i)
+        if partner is None:
+            continue
+        table = frame.psi_table
+        reflected = table + frames[partner].psi_table[::-1]
+        _close(reflected, np.broadcast_to(one, table.shape))
+        alphas, _ = scale.level_supports(frame)
+        for s, alpha in zip(frame.levels, alphas):
+            exact = -oracle_support(optuple, np.concatenate(([s], -t)))
+            assert abs(alpha - exact) <= 1e-9 * max(1.0, abs(exact))
+    if optuple.n > 2:
+        return
+    # the slice of an even resolution: the direction past pi negates the
+    # one before it, and x(-u, l) = tau(b) - x(u, 1 - l), direction by
+    # direction (no point dropped as a repeat)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scale, "_keep_first", lambda points, tol: points)
+        low, high = (
+            scale.isotrace_slice(optuple, x, 16).points for x in (level, 1.0 - level)
+        )
+    half = len(low) // 2
+    _close(low[half:], one[1:] - high[:half])
 
 
 def test_extremes_makes_one_eigh_per_size_class(tmp_path, monkeypatch):
