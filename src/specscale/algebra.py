@@ -16,10 +16,15 @@ An operator is stored as one ``(m_k, d_k, d_k)`` stack per distinct
 block size ``d_k`` (a ``BlockLayout`` says where each block sits), so
 traces, products, cut-downs and eigensolves run once per size class,
 not once per block.
+
+JSON text is decoded by ``orjson``, and a document that decoder or the
+one-pass checks refuse is decoded again by ``json.loads`` and read as
+before, so a refused document's error is the standard decoder's.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from collections import namedtuple
@@ -29,6 +34,7 @@ from functools import cached_property, lru_cache
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .errors import (
     HermitianError,
@@ -396,15 +402,18 @@ def direction_rows(optuple, ts):
 
 def linear_combinations(optuple, ts):
     """The stacks of ``linear_combination`` of every row ``t`` of ``ts``, as
-    ``(rows, m_k, d_k, d_k)`` per size class, symmetrized as
-    ``_from_stacks`` would.  One ``einsum`` per size class sums each
-    entry's products ``t_i b_i`` over ``i = 1 .. n`` in turn, so every
-    row's bits are those of that row alone."""
+    read-only ``(rows, m_k, d_k, d_k)`` arrays per size class.  One
+    ``einsum`` per size class sums each entry's products ``t_i b_i`` over
+    ``i = 1 .. n`` in turn, from zero, so every row's bits are those of
+    that row alone.  The rows need no symmetrizing: with exactly
+    Hermitian ``b_i`` and real ``t``, entry ``(j, i)`` sums the conjugates
+    of entry ``(i, j)``'s products, so the rows are exactly Hermitian and
+    ``_frozen_hermitian_part`` would return them bit for bit."""
     ts = direction_rows(optuple, ts)
-    return [
-        _frozen_hermitian_part(np.einsum("rn,nmij->rmij", ts, s))
-        for s in stacked(optuple.operators)
-    ]
+    rows = [np.einsum("rn,nmij->rmij", ts, s) for s in stacked(optuple.operators)]
+    for r in rows:
+        r.flags.writeable = False
+    return rows
 
 
 def _span_residual(alg, stacks, blocks):
@@ -746,38 +755,65 @@ def _block_fields(raw_blocks):
     return dims, column.tolist(), op_nodes
 
 
-def tuple_from_json(source):
-    """Build an OperatorTuple from the JSON ingestion schema.
-
-    ``source`` may be a JSON string or an already-decoded object.  Raises
-    IngestError with the path of the first malformed field in document
-    order, HermitianError on non-self-adjoint operator matrices.  The
-    block fields are checked as columns, and the matrices of each block
-    size converted, in one pass each; only data that pass refuses is
-    walked block by block and entry by entry, to name the fault (or to
-    read what only the walker accepts, such as ``np.float64`` entries of a
-    decoded object).
-    """
-    if isinstance(source, (str, bytes)):
-        try:
-            obj = json.loads(source)
-        except (ValueError, RecursionError) as exc:
-            # bad syntax or encoding, an over-long integer, too deep a nesting
-            raise IngestError(f"invalid JSON: {exc}") from exc
-    else:
-        obj = source
+def _fields_from_object(obj):
+    """``(dims, weights, stacks)`` of a decoded document, as
+    ``_tuple_from_fields`` takes them, or IngestError for the first
+    malformed field in document order.  The block fields are checked as
+    columns, and the matrices of each block size converted, in one pass
+    each; only data that pass refuses is walked block by block and entry
+    by entry, to name the fault (or to read what only the walker accepts,
+    such as ``np.float64`` entries of a decoded object)."""
     if not isinstance(obj, dict) or "blocks" not in obj:
         raise IngestError("top-level object must contain 'blocks'")
     raw_blocks = obj["blocks"]
     if not isinstance(raw_blocks, list) or not raw_blocks:
         raise IngestError("must be a non-empty list", "blocks")
-
     dims, weights, op_nodes = _block_fields(raw_blocks) or _walk_blocks(raw_blocks)
     stacks = _stacks_from_json(dims, op_nodes)
     if stacks is None:
         mats = _walk_matrices(dims, op_nodes)
         layout = block_layout(tuple(dims))
         stacks = [np.stack([mats[j] for j in idx], axis=1) for idx in layout.members]
+    return dims, weights, stacks
+
+
+def _fast_fields(text):
+    """``_fields_from_object`` of ``text`` decoded by ``orjson``, when
+    that decoder and both one-pass checks accept all of it; else None.
+    The document may hold only the schema's keys: a field nobody reads
+    could hold what ``json.loads`` refuses (orjson nests past Python's
+    recursion limit), and the checks bound everything else."""
+    try:
+        obj = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        return None
+    if not (type(obj) is dict and len(obj) == 1 and type(obj.get("blocks")) is list):
+        return None
+    raw_blocks = obj["blocks"]
+    fields = _block_fields(raw_blocks)
+    if fields is None or not _same(map(len, raw_blocks), 3):
+        return None
+    dims, weights, op_nodes = fields
+    stacks = _stacks_from_json(dims, op_nodes)
+    return None if stacks is None else (dims, weights, stacks)
+
+
+def _fields_from_text(text):
+    """``_fast_fields`` of ``text``, or else ``_fields_from_object`` of it
+    decoded again by ``json.loads``, so a document the fast path refuses
+    gets the standard decoder's reading and error."""
+    fields = _fast_fields(text)
+    if fields is not None:
+        return fields
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # bad syntax or encoding, an over-long integer, too deep a nesting
+        raise IngestError(f"invalid JSON: {exc}") from exc
+    return _fields_from_object(obj)
+
+
+def _tuple_from_fields(dims, weights, stacks):
     try:
         alg = FiniteAlgebra._from_checked(dims, weights)
     except ShapeError as exc:
@@ -787,6 +823,35 @@ def tuple_from_json(source):
         _require_hermitian(alg.layout, op_stacks)
         operators.append(_from_stacks(alg.layout, op_stacks))
     return OperatorTuple(alg, tuple(operators))
+
+
+def tuple_from_json(source):
+    """Build an OperatorTuple from the JSON ingestion schema.
+
+    ``source`` may be a JSON string or an already-decoded object.  Raises
+    IngestError with the path of the first malformed field in document
+    order, HermitianError on non-self-adjoint operator matrices.
+
+    Text is decoded by ``orjson`` first.  Only a document that decoder
+    accepts, that holds no key outside the schema and whose block fields
+    and matrices both one-pass checks accept is read from that decoding;
+    every other document is decoded again by ``json.loads`` and read as a
+    decoded object is, so its error (or result) is the standard decoder's.
+    The two decoders give the same floats for every number both accept.
+    The cyclic garbage collector is paused while the call runs (and
+    switched back on only if it was on): a decoded document is acyclic
+    lists by the ten thousand, whose allocation would otherwise set off
+    full collections that free nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if isinstance(source, (str, bytes)):
+            return _tuple_from_fields(*_fields_from_text(source))
+        return _tuple_from_fields(*_fields_from_object(source))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def tuple_to_json(optuple):

@@ -1,4 +1,6 @@
+import gc
 import json
+import re
 
 import numpy as np
 import pytest
@@ -385,13 +387,21 @@ def _base_doc():
     }
 
 
+class _Text:
+    """A mangle of the base document's text rather than of its object."""
+
+    def __init__(self, edit):
+        self.edit = edit
+
+    def __call__(self, doc):
+        pass
+
+
 def _doc_text(mangle):
     doc = _base_doc()
     mangle(doc)
-    text = json.dumps(doc)
-    for token in ("1e400", "Infinity", "NaN"):
-        text = text.replace(f'"@@{token}@@"', token)
-    return text
+    text = re.sub(r'"@@(.*?)@@"', r"\1", json.dumps(doc))
+    return mangle.edit(text) if isinstance(mangle, _Text) else text
 
 
 def _ops(doc, j):
@@ -574,6 +584,43 @@ MALFORMED = {
         HermitianError,
         "block 1 deviates from self-adjointness by 6.000e+00",
     ),
+    # numbers and texts that JSON decoders read differently
+    "dim_30_digits": (
+        _set(0, "dim", 123456789012345678901234567890),
+        IngestError,
+        "blocks[0].operators[0]: expected 123456789012345678901234567890 matrix rows",
+    ),
+    "weight_1e-400": (
+        _set(1, "weight", "@@1e-400@@"),
+        IngestError,
+        "blocks[1].weight: weight must be a positive number",
+    ),
+    "weight_30_digits": (
+        _set(1, "weight", 123456789012345678901234567890),
+        IngestError,
+        "blocks: trace normalization sum(c_j d_j) = 1.2345678901234568e+29 is not 1",
+    ),
+    "empty_text": (
+        _Text(lambda text: ""),
+        IngestError,
+        "invalid JSON: Expecting value: line 1 column 1 (char 0)",
+    ),
+    "utf8_bom": (
+        _Text(lambda text: "\ufeff" + text),
+        IngestError,
+        "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+        "line 1 column 1 (char 0)",
+    ),
+    "trailing_data": (
+        _Text(lambda text: text + " []"),
+        IngestError,
+        "invalid JSON: Extra data: line 1 column 220 (char 219)",
+    ),
+    "duplicate_blocks_last_empty": (
+        _Text(lambda text: text[:-1] + ', "blocks": []}'),
+        IngestError,
+        "blocks: must be a non-empty list",
+    ),
 }
 
 
@@ -594,6 +641,123 @@ def test_base_document_is_well_formed():
     )
 
 
+# Documents that JSON decoders read differently, all well formed: each reads
+# as the base document with the one entry of operator 0 on block 1 (None:
+# unchanged) that ``json.loads`` gives.
+ACCEPTED = {
+    "lone_surrogate_key": (_Text(lambda text: '{"\\ud800": 0, ' + text[1:]), None),
+    "duplicate_blocks_last_wins": (_Text(lambda text: '{"blocks": [], ' + text[1:]), None),
+    "entry_5e-324": (_entry(1, 0, 0, 0, [5e-324, 0]), 5e-324),
+    "entry_30_digits": (
+        _entry(1, 0, 0, 0, [123456789012345678901234567890, 0]),
+        float(123456789012345678901234567890),
+    ),
+    "keys_outside_the_schema": (
+        _both(lambda doc: doc.__setitem__("note", "x"), _set(0, "note", [[1], {}])),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("where", ["top", "block"])
+def test_deep_nesting_in_a_field_nobody_reads_is_refused(where):
+    deep = "@@" + "[" * 10**5 + "]" * 10**5 + "@@"
+    mangle = _set(1, "note", deep) if where == "block" else lambda d: d.update(note=deep)
+    with pytest.raises(IngestError) as err:
+        tuple_from_json(_doc_text(mangle))
+    assert str(err.value).startswith("invalid JSON: maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize("case", sorted(ACCEPTED))
+def test_edge_documents_read_as_the_standard_decoder_reads_them(case):
+    mangle, value = ACCEPTED[case]
+    text = _doc_text(mangle)
+    optuple = tuple_from_json(text)
+    _same_operators(optuple, tuple_from_json(json.loads(text)))
+    expected = _base_doc()
+    if value is not None:
+        _ops(expected, 1)[0] = [[[value, 0]]]
+    _same_operators(optuple, tuple_from_json(expected))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_tuple_restores_the_collector(tmp_path, enabled):
+    cases = {
+        "base": (lambda doc: None, None),
+        "entry_true": MALFORMED["entry_true"][:2],  # refused by the fast path
+        "normalization": MALFORMED["normalization"][:2],  # raised after it
+        "non_hermitian": MALFORMED["non_hermitian"][:2],
+    }
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for name, (mangle, kind) in cases.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(_doc_text(mangle), encoding="utf-8")
+            if kind is None:
+                load_tuple(path)
+            else:
+                with pytest.raises(kind):
+                    load_tuple(path)
+            assert gc.isenabled() is enabled, name
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+# ---------------------------------------------------------------------------
+# Text read through the fast decoder against the decoded object, which is
+# read as before: the same bits in every stack and weight.
+# ---------------------------------------------------------------------------
+
+_NUMBER_FORMATS = (repr, "{:.17g}".format, "{:.25e}".format)
+
+
+@st.composite
+def _tuple_texts(draw):
+    """JSON text of an exactly Hermitian, normalized tuple whose numbers
+    are floats (subnormals included) and integers up to 10**30, each
+    rendered by ``repr``, ``.17g`` or ``.25e``."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    n = draw(st.integers(1, 3))
+    reals = st.one_of(
+        st.floats(-1e300, 1e300, allow_subnormal=True),
+        st.floats(-1e-300, 1e-300, allow_subnormal=True),
+        st.integers(-(10**30), 10**30),
+    )
+
+    def number(x):
+        if isinstance(x, int):
+            return str(x)
+        return draw(st.sampled_from(_NUMBER_FORMATS))(x)
+
+    blocks = []
+    for d in dims:
+        operators = []
+        for _ in range(n):
+            m = [[None] * d for _ in range(d)]
+            for i in range(d):
+                m[i][i] = f"[{number(draw(reals))}, {number(0.0)}]"
+                for k in range(i + 1, d):
+                    re, im = draw(reals), draw(reals)
+                    m[i][k] = f"[{number(re)}, {number(im)}]"
+                    m[k][i] = f"[{number(re)}, {number(-im)}]"
+            operators.append("[" + ", ".join("[" + ", ".join(r) + "]" for r in m) + "]")
+        weight = number(1.0 / sum(dims))
+        blocks.append(
+            f'{{"weight": {weight}, "dim": {d}, "operators": [{", ".join(operators)}]}}'
+        )
+    return '{"blocks": [' + ", ".join(blocks) + "]}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tuple_texts())
+def test_text_reads_bit_for_bit_as_the_decoded_object(text):
+    assert algebra._fast_fields(text) is not None  # read by the fast path
+    fast, reference = tuple_from_json(text), tuple_from_json(json.loads(text))
+    assert fast.algebra.weights.tobytes() == reference.algebra.weights.tobytes()
+    _same_operators(fast, reference)
+
+
 @pytest.mark.parametrize(
     "case, code",
     [
@@ -601,13 +765,15 @@ def test_base_document_is_well_formed():
         ("weight_zero", 2),
         ("entry_then_weight", 2),
         ("non_hermitian", 3),
+        ("dim_30_digits", 2),
+        ("utf8_bom", 2),
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, capsys, case, code):
     from specscale.cli import main
 
     path = tmp_path / f"{case}.json"
-    path.write_text(_doc_text(MALFORMED[case][0]))
+    path.write_text(_doc_text(MALFORMED[case][0]), encoding="utf-8")
     assert main(["support", "--input", str(path)]) == code
     captured = capsys.readouterr()
     assert captured.out == ""

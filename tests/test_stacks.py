@@ -108,6 +108,14 @@ def _decompose(alg, blocks):
     return bounds, values
 
 
+def _assert_rows_exactly_hermitian(optuple, ts):
+    # linear_combinations does not symmetrize: its rows are read-only and
+    # already (A + A*)/2 bit for bit, signed zeros included
+    for rows in algebra.linear_combinations(optuple, ts):
+        assert not rows.flags.writeable
+        assert rows.tobytes() == algebra._frozen_hermitian_part(rows).tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(tuples())
 def test_stacked_operator_algebra_matches_per_block(case):
@@ -128,6 +136,9 @@ def test_stacked_operator_algebra_matches_per_block(case):
     for j, x in enumerate(combined.blocks):
         want = sum(c * op.blocks[j] for c, op in zip(t, optuple.operators))
         np.testing.assert_allclose(x, want, atol=1e-12)
+    axes = np.eye(optuple.n)
+    scaled = rng.standard_normal((8, optuple.n)) * 10.0 ** rng.uniform(-3, 3, (8, 1))
+    _assert_rows_exactly_hermitian(optuple, np.vstack([axes, -axes, scaled]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -337,6 +348,7 @@ def test_batched_frames_equal_one_direction_at_a_time(chunk, case):
     # of its partner's mirror decomposed alone, and the frame of its b_t
     # decomposed directly, to rounding
     optuple, ts = case
+    _assert_rows_exactly_hermitian(optuple, ts)
     with pytest.MonkeyPatch.context() as patch:
         if chunk == "one direction":
             patch.setattr(spectral, "STACK_CHUNK_BYTES", 1)
