@@ -18,8 +18,8 @@ traces, products, cut-downs and eigensolves run once per size class,
 not once per block.
 
 JSON text is decoded by ``orjson``, and a document that decoder or the
-one-pass checks refuse is decoded again by ``json.loads`` and read as
-before, so a refused document's error is the standard decoder's.
+reader refuses is decoded again by ``json.loads`` and read as before, so
+a refused document's error is the standard decoder's.
 """
 
 from __future__ import annotations
@@ -777,34 +777,23 @@ def _fields_from_object(obj):
     return dims, weights, stacks
 
 
-def _fast_fields(text):
-    """``_fields_from_object`` of ``text`` decoded by ``orjson``, when
-    that decoder and both one-pass checks accept all of it; else None.
-    The document may hold only the schema's keys: a field nobody reads
-    could hold what ``json.loads`` refuses (orjson nests past Python's
-    recursion limit), and the checks bound everything else."""
+def _fields_from_text(text):
+    """``_fields_from_object`` of ``text`` decoded by ``orjson`` when the
+    document holds only the schema's keys, as a field nobody reads could
+    hold what ``json.loads`` refuses (orjson nests past Python's recursion
+    limit); else, or when the decoder or that reading refuses it, of
+    ``text`` decoded again by ``json.loads``, so a refused document gets
+    the standard decoder's reading and error.  ``orjson`` yields no type
+    the readers take otherwise than they take ``json.loads``'s."""
     try:
         obj = orjson.loads(text)
-    except orjson.JSONDecodeError:
-        return None
-    if not (type(obj) is dict and len(obj) == 1 and type(obj.get("blocks")) is list):
-        return None
-    raw_blocks = obj["blocks"]
-    fields = _block_fields(raw_blocks)
-    if fields is None or not _same(map(len, raw_blocks), 3):
-        return None
-    dims, weights, op_nodes = fields
-    stacks = _stacks_from_json(dims, op_nodes)
-    return None if stacks is None else (dims, weights, stacks)
-
-
-def _fields_from_text(text):
-    """``_fast_fields`` of ``text``, or else ``_fields_from_object`` of it
-    decoded again by ``json.loads``, so a document the fast path refuses
-    gets the standard decoder's reading and error."""
-    fields = _fast_fields(text)
-    if fields is not None:
-        return fields
+        raw_blocks = obj.get("blocks") if type(obj) is dict and len(obj) == 1 else None
+        if type(raw_blocks) is list and all(
+            type(node) is dict and len(node) == 3 for node in raw_blocks
+        ):
+            return _fields_from_object(obj)
+    except (orjson.JSONDecodeError, IngestError):
+        pass
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -833,10 +822,10 @@ def tuple_from_json(source):
     order, HermitianError on non-self-adjoint operator matrices.
 
     Text is decoded by ``orjson`` first.  Only a document that decoder
-    accepts, that holds no key outside the schema and whose block fields
-    and matrices both one-pass checks accept is read from that decoding;
-    every other document is decoded again by ``json.loads`` and read as a
-    decoded object is, so its error (or result) is the standard decoder's.
+    accepts, that holds no key outside the schema and that reads without
+    error is read from that decoding; every other document is decoded
+    again by ``json.loads`` and read as a decoded object is, so its error
+    (or result) is the standard decoder's.
     The two decoders give the same floats for every number both accept.
     The cyclic garbage collector is paused while the call runs (and
     switched back on only if it was on): a decoded document is acyclic

@@ -12,25 +12,25 @@ Exposing, cutting down and exposing again reaches faces no single
 hyperplane exposes.  The normal cone of a face is probed through the
 order test: ``(-s, t)`` supports the face exactly when ``p_minus <=
 q_minus`` and ``q_plus <= p_plus`` for the interval projections of
-``b_t`` at ``s``, which the sweep reads per direction off the eigenframe
-of ``b_t`` as prefix and suffix maxima of column norms.
-``normal_cones`` samples the cones of many faces in one pass.  Candidate
-directions lie in the face's commutant directions, which are read off the
-face's frame: every face's commutator matrix is the entries of its
-frame's table (``SpectralFrame.entries``, built once per distinct frame)
-that cross its cuts, all faces going through one stacked SVD.  The face
-pass (``sweep_face_cones``) sweeps, keeps the distinct sweep faces and
-samples their cones through one ``spectral.FrameCache`` of its own, so
-each distinct ``t`` is decomposed once per pass, and tests a one-ray cone
-on its face's own sweep direction.  Every face that tests ``t`` is tested
-together, its endpoints stacked per block size into one product.  Member
-normals and degrees are stacked over all faces.  A cone keeps its members
-grouped by tested direction, each group with the frame it was tested on
-(``ConeGroup``), which gap detection and the pure-trace step of a chain
-read instead of decomposing again.  A sweep face is exposed by its own
-pair, so its minimal exposed chain is the face itself once that pair is
-found in its cone (``sweep_face_chain``); ``minimal_exposed_chain`` builds
-the chain of any face from its cone sample.
+``b_t`` at ``s``.  Every face of one frame ``U`` is tested against every
+level of a tested ``b_t``'s frame ``V`` at once, as prefix and suffix sums
+of ``|Uᴴ V|²`` (``SpectralFrame.order_margins``), so no endpoint is
+built.  ``normal_cones`` samples the cones of many faces in one pass.
+Candidate directions lie in the face's commutant directions, which are
+read off the face's frame: every face's commutator matrix is the entries
+of its frame's table (``SpectralFrame.entries``, built once per distinct
+frame) that cross its cuts, all faces going through one stacked SVD.
+The face pass (``sweep_face_cones``) sweeps, keeps the distinct sweep
+faces and samples their cones on the sweep's own frames, decomposing only
+the other candidates, in one batch, and tests a one-ray cone on its
+face's own sweep direction.  Member normals and degrees are stacked over
+all faces.  A cone keeps its members grouped by tested direction, each
+group with the frame it was tested on (``ConeGroup``), which gap
+detection and the pure-trace step of a chain read instead of decomposing
+again.  A sweep face is exposed by its own pair, so its minimal exposed
+chain is the face itself once that pair is found in its cone
+(``sweep_face_chain``); ``minimal_exposed_chain`` builds the chain of any
+face from its cone sample.
 """
 
 from __future__ import annotations
@@ -303,18 +303,14 @@ def sweep_face_cones(
     """The frames of a sweep and ``(face, cone)`` per distinct sweep face,
     the cone None for the whole scale.
 
-    The sweep's direction parts (as for ``scale.sweep_frames``) fill one
-    ``spectral.FrameCache`` of this call, and the cones of all proper faces
-    are sampled together from it on the same direction parts, each on its
-    face's sweep ray and with its dimension, so each direction part is
-    decomposed once.  A sweep face is kept unless an earlier kept face
-    spans the same interval; faces are bucketed by rank first, as faces of
-    different ranks never match.
+    The cones of all proper faces are sampled together on the sweep's
+    direction parts (``scale.sweep_frames``), each on its face's sweep ray
+    and with its dimension, and read the sweep's frames, so each direction
+    part is decomposed once.  A sweep face is kept unless an earlier kept
+    face spans the same interval; faces are bucketed by rank first, as
+    faces of different ranks never match.
     """
-    frames = spectral.FrameCache(optuple, cluster_tol, eig_eq_tol)
-    raw = scale._cloud_t_directions(optuple.n, directions)
-    frames.fill(raw)
-    swept = [frames(t) for t in raw]
+    swept = scale.sweep_frames(optuple, directions, cluster_tol, eig_eq_tol)
     distinct, by_ranks = [], {}
     for frame in swept:
         for face in scale.faces_in_frame(frame):
@@ -326,8 +322,9 @@ def sweep_face_cones(
     cones = _sample_cones(
         optuple,
         [f.interval for f in tested],
-        raw,
-        frames,
+        [f.t for f in swept],
+        (cluster_tol, eig_eq_tol),
+        swept,
         rays=[f.pair.t for f in tested],
         dimensions=[f.dimension for f in tested],
     )
@@ -360,24 +357,26 @@ def normal_cones(
         optuple,
         intervals,
         scale._cloud_t_directions(optuple.n, directions),
-        spectral.FrameCache(optuple, cluster_tol, eig_eq_tol),
+        (cluster_tol, eig_eq_tol),
     )
 
 
-def _sample_cones(optuple, intervals, raw, frames, rays=None, dimensions=None):
+def _sample_cones(optuple, intervals, raw, tols, swept=(), rays=None, dimensions=None):
     """``normal_cones`` of proper faces ``intervals`` on the sampled direction
-    parts ``raw``, decomposed through ``frames``, a ``spectral.FrameCache``
-    of the tuple, which may already hold some of them.
+    parts ``raw``, with ``tols`` the cluster and equality tolerances.  The
+    ``spectral.DirectionFrame``s of ``swept``, decomposed already, serve
+    the candidates whose ``t`` has their exact bytes; all other candidates
+    are decomposed together, in one ``spectral.direction_frames``.
 
     A sweep that found the faces may pass each one's direction part as
     ``rays``, which a one-ray cone is tested on (``_ray_candidates``), and
     its dimension as ``dimensions``, which the ``exact`` flag reads.  The
     commutants come from one stacked SVD (``_commutant_bases``).  The order
-    test ``p_minus <= q_minus``, ``q_plus <= p_plus`` of every face whose
-    candidates hold ``t`` is one stacked ``order_margins`` on its frame,
-    read at each level's cluster counts, so no candidate interval is
-    built.  Each face's members are grouped by candidate, in order, each
-    ``ConeGroup`` holding the frame its levels were read off.
+    test ``p_minus <= q_minus``, ``q_plus <= p_plus`` of the faces of one
+    frame whose candidates hold ``t`` is one ``order_margins`` of that
+    frame against ``t``'s, read at each level's cluster counts, so no
+    projection is built.  Each face's members are grouped by candidate, in
+    order, each ``ConeGroup`` holding the frame its levels were read off.
     """
     if rays is None:
         rays = [None] * len(intervals)
@@ -392,27 +391,25 @@ def _sample_cones(optuple, intervals, raw, frames, rays=None, dimensions=None):
                 shared[key] = _candidate_directions(basis, raw)
             ts = shared[key]
         candidates.append(ts)
-    testers = {}  # exact bytes of t -> (t, [(face, candidate position)])
+    tests = {}  # (exact bytes of t, id of a face frame) -> (t, [(face, position)])
     for f, ts in enumerate(candidates):
         for k, t in enumerate(ts):
-            testers.setdefault(t.tobytes(), (t, []))[1].append((f, k))
-    frames.fill(t for t, _ in testers.values())
-    lowers = algebra.stacked([iv.lower for iv in intervals])
-    uppers = algebra.stacked([iv.upper for iv in intervals])
+            key = t.tobytes(), id(intervals[f].frame)
+            tests.setdefault(key, (t, []))[1].append((f, k))
+    frames = {frame.t.tobytes(): frame for frame in swept}
+    new = {key: t for (key, _), (t, _) in tests.items() if key not in frames}
+    frames.update(zip(new, spectral.direction_frames(optuple, [*new.values()], *tols)))
     found = [[None] * len(ts) for ts in candidates]
-    for t, tests in testers.values():
-        frame = frames(t)
-        q_minus, q_plus = lowers, uppers
-        if len(tests) < len(intervals):  # only some faces test this t
-            which = [f for f, _ in tests]
-            q_minus, q_plus = [q[which] for q in lowers], [q[which] for q in uppers]
-        below, above = frame.spectrum.order_margins(q_minus, q_plus)
-        lower, upper = frame.cuts
-        member = (below[:, lower] <= PROJECTION_TOL) & (
-            above[:, upper] <= PROJECTION_TOL
+    for (key, _), (_, group) in tests.items():
+        frame = frames[key]
+        counts = np.array([intervals[f].counts for f, _ in group])
+        below, above = frame.spectrum.order_margins(
+            intervals[group[0][0]].frame, *counts.T
         )
+        lower, upper = frame.cuts
+        member = np.maximum(below[:, lower], above[:, upper]) <= PROJECTION_TOL
         t = SpectralPair(s=0.0, t=frame.t).t  # checked once for its pairs
-        for (f, k), row in zip(tests, member):
+        for (f, k), row in zip(group, member):
             found[f][k] = ConeGroup(t, frame.levels[row], frame)
     groups = [tuple(g for g in gs if len(g.levels)) for gs in found]
     return _cone_samples(optuple, intervals, groups, dimensions)

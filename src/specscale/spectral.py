@@ -32,23 +32,23 @@ returns one frame per direction with all its cut levels as such counts,
 its equality band scaled by its ``b_t``'s ``max_norm`` and its ``psi``
 table the running sums of its clusters' ``psi``.  Everything a sweep
 reads off a level comes from the frame without a d×d matrix: ``psi`` and
-the trace of an endpoint are rows of a cumulative table, the support
-value is a dot product with a row, and the order test against fixed
-intervals is a prefix (or suffix) maximum of column norms, for many
-intervals at once, one product per block size.  What a face reads of the
-operators themselves, a gap's cut-down or the commutators with a cut, is
-entries of ``Vᴴ b_i V``: ``SpectralFrame.entries`` rotates the tuple once
-and tables every block entry with the clusters of its row and column.  A
-``FrameCache`` keeps the frame of every direction one pass decomposes,
-bound to one tuple and its tolerances and keyed on the exact bytes of
-``t``, so the face pass (``faces.sweep_face_cones``) decomposes each
-direction once; ``fill`` decomposes many new directions in one batch.
-Every ``OrderInterval`` is a frame with two leading counts (an interval
-from outside is framed by the eigenvectors of ``lower + upper``), so the
-bases of ``lower``, of the gap and of ``1 - upper`` are column ranges,
-and two ranges compare ranks before any ``V Vᴴ`` is built
-(``same_range``).  A frame's columns are checked orthonormal once, with
-the rest of its chunk when it is decomposed (or, for a frame built
+the trace of an endpoint are rows of a cumulative table and the support
+value is a dot product with a row.  One primitive answers every order
+question between leading ranges of two frames: for a frame ``U`` and a
+frame ``V``, ``|Uᴴ V|²`` summed over ``U``'s trailing and over its
+leading rows (``_row_sums``) holds ``|(1 - q) v|`` and ``|q v|`` for
+every leading range ``q`` of ``U`` and column ``v`` of ``V``, one product
+per size class.  The order test of many faces of ``U`` against every
+level of ``V`` (``SpectralFrame.order_margins``) and the equality of two
+ranges (``same_range``, after their ranks) read it.  What a face reads of
+the operators themselves, a gap's cut-down or the commutators with a
+cut, is entries of ``Vᴴ b_i V``: ``SpectralFrame.entries`` rotates the
+tuple once and tables every block entry with the clusters of its row and
+column.  Every ``OrderInterval`` is a frame with two leading counts (an
+interval from outside is framed by the eigenvectors of ``lower +
+upper``), so the bases of ``lower``, of the gap and of ``1 - upper`` are
+column ranges.  A frame's columns are checked orthonormal once, with the
+rest of its chunk when it is decomposed (or, for a frame built
 otherwise, when first read), which makes every leading range a
 projection and the ranges nested.
 """
@@ -184,38 +184,62 @@ class SpectralFrame:
         return _deviations(self.layout, self.vectors)
 
     def require_orthonormal(self):
-        """Raise unless every block's ``max|VᴴV - I| <= PROJECTION_TOL``.
+        """Raise unless every block's ``max|VᴴV - I| <= PROJECTION_TOL``,
+        checked once per frame.
 
         Then every leading column range spans a projection and the ranges
         are nested, which is what frame-backed intervals do not re-check.
         """
-        _require_orthonormal(self.deviation[None])
+        if not self.__dict__.get("orthonormal"):
+            _require_orthonormal(self.deviation[None])
+            self.__dict__["orthonormal"] = True
 
-    def order_margins(self, q_minus, q_plus):
+    def order_margins(self, frame, lowers, uppers):
         """How far each leading range ``p_k`` is from ``p_k <= q_minus`` and
         from ``q_plus <= p_k``, per face and cluster count ``k``.
 
-        ``q_minus`` and ``q_plus`` stack the faces' endpoint operators per
-        size class, ``(faces, m_k, d_k, d_k)``, so every face's test on
-        this frame is one product per size class.  ``below[f, k]`` is the
-        largest ``|(1 - q_minus) v|`` over the columns ``v`` of the first
-        ``k`` clusters, ``above[f, k]`` the largest ``|q_plus v|`` over the
-        other columns: prefix and suffix maxima of each cluster's largest
-        column norm.  Each order holds exactly when its margin is zero.
+        The faces are intervals of ``frame``: face ``f``'s ``q_minus`` and
+        ``q_plus`` are its leading ``lowers[f]`` and ``uppers[f]`` clusters.
+        ``below[f, k]`` is the largest ``|(1 - q_minus) v|`` over the
+        columns ``v`` of the first ``k`` clusters, ``above[f, k]`` the
+        largest ``|q_plus v|`` over the other columns: prefix and suffix
+        maxima of each cluster's largest column norm.  Both norms are roots
+        of sums of ``|Uᴴ V|²`` over rows, ``U`` the columns of ``frame``
+        (``_row_sums``), one product per size class for all faces.  Each
+        order holds exactly when its margin is zero.
         """
         self.require_orthonormal()
-        faces = len(q_minus[0])
-        # per face and cluster, the largest norm among its columns
-        outside, inside = np.zeros((2, faces, len(self.values)))
-        for v, qm, qp, c in zip(self.vectors, q_minus, q_plus, self.clusters):
-            norms = (np.linalg.norm(x, axis=-2) for x in (v - qm @ v, qp @ v))
-            for out, x in zip((outside, inside), norms):
-                np.maximum.at(out, (slice(None), c.ravel()), x.reshape(faces, -1))
-        below = np.zeros((faces, len(self.values) + 1))
-        above = np.zeros_like(below)
-        np.maximum.accumulate(outside, axis=1, out=below[:, 1:])
-        above[:, :-1] = np.maximum.accumulate(inside[:, ::-1], axis=1)[:, ::-1]
+        frame.require_orthonormal()
+        faces = len(lowers)
+        rows = frame.bounds[np.array([lowers, uppers])]  # (2, faces, blocks)
+        ends = np.arange(2)[:, None, None]
+        # per end, face and cluster, the largest norm among its columns
+        largest = np.zeros((2, faces, len(self.values)))
+        pairs = zip(frame.vectors, self.vectors, self.clusters, self.layout.members)
+        for u, v, c, idx in pairs:
+            sums = _row_sums(u, v)[ends, np.arange(len(idx)), rows[..., idx]]
+            norms = np.sqrt(sums).reshape(2, faces, -1)
+            np.maximum.at(largest, (slice(None), slice(None), c.ravel()), norms)
+        below, above = np.zeros((2, faces, len(self.values) + 1))
+        np.maximum.accumulate(largest[0], axis=1, out=below[:, 1:])
+        above[:, :-1] = np.maximum.accumulate(largest[1, :, ::-1], axis=1)[:, ::-1]
         return below, above
+
+
+def _row_sums(u, v):
+    """``|Uᴴ V|²`` of two frames' stacks ``(m, d, d)`` summed over the
+    trailing and over the leading rows, stacked: ``[0, :, r, c]`` is ``|(1 -
+    q_r) v|²`` and ``[1, :, r, c]`` is ``|q_r v|²``, where ``q_r`` projects
+    onto the first ``r`` columns of ``U`` and ``v`` is column ``c`` of
+    ``V``.  ``U`` is a whole orthonormal basis, so the tail is the sum over
+    its other rows; it is summed directly, since as ``|v|² - head`` its
+    roundoff would have a root of 1e-8, ``PROJECTION_TOL`` itself."""
+    squares = np.abs(u.conj().swapaxes(-1, -2) @ v)
+    squares *= squares
+    sums = np.zeros((2, len(squares), squares.shape[1] + 1, squares.shape[2]))
+    np.add.accumulate(squares[:, ::-1], axis=1, out=sums[0, :, -2::-1])
+    np.add.accumulate(squares, axis=1, out=sums[1, :, 1:])
+    return sums
 
 
 def _deviations(layout, vectors):
@@ -521,39 +545,6 @@ def direction_frame(optuple, t, cluster_tol=None, eig_eq_tol=None):
     return frame
 
 
-class FrameCache:
-    """The ``DirectionFrame`` of every direction part ``t`` one run asks
-    for, each decomposed once.
-
-    A cache is bound to one tuple and its two tolerances, and keyed on the
-    exact bytes of ``t``: a rounded key could hand back a frame whose ``t``
-    differs in the last bits.  It lives as long as the one pass that made
-    it.  ``fill`` decomposes many directions together.
-    """
-
-    def __init__(self, optuple, cluster_tol=None, eig_eq_tol=None):
-        self.optuple = optuple
-        self.tols = (cluster_tol, eig_eq_tol)
-        self._frames = {}
-
-    def fill(self, ts):
-        """Decompose every distinct ``t`` of ``ts`` not held yet, together
-        (``direction_frames``)."""
-        missing = {}
-        for t in ts:
-            key = np.asarray(t, dtype=float).tobytes()
-            if key not in self._frames:
-                missing.setdefault(key, t)
-        frames = direction_frames(self.optuple, list(missing.values()), *self.tols)
-        self._frames.update(zip(missing, frames))
-
-    def __call__(self, t):
-        key = np.asarray(t, dtype=float).tobytes()
-        if key not in self._frames:
-            self.fill([t])
-        return self._frames[key]
-
-
 class OrderInterval:
     """A pair of projections ``lower <= upper`` naming a face candidate,
     held as the leading ``counts[0]`` and ``counts[1]`` column groups of a
@@ -631,12 +622,15 @@ class OrderInterval:
 
 def same_range(a, b, tol):
     """Whether two leading ranges ``(frame, count)`` span the same
-    projection, to ``tol`` in max norm.
+    projection: ranks equal, and no column ``u`` of the first range with
+    ``|(1 - q) u| > tol`` for the second range's projection ``q``.
 
-    Ranks per block come first: where they differ, a diagonal entry of the
-    difference is at least ``1/d`` from zero.  A block both leave empty or
-    both fill agrees to roundoff, and so does every block within one frame;
-    only the other blocks are built and compared.
+    Ranks per block come first; of equal ranks, the largest such norm is
+    zero exactly when the ranges agree, and at most ``|p - q|``, the sine
+    of the widest angle between them.  A block both leave empty or both
+    fill agrees to roundoff, and so does every block within one frame;
+    only the other blocks are compared, off the trailing row sums of
+    ``|Uᴴ V|²`` (``_row_sums``).
     """
     (fa, ka), (fb, kb) = a, b
     ranks = fa.bounds[ka]
@@ -645,14 +639,14 @@ def same_range(a, b, tol):
     if fa is fb:
         return True
     layout = fa.layout
-    for va, vb, d, idx in zip(fa.vectors, fb.vectors, layout.sizes, layout.members):
+    for u, v, d, idx in zip(fb.vectors, fa.vectors, layout.sizes, layout.members):
         r = ranks[idx]
         partial = (0 < r) & (r < d)
         if partial.any():
-            mask = np.arange(d) < r[partial, None, None]
-            x, y = va[partial] * mask, vb[partial] * mask
-            gap = x @ x.conj().swapaxes(-1, -2) - y @ y.conj().swapaxes(-1, -2)
-            if float(np.abs(gap).max()) > tol:
+            r = r[partial]
+            tail = _row_sums(u[partial], v[partial])[0]
+            outside = tail[np.arange(len(r)), r] * (np.arange(d) < r[:, None])
+            if float(np.sqrt(outside.max())) > tol:
                 return False
     return True
 

@@ -624,6 +624,37 @@ def test_face_commands_on_a_dense_block_decompose_only_the_sweep(
     assert sorted(t for _, t in calls) == sorted(axes)
 
 
+@pytest.mark.parametrize("command", ["faces", "corners"])
+@pytest.mark.parametrize("samples", ["0", "8"])
+def test_face_commands_build_no_projection(
+    tmp_path, capsys, monkeypatch, command, samples
+):
+    # every face of the pass is a leading range of a frame: the dedup and
+    # the cone test read products of frames, and no d x d projection is built
+    from test_golden import dense_block
+
+    from specscale.spectral import SpectralFrame
+
+    def refuse(self, coeffs):
+        raise AssertionError("built a projection")
+
+    tuples = {
+        "reciprocal": fixtures.reciprocal_diagonal(8),
+        "two_point": fixtures.two_point(),
+        "pauli": fixtures.pauli_pair(),
+        "commuting": fixtures.commuting_diagonals(),
+        "blockpair": fixtures.block_with_scalars(),
+        "dense16": dense_block(16, 2, 16),
+    }
+    monkeypatch.setattr(SpectralFrame, "combination", refuse)
+    for name, optuple in tuples.items():
+        path = tmp_path / f"{name}.json"
+        save_tuple(optuple, path)
+        argv = [command, "--input", str(path), "--samples", samples]
+        code, _, err = run(argv, capsys)
+        assert code == 0, (name, err)
+
+
 def test_faces_exits_four_when_a_sweep_pair_is_not_in_its_cone(
     inputs, capsys, monkeypatch
 ):

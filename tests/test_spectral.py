@@ -500,12 +500,13 @@ def test_frame_order_test_matches_interval_contains(name, request):
     raw = _cloud_t_directions(optuple.n, 8)
     verdicts = []
     for interval in _distinct_proper_faces(optuple, 8):
-        lowers = [s[None] for s in interval.lower.stacks]
-        uppers = [s[None] for s in interval.upper.stacks]
+        lowers, uppers = interval.counts[:1], interval.counts[1:]
         basis = _commutant_bases(optuple, [interval])[0]
         for frame in direction_frames(optuple, _candidate_directions(basis, raw)):
             spectral_frame = frame.spectrum
-            (below,), (above,) = spectral_frame.order_margins(lowers, uppers)
+            (below,), (above,) = spectral_frame.order_margins(
+                interval.frame, lowers, uppers
+            )
             for lower, upper in zip(*frame.cuts):
                 by_frame = max(below[lower], above[upper]) <= PROJECTION_TOL
                 candidate = OrderInterval._from_frame(spectral_frame, lower, upper)
@@ -528,9 +529,9 @@ def test_non_orthonormal_frame_raises():
     bad = SpectralFrame(frame.layout, tuple(vectors), frame.bounds, frame.values)
     with pytest.raises(NumericalError, match="block 2"):
         OrderInterval._from_frame(bad, 0, 1)
-    one = [s[None] for s in alg.identity().stacks]
-    with pytest.raises(NumericalError):
-        bad.order_margins(one, one)
+    for tested, faces in ((bad, frame), (frame, bad)):
+        with pytest.raises(NumericalError):
+            tested.order_margins(faces, [0], [1])
 
 
 def test_non_orthonormal_row_of_a_batch_raises(monkeypatch):
@@ -742,8 +743,8 @@ def test_interval_columns_rebuild_the_three_projections(name, case, request):
 
 
 def test_face_pass_dedup_builds_no_projection(commuting, monkeypatch):
-    # the dedup and the proper-face test read ranks off the frames; only
-    # the normal cones need the endpoints as operators
+    # the dedup, the proper-face test and the normal cones read ranks and
+    # products of frames; no endpoint is built as an operator
     from specscale import faces
     from specscale.spectral import SpectralFrame
 
@@ -765,7 +766,7 @@ def test_face_pass_dedup_builds_no_projection(commuting, monkeypatch):
     _, passed = faces.sweep_face_cones(commuting, 8)
     assert len(passed) > 1
     assert before_first_cone == [0]
-    assert built
+    assert not built
 
 
 def _mixed_block_tuple():
@@ -846,3 +847,42 @@ def test_entry_table_matches_compression_and_commutators():
                     expected = y[block == j].reshape(d, d) * sign
                     np.testing.assert_allclose(rotated, expected, rtol=0, atol=1e-12)
     assert wide > 10
+
+
+def _rank_one_range(x):
+    """The leading range of a checked interval whose endpoints are both
+    the projection onto the unit vector ``x``."""
+    p = HermitianOperator([np.outer(x, x.conj())])
+    return OrderInterval(p, p).ends[0]
+
+
+@pytest.mark.parametrize("tol_name", ["PROJECTION_TOL", "PROJECTION_MATCH_TOL"])
+@pytest.mark.parametrize("factor, same", [(0.5, True), (2.0, False)])
+def test_same_range_at_its_tolerance_edge(tol_name, factor, same):
+    # u against cos θ u + sin θ w: |(1 - q) u| is sin θ
+    from specscale import scale, spectral
+    from specscale.spectral import same_range
+
+    tol = getattr(scale if tol_name == "PROJECTION_MATCH_TOL" else spectral, tol_name)
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    u, w = np.linalg.qr(z)[0][:, :2].T
+    sin = factor * tol
+    turned = np.sqrt(1.0 - sin**2) * u + sin * w
+    assert same_range(_rank_one_range(u), _rank_one_range(turned), tol) is same
+
+
+def test_same_range_on_the_frames_of_t_and_a_multiple():
+    # b_t and b_{2.5 t} share their spectral projections; their frames are
+    # solved apart, so every leading range is compared across frames
+    from test_golden import dense_block
+
+    from specscale.spectral import PROJECTION_TOL, same_range
+
+    optuple = dense_block(64, 2, 64)
+    t = np.array([0.6, -0.8])
+    a, b = (direction_frame(optuple, x).spectrum for x in (t, 2.5 * t))
+    assert a is not b
+    np.testing.assert_array_equal(a.bounds, b.bounds)
+    for k in range(len(a.bounds)):
+        assert same_range((a, k), (b, k), PROJECTION_TOL)

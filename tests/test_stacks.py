@@ -157,33 +157,47 @@ def test_stacked_frames_match_per_block(case):
         cols = spectrum.columns(0, k)
         proj = [V @ V.conj().T for V in cols]
         np.testing.assert_allclose(frame.psi_table[k], _psi(optuple, proj), atol=1e-10)
-    # order margins against the frame's leading ranges as faces
-    ends = (0, len(values))
-    faces = [spectral.OrderInterval._from_frame(spectrum, 0, k) for k in ends]
-    q_minus = algebra.stacked([f.lower for f in faces])
-    q_plus = algebra.stacked([f.upper for f in faces])
-    below, above = spectrum.order_margins(q_minus, q_plus)
-    for f, face in enumerate(faces):
-        for k in range(len(bounds)):
-            inside, outside = spectrum.columns(0, k), spectrum.columns(k, len(values))
-            want_below = max(
-                [0.0]
-                + [
-                    np.linalg.norm(V - q @ V, axis=0).max()
-                    for V, q in zip(inside, face.lower.blocks)
-                    if V.size
-                ]
-            )
-            want_above = max(
-                [0.0]
-                + [
-                    np.linalg.norm(q @ V, axis=0).max()
-                    for V, q in zip(outside, face.upper.blocks)
-                    if V.size
-                ]
-            )
-            assert below[f, k] == pytest.approx(want_below, abs=1e-12)
-            assert above[f, k] == pytest.approx(want_above, abs=1e-12)
+    # order margins against faces of this frame, of a second direction's
+    # frame and of a checked interval, whose frame is the eigenvectors of
+    # lower + upper in descending order, so its clusters do not ascend
+    other = spectral.direction_frame(optuple, rng.standard_normal(optuple.n))
+    ends = np.sort(rng.integers(0, len(other.spectrum.values) + 1, 2))
+    checked = spectral.OrderInterval(
+        *(other.spectrum.projection(0, k) for k in ends.tolist())
+    )
+    face_sets = [
+        [spectral.OrderInterval._from_frame(spectrum, 0, k) for k in (0, len(values))],
+        [
+            spectral.OrderInterval._from_frame(other.spectrum, lo, hi)
+            for lo, hi in zip(*other.cuts)
+        ],
+        [checked],
+    ]
+    for faces in face_sets:
+        counts = np.array([f.counts for f in faces])
+        below, above = spectrum.order_margins(faces[0].frame, *counts.T)
+        for f, face in enumerate(faces):
+            for k in range(len(bounds)):
+                inside = spectrum.columns(0, k)
+                outside = spectrum.columns(k, len(values))
+                want_below = max(
+                    [0.0]
+                    + [
+                        np.linalg.norm(V - q @ V, axis=0).max()
+                        for V, q in zip(inside, face.lower.blocks)
+                        if V.size
+                    ]
+                )
+                want_above = max(
+                    [0.0]
+                    + [
+                        np.linalg.norm(q @ V, axis=0).max()
+                        for V, q in zip(outside, face.upper.blocks)
+                        if V.size
+                    ]
+                )
+                assert below[f, k] == pytest.approx(want_below, abs=1e-12)
+                assert above[f, k] == pytest.approx(want_above, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
