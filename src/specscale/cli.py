@@ -79,7 +79,7 @@ def build_parser():
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--samples", type=_count, default=256)
         seed_help = "unit-ball sample seed; used only by extremes --format obj"
-        p.add_argument("--seed", type=int, default=0, help=seed_help)
+        p.add_argument("--seed", type=_count, default=0, help=seed_help)
         p.add_argument("--cluster-tol", type=_tolerance, default=None)
         p.add_argument("--eig-eq-tol", type=_tolerance, default=None)
         p.add_argument("--iso-radius", type=_tolerance, default=None)

@@ -44,13 +44,13 @@ ranges (``same_range``, after their ranks) read it.  What a face reads of
 the operators themselves, a gap's cut-down or the commutators with a
 cut, is entries of ``Vᴴ b_i V``: ``SpectralFrame.entries`` rotates the
 tuple once and tables every block entry with the clusters of its row and
-column.  Every ``OrderInterval`` is a frame with two leading counts (an
-interval from outside is framed by the eigenvectors of ``lower +
-upper``), so the bases of ``lower``, of the gap and of ``1 - upper`` are
-column ranges.  A frame's columns are checked orthonormal once, with the
-rest of its chunk when it is decomposed (or, for a frame built
-otherwise, when first read), which makes every leading range a
-projection and the ranges nested.
+column.  Every ``OrderInterval`` is a frame with two leading counts, so
+the bases of ``lower``, of the gap and of ``1 - upper`` are column
+ranges; an interval from outside is the core's frame of ``-(lower +
+upper)``.  Every frame is checked orthonormal when it is made, a chunk's
+solved columns at once in ``_frames`` and any other frame by its
+constructor, which makes every leading range a projection and the
+ranges nested.
 """
 
 from __future__ import annotations
@@ -115,18 +115,31 @@ class SpectralFrame:
 
     ``vectors[k]`` stacks the eigenvector matrices of ``layout``'s size
     class ``k`` as ``(m_k, d_k, d_k)``, columns in cluster order
-    (ascending eigenvalues for ``decompose``); ``bounds[c, j]`` counts the
-    columns of block ``j`` (input order) that belong to clusters ``0 ..
-    c-1``, and the last row counts them all; ``values[c]`` is the
-    eigenvalue cluster ``c``'s columns share.  Multiplicities and traces
-    are column counts: ``np.diff(bounds.sum(axis=1))`` and
-    ``np.diff(bounds, axis=0) @ alg.weights``.
+    (ascending eigenvalues in every frame the core makes); ``bounds[c,
+    j]`` counts the columns of block ``j`` (input order) that belong to
+    clusters ``0 .. c-1``, and the last row counts them all; ``values[c]``
+    is the eigenvalue cluster ``c``'s columns share.  Multiplicities and
+    traces are column counts: ``np.diff(bounds.sum(axis=1))`` and
+    ``np.diff(bounds, axis=0) @ alg.weights``.  The constructor raises
+    ``NumericalError`` at the worst block if ``max|VᴴV - I| > PROJECTION_TOL``.
     """
 
     layout: algebra.BlockLayout
     vectors: tuple
     bounds: np.ndarray  # (clusters + 1, blocks)
     values: np.ndarray  # (clusters,)
+
+    def __post_init__(self):
+        _require_orthonormal(self.deviation[None])
+
+    @classmethod
+    def _unchecked(cls, layout, vectors, bounds, values, clusters, deviation):
+        """The frame of columns already checked orthonormal, handed the
+        ``clusters`` and ``deviation`` measured with them, with no check."""
+        frame = object.__new__(cls)
+        fields = dict(layout=layout, vectors=vectors, bounds=bounds, values=values)
+        frame.__dict__.update(fields, clusters=clusters, deviation=deviation)
+        return frame
 
     def columns(self, first, stop):
         """The eigenvector columns of clusters ``first .. stop-1``, per block."""
@@ -183,17 +196,6 @@ class SpectralFrame:
         """Per block, ``max|VᴴV - I|``: how far the columns are from orthonormal."""
         return _deviations(self.layout, self.vectors)
 
-    def require_orthonormal(self):
-        """Raise unless every block's ``max|VᴴV - I| <= PROJECTION_TOL``,
-        checked once per frame.
-
-        Then every leading column range spans a projection and the ranges
-        are nested, which is what frame-backed intervals do not re-check.
-        """
-        if not self.__dict__.get("orthonormal"):
-            _require_orthonormal(self.deviation[None])
-            self.__dict__["orthonormal"] = True
-
     def order_margins(self, frame, lowers, uppers):
         """How far each leading range ``p_k`` is from ``p_k <= q_minus`` and
         from ``q_plus <= p_k``, per face and cluster count ``k``.
@@ -208,8 +210,6 @@ class SpectralFrame:
         (``_row_sums``), one product per size class for all faces.  Each
         order holds exactly when its margin is zero.
         """
-        self.require_orthonormal()
-        frame.require_orthonormal()
         faces = len(lowers)
         rows = frame.bounds[np.array([lowers, uppers])]  # (2, faces, blocks)
         ends = np.arange(2)[:, None, None]
@@ -409,20 +409,18 @@ def _frames(layout, spectra):
         clusters[:, lo:hi].reshape(rows, m, d)
         for lo, hi, (m, d, _) in zip(offsets, offsets[1:], layout.shapes)
     ]
-    frames = []
-    ends = np.cumsum(spectra.sizes)
-    for r, size in enumerate(spectra.sizes.tolist()):
-        step = 1 if r < solved else -1
-        frame = SpectralFrame(
+    ends = np.cumsum(spectra.sizes).tolist()
+    return [
+        SpectralFrame._unchecked(
             layout,
-            tuple(v[source[r]][..., ::step] for v in spectra.vectors),
+            tuple(v[i][..., :: 1 if r < solved else -1] for v in spectra.vectors),
             bounds[r, : size + 1],
-            spectra.values[ends[r] - size : ends[r]],
+            spectra.values[end - size : end],
+            [c[r] for c in per_class],
+            deviation[i],
         )
-        frame.__dict__["clusters"] = [c[r] for c in per_class]
-        frame.__dict__["deviation"] = deviation[source[r]]
-        frames.append(frame)
-    return frames
+        for r, (i, size, end) in enumerate(zip(source, spectra.sizes.tolist(), ends))
+    ]
 
 
 def _antipodes(ts):
@@ -551,10 +549,10 @@ class OrderInterval:
     ``SpectralFrame``.
 
     The constructor is the checked path, for projections from outside: both
-    must pass ``is_projection`` and be ordered by ``projection_leq``.  Per
-    block, the eigenvectors of ``lower + upper`` (eigenvalue 2 on
-    ``lower``'s range, 1 on the gap, 0 elsewhere) in descending order,
-    counted at 1.5 and 0.5, frame them, and the caller's operators stay as
+    must pass ``is_projection`` and be ordered by ``projection_leq``.  The
+    decomposition core frames ``-(lower + upper)``, whose eigenvalue is -2
+    on ``lower``'s range, -1 on the gap and 0 elsewhere, so the counts are
+    its clusters below -1.5 and below -0.5; the caller's operators stay as
     ``.lower`` and ``.upper``.  ``_from_frame`` is the unchecked path for
     leading cluster ranges of a frame, which vouches for both; their
     ``lower`` and ``upper`` are built as operators on first read.
@@ -569,23 +567,16 @@ class OrderInterval:
         if not projection_leq(lower, upper):
             raise ShapeError("interval endpoints are not ordered")
         layout = lower.layout
-        vectors, bounds = [], np.zeros((4, len(layout.dims)), dtype=int)
-        bounds[3] = layout.dims
-        for x, y, idx in zip(lower.stacks, upper.stacks, layout.members):
-            w, v = np.linalg.eigh(x + y)
-            vectors.append(v[..., ::-1])
-            bounds[1:3, idx] = (w > 1.5).sum(-1), (w > 0.5).sum(-1)
-        self.frame = SpectralFrame(
-            layout, tuple(vectors), bounds, np.array([2.0, 1.0, 0.0])
-        )
-        self.counts = (1, 2)
+        stacks = [-(x + y)[None] for x, y in zip(lower.stacks, upper.stacks)]
+        self.frame = _frames(layout, _decompose_stacks(layout, stacks))[0]
+        # by value, not cluster index: a cluster may split at cluster_tol
+        self.counts = tuple(np.searchsorted(self.frame.values, [-1.5, -0.5]).tolist())
         self.lower, self.upper = lower, upper
 
     @classmethod
     def _from_frame(cls, frame, lower, upper):
         """The interval of the leading ``lower`` and ``upper`` clusters of
         ``frame``, with no per-interval check."""
-        frame.require_orthonormal()
         interval = object.__new__(cls)
         interval.frame, interval.counts = frame, (lower, upper)
         return interval
@@ -627,28 +618,19 @@ def same_range(a, b, tol):
 
     Ranks per block come first; of equal ranks, the largest such norm is
     zero exactly when the ranges agree, and at most ``|p - q|``, the sine
-    of the widest angle between them.  A block both leave empty or both
-    fill agrees to roundoff, and so does every block within one frame;
-    only the other blocks are compared, off the trailing row sums of
-    ``|Uᴴ V|²`` (``_row_sums``).
+    of the widest angle between them.  Two ranges of one frame agree to
+    roundoff, and so do two with no block partly filled; any others are
+    compared by ``order_margins``, whose margin below the second range at
+    the first range's count is that norm (a block both leave empty or both
+    fill adds an exact zero).
     """
     (fa, ka), (fb, kb) = a, b
     ranks = fa.bounds[ka]
     if ranks.tolist() != fb.bounds[kb].tolist():
         return False
-    if fa is fb:
+    if fa is fb or not np.any((0 < ranks) & (ranks < fa.layout.dims)):
         return True
-    layout = fa.layout
-    for u, v, d, idx in zip(fb.vectors, fa.vectors, layout.sizes, layout.members):
-        r = ranks[idx]
-        partial = (0 < r) & (r < d)
-        if partial.any():
-            r = r[partial]
-            tail = _row_sums(u[partial], v[partial])[0]
-            outside = tail[np.arange(len(r)), r] * (np.arange(d) < r[:, None])
-            if float(np.sqrt(outside.max())) > tol:
-                return False
-    return True
+    return float(fa.order_margins(fb, [kb], [kb])[0][0, ka]) <= tol
 
 
 def is_projection(p):

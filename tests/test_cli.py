@@ -483,6 +483,7 @@ def test_tolerance_flags_reach_every_decomposition(
         ("--eig-eq-tol", "-inf"),
         ("--iso-radius", "nan"),
         ("--iso-radius", "-0.5"),
+        ("--seed", "-1"),
     ],
 )
 def test_tolerance_flags_need_finite_nonnegative_values(inputs, capsys, flag, value):

@@ -522,16 +522,12 @@ def test_non_orthonormal_frame_raises():
 
     alg, a = _frame_cases()[0]
     frame = decompose(alg, a)
-    frame.require_orthonormal()
+    SpectralFrame(frame.layout, frame.vectors, frame.bounds, frame.values)
     vectors = [v.copy() for v in frame.vectors]
     k, i = frame.layout.where[2]
     vectors[k][i][:, 1] *= 1.0 + 1e-6
-    bad = SpectralFrame(frame.layout, tuple(vectors), frame.bounds, frame.values)
     with pytest.raises(NumericalError, match="block 2"):
-        OrderInterval._from_frame(bad, 0, 1)
-    for tested, faces in ((bad, frame), (frame, bad)):
-        with pytest.raises(NumericalError):
-            tested.order_margins(faces, [0], [1])
+        SpectralFrame(frame.layout, tuple(vectors), frame.bounds, frame.values)
 
 
 def test_non_orthonormal_row_of_a_batch_raises(monkeypatch):
@@ -575,7 +571,7 @@ def test_direction_frames_build_no_operator_and_check_each_chunk_once(monkeypatc
     ts = np.random.default_rng(7).standard_normal((64, optuple.n))
     # 16 bytes per entry of the 14 block entries: 16 directions a chunk
     monkeypatch.setattr(spectral, "STACK_CHUNK_BYTES", 16 * 14 * 16)
-    calls = {"_from_stacks": 0, "_deviations": 0, "require_orthonormal": 0}
+    calls = {"_from_stacks": 0, "_deviations": 0}
 
     def counting(owner, name):
         fn = getattr(owner, name)
@@ -590,12 +586,11 @@ def test_direction_frames_build_no_operator_and_check_each_chunk_once(monkeypatc
         (algebra, "_from_stacks"),
         (spectral, "_from_stacks"),
         (spectral, "_deviations"),
-        (spectral.SpectralFrame, "require_orthonormal"),
     ):
         counting(owner, name)
     frames = spectral.direction_frames(optuple, ts)
     assert [np.array_equal(f.t, t) for f, t in zip(frames, ts)] == [True] * 64
-    assert calls == {"_from_stacks": 0, "_deviations": 4, "require_orthonormal": 0}
+    assert calls == {"_from_stacks": 0, "_deviations": 4}
 
 
 def test_shifted_cluster_bound_trips_the_support_check():
@@ -728,18 +723,24 @@ def test_checked_interval_keeps_the_callers_operators(pauli):
 def test_interval_columns_rebuild_the_three_projections(name, case, request):
     optuple, faces = _equality_faces(name, case, request)
     one = optuple.algebra.identity()
+    # the whole scale: the frame of -(0 + 1) has the single value -1
+    whole = OrderInterval(optuple.algebra.zero(), one)
+    np.testing.assert_array_equal(whole.frame.values, [-1.0])
+    assert whole.counts == (0, 1)
+    candidates = [whole]
     for face in faces:
         interval = face.interval
-        for candidate in (interval, OrderInterval(interval.lower, interval.upper)):
-            wanted = {
-                "lower": candidate.lower,
-                "gap": candidate.upper - candidate.lower,
-                "above": one - candidate.upper,
-            }
-            for part, projection in wanted.items():
-                columns = candidate.columns(part)
-                rebuilt = _raw([v @ v.conj().T for v in columns])
-                assert max_norm(rebuilt - projection) <= 1e-12
+        candidates += [interval, OrderInterval(interval.lower, interval.upper)]
+    for candidate in candidates:
+        wanted = {
+            "lower": candidate.lower,
+            "gap": candidate.upper - candidate.lower,
+            "above": one - candidate.upper,
+        }
+        for part, projection in wanted.items():
+            columns = candidate.columns(part)
+            rebuilt = _raw([v @ v.conj().T for v in columns])
+            assert max_norm(rebuilt - projection) <= 1e-12
 
 
 def test_face_pass_dedup_builds_no_projection(commuting, monkeypatch):
@@ -849,17 +850,19 @@ def test_entry_table_matches_compression_and_commutators():
     assert wide > 10
 
 
-def _rank_one_range(x):
+def _rank_one_range(x, *blocks):
     """The leading range of a checked interval whose endpoints are both
-    the projection onto the unit vector ``x``."""
-    p = HermitianOperator([np.outer(x, x.conj())])
+    the projection onto the unit vector ``x`` in the first block, next to
+    the projections ``blocks`` in the others."""
+    p = HermitianOperator([np.outer(x, x.conj()), *blocks])
     return OrderInterval(p, p).ends[0]
 
 
 @pytest.mark.parametrize("tol_name", ["PROJECTION_TOL", "PROJECTION_MATCH_TOL"])
 @pytest.mark.parametrize("factor, same", [(0.5, True), (2.0, False)])
 def test_same_range_at_its_tolerance_edge(tol_name, factor, same):
-    # u against cos θ u + sin θ w: |(1 - q) u| is sin θ
+    # u against cos θ u + sin θ w: |(1 - q) u| is sin θ, alone and, dims
+    # (3, 2), beside a second block both ranges fill
     from specscale import scale, spectral
     from specscale.spectral import same_range
 
@@ -869,7 +872,30 @@ def test_same_range_at_its_tolerance_edge(tol_name, factor, same):
     u, w = np.linalg.qr(z)[0][:, :2].T
     sin = factor * tol
     turned = np.sqrt(1.0 - sin**2) * u + sin * w
-    assert same_range(_rank_one_range(u), _rank_one_range(turned), tol) is same
+    for full in ((), (np.eye(2),)):
+        a, b = _rank_one_range(u, *full), _rank_one_range(turned, *full)
+        assert a[0].bounds[a[1]].tolist() == [1, 2][: 1 + len(full)]
+        assert same_range(a, b, tol) is same
+
+
+def test_same_range_reads_no_product_without_a_partly_filled_block(monkeypatch):
+    # dims (3, 2): every block empty or full in both ranges, from two frames
+    from specscale.spectral import PROJECTION_TOL, SpectralFrame, same_range
+
+    def unreached(*args):
+        raise AssertionError("order_margins reached")
+
+    monkeypatch.setattr(SpectralFrame, "order_margins", unreached)
+    projections = [
+        HermitianOperator([np.zeros((3, 3)), np.eye(2)]),
+        HermitianOperator([np.eye(3), np.zeros((2, 2))]),
+    ]
+    for p in projections:
+        a, b = (OrderInterval(p, p).ends[0] for _ in range(2))
+        assert a[0] is not b[0]
+        assert same_range(a, b, PROJECTION_TOL) is True
+    a, b = (OrderInterval(p, p).ends[0] for p in projections)  # ranks differ
+    assert same_range(a, b, PROJECTION_TOL) is False
 
 
 def test_same_range_on_the_frames_of_t_and_a_multiple():

@@ -158,13 +158,21 @@ def test_stacked_frames_match_per_block(case):
         proj = [V @ V.conj().T for V in cols]
         np.testing.assert_allclose(frame.psi_table[k], _psi(optuple, proj), atol=1e-10)
     # order margins against faces of this frame, of a second direction's
-    # frame and of a checked interval, whose frame is the eigenvectors of
-    # lower + upper in descending order, so its clusters do not ascend
+    # frame, of a checked interval and of that second frame with each
+    # block's columns and the values reversed, so its clusters descend
     other = spectral.direction_frame(optuple, rng.standard_normal(optuple.n))
     ends = np.sort(rng.integers(0, len(other.spectrum.values) + 1, 2))
     checked = spectral.OrderInterval(
         *(other.spectrum.projection(0, k) for k in ends.tolist())
     )
+    o = other.spectrum
+    descending = spectral.SpectralFrame(
+        o.layout,
+        tuple(v[..., ::-1] for v in o.vectors),
+        o.bounds[-1] - o.bounds[::-1],
+        o.values[::-1],
+    )
+    count = len(o.values)
     face_sets = [
         [spectral.OrderInterval._from_frame(spectrum, 0, k) for k in (0, len(values))],
         [
@@ -172,6 +180,10 @@ def test_stacked_frames_match_per_block(case):
             for lo, hi in zip(*other.cuts)
         ],
         [checked],
+        [
+            spectral.OrderInterval._from_frame(descending, count - hi, count - lo)
+            for lo, hi in zip(*other.cuts)
+        ],
     ]
     for faces in face_sets:
         counts = np.array([f.counts for f in faces])
