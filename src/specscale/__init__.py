@@ -58,6 +58,7 @@ from .structure import (
     GapReport,
     abelian_verdict,
     detect_central,
+    detect_centrals,
     detect_gap,
     isolated_extremes_to_center,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "cut_down",
     "decompose",
     "detect_central",
+    "detect_centrals",
     "detect_gap",
     "eigengap_of",
     "exposed_face",

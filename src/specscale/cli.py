@@ -272,25 +272,25 @@ def cmd_corners(optuple, args):
 
 
 def cmd_center(optuple, args):
-    central = []
     swept, passed = faces.sweep_face_cones(
         optuple, args.samples, args.cluster_tol, args.eig_eq_tol
     )
     cloud = scale.ExtremePointCloud(optuple.n)
     cloud.add_frames(swept)
-    for face, cone in passed:
-        if cone is None:
-            continue
-        rep = structure.detect_central(optuple, face.interval, cone)
-        central.append(
-            {
-                "tau_lower": rep.tau_lower,
-                "tau_upper": rep.tau_upper,
-                "rank": rep.rank,
-                "central": rep.central,
-                "commutator_norm": rep.commutator_norm,
-            }
-        )
+    coned = [(face, cone) for face, cone in passed if cone is not None]
+    reports = structure.detect_centrals(
+        optuple, [face.interval for face, _ in coned], [cone for _, cone in coned]
+    )
+    central = [
+        {
+            "tau_lower": rep.tau_lower,
+            "tau_upper": rep.tau_upper,
+            "rank": rep.rank,
+            "central": rep.central,
+            "commutator_norm": rep.commutator_norm,
+        }
+        for rep in reports
+    ]
     isolated = structure.isolated_extremes_to_center(
         optuple, cloud, iso_radius=args.iso_radius
     )

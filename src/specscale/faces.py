@@ -232,11 +232,8 @@ def _commutant_bases(optuple, intervals):
     a near tie) is positive.
     """
     n = optuple.n
-    by_frame = {}  # id of a frame -> (frame, positions of its intervals)
-    for f, interval in enumerate(intervals):
-        by_frame.setdefault(id(interval.frame), (interval.frame, []))[1].append(f)
     bases = [None] * len(intervals)
-    for frame, which in by_frame.values():
+    for frame, which in spectral._by_frame([iv.frame for iv in intervals]):
         table = frame.entries(optuple)
         below = table.row > table.col
         y, lo, hi = table.values[:, below], table.lo[below], table.hi[below]

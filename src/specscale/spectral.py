@@ -39,12 +39,17 @@ frame ``V``, ``|Uᴴ V|²`` summed over ``U``'s trailing and over its
 leading rows (``_row_sums``) holds ``|(1 - q) v|`` and ``|q v|`` for
 every leading range ``q`` of ``U`` and column ``v`` of ``V``, one product
 per size class.  The order test of many faces of ``U`` against every
-level of ``V`` (``SpectralFrame.order_margins``) and the equality of two
-ranges (``same_range``, after their ranks) read it.  What a face reads of
-the operators themselves, a gap's cut-down or the commutators with a
-cut, is entries of ``Vᴴ b_i V``: ``SpectralFrame.entries`` rotates the
-tuple once and tables every block entry with the clusters of its row and
-column.  Every ``OrderInterval`` is a frame with two leading counts, so
+level of ``V`` (``SpectralFrame.order_margins``) reads it; the equality
+of two ranges (``same_range``, after their ranks) reads only the part of
+``Uᴴ V`` that one margin needs.  What a face reads of the operators
+themselves, a gap's cut-down or the commutators with a cut, is entries
+of ``Vᴴ b_i V``: ``SpectralFrame.entries`` rotates the tuple once and
+tables every block entry with the clusters of its row and column.  The
+centrality checks need each commutator's largest entry in the standard
+basis instead: ``SpectralFrame.commutator_norms`` tables it for every
+leading range at once, from prefix sums of rank-one terms.  Neither
+table is kept on the frame; ``_by_frame`` groups a caller's ranges so
+that each frame's is computed once.  Every ``OrderInterval`` is a frame with two leading counts, so
 the bases of ``lower``, of the gap and of ``1 - upper`` are column
 ranges; an interval from outside is the core's frame of ``-(lower +
 upper)``.  Every frame is checked orthonormal when it is made, a chunk's
@@ -68,9 +73,10 @@ from .errors import NumericalError, ShapeError, ZeroDirectionError
 CLUSTER_TOL = 1e-9
 EIG_EQ_TOL = 1e-8
 PROJECTION_TOL = 1e-8
-# Bound on one stacked (rows, m_k, d, d) array of a batched decomposition
-# or isotrace slice.  About three are alive at once; larger stacks run no
-# faster, since eigh then dominates, but raise the peak memory.
+# Bound on one stacked (rows, m_k, d, d) array of a batched decomposition,
+# isotrace slice or commutator table.  About three are alive at once;
+# larger stacks run no faster, since eigh then dominates, but raise the
+# peak memory.
 STACK_CHUNK_BYTES = 2**18
 
 FrameEntries = namedtuple("FrameEntries", "values weight row col lo hi")
@@ -191,6 +197,27 @@ class SpectralFrame:
             parts.append((y.reshape(len(y), -1), *fields))
         return FrameEntries(*(np.concatenate(x, axis=-1) for x in zip(*parts)))
 
+    def commutator_norms(self, optuple):
+        """``max_i max|[b_i, q_k]|`` for every leading range ``q_k``, ``k = 0
+        .. clusters``: each commutator's largest entry in the standard
+        basis, as ``algebra.commutator_norm`` measures it.
+
+        Per block, ``A_r = Σ_{j<r} (b_i u_j) u_jᴴ`` over the frame's columns
+        ``u_j`` is ``b_i`` times the projection onto the first ``r``
+        columns, so ``A_r - A_rᴴ`` is their commutator: prefix sums of
+        rank-one terms give every column count at once
+        (``_prefix_commutator_norms``), and entry ``k`` reads block ``j`` at
+        ``bounds[k, j]``.  Callers that read many ranges of one frame
+        compute its table once.
+        """
+        table = np.zeros(len(self.bounds))
+        for k, (v, idx) in enumerate(zip(self.vectors, self.layout.members)):
+            b = np.array([op.stacks[k] for op in optuple.operators])
+            norms = _prefix_commutator_norms(b @ v, v).max(axis=0)  # (m_k, d_k + 1)
+            per_block = norms[np.arange(len(idx)), self.bounds[:, idx]]
+            np.maximum(table, per_block.max(axis=1), out=table)
+        return table
+
     @cached_property
     def deviation(self):
         """Per block, ``max|VᴴV - I|``: how far the columns are from orthonormal."""
@@ -226,6 +253,18 @@ class SpectralFrame:
         return below, above
 
 
+def _by_frame(frames):
+    """Positions grouped by frame: per distinct frame of ``frames``, in
+    first-seen order, the frame and the positions that hold it.  Callers
+    that read a per-frame table (``SpectralFrame.entries``,
+    ``SpectralFrame.commutator_norms``) for many ranges compute it once per
+    group."""
+    groups = {}  # id of a frame -> (frame, positions)
+    for position, frame in enumerate(frames):
+        groups.setdefault(id(frame), (frame, []))[1].append(position)
+    return groups.values()
+
+
 def _row_sums(u, v):
     """``|Uᴴ V|²`` of two frames' stacks ``(m, d, d)`` summed over the
     trailing and over the leading rows, stacked: ``[0, :, r, c]`` is ``|(1 -
@@ -240,6 +279,35 @@ def _row_sums(u, v):
     np.add.accumulate(squares[:, ::-1], axis=1, out=sums[0, :, -2::-1])
     np.add.accumulate(squares, axis=1, out=sums[1, :, 1:])
     return sums
+
+
+def _prefix_commutator_norms(w, v):
+    """``max|A_r - A_rᴴ|`` for ``A_r = w[..., :r] v[..., :r]ᴴ``, ``r = 0 ..
+    d``, of stacks ``w`` shaped ``(n, m, d, d)`` and ``v`` shaped ``(m, d,
+    d)``: ``(n, m, d + 1)``.  The rank-one terms are summed a chunk of
+    blocks and columns at a time, at most ``STACK_CHUNK_BYTES`` per ``(n,
+    blocks, columns, d, d)`` stack (or one column of one block), the
+    running sum carried from chunk to chunk."""
+    n, m, d, _ = w.shape
+    out = np.zeros((n, m, d + 1))
+    width = max(1, min(d, STACK_CHUNK_BYTES // (16 * n * d * d)))
+    step = max(1, STACK_CHUNK_BYTES // (16 * n * width * d * d))
+    # columns first: term [.., j, a, b] is w[.., a, j] * conj(v[.., b, j])
+    w, v = w.swapaxes(-1, -2), v.conj().swapaxes(-1, -2)
+    for lo in range(0, m, step):
+        blocks = slice(lo, lo + step)
+        total = 0.0
+        for first in range(0, d, width):
+            cols = slice(first, first + width)
+            terms = w[:, blocks, cols, :, None] * v[blocks, cols, None, :]
+            terms -= terms.conj().swapaxes(-1, -2)
+            np.cumsum(terms, axis=2, out=terms)
+            terms += total
+            total = terms[:, :, -1:].copy()
+            squares = terms.real**2
+            squares += terms.imag**2
+            out[:, blocks, first + 1 : first + 1 + width] = squares.max(axis=(-2, -1))
+    return np.sqrt(out)
 
 
 def _deviations(layout, vectors):
@@ -619,18 +687,33 @@ def same_range(a, b, tol):
     Ranks per block come first; of equal ranks, the largest such norm is
     zero exactly when the ranges agree, and at most ``|p - q|``, the sine
     of the widest angle between them.  Two ranges of one frame agree to
-    roundoff, and so do two with no block partly filled; any others are
-    compared by ``order_margins``, whose margin below the second range at
-    the first range's count is that norm (a block both leave empty or both
-    fill adds an exact zero).
+    roundoff, and so do two with no block partly filled (a block both
+    leave empty or both fill adds an exact zero).  Of the others, that
+    norm is the largest column norm of ``U[:, r:]ᴴ V[:, :r]`` over the
+    partly filled blocks, ``r`` their rank, ``U`` the second frame's
+    columns and ``V`` the first's: one product per size class.
     """
     (fa, ka), (fb, kb) = a, b
     ranks = fa.bounds[ka]
     if ranks.tolist() != fb.bounds[kb].tolist():
         return False
-    if fa is fb or not np.any((0 < ranks) & (ranks < fa.layout.dims)):
+    partial = (0 < ranks) & (ranks < fa.layout.dims)
+    if fa is fb or not np.any(partial):
         return True
-    return float(fa.order_margins(fb, [kb], [kb])[0][0, ka]) <= tol
+    largest = 0.0
+    for u, v, idx in zip(fb.vectors, fa.vectors, fa.layout.members):
+        mine = partial[idx]
+        if mine.any():
+            r = ranks[idx][mine]
+            lo, hi = int(r.min()), int(r.max())
+            w = np.abs(u[mine, :, lo:].conj().swapaxes(-1, -2) @ v[mine, :, :hi])
+            w *= w
+            # of rows lo.. and columns ..hi, those past each block's range
+            # and those in it
+            r = r[:, None, None]
+            w *= (np.arange(lo, u.shape[-1])[:, None] >= r) & (np.arange(hi) < r)
+            largest = max(largest, float(w.sum(axis=1).max()))
+    return largest**0.5 <= tol
 
 
 def is_projection(p):

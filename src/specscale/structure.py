@@ -10,19 +10,26 @@ Isolated extreme points are images of central projections, and a finite
 extreme point set is equivalent to the generated algebra being abelian
 and finite dimensional.  Every geometric detection here is re-verified
 with commutators; geometry is never trusted alone.
+
+Every projection checked, a face's endpoint or a cloud point's, is a
+leading column range ``(frame, count)`` of a frame the pass already
+holds.  Its commutators with the tuple are read off that frame's
+commutator table (``SpectralFrame.commutator_norms``), computed once per
+distinct frame for all the ranges read, and its trace off the frame's
+column counts, so no d×d projection is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import algebra, sampling, scale, spectral
+from . import sampling, scale, spectral
 from .algebra import commutator_norm, generated_algebra_basis
 from .errors import InvariantViolation
 from .faces import _require_proper
-from .scale import face_dimension
 
 CENTRAL_TOL = 1e-6
 ABELIAN_COMMUTATOR_TOL = 1e-8
@@ -51,9 +58,18 @@ class GapReport:
 
 @dataclass(frozen=True)
 class IsolatedPointReport:
+    """An isolated cloud point, its projection as a leading range
+    ``source = (frame, count)`` and whether that projection is central;
+    ``projection`` builds it as an operator when read."""
+
     point: np.ndarray
-    projection: algebra.HermitianOperator
+    source: tuple
     is_central: bool
+
+    @cached_property
+    def projection(self):
+        frame, count = self.source
+        return frame.projection(0, count)
 
 
 @dataclass(frozen=True)
@@ -66,12 +82,26 @@ class AbelianVerdict:
     max_commutator: float
 
 
-def _max_commutator_with_tuple(optuple, p):
-    return max(commutator_norm(b, p) for b in optuple.operators)
+def _commutator_norms(optuple, ranges):
+    """``max_i max|[b_i, q]|`` of every leading range ``q``, given as
+    ``(frame, count)``, read off one ``SpectralFrame.commutator_norms``
+    table per distinct frame."""
+    out = np.zeros(len(ranges))
+    for frame, which in spectral._by_frame([frame for frame, _ in ranges]):
+        out[which] = frame.commutator_norms(optuple)[[ranges[r][1] for r in which]]
+    return out
 
 
 def detect_central(optuple, interval, cone):
-    """Report central endpoint projections found via independent normals.
+    """Report central endpoint projections found via independent normals:
+    ``detect_centrals`` of one face."""
+    (report,) = detect_centrals(optuple, [interval], [cone])
+    return report
+
+
+def detect_centrals(optuple, intervals, cones):
+    """Per face ``intervals[f]`` with its cone sample ``cones[f]``, report
+    central endpoint projections found via independent normals.
 
     When the cone sample contains ``n`` members with linearly independent
     direction parts, both endpoints must be central; the commutators are
@@ -79,42 +109,65 @@ def detect_central(optuple, interval, cone):
     directions produce a report with ``central=False``, which only means
     the geometric evidence is insufficient.  The members of one group
     share their direction part, so each group offers its first member.
+    Every endpoint is a leading range of its interval's frame, so its
+    commutators and trace are read off that frame: one commutator table
+    (``SpectralFrame.commutator_norms``) per distinct frame, the traces
+    from its column counts, and the dimensions of the central faces from
+    one ``scale.interval_dimensions`` per frame.  The faces are checked in
+    order, so the first that fails raises.
     """
-    _require_proper(optuple, interval)
+    for interval in intervals:
+        _require_proper(optuple, interval)
     n = optuple.n
-    chosen = []
-    t_stack = np.empty((0, n))
-    for group in cone.groups:
-        cand = np.vstack([t_stack, group.t])
-        if np.linalg.matrix_rank(cand, tol=1e-8) > len(chosen):
-            s = float(group.levels[0])
-            chosen.append(spectral.SpectralPair._at_level(s, group.t))
-            t_stack = cand
-        if len(chosen) == n:
-            break
-    measured = max(
-        _max_commutator_with_tuple(optuple, interval.lower),
-        _max_commutator_with_tuple(optuple, interval.upper),
-    )
-    central = len(chosen) == n
-    if central:
-        if measured > CENTRAL_TOL:
-            raise InvariantViolation(
-                f"independent normals found but commutator norm is {measured:.3e}"
+    normals = []
+    for cone in cones:
+        chosen = []
+        t_stack = np.empty((0, n))
+        for group in cone.groups:
+            cand = np.vstack([t_stack, group.t])
+            if np.linalg.matrix_rank(cand, tol=1e-8) > len(chosen):
+                s = float(group.levels[0])
+                chosen.append(spectral.SpectralPair._at_level(s, group.t))
+                t_stack = cand
+            if len(chosen) == n:
+                break
+        normals.append(tuple(chosen))
+    ends = [end for interval in intervals for end in interval.ends]
+    measured = _commutator_norms(optuple, ends).reshape(-1, 2).max(axis=1).tolist()
+    central = [len(chosen) == n for chosen in normals]
+    dimensions = np.zeros(len(intervals), dtype=int)
+    for frame, which in spectral._by_frame([iv.frame for iv in intervals]):
+        which = [f for f in which if central[f]]
+        if which:
+            counts = np.array([intervals[f].counts for f in which])
+            dimensions[which] = scale.interval_dimensions(optuple, frame, *counts.T)
+    weights = optuple.algebra.weights
+    reports = []
+    faces = zip(intervals, normals, measured, central, dimensions.tolist())
+    for interval, chosen, norm, is_central, dimension in faces:
+        if is_central:
+            if norm > CENTRAL_TOL:
+                raise InvariantViolation(
+                    f"independent normals found but commutator norm is {norm:.3e}"
+                )
+            if dimension > 1:
+                raise InvariantViolation(
+                    "a face with full-rank normals must be a point or a segment"
+                )
+        traces = interval.frame.bounds[list(interval.counts)] @ weights
+        tau_lower, tau_upper = traces.tolist()
+        reports.append(
+            CentralityReport(
+                interval=interval,
+                independent_normals=chosen,
+                rank=len(chosen),
+                central=is_central,
+                commutator_norm=norm,
+                tau_lower=tau_lower,
+                tau_upper=tau_upper,
             )
-        if face_dimension(optuple, interval) > 1:
-            raise InvariantViolation(
-                "a face with full-rank normals must be a point or a segment"
-            )
-    return CentralityReport(
-        interval=interval,
-        independent_normals=tuple(chosen),
-        rank=len(chosen),
-        central=central,
-        commutator_norm=measured,
-        tau_lower=optuple.algebra.trace(interval.lower),
-        tau_upper=optuple.algebra.trace(interval.upper),
-    )
+        )
+    return reports
 
 
 def detect_gap(optuple, interval, cone):
@@ -154,8 +207,10 @@ def isolated_extremes_to_center(optuple, cloud, iso_radius=None):
 
     A point is isolated when no other cloud point lies within
     ``iso_radius`` (default: 1e-3 of the cloud diameter): it is in no near
-    pair (``scale._near_pairs``).  Centrality is checked algebraically per
-    isolated point, so only their projections are built.
+    pair (``scale._near_pairs``).  Centrality is checked algebraically
+    for the isolated points only, each projection a leading range of a
+    frame whose commutator table (``SpectralFrame.commutator_norms``) is
+    computed once; no projection is built.
     """
     points = cloud.points
     if iso_radius is None:
@@ -166,14 +221,13 @@ def isolated_extremes_to_center(optuple, cloud, iso_radius=None):
     near = np.zeros(len(points), dtype=bool)
     for ends in scale._near_pairs(points, iso_radius):
         near[ends] = True
-    reports = []
-    for idx in np.flatnonzero(~near).tolist():
-        proj = cloud.projections[idx]
-        central = _max_commutator_with_tuple(optuple, proj) <= CENTRAL_TOL
-        reports.append(
-            IsolatedPointReport(point=points[idx], projection=proj, is_central=central)
-        )
-    return reports
+    isolated = np.flatnonzero(~near).tolist()
+    sources = [cloud.projections.sources[idx] for idx in isolated]
+    central = (_commutator_norms(optuple, sources) <= CENTRAL_TOL).tolist()
+    return [
+        IsolatedPointReport(point=points[idx], source=source, is_central=is_central)
+        for idx, source, is_central in zip(isolated, sources, central)
+    ]
 
 
 def abelian_verdict(
@@ -206,10 +260,8 @@ def abelian_verdict(
     n_dim = len(basis)
     grew = len(ts) > first or optuple.n == 1
     stabilized = grew and counts[0] == counts[1]
-    all_central = all(
-        _max_commutator_with_tuple(optuple, proj) <= CENTRAL_TOL
-        for _, proj in cloud
-    )
+    sources = cloud.projections.sources
+    all_central = bool(np.all(_commutator_norms(optuple, sources) <= CENTRAL_TOL))
     geometric = stabilized and all_central and counts[1] <= 2**n_dim
     max_comm = 0.0
     ops = optuple.operators

@@ -625,13 +625,14 @@ def test_face_commands_on_a_dense_block_decompose_only_the_sweep(
     assert sorted(t for _, t in calls) == sorted(axes)
 
 
-@pytest.mark.parametrize("command", ["faces", "corners"])
+@pytest.mark.parametrize("command", ["faces", "corners", "center", "abelian"])
 @pytest.mark.parametrize("samples", ["0", "8"])
 def test_face_commands_build_no_projection(
     tmp_path, capsys, monkeypatch, command, samples
 ):
-    # every face of the pass is a leading range of a frame: the dedup and
-    # the cone test read products of frames, and no d x d projection is built
+    # every face of the pass and every cloud projection is a leading range
+    # of a frame: the dedup and the cone test read products of frames, the
+    # centrality checks its commutator table, and no d x d projection is built
     from test_golden import dense_block
 
     from specscale.spectral import SpectralFrame

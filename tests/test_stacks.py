@@ -452,6 +452,32 @@ def test_mirror_frames_reflect_their_partners(case, level):
     _close(low[half:], one[1:] - high[:half])
 
 
+@pytest.mark.parametrize("chunk", [None, 1, 16 * 10])
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(repeating_tuples(), dense_tuples()))
+def test_commutator_table_matches_dense_commutators(chunk, case):
+    # every leading range of every frame, mirrored ones included; a chunk
+    # of 1 byte sums one column of one block at a time, one of 160 bytes
+    # several columns or several blocks
+    optuple, ts = case
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(spectral, "STACK_CHUNK_BYTES", chunk)
+        frames = spectral.direction_frames(optuple, ts)
+        tables = [frame.spectrum.commutator_norms(optuple) for frame in frames]
+    for frame, table in zip(frames, tables):
+        spectrum = frame.spectrum
+        assert table.shape == (len(spectrum.bounds),)
+        want = [
+            max(
+                algebra.commutator_norm(b, spectrum.projection(0, k))
+                for b in optuple.operators
+            )
+            for k in range(len(spectrum.bounds))
+        ]
+        _close(table, np.array(want))
+
+
 def test_extremes_makes_one_eigh_per_size_class(tmp_path, monkeypatch):
     from specscale import fixtures
     from specscale.algebra import save_tuple

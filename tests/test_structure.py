@@ -13,7 +13,7 @@ from specscale.scale import (
     exposed_face,
     extreme_point_cloud,
 )
-from specscale.spectral import OrderInterval, SpectralPair
+from specscale.spectral import OrderInterval, SpectralPair, decompose
 from specscale.structure import (
     SAMPLING_INCOMPLETE,
     abelian_verdict,
@@ -185,9 +185,8 @@ def test_isolated_extremes_diameter_memory_is_linear():
     import tracemalloc
 
     zt = fixtures.zero_tuple(n=2, dim=1)
-    cloud = ExtremePointCloud(zt.n)
-    cloud.points = np.random.default_rng(0).standard_normal((3000, zt.n + 1))
-    cloud.projections = [zt.algebra.identity()] * len(cloud.points)
+    points = np.random.default_rng(0).standard_normal((3000, zt.n + 1))
+    cloud = _identity_cloud(zt, points)
     tracemalloc.start()
     try:
         reports = isolated_extremes_to_center(zt, cloud)
@@ -214,9 +213,12 @@ def _isolated_by_point(points, iso_radius):
 
 
 def _identity_cloud(optuple, points):
+    """A cloud of ``points`` whose every projection is the identity, held
+    as the one leading range of the identity's frame."""
     cloud = ExtremePointCloud(optuple.n)
     cloud.points = points
-    cloud.projections = [optuple.algebra.identity()] * len(points)
+    one = decompose(optuple.algebra, optuple.algebra.identity())
+    cloud.projections.sources = [(one, 1)] * len(points)
     return cloud
 
 
@@ -351,18 +353,28 @@ def test_abelian_verdict_at_zero_directions_certifies_no_count(commuting):
     assert two_point.extreme_count == 4 and two_point.geometric
 
 
-def test_isolated_extremes_build_only_isolated_projections(pauli):
+def test_isolated_extremes_build_only_isolated_projections(pauli, monkeypatch):
+    # the check reads commutator tables and builds no projection; a report
+    # builds its own once, when read
+    from specscale.spectral import SpectralFrame
+
     cloud = extreme_point_cloud(pauli, 64)
-    read = []
+    built = []
+    projection = SpectralFrame.projection
 
-    class Counting(list):
-        def __getitem__(self, idx):
-            read.append(idx)
-            return super().__getitem__(idx)
+    def counting(self, first, stop):
+        built.append((first, stop))
+        return projection(self, first, stop)
 
-    cloud.projections = Counting(cloud.projections)
+    monkeypatch.setattr(SpectralFrame, "projection", counting)
     reports = isolated_extremes_to_center(pauli, cloud, iso_radius=0.05)
-    assert 0 < len(read) == len(reports) < len(cloud)
+    assert 0 < len(reports) < len(cloud)
+    assert not built
+    for rep in reports:
+        frame, count = rep.source
+        assert rep.projection is rep.projection
+        assert max_norm(rep.projection - projection(frame, 0, count)) == 0.0
+    assert len(built) == len(reports)
 
 
 @pytest.mark.parametrize("dims", [(3,), (2, 3), (4,)])
