@@ -278,8 +278,12 @@ def cmd_center(optuple, args):
     cloud = scale.ExtremePointCloud(optuple.n)
     cloud.add_frames(swept)
     coned = [(face, cone) for face, cone in passed if cone is not None]
+    tables = {}  # one commutator table per swept frame, for both checks
     reports = structure.detect_centrals(
-        optuple, [face.interval for face, _ in coned], [cone for _, cone in coned]
+        optuple,
+        [face.interval for face, _ in coned],
+        [cone for _, cone in coned],
+        tables,
     )
     central = [
         {
@@ -292,7 +296,7 @@ def cmd_center(optuple, args):
         for rep in reports
     ]
     isolated = structure.isolated_extremes_to_center(
-        optuple, cloud, iso_radius=args.iso_radius
+        optuple, cloud, iso_radius=args.iso_radius, tables=tables
     )
     payload = {
         "central_projections": central,

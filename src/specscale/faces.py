@@ -23,9 +23,15 @@ frame) that cross its cuts, all faces going through one stacked SVD.
 The face pass (``sweep_face_cones``) sweeps, keeps the distinct sweep
 faces and samples their cones on the sweep's own frames, decomposing only
 the other candidates, in one batch, and tests a one-ray cone on its
-face's own sweep direction.  Member normals and degrees are stacked over
-all faces.  A cone keeps its members grouped by tested direction, each
-group with the frame it was tested on (``ConeGroup``), which gap
+face's own sweep direction.  ``Ψ(1 - a) = Ψ(1) - Ψ(a)`` maps the scale
+onto itself, so a face of the core's mirror frame of ``b_{-t}`` that is
+``Ψ(1)`` minus a face of ``b_t``'s frame (``spectral._mirrored``) has that
+face's commutant and candidates and the negated cone: when the face pass
+keeps both, the mirror's groups are its partner's mirrored and its degree
+its partner's, so each antipodal pair is tested once.  Member normals and
+degrees are stacked over all faces.  A cone keeps its members grouped by
+tested direction, each group with the frame it was tested on
+(``ConeGroup``), which gap
 detection and the pure-trace step of a chain read instead of decomposing
 again.  A sweep face is exposed by its own pair, so its minimal exposed
 chain is the face itself once that pair is found in its cone
@@ -305,7 +311,9 @@ def sweep_face_cones(
     and with its dimension, and read the sweep's frames, so each direction
     part is decomposed once.  A sweep face is kept unless an earlier kept
     face spans the same interval; faces are bucketed by rank first, as
-    faces of different ranks never match.
+    faces of different ranks never match.  A kept face of the mirror frame
+    of ``-t`` that is ``Ψ(1)`` minus a kept face of ``t``'s frame
+    (``spectral._mirrored``) reads its cone off that face's.
     """
     swept = scale.sweep_frames(optuple, directions, cluster_tol, eig_eq_tol)
     distinct, by_ranks = [], {}
@@ -316,14 +324,16 @@ def sweep_face_cones(
                 bucket.append(face.interval)
                 distinct.append(face)
     tested = [f for f in distinct if _is_proper(optuple, f.interval)]
+    intervals = [f.interval for f in tested]
     cones = _sample_cones(
         optuple,
-        [f.interval for f in tested],
+        intervals,
         [f.t for f in swept],
         (cluster_tol, eig_eq_tol),
         swept,
         rays=[f.pair.t for f in tested],
         dimensions=[f.dimension for f in tested],
+        partners=spectral._mirrored(intervals),
     )
     cone_of = dict(zip(map(id, tested), cones))
     return swept, [(f, cone_of.get(id(f))) for f in distinct]
@@ -358,7 +368,9 @@ def normal_cones(
     )
 
 
-def _sample_cones(optuple, intervals, raw, tols, swept=(), rays=None, dimensions=None):
+def _sample_cones(
+    optuple, intervals, raw, tols, swept=(), rays=None, dimensions=None, partners=None
+):
     """``normal_cones`` of proper faces ``intervals`` on the sampled direction
     parts ``raw``, with ``tols`` the cluster and equality tolerances.  The
     ``spectral.DirectionFrame``s of ``swept``, decomposed already, serve
@@ -374,29 +386,39 @@ def _sample_cones(optuple, intervals, raw, tols, swept=(), rays=None, dimensions
     frame against ``t``'s, read at each level's cluster counts, so no
     projection is built.  Each face's members are grouped by candidate, in
     order, each ``ConeGroup`` holding the frame its levels were read off.
+
+    The face pass passes ``partners``, per face the position of the face
+    it mirrors or -1 (``spectral._mirrored``).  A face ``Ψ(1) - F`` that
+    mirrors a face ``F`` has ``F``'s commutant, candidates and degree, and
+    its groups are ``F``'s mirrored (``_mirror_groups``): it gets no
+    commutant, order test or rank of its own.  Without ``partners`` every
+    face is sampled on its own, so a face's cone does not depend on the
+    other faces of the call.
     """
     if rays is None:
         rays = [None] * len(intervals)
-    bases = _commutant_bases(optuple, intervals)
-    candidates = []
+    if partners is None:
+        partners = np.full(len(intervals), -1)
+    own = np.flatnonzero(partners < 0).tolist()
+    candidates = {}
     shared = {}  # exact bytes of a commutant basis -> its candidates
-    for basis, ray in zip(bases, rays):
-        ts = _ray_candidates(basis, ray)
+    for f, basis in zip(own, _commutant_bases(optuple, [intervals[f] for f in own])):
+        ts = _ray_candidates(basis, rays[f])
         if ts is None:
             key = basis.tobytes()
             if key not in shared:
                 shared[key] = _candidate_directions(basis, raw)
             ts = shared[key]
-        candidates.append(ts)
+        candidates[f] = ts
     tests = {}  # (exact bytes of t, id of a face frame) -> (t, [(face, position)])
-    for f, ts in enumerate(candidates):
+    for f, ts in candidates.items():
         for k, t in enumerate(ts):
             key = t.tobytes(), id(intervals[f].frame)
             tests.setdefault(key, (t, []))[1].append((f, k))
     frames = {frame.t.tobytes(): frame for frame in swept}
     new = {key: t for (key, _), (t, _) in tests.items() if key not in frames}
     frames.update(zip(new, spectral.direction_frames(optuple, [*new.values()], *tols)))
-    found = [[None] * len(ts) for ts in candidates]
+    found = {f: [None] * len(ts) for f, ts in candidates.items()}
     for (key, _), (_, group) in tests.items():
         frame = frames[key]
         counts = np.array([intervals[f].counts for f, _ in group])
@@ -408,16 +430,36 @@ def _sample_cones(optuple, intervals, raw, tols, swept=(), rays=None, dimensions
         t = SpectralPair(s=0.0, t=frame.t).t  # checked once for its pairs
         for (f, k), row in zip(group, member):
             found[f][k] = ConeGroup(t, frame.levels[row], frame)
-    groups = [tuple(g for g in gs if len(g.levels)) for gs in found]
-    return _cone_samples(optuple, intervals, groups, dimensions)
+    for f, p in enumerate(partners.tolist()):
+        if p >= 0:
+            found[f] = _mirror_groups(found[p], candidates[p])
+    groups = [tuple(g for g in found[f] if len(g.levels)) for f in sorted(found)]
+    return _cone_samples(optuple, intervals, groups, partners, dimensions)
 
 
-def _cone_samples(optuple, intervals, groups, dimensions=None):
+def _mirror_groups(groups, ts):
+    """The groups of ``Ψ(1) - F`` from ``groups``, those of the face ``F`` on
+    its candidates ``ts``, which come in exact ``±`` pairs.
+
+    ``(-s, t)`` supports ``Ψ(1) - F`` exactly when ``(s, -t)`` supports
+    ``F``, so the mirror's group at ``t`` holds the levels of ``F``'s group
+    at ``-t``, negated and reversed to ascend, on ``t``'s frame (``F``'s
+    group at ``t`` holds it)."""
+    place = {t.tobytes(): k for k, t in enumerate(ts)}
+    return [
+        ConeGroup(g.t, -groups[place[(-t).tobytes()]].levels[::-1], g.frame)
+        for g, t in zip(groups, ts)
+    ]
+
+
+def _cone_samples(optuple, intervals, groups, partners, dimensions=None):
     """The ``NormalConeSample`` of every face from its ``ConeGroup``s.
 
-    All members are normalized together, and every face's degree is one
-    stacked ``matrix_rank`` over its members padded with zero rows, which
-    leave the rank as it is.  ``exact`` reads ``dimensions[f]`` when given.
+    All members are normalized together, and the degree of every face
+    that mirrors none (``partners[f] < 0``) is one stacked ``matrix_rank``
+    over its members padded with zero rows, which leave the rank as it is;
+    a mirror face takes its partner's degree.  ``exact`` reads
+    ``dimensions[f]`` when given.
     """
     n = optuple.n
     hits = [(f, g) for f, gs in enumerate(groups) for g in gs]
@@ -432,7 +474,11 @@ def _cone_samples(optuple, intervals, groups, dimensions=None):
     starts = np.cumsum(counts) - counts
     padded = np.zeros((len(groups), max(counts, default=0), n + 1))
     padded[owner, np.arange(len(owner)) - starts[owner]] = members
-    degrees = np.linalg.matrix_rank(padded, tol=1e-8) if padded.size else counts
+    own = partners < 0
+    degrees = counts.copy()
+    if padded.size:
+        degrees[own] = np.linalg.matrix_rank(padded[own], tol=1e-8)
+    degrees[~own] = degrees[partners[~own]]
     diagonal = all(d == 1 for d in optuple.algebra.dims)
     if diagonal and dimensions is None:
         dimensions = [face_dimension(optuple, iv) for iv in intervals]

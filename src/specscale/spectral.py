@@ -18,7 +18,8 @@ rows.  A direction whose negation comes earlier is not solved: ``b_{-t} =
 -b_t`` has the same eigenvectors in reverse order, so its row mirrors
 its partner's, in the same chunk, with the eigenvalues negated and
 reversed and the columns and their ``psi`` reversed (``Ψ(1 - p) = Ψ(1) -
-Ψ(p)``).  A solved row has the bits it has decomposed alone.  ``_frames``
+Ψ(p)``), and its frame names its partner's as ``mirror_of``.  A solved
+row has the bits it has decomposed alone.  ``_frames``
 makes each row an eigenframe, one ``SpectralFrame``, and checks all of a
 chunk's solved columns orthonormal at once; ``decompose`` of one
 operator is the one-row case.
@@ -128,23 +129,33 @@ class SpectralFrame:
     traces are column counts: ``np.diff(bounds.sum(axis=1))`` and
     ``np.diff(bounds, axis=0) @ alg.weights``.  The constructor raises
     ``NumericalError`` at the worst block if ``max|VᴴV - I| > PROJECTION_TOL``.
+
+    ``mirror_of`` is None, or the solved frame of ``b_t`` when this is the
+    core's mirror frame of ``b_{-t}``: its columns are the partner's
+    reversed and its leading ``k`` clusters span ``1`` minus the partner's
+    leading ``K - k``, of ``K`` clusters in both.
     """
 
     layout: algebra.BlockLayout
     vectors: tuple
     bounds: np.ndarray  # (clusters + 1, blocks)
     values: np.ndarray  # (clusters,)
+    mirror_of = None  # not a field: set by the core on its mirror frames
 
     def __post_init__(self):
         _require_orthonormal(self.deviation[None])
 
     @classmethod
-    def _unchecked(cls, layout, vectors, bounds, values, clusters, deviation):
+    def _unchecked(
+        cls, layout, vectors, bounds, values, clusters, deviation, mirror_of=None
+    ):
         """The frame of columns already checked orthonormal, handed the
         ``clusters`` and ``deviation`` measured with them, with no check."""
         frame = object.__new__(cls)
         fields = dict(layout=layout, vectors=vectors, bounds=bounds, values=values)
-        frame.__dict__.update(fields, clusters=clusters, deviation=deviation)
+        frame.__dict__.update(
+            fields, clusters=clusters, deviation=deviation, mirror_of=mirror_of
+        )
         return frame
 
     def columns(self, first, stop):
@@ -263,6 +274,29 @@ def _by_frame(frames):
     for position, frame in enumerate(frames):
         groups.setdefault(id(frame), (frame, []))[1].append(position)
     return groups.values()
+
+
+def _mirrored(intervals):
+    """Per interval, the position of the interval it mirrors, or -1.
+
+    An interval ``(lo, hi)`` of a mirror frame, ``K`` clusters, is ``Ψ(1)``
+    minus the interval ``(K - hi, K - lo)`` of the frame it mirrors
+    (``SpectralFrame.mirror_of``): its endpoints are ``1 - q_plus`` and
+    ``1 - q_minus`` of that interval.  It mirrors the first such interval
+    in ``intervals``, if there is one; no interval of a solved frame
+    mirrors another.  The pairing is the decomposition core's, of exact
+    negations, and reads no tolerance."""
+    place = {}
+    for f, interval in enumerate(intervals):
+        place.setdefault((id(interval.frame), *interval.counts), f)
+    out = [-1] * len(intervals)
+    for f, interval in enumerate(intervals):
+        partner = interval.frame.mirror_of
+        if partner is not None:
+            k = len(interval.frame.values)
+            lo, hi = interval.counts
+            out[f] = place.get((id(partner), k - hi, k - lo), -1)
+    return np.array(out, dtype=int)
 
 
 def _row_sums(u, v):
@@ -455,7 +489,8 @@ def _frames(layout, spectra):
     columns' clusters and deviations, so neither is computed again: one
     ``max|VᴴV - I|`` per size class measures every solved row's columns,
     checked once for all rows.  A mirror row's columns are its partner's
-    reversed, as views, and its deviation is its partner's."""
+    reversed, as views, its deviation is its partner's, and its frame names
+    its partner's as ``mirror_of``."""
     solved = len(spectra.vectors[0])
     deviation = _deviations(layout, spectra.vectors)
     _require_orthonormal(deviation)
@@ -478,17 +513,20 @@ def _frames(layout, spectra):
         for lo, hi, (m, d, _) in zip(offsets, offsets[1:], layout.shapes)
     ]
     ends = np.cumsum(spectra.sizes).tolist()
-    return [
-        SpectralFrame._unchecked(
-            layout,
-            tuple(v[i][..., :: 1 if r < solved else -1] for v in spectra.vectors),
-            bounds[r, : size + 1],
-            spectra.values[end - size : end],
-            [c[r] for c in per_class],
-            deviation[i],
+    frames = []  # the solved rows come first, so a partner is made before its mirror
+    for r, (i, size, end) in enumerate(zip(source, spectra.sizes.tolist(), ends)):
+        frames.append(
+            SpectralFrame._unchecked(
+                layout,
+                tuple(v[i][..., :: 1 if r < solved else -1] for v in spectra.vectors),
+                bounds[r, : size + 1],
+                spectra.values[end - size : end],
+                [c[r] for c in per_class],
+                deviation[i],
+                None if r < solved else frames[i],
+            )
         )
-        for r, (i, size, end) in enumerate(zip(source, spectra.sizes.tolist(), ends))
-    ]
+    return frames
 
 
 def _antipodes(ts):

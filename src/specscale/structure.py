@@ -16,7 +16,11 @@ leading column range ``(frame, count)`` of a frame the pass already
 holds.  Its commutators with the tuple are read off that frame's
 commutator table (``SpectralFrame.commutator_norms``), computed once per
 distinct frame for all the ranges read, and its trace off the frame's
-column counts, so no d×d projection is built.
+column counts, so no d×d projection is built.  A mirror frame's table is
+its partner's reversed, since ``[b_i, 1 - q] = -[b_i, q]``, and a face
+that is ``Ψ(1)`` minus another checked face takes that face's normals
+(negated), rank and dimension.  ``center`` hands one dict of tables from
+its face check to its isolated-point check.
 """
 
 from __future__ import annotations
@@ -82,14 +86,33 @@ class AbelianVerdict:
     max_commutator: float
 
 
-def _commutator_norms(optuple, ranges):
+def _commutator_norms(optuple, ranges, tables=None):
     """``max_i max|[b_i, q]|`` of every leading range ``q``, given as
-    ``(frame, count)``, read off one ``SpectralFrame.commutator_norms``
-    table per distinct frame."""
+    ``(frame, count)``, read off one commutator table per distinct frame
+    (``_commutator_table``), kept in ``tables`` when given."""
+    tables = {} if tables is None else tables
     out = np.zeros(len(ranges))
     for frame, which in spectral._by_frame([frame for frame, _ in ranges]):
-        out[which] = frame.commutator_norms(optuple)[[ranges[r][1] for r in which]]
+        table = _commutator_table(optuple, frame, tables)
+        out[which] = table[[ranges[r][1] for r in which]]
     return out
+
+
+def _commutator_table(optuple, frame, tables):
+    """``frame.commutator_norms(optuple)``, computed once per frame and kept
+    in the dict ``tables`` (with the frame, so its id stays its own).  A
+    mirror frame's (``SpectralFrame.mirror_of``) is its partner's reversed:
+    its leading ``k`` clusters span ``1 - q`` for the partner's leading
+    ``K - k``, and ``[b_i, 1 - q] = -[b_i, q]``."""
+    key = id(frame)
+    if key not in tables:
+        partner = frame.mirror_of
+        if partner is None:
+            table = frame.commutator_norms(optuple)
+        else:
+            table = _commutator_table(optuple, partner, tables)[::-1]
+        tables[key] = frame, table
+    return tables[key][1]
 
 
 def detect_central(optuple, interval, cone):
@@ -99,7 +122,7 @@ def detect_central(optuple, interval, cone):
     return report
 
 
-def detect_centrals(optuple, intervals, cones):
+def detect_centrals(optuple, intervals, cones, tables=None):
     """Per face ``intervals[f]`` with its cone sample ``cones[f]``, report
     central endpoint projections found via independent normals.
 
@@ -113,14 +136,22 @@ def detect_centrals(optuple, intervals, cones):
     commutators and trace are read off that frame: one commutator table
     (``SpectralFrame.commutator_norms``) per distinct frame, the traces
     from its column counts, and the dimensions of the central faces from
-    one ``scale.interval_dimensions`` per frame.  The faces are checked in
-    order, so the first that fails raises.
+    one ``scale.interval_dimensions`` per frame.  The tables are kept in
+    ``tables``, a dict, when given, for a later check on the same frames.
+    A face that mirrors another of ``intervals`` (``spectral._mirrored``),
+    ``Ψ(1) - F`` of a face ``F``, takes ``F``'s normals negated, its rank
+    and its dimension, and reads the commutator table of its frame, ``F``'s
+    reversed (``_commutator_table``).  The faces are checked in order, so
+    the first that fails raises.
     """
     for interval in intervals:
         _require_proper(optuple, interval)
     n = optuple.n
-    normals = []
-    for cone in cones:
+    partners = spectral._mirrored(intervals).tolist()
+    normals = [None] * len(intervals)
+    for f, (cone, p) in enumerate(zip(cones, partners)):
+        if p >= 0:
+            continue
         chosen = []
         t_stack = np.empty((0, n))
         for group in cone.groups:
@@ -131,16 +162,24 @@ def detect_centrals(optuple, intervals, cones):
                 t_stack = cand
             if len(chosen) == n:
                 break
-        normals.append(tuple(chosen))
+        normals[f] = tuple(chosen)
+    for f, p in enumerate(partners):
+        if p >= 0:
+            normals[f] = tuple(
+                spectral.SpectralPair(s=-pair.s, t=-pair.t) for pair in normals[p]
+            )
     ends = [end for interval in intervals for end in interval.ends]
-    measured = _commutator_norms(optuple, ends).reshape(-1, 2).max(axis=1).tolist()
+    measured = _commutator_norms(optuple, ends, tables).reshape(-1, 2).max(axis=1)
+    measured = measured.tolist()
     central = [len(chosen) == n for chosen in normals]
     dimensions = np.zeros(len(intervals), dtype=int)
     for frame, which in spectral._by_frame([iv.frame for iv in intervals]):
-        which = [f for f in which if central[f]]
+        which = [f for f in which if central[f] and partners[f] < 0]
         if which:
             counts = np.array([intervals[f].counts for f in which])
             dimensions[which] = scale.interval_dimensions(optuple, frame, *counts.T)
+    mirrors = [f for f, p in enumerate(partners) if p >= 0]
+    dimensions[mirrors] = dimensions[[partners[f] for f in mirrors]]
     weights = optuple.algebra.weights
     reports = []
     faces = zip(intervals, normals, measured, central, dimensions.tolist())
@@ -202,7 +241,7 @@ def detect_gap(optuple, interval, cone):
     return reports
 
 
-def isolated_extremes_to_center(optuple, cloud, iso_radius=None):
+def isolated_extremes_to_center(optuple, cloud, iso_radius=None, tables=None):
     """Isolated cloud points with the centrality of their projections.
 
     A point is isolated when no other cloud point lies within
@@ -210,7 +249,8 @@ def isolated_extremes_to_center(optuple, cloud, iso_radius=None):
     pair (``scale._near_pairs``).  Centrality is checked algebraically
     for the isolated points only, each projection a leading range of a
     frame whose commutator table (``SpectralFrame.commutator_norms``) is
-    computed once; no projection is built.
+    computed once, or read off ``tables``, a dict that an earlier check on
+    the same frames filled (``detect_centrals``); no projection is built.
     """
     points = cloud.points
     if iso_radius is None:
@@ -223,7 +263,7 @@ def isolated_extremes_to_center(optuple, cloud, iso_radius=None):
         near[ends] = True
     isolated = np.flatnonzero(~near).tolist()
     sources = [cloud.projections.sources[idx] for idx in isolated]
-    central = (_commutator_norms(optuple, sources) <= CENTRAL_TOL).tolist()
+    central = (_commutator_norms(optuple, sources, tables) <= CENTRAL_TOL).tolist()
     return [
         IsolatedPointReport(point=points[idx], source=source, is_central=is_central)
         for idx, source, is_central in zip(isolated, sources, central)

@@ -746,6 +746,37 @@ def test_center_fills_its_cloud_from_the_face_sweep(
     assert got == want and want
 
 
+@pytest.mark.parametrize("name", ["reciprocal", "pauli", "commuting", "blockpair"])
+def test_center_computes_one_commutator_table_per_solved_frame(
+    inputs, capsys, monkeypatch, name
+):
+    # the face endpoints and the isolated points are leading ranges of the
+    # swept frames: each table serves both checks, and the frame of -t reads
+    # the table of t reversed, so only the t solved are tabled
+    from specscale.algebra import load_tuple
+    from specscale.scale import _cloud_t_directions
+    from specscale.spectral import SpectralFrame
+
+    ts = _cloud_t_directions(load_tuple(inputs[name]).n, 0)
+    solved = [
+        t for j, t in enumerate(ts) if not any(np.array_equal(s, -t) for s in ts[:j])
+    ]
+    tabled = []
+    commutator_norms = SpectralFrame.commutator_norms
+
+    def counting(self, optuple):
+        tabled.append(id(self))
+        return commutator_norms(self, optuple)
+
+    monkeypatch.setattr(SpectralFrame, "commutator_norms", counting)
+    code, out, err = run(
+        ["center", "--input", inputs[name], "--samples", "0"], capsys
+    )
+    assert code == 0, err
+    assert json.loads(out)["isolated_extreme_points"]
+    assert len(tabled) == len(set(tabled)) == len(solved)
+
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 

@@ -790,3 +790,65 @@ def test_frame_read_commutant_keeps_the_null_cut(ratio):
     basis = _commutant_bases(optuple, [interval])[0]
     assert basis.shape == full.shape
     np.testing.assert_allclose(basis.T @ basis, full.T @ full, atol=1e-12)
+
+
+def _mirror_faces(swept, passed):
+    """The kept faces of a face pass that mirror another kept face, by the
+    pass's own frames: a face ``(lo, hi)`` of ``K`` clusters on the frame
+    of a swept ``-t`` whose ``t`` was swept earlier, when the face ``(K -
+    hi, K - lo)`` of ``t``'s frame was kept too."""
+    spectra = [frame.spectrum for frame in swept]
+    kept = {(id(f.interval.frame), *f.interval.counts) for f, _ in passed}
+    mirrors = set()
+    for face, _ in passed:
+        j = next(i for i, s in enumerate(spectra) if s is face.interval.frame)
+        earlier = [i for i in range(j) if np.array_equal(swept[i].t, -swept[j].t)]
+        if earlier:
+            k = len(spectra[j].values)
+            lo, hi = face.interval.counts
+            if (id(spectra[earlier[0]]), k - hi, k - lo) in kept:
+                mirrors.add((id(spectra[j]), lo, hi))
+    return mirrors
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "reciprocal_diagonal",
+        "two_point",
+        "pauli_pair",
+        "commuting_diagonals",
+        "block_with_scalars",
+        "dense_d16_n2",
+    ],
+)
+def test_face_pass_tests_each_mirror_pair_once(name, monkeypatch):
+    # at --samples 0 every swept t has its -t; a kept face of the frame of
+    # -t whose mirror on t was kept reads its cone off that mirror, so no
+    # commutant and no order test sees it, and every other proper face is
+    # seen by both
+    from test_golden import TUPLES
+
+    from specscale import faces
+    from specscale.spectral import SpectralFrame
+
+    optuple = TUPLES[name]()
+    margins, commutants = set(), set()
+    order_margins, commutant_bases = SpectralFrame.order_margins, _commutant_bases
+
+    def noting_margins(self, frame, lowers, uppers):
+        margins.update((id(frame), lo, hi) for lo, hi in zip(lowers, uppers))
+        return order_margins(self, frame, lowers, uppers)
+
+    def noting_commutants(optuple, intervals):
+        commutants.update((id(iv.frame), *iv.counts) for iv in intervals)
+        return commutant_bases(optuple, intervals)
+
+    monkeypatch.setattr(SpectralFrame, "order_margins", noting_margins)
+    monkeypatch.setattr(faces, "_commutant_bases", noting_commutants)
+    swept, passed = faces.sweep_face_cones(optuple, 0)
+    proper = [(f, c) for f, c in passed if c is not None]
+    mirrors = _mirror_faces(swept, proper)
+    tested = {(id(f.interval.frame), *f.interval.counts) for f, _ in proper}
+    assert mirrors and mirrors < tested
+    assert margins == commutants == tested - mirrors

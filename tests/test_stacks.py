@@ -452,6 +452,55 @@ def test_mirror_frames_reflect_their_partners(case, level):
     _close(low[half:], one[1:] - high[:half])
 
 
+def _matches_negated(rows, others, tol):
+    """Every row of ``rows`` is within ``tol`` of the negation of some row of
+    ``others``."""
+    return all(np.abs(others + row).max(axis=1).min() <= tol for row in rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(repeating_tuples(), dense_tuples()))
+def test_face_pass_reports_mirror_faces_through_psi_one(case):
+    # Psi(1 - a) = Psi(1) - Psi(a): the face of b_{-t} whose ranks are the
+    # complements of a face of b_t, reversed, is Psi(1) minus that face; it
+    # is exposed at (-s, -t), its normal cone is the negated cone, and its
+    # commutators are the negated commutators
+    from specscale import faces, structure
+    from specscale.oracle import oracle_support
+
+    optuple, ts = case
+    one = algebra.psi(optuple, optuple.algebra.identity())
+    dims = np.array(optuple.algebra.dims)
+    _, passed = faces.sweep_face_cones(optuple, ts)
+    coned = [(face, cone) for face, cone in passed if cone is not None]
+    reports = structure.detect_centrals(
+        optuple, [face.interval for face, _ in coned], [cone for _, cone in coned]
+    )
+    reported = list(zip(coned, reports))
+    for (face, cone), report in reported:
+        lower, upper = faces.ranks(face.interval)
+        for (other, mirror), other_report in reported:
+            mirrored = np.array_equal(other.pair.t, -face.pair.t) and np.array_equal(
+                faces.ranks(other.interval), [dims - upper, dims - lower]
+            )
+            if not mirrored:
+                continue
+            s = face.pair.s
+            assert abs(other.pair.s + s) <= 1e-12 * max(1.0, abs(s))
+            _close(other.vertices, one - face.vertices[::-1])
+            for f in (face, other):
+                normal = np.concatenate(([f.pair.s], -f.pair.t))
+                exact = -oracle_support(optuple, normal)
+                assert abs(f.alpha - exact) <= 1e-9 * max(1.0, abs(exact))
+            assert len(mirror.members) == len(cone.members)
+            assert _matches_negated(mirror.members, cone.members, 1e-12)
+            assert _matches_negated(cone.members, mirror.members, 1e-12)
+            assert (mirror.degree, mirror.exact) == (cone.degree, cone.exact)
+            assert other_report.rank == report.rank
+            norms = other_report.commutator_norm, report.commutator_norm
+            assert abs(norms[0] - norms[1]) <= 1e-12 * max(1.0, *norms)
+
+
 @pytest.mark.parametrize("chunk", [None, 1, 16 * 10])
 @settings(max_examples=30, deadline=None)
 @given(st.one_of(repeating_tuples(), dense_tuples()))
